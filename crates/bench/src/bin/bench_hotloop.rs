@@ -17,7 +17,8 @@
 //!   --out <path>     where to write the JSON        [BENCH_hotloop.json]
 //!   --check <path>   compare against a previously written JSON and exit
 //!                    nonzero if optimized or event-driven cycles/sec
-//!                    regressed >20%
+//!                    regressed >20%, or if any configuration's simulated
+//!                    cycles or traversed edges differ from the pinned ones
 //!   --threads <n>    worker threads for the parallel sweeps [all cores]
 //! ```
 
@@ -145,16 +146,42 @@ fn config_busy_fraction(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> f64 {
         .expect("event-driven run records busy windows")
 }
 
-/// Extracts `"cycles_per_sec": <number>` from the `section` object of a
-/// previous report. Hand-rolled because the JSON is ours and flat.
-fn read_section_cps(text: &str, section: &str) -> Option<f64> {
-    let obj = text.split(&format!("\"{section}\"")).nth(1)?;
-    let num = obj.split("\"cycles_per_sec\":").nth(1)?;
+/// The number after `"key":` in `text`, a flat object of a previous
+/// report. Hand-rolled because the JSON is ours and flat.
+fn read_field<T: std::str::FromStr>(text: &str, key: &str) -> Option<T> {
+    let num = text.split(&format!("\"{key}\":")).nth(1)?;
     num.trim_start()
         .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
         .next()?
         .parse()
         .ok()
+}
+
+/// The flat object of a previous report that starts after the first
+/// `opener`. (Not `split(opener).nth(1)`: the `event_driven` section holds
+/// an `"event_driven"` key of its own, which would end the slice early.)
+fn read_object<'a>(text: &'a str, opener: &str) -> Option<&'a str> {
+    let start = text.find(opener)? + opener.len();
+    text[start..].split('}').next()
+}
+
+/// Extracts `"cycles_per_sec"` from the `section` object of a previous
+/// report.
+fn read_section_cps(text: &str, section: &str) -> Option<f64> {
+    read_field(
+        read_object(text, &format!("\"{section}\""))?,
+        "cycles_per_sec",
+    )
+}
+
+/// Extracts the pinned `(cycles, traversed_edges)` of configuration
+/// `label` from a previous report.
+fn read_config_counts(text: &str, label: &str) -> Option<(u64, u64)> {
+    let obj = read_object(text, &format!("\"label\": \"{label}\""))?;
+    Some((
+        read_field(obj, "cycles")?,
+        read_field(obj, "traversed_edges")?,
+    ))
 }
 
 fn main() {
@@ -294,9 +321,6 @@ fn main() {
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         let mut failed = false;
-        // The event-driven gate falls back to the optimized figure for
-        // reports written before the mode existed: the new engine must
-        // clear the bar the old one set, never a lowered one.
         let checks = [
             (
                 "optimized",
@@ -305,8 +329,7 @@ fn main() {
             ),
             (
                 "event_driven",
-                read_section_cps(&text, "event_driven")
-                    .or_else(|| read_section_cps(&text, "optimized")),
+                read_section_cps(&text, "event_driven"),
                 cycles_per_sec(&event),
             ),
         ];
@@ -319,6 +342,27 @@ fn main() {
             if ratio < 0.8 {
                 eprintln!("error: {section} cycles/sec regressed more than 20% vs {path}");
                 failed = true;
+            }
+        }
+        // The model is pinned as well as the speed: a faster simulator
+        // that simulates a different machine is a regression too.
+        for r in &event.records {
+            let m = r.outcome.as_ref().expect("event-driven config failed");
+            let now = (m.cycles, m.traversed_edges);
+            match read_config_counts(&text, &r.label) {
+                Some(pinned) if pinned == now => {
+                    println!(
+                        "model check [{}]: {} cycles, {} edges",
+                        r.label, now.0, now.1
+                    );
+                }
+                pinned => {
+                    eprintln!(
+                        "error: {} simulated (cycles, traversed edges) = {now:?}, {path} pins {pinned:?}",
+                        r.label
+                    );
+                    failed = true;
+                }
             }
         }
         if failed {

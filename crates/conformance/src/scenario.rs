@@ -15,7 +15,7 @@
 use crate::json::{obj, parse, Json};
 use scalagraph::fault::{Fault, FaultKind, FaultPlan, LinkDir};
 use scalagraph::{Mapping, MemoryPreset, ScalaGraphConfig};
-use scalagraph_graph::{generators, Csr, EdgeList, PackedCsr};
+use scalagraph_graph::{generators, Csr, EdgeList, PackedCsr, PackedShape};
 use scalagraph_mem::HbmConfig;
 
 /// The graph generator family plus its size/seed parameters.
@@ -137,7 +137,11 @@ impl GraphSpec {
             return Err(format!("graph must have at least 2 vertices, got {v}"));
         }
         if let GraphSource::PackedFile { path } = &self.source {
-            return Self::load_packed(path, v, self.max_weight > 0);
+            let expect = PackedShape {
+                num_vertices: v,
+                weighted: self.max_weight > 0,
+            };
+            return Self::load_packed(path, expect);
         }
         let edges = match self.family {
             Family::Rmat {
@@ -168,42 +172,15 @@ impl GraphSpec {
         Ok(Csr::from_edge_list(&list))
     }
 
-    /// Opens a packed container, checks it against the declared family
-    /// shape, and decodes it into an in-memory CSR. Every failure — missing
-    /// file, corruption, shape mismatch — is a typed message the serve
-    /// daemon forwards as a `malformed` wire error instead of panicking.
-    fn load_packed(
-        path: &str,
-        expect_vertices: usize,
-        expect_weighted: bool,
-    ) -> Result<Csr, String> {
-        let packed = PackedCsr::open(path).map_err(|e| format!("packed graph `{path}`: {e}"))?;
-        if packed.num_vertices() != expect_vertices {
-            return Err(format!(
-                "packed graph `{path}` has {} vertices but the scenario family declares {}",
-                packed.num_vertices(),
-                expect_vertices
-            ));
-        }
-        if packed.is_weighted() != expect_weighted {
-            return Err(format!(
-                "packed graph `{path}` is {} but the scenario expects {} (max_weight {})",
-                if packed.is_weighted() {
-                    "weighted"
-                } else {
-                    "unweighted"
-                },
-                if expect_weighted {
-                    "weighted"
-                } else {
-                    "unweighted"
-                },
-                if expect_weighted { ">0" } else { "0" },
-            ));
-        }
-        packed
-            .to_csr()
-            .map_err(|e| format!("packed graph `{path}`: {e}"))
+    /// Reads and decodes a packed container into an in-memory CSR in one
+    /// validating pass ([`PackedCsr::read_csr`]). A container whose header
+    /// declares another vertex count or weightedness than the scenario is
+    /// refused before any block is decoded, so the graph budget planned
+    /// from the declared family holds. Every failure — missing file,
+    /// corruption, shape mismatch — is a typed message the serve daemon
+    /// forwards as a `malformed` wire error instead of panicking.
+    fn load_packed(path: &str, expect: PackedShape) -> Result<Csr, String> {
+        PackedCsr::read_csr(path, expect).map_err(|e| format!("packed graph `{path}`: {e}"))
     }
 
     fn to_json(&self) -> Json {
@@ -1264,6 +1241,41 @@ mod tests {
         };
         let err = spec.build().unwrap_err();
         assert!(err.contains("packed graph"), "got: {err}");
+    }
+
+    #[test]
+    fn packed_source_of_another_shape_is_refused() {
+        let spec = sample().graph;
+        let path = std::env::temp_dir().join(format!(
+            "scalagraph-scenario-shape-{}.sgpk",
+            std::process::id()
+        ));
+        scalagraph_graph::packed::write_packed(&spec.build().unwrap(), &path, 16).unwrap();
+        let packed = |mut s: GraphSpec| {
+            s.source = GraphSource::PackedFile {
+                path: path.to_string_lossy().into_owned(),
+            };
+            s.build()
+        };
+        assert_eq!(packed(spec.clone()).unwrap(), spec.build().unwrap());
+
+        let mut larger = spec.clone();
+        larger.family = Family::Rmat {
+            vertices: 128,
+            edges: 512,
+            seed: 3,
+        };
+        let err = packed(larger).unwrap_err();
+        assert!(
+            err.contains("wrong shape") && err.contains("128"),
+            "got: {err}"
+        );
+
+        let mut unweighted = spec;
+        unweighted.max_weight = 0;
+        let err = packed(unweighted).unwrap_err();
+        assert!(err.contains("unweighted"), "got: {err}");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

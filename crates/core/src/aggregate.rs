@@ -37,6 +37,15 @@ pub enum PushOutcome {
 
 /// Register array + output queue of one routing unit.
 ///
+/// Stored as one FIFO in arrival order: the oldest `len − registers`
+/// entries (when there are more than `registers`) are the output queue,
+/// the rest are the registers. The split needs no bookkeeping because an
+/// eviction only happens with every register full and a drain takes the
+/// output queue first, so the output queue is non-empty only while the
+/// registers are full. With at least one register every resident
+/// destination is unique (a repeat merges instead), so one scan of the
+/// FIFO finds the merge partner.
+///
 /// # Example
 ///
 /// ```
@@ -51,8 +60,7 @@ pub enum PushOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AggregationBuffer<P> {
-    registers: VecDeque<PendingUpdate<P>>,
-    output: VecDeque<PendingUpdate<P>>,
+    fifo: VecDeque<PendingUpdate<P>>,
     capacity: usize,
     merges: u64,
 }
@@ -61,11 +69,43 @@ impl<P: Copy> AggregationBuffer<P> {
     /// Creates a buffer with `registers` coalescing registers (0 = FIFO).
     pub fn new(registers: usize) -> Self {
         AggregationBuffer {
-            registers: VecDeque::with_capacity(registers),
-            output: VecDeque::new(),
+            fifo: VecDeque::with_capacity(registers),
             capacity: registers,
             merges: 0,
         }
+    }
+
+    /// Reduces `value` into a resident update for `dst`, if there is one.
+    /// With zero registers the structure is a pure FIFO and never merges.
+    #[inline]
+    fn merge<F>(&mut self, dst: VertexId, value: P, reduce: F) -> bool
+    where
+        F: Fn(P, P) -> P,
+    {
+        if self.capacity == 0 {
+            return false;
+        }
+        match self.fifo.iter_mut().find(|u| u.dst == dst) {
+            Some(hit) => {
+                hit.value = reduce(hit.value, value);
+                self.merges += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Appends a new update: into a free register, or evicting the oldest
+    /// register into the output queue when all are full.
+    #[inline]
+    fn append(&mut self, dst: VertexId, value: P) -> PushOutcome {
+        let outcome = if self.fifo.len() < self.capacity {
+            PushOutcome::Buffered
+        } else {
+            PushOutcome::Evicted
+        };
+        self.fifo.push_back(PendingUpdate { dst, value });
+        outcome
     }
 
     /// Bounded variant of [`push`](Self::push) for use as a router queue:
@@ -83,23 +123,15 @@ impl<P: Copy> AggregationBuffer<P> {
     where
         F: Fn(P, P) -> P,
     {
-        if self.capacity > 0 {
-            if let Some(hit) = self
-                .registers
-                .iter_mut()
-                .chain(self.output.iter_mut())
-                .find(|u| u.dst == dst)
-            {
-                hit.value = reduce(hit.value, value);
-                self.merges += 1;
-                return Some(PushOutcome::Merged);
-            }
+        if self.merge(dst, value, reduce) {
+            return Some(PushOutcome::Merged);
         }
-        let will_evict = self.capacity == 0 || self.registers.len() >= self.capacity;
-        if will_evict && self.output.len() >= max_output {
+        // Full registers and an output queue at its bound: accepting
+        // would evict past `max_output`.
+        if self.fifo.len() >= self.capacity.saturating_add(max_output) {
             return None;
         }
-        Some(self.push(dst, value, reduce))
+        Some(self.append(dst, value))
     }
 
     /// Offers an update; `reduce` combines two values for the same vertex.
@@ -111,64 +143,38 @@ impl<P: Copy> AggregationBuffer<P> {
     where
         F: Fn(P, P) -> P,
     {
-        if self.capacity > 0 {
-            if let Some(hit) = self
-                .registers
-                .iter_mut()
-                .chain(self.output.iter_mut())
-                .find(|u| u.dst == dst)
-            {
-                hit.value = reduce(hit.value, value);
-                self.merges += 1;
-                return PushOutcome::Merged;
-            }
+        if self.merge(dst, value, reduce) {
+            return PushOutcome::Merged;
         }
-        if self.capacity == 0 {
-            self.output.push_back(PendingUpdate { dst, value });
-            return PushOutcome::Evicted;
-        }
-        if self.registers.len() < self.capacity {
-            self.registers.push_back(PendingUpdate { dst, value });
-            PushOutcome::Buffered
-        } else {
-            // `capacity > 0` and the register file is full, so the pop
-            // always yields the oldest entry.
-            if let Some(oldest) = self.registers.pop_front() {
-                self.output.push_back(oldest);
-            }
-            self.registers.push_back(PendingUpdate { dst, value });
-            PushOutcome::Evicted
-        }
+        self.append(dst, value)
     }
 
     /// Takes one update from the output queue; when the output is empty,
     /// releases the oldest buffered register instead (the systolic read).
     /// Returns `None` only when the structure is completely empty.
     pub fn drain_one(&mut self) -> Option<PendingUpdate<P>> {
-        self.output
-            .pop_front()
-            .or_else(|| self.registers.pop_front())
+        self.fifo.pop_front()
     }
 
     /// The update [`drain_one`](Self::drain_one) would return, without
     /// removing it.
     pub fn peek_next(&self) -> Option<&PendingUpdate<P>> {
-        self.output.front().or_else(|| self.registers.front())
+        self.fifo.front()
     }
 
     /// Updates waiting in the eviction output queue (not the registers).
     pub fn output_len(&self) -> usize {
-        self.output.len()
+        self.fifo.len().saturating_sub(self.capacity)
     }
 
     /// Total updates held (registers + output queue).
     pub fn len(&self) -> usize {
-        self.registers.len() + self.output.len()
+        self.fifo.len()
     }
 
     /// Whether the structure holds no updates at all.
     pub fn is_empty(&self) -> bool {
-        self.registers.is_empty() && self.output.is_empty()
+        self.fifo.is_empty()
     }
 
     /// Number of coalescing events so far.

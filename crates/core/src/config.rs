@@ -211,6 +211,16 @@ impl ScalaGraphConfig {
                 p.tiles, p.rows_per_tile, p.cols
             )));
         }
+        let pes = p
+            .tiles
+            .checked_mul(p.rows_per_tile)
+            .and_then(|n| n.checked_mul(p.cols));
+        if pes.is_none_or(|n| u32::try_from(n).is_err()) {
+            return Err(SimError::config(format!(
+                "PE array ({} tiles x {} rows x {} cols) exceeds the 32-bit vertex-to-PE hash",
+                p.tiles, p.rows_per_tile, p.cols
+            )));
+        }
         if self.gu_queue_capacity == 0 {
             return Err(SimError::config("GU queue must be non-empty"));
         }
@@ -372,13 +382,14 @@ mod tests {
     fn validate_rejects_degenerate_configs() {
         let base = ScalaGraphConfig::with_pes(32);
         assert!(base.validate().is_ok());
-        let break_it: [fn(&mut ScalaGraphConfig); 6] = [
+        let break_it: [fn(&mut ScalaGraphConfig); 7] = [
             |c| c.gu_queue_capacity = 0,
             |c| c.router_queue_capacity = 0,
             |c| c.link_width = 0,
             |c| c.max_scheduled_vertices = 0,
             |c| c.spd_capacity_vertices = 0,
             |c| c.clock_mhz = Some(-1.0),
+            |c| c.placement = Placement::new(1 << 16, 1 << 16, 2),
         ];
         for (i, f) in break_it.iter().enumerate() {
             let mut c = base.clone();

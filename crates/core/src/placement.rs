@@ -50,9 +50,19 @@ impl Placement {
     }
 
     /// Home PE of vertex `v` as a flat index in `0..num_pes()` — the
-    /// round-robin hash of the paper.
+    /// round-robin hash of the paper. PEs are numbered in mesh order (tile
+    /// by tile, row by row), so this is also the global mesh node index of
+    /// `v`'s home.
+    ///
+    /// The PE count must fit in 32 bits, which
+    /// [`ScalaGraphConfig::validate`](crate::ScalaGraphConfig::validate)
+    /// checks.
+    #[inline]
     pub fn home_pe(&self, v: VertexId) -> usize {
-        v as usize % self.num_pes()
+        // A 32-bit division: the simulator hashes the destination of every
+        // dispatched edge, and the 64-bit form is slower.
+        debug_assert!(u32::try_from(self.num_pes()).is_ok());
+        (v % self.num_pes() as u32) as usize
     }
 
     /// Tile holding `v`'s property.
@@ -80,14 +90,6 @@ impl Placement {
     pub fn node(&self, tile: usize, row: usize, col: usize) -> usize {
         debug_assert!(tile < self.tiles && row < self.rows_per_tile && col < self.cols);
         (tile * self.rows_per_tile + row) * self.cols + col
-    }
-
-    /// Global mesh node of `v`'s home PE.
-    pub fn home_node(&self, v: VertexId) -> usize {
-        let pe = self.home_pe(v);
-        let tile = pe / self.pes_per_tile();
-        let rem = pe % self.pes_per_tile();
-        self.node(tile, rem / self.cols, rem % self.cols)
     }
 
     /// Decomposes a global node index into (tile, row-in-tile, col).
@@ -134,10 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn home_node_consistent_with_parts() {
+    fn home_pe_is_the_mesh_node_of_its_parts() {
         let p = Placement::new(2, 16, 16);
         for v in [0u32, 1, 17, 255, 256, 511, 512, 1000] {
-            let n = p.home_node(v);
+            let n = p.home_pe(v);
+            assert_eq!(n, p.node(p.tile_of(v), p.row_of(v), p.col_of(v)));
             let (t, r, c) = p.decompose(n);
             assert_eq!(t, p.tile_of(v));
             assert_eq!(r, p.row_of(v));

@@ -32,6 +32,7 @@ use crate::error::{
 };
 use crate::fault::{FaultInjector, FlitAction};
 use crate::mapping::Mapping;
+use crate::placement::Placement;
 use crate::slab::TagSlab;
 use crate::stats::{SimResult, SimStats};
 use scalagraph_algo::{Algorithm, EdgeCtx};
@@ -56,17 +57,63 @@ pub const CYCLE_SAFETY_CAP: u64 = 2_000_000_000;
 struct EdgeWork<P> {
     src: VertexId,
     dst: VertexId,
+    /// Home PE of `dst`, which the dispatcher resolved to pick the lane.
+    home: u32,
     weight: u32,
     src_degree: u32,
     src_prop: P,
 }
 
-/// A partially-reduced vertex update in flight (value plus earliest
-/// injection cycle, for latency accounting).
+/// A partially-reduced vertex update in flight: value, earliest injection
+/// cycle (for latency accounting) and the routing header — the home PE of
+/// the update's destination, so no router re-derives it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Flit<P> {
     value: P,
     inject: u64,
+    home: u32,
+}
+
+impl<P: Copy> Flit<P> {
+    /// Folds two flits for the same destination (hence the same home).
+    #[inline]
+    fn merge(a: Self, b: Self, reduce: impl Fn(P, P) -> P) -> Self {
+        Flit {
+            value: reduce(a.value, b.value),
+            inject: a.inject.min(b.inject),
+            home: a.home,
+        }
+    }
+}
+
+/// Where one PE sits in the global mesh, tabulated once per run so that
+/// routing and dispatch compare and add instead of dividing. Indexed by
+/// the flat PE id, which is also the mesh node id.
+#[derive(Debug, Clone, Copy)]
+struct NodeGeo {
+    /// Global mesh row (tiles are stacked vertically).
+    row: u32,
+    /// Mesh column.
+    col: u32,
+    /// Global row of the first row of this PE's tile.
+    tile_row0: u32,
+    /// Row within the tile.
+    row_in_tile: u32,
+}
+
+fn geometry(p: Placement) -> Vec<NodeGeo> {
+    (0..p.num_pes())
+        .map(|node| {
+            let row = node / p.cols;
+            let row_in_tile = row % p.rows_per_tile;
+            NodeGeo {
+                row: row as u32,
+                col: (node % p.cols) as u32,
+                tile_row0: (row - row_in_tile) as u32,
+                row_in_tile: row_in_tile as u32,
+            }
+        })
+        .collect()
 }
 
 /// Output directions of a routing unit. `EJECT` feeds the local SPD.
@@ -177,11 +224,11 @@ impl<P: Copy> TileFrontend<P> {
     }
 }
 
-/// One PE's per-cycle state: GU input queue, router output buffers, apply
-/// queue.
+/// One PE's per-cycle state: GU input queue, router output buffers (one
+/// per direction, inline), apply queue.
 struct Node<P> {
     gu_queue: VecDeque<EdgeWork<P>>,
-    out: Vec<AggregationBuffer<Flit<P>>>,
+    out: [AggregationBuffer<Flit<P>>; NUM_DIRS],
     apply_queue: VecDeque<VertexId>,
 }
 
@@ -650,6 +697,8 @@ struct Engine<'a, A: Algorithm, G: GraphRead, C: Collector> {
 
     tiles: Vec<TileFrontend<A::Prop>>,
     nodes: Vec<Node<A::Prop>>,
+    /// Mesh coordinates of every PE.
+    geo: Vec<NodeGeo>,
 
     stats: SimStats,
     now: u64,
@@ -685,9 +734,9 @@ struct Engine<'a, A: Algorithm, G: GraphRead, C: Collector> {
     /// Reused per-cycle scratch buffers for dispatch and routing, so the
     /// steady-state hot loop allocates nothing.
     scratch: Scratch,
-    /// Per-node GU busy counters (trace only).
+    /// Per-node GU busy counters (telemetry tile samples).
     gu_busy_per_node: Vec<u64>,
-    /// Per-(tile,row) dispatched-edge counters (trace only).
+    /// Per-(tile,row) dispatched-edge counters (telemetry tile samples).
     dispatched_per_row: Vec<u64>,
     /// Fault injector built from the configuration's plan; `None` leaves
     /// every fault hook cold.
@@ -716,9 +765,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         let nodes = (0..placement.num_pes())
             .map(|_| Node {
                 gu_queue: VecDeque::new(),
-                out: (0..NUM_DIRS)
-                    .map(|_| AggregationBuffer::new(cfg.aggregation_registers))
-                    .collect(),
+                out: std::array::from_fn(|_| AggregationBuffer::new(cfg.aggregation_registers)),
                 apply_queue: VecDeque::new(),
             })
             .collect();
@@ -742,6 +789,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             touched_list: Vec::new(),
             tiles,
             nodes,
+            geo: geometry(placement),
             stats: SimStats {
                 slices: dev.num_slices() as u64,
                 inter_phase_used: pipelined,
@@ -1435,23 +1483,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
 
     fn finish(mut self) -> SimResult<A::Prop> {
         self.tel_finish();
-        if std::env::var_os("SCALAGRAPH_TRACE").is_some() {
-            let mut busy: Vec<(u64, usize)> = self
-                .gu_busy_per_node
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| (b, i))
-                .collect();
-            busy.sort_unstable();
-            busy.reverse();
-            eprintln!(
-                "[trace] top GU busy: {:?} | median {} | rows min/max {:?}/{:?}",
-                &busy[..8.min(busy.len())],
-                busy[busy.len() / 2].0,
-                self.dispatched_per_row.iter().min(),
-                self.dispatched_per_row.iter().max(),
-            );
-        }
         let stats = self.partial_stats();
         SimResult {
             properties: self.props,
@@ -1500,21 +1531,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             self.stats.apply_cycles += 1;
         }
 
-        if self.now.is_multiple_of(8192) && std::env::var_os("SCALAGRAPH_TRACE").is_some() {
-            for (i, tile) in self.tiles.iter().enumerate() {
-                eprintln!(
-                    "[trace] cyc {} tile {i}: vpend={} vinfl={} rec={} linfl={} rows={} gu={} idle_hbm={}",
-                    self.now,
-                    tile.vpref_pending.len(),
-                    tile.vpref_inflight.occupied(),
-                    tile.records_ready.len(),
-                    tile.line_inflight.occupied(),
-                    tile.row_queues.iter().map(|q| q.len()).sum::<usize>(),
-                    self.nodes.iter().map(|n| n.gu_queue.len()).sum::<usize>(),
-                    tile.hbm.is_idle(),
-                );
-            }
-        }
         if self.injector.is_some() {
             self.apply_scheduled_hbm_stalls();
         }
@@ -1614,6 +1630,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
     fn step_memory(&mut self) {
         let dev = self.dev;
         let placement = self.cfg.placement;
+        let geo = &self.geo;
         let slice = self.slice;
         let ev_on = self.ev.on;
         let mut rows = std::mem::take(&mut self.ev.rows);
@@ -1655,7 +1672,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                             tile.last_line = None;
                         }
                         for seg in segs {
-                            let row = placement.row_of(seg.src);
+                            let row = geo[placement.home_pe(seg.src)].row_in_tile as usize;
                             tile.row_queues[row].push_back(seg);
                             if ev_on {
                                 rows.set(t * placement.rows_per_tile + row);
@@ -1782,6 +1799,31 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
 
     // ----- dispatch ------------------------------------------------------
 
+    /// The PE that executes an edge workload under the configured mapping,
+    /// and its dispatch lane (column), from the home PEs of the edge's
+    /// source and destination.
+    #[inline]
+    fn target_lane(&self, src_home: usize, dst_home: usize) -> (usize, usize) {
+        let target = match self.cfg.mapping {
+            // ROM: the destination's tile and column, the source's row —
+            // all NoC traffic becomes intra-column and intra-tile
+            // (Section IV-A).
+            Mapping::RowOriented => {
+                let at = self.geo[dst_home];
+                let row = (at.tile_row0 + self.geo[src_home].row_in_tile) as usize;
+                return (
+                    row * self.cfg.placement.cols + at.col as usize,
+                    at.col as usize,
+                );
+            }
+            // SOM: the source's home PE.
+            Mapping::SourceOriented => src_home,
+            // DOM: the destination's home PE (the source replica is local).
+            Mapping::DestinationOriented => dst_home,
+        };
+        (target, self.geo[target].col as usize)
+    }
+
     /// One dispatch cycle for one EDU row whose queue is non-empty.
     /// Returns whether the queue still holds segments afterwards.
     ///
@@ -1829,11 +1871,12 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             }
             let csr = self.dev.tile_csr(self.slice, t);
             let seg_id = scanned as u16;
+            let src_home = placement.home_pe(seg.src);
             while edges_left > 0 && !seg.edges.is_empty() {
                 let idx = seg.edges.start;
                 let dst = csr.neighbor_at(idx);
-                let target = target_node(self.cfg, seg.src, dst);
-                let lane = target % cols;
+                let home = placement.home_pe(dst);
+                let (target, lane) = self.target_lane(src_home, home);
                 if (lane_owner[lane] != u16::MAX && lane_owner[lane] != seg_id)
                     || self.nodes[target].gu_queue.len() >= self.cfg.gu_queue_capacity
                 {
@@ -1842,6 +1885,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 self.nodes[target].gu_queue.push_back(EdgeWork {
                     src: seg.src,
                     dst,
+                    home: home as u32,
                     weight: csr.weight_at(idx),
                     src_degree: seg.src_degree,
                     src_prop: seg.prop,
@@ -1927,16 +1971,15 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             src_degree: work.src_degree,
         };
         let value = algo.process(&ctx, work.src_prop);
-        let home = self.cfg.placement.home_node(work.dst);
-        let dir = route_dir(self.cfg, node, home);
+        let dir = route_dir(&self.geo, node, work.home as usize);
         let flit = Flit {
             value,
             inject: self.now,
+            home: work.home,
         };
         let accepted = self.nodes[node].out[dir]
-            .try_push(work.dst, flit, cap, |a, b| Flit {
-                value: algo.reduce(a.value, b.value),
-                inject: a.inject.min(b.inject),
+            .try_push(work.dst, flit, cap, |a, b| {
+                Flit::merge(a, b, |x, y| algo.reduce(x, y))
             })
             .is_some();
         if accepted {
@@ -1993,13 +2036,11 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             let d = &self.delayed[i];
             let (d_node, d_dir) = (d.node, d.dir);
             let to = neighbor(self.cfg, d.node, d.dir);
-            let home = self.cfg.placement.home_node(d.update.dst);
-            let to_dir = route_dir(self.cfg, to, home);
+            let to_dir = route_dir(&self.geo, to, d.update.value.home as usize);
             let update = d.update;
             let accepted = self.nodes[to].out[to_dir]
-                .try_push(update.dst, update.value, cap, |a, b| Flit {
-                    value: algo.reduce(a.value, b.value),
-                    inject: a.inject.min(b.inject),
+                .try_push(update.dst, update.value, cap, |a, b| {
+                    Flit::merge(a, b, |x, y| algo.reduce(x, y))
                 })
                 .is_some();
             if accepted {
@@ -2074,7 +2115,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 // peek_next is stable only until we drain, so resolve
                 // the route for the head, reserve, and mark the move;
                 // actual drains happen in order below.
-                let dst = update.dst;
+                let home = update.value.home as usize;
                 if faults_armed {
                     let action = self
                         .injector
@@ -2117,6 +2158,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                                     self.graph.num_vertices(),
                                     out_of_range,
                                 );
+                                update.value.home = self.cfg.placement.home_pe(update.dst) as u32;
                                 self.stats.updates_corrupted += 1;
                                 if C::ENABLED {
                                     self.col.instant(
@@ -2124,9 +2166,10 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                                         InstantKind::FlitCorrupted { node, dir },
                                     );
                                 }
-                                // The corrupted id needs a fresh route;
-                                // park it for immediate re-injection at
-                                // the neighbor next cycle.
+                                // The corrupted id needs a fresh route
+                                // (hence the fresh header above); park it
+                                // for immediate re-injection at the
+                                // neighbor next cycle.
                                 self.delayed.push(DelayedFlit {
                                     release: self.now,
                                     node,
@@ -2146,8 +2189,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                     }
                 }
                 let to = neighbor(self.cfg, node, dir);
-                let home = self.cfg.placement.home_node(dst);
-                let to_dir = route_dir(self.cfg, to, home);
+                let to_dir = route_dir(&self.geo, to, home);
                 if free[to][to_dir] == 0 {
                     self.stats.noc_conflicts += 1;
                     if C::ENABLED {
@@ -2184,11 +2226,9 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         let cap = self.cfg.router_queue_capacity;
         for (i, &(to, to_dir)) in moves.iter().enumerate() {
             let update = self.staged[i];
-            let res =
-                self.nodes[to].out[to_dir].try_push(update.dst, update.value, cap, |a, b| Flit {
-                    value: algo.reduce(a.value, b.value),
-                    inject: a.inject.min(b.inject),
-                });
+            let res = self.nodes[to].out[to_dir].try_push(update.dst, update.value, cap, |a, b| {
+                Flit::merge(a, b, |x, y| algo.reduce(x, y))
+            });
             debug_assert!(res.is_some(), "reserved slot must accept");
             if self.ev.on {
                 if to_dir == EJECT {
@@ -2311,7 +2351,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 cycle: self.now,
             });
         }
-        debug_assert_eq!(self.cfg.placement.home_node(update.dst), node);
+        debug_assert_eq!(self.cfg.placement.home_pe(update.dst), node);
         self.temp[v] = self.algo.reduce(self.temp[v], update.value.value);
         if !self.touched[v] {
             self.touched[v] = true;
@@ -2412,15 +2452,17 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             // Fixed-schedule algorithms apply every resident vertex.
             self.touched_list.clear();
             let iv = self.dev.interval(self.slice);
+            let placement = self.cfg.placement;
             for v in iv.start..iv.end {
-                let node = self.cfg.placement.home_node(v);
+                let node = placement.home_pe(v);
                 self.nodes[node].apply_queue.push_back(v);
                 self.apply_inflight += 1;
             }
         } else {
             let list = std::mem::take(&mut self.touched_list);
+            let placement = self.cfg.placement;
             for v in list {
-                let node = self.cfg.placement.home_node(v);
+                let node = placement.home_pe(v);
                 self.nodes[node].apply_queue.push_back(v);
                 self.apply_inflight += 1;
             }
@@ -2431,12 +2473,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                     self.ev.apply.set(node);
                 }
             }
-        }
-        if std::env::var_os("SCALAGRAPH_TRACE").is_some() {
-            eprintln!(
-                "[trace] cycle {}: begin_apply (inflight {})",
-                self.now, self.apply_inflight
-            );
         }
         self.phase = Phase::Apply;
     }
@@ -2527,12 +2563,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
     /// or wrap up the iteration and start the next one. Returns `false`
     /// when the run is complete.
     fn next_wave(&mut self) -> bool {
-        if std::env::var_os("SCALAGRAPH_TRACE").is_some() {
-            eprintln!(
-                "[trace] cycle {}: wave done (iter {}, slice {})",
-                self.now, self.scatter_iter, self.slice
-            );
-        }
         if self.slice + 1 < self.dev.num_slices() {
             self.slice += 1;
             self.feed_scatter_inputs();
@@ -2561,20 +2591,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
 
 // ----- helpers ------------------------------------------------------------
 
-/// The PE that executes an edge workload under the configured mapping.
-fn target_node(cfg: &ScalaGraphConfig, src: VertexId, dst: VertexId) -> usize {
-    let p = cfg.placement;
-    match cfg.mapping {
-        // ROM: the destination's tile and column, the source's row — all
-        // NoC traffic becomes intra-column and intra-tile (Section IV-A).
-        Mapping::RowOriented => p.node(p.tile_of(dst), p.row_of(src), p.col_of(dst)),
-        // SOM: the source's home PE.
-        Mapping::SourceOriented => p.home_node(src),
-        // DOM: the destination's home PE (the source replica is local).
-        Mapping::DestinationOriented => p.home_node(dst),
-    }
-}
-
 /// Neighbor of `node` in direction `dir` on the global mesh.
 fn neighbor(cfg: &ScalaGraphConfig, node: usize, dir: usize) -> usize {
     let cols = cfg.placement.cols;
@@ -2588,18 +2604,17 @@ fn neighbor(cfg: &ScalaGraphConfig, node: usize, dir: usize) -> usize {
 }
 
 /// XY routing decision from `node` towards `home` (column first, then
-/// row).
-fn route_dir(cfg: &ScalaGraphConfig, node: usize, home: usize) -> usize {
-    let cols = cfg.placement.cols;
-    let (r, c) = (node / cols, node % cols);
-    let (hr, hc) = (home / cols, home % cols);
-    if hc > c {
+/// row), read off the geometry table.
+#[inline]
+fn route_dir(geo: &[NodeGeo], node: usize, home: usize) -> usize {
+    let (at, to) = (geo[node], geo[home]);
+    if to.col > at.col {
         EAST
-    } else if hc < c {
+    } else if to.col < at.col {
         WEST
-    } else if hr > r {
+    } else if to.row > at.row {
         SOUTH
-    } else if hr < r {
+    } else if to.row < at.row {
         NORTH
     } else {
         EJECT

@@ -51,6 +51,12 @@ pub enum GraphError {
         /// Checksum computed over the container body.
         found: u64,
     },
+    /// A well-formed packed-CSR container holds a graph of another shape
+    /// (vertex count or weightedness) than its reader expects.
+    PackedShape {
+        /// The shape found and the shape expected.
+        detail: String,
+    },
     /// A filesystem operation on a graph container failed.
     Io {
         /// Path the operation targeted.
@@ -92,6 +98,9 @@ impl fmt::Display for GraphError {
                 "packed CSR checksum mismatch: header declares {expected:#018x}, \
                  body hashes to {found:#018x}"
             ),
+            GraphError::PackedShape { detail } => {
+                write!(f, "packed CSR container of the wrong shape: {detail}")
+            }
             GraphError::Io { path, detail } => {
                 write!(f, "i/o error on {path}: {detail}")
             }

@@ -70,7 +70,7 @@ pub use csr::{Csr, CsrBuilder};
 pub use datasets::{Dataset, DatasetSpec};
 pub use edgelist::{Edge, EdgeList};
 pub use error::GraphError;
-pub use packed::PackedCsr;
+pub use packed::{PackedCsr, PackedShape};
 pub use pargen::{default_threads, run_chunks};
 pub use partition::{Partitioner, VertexInterval};
 pub use read::GraphRead;

@@ -46,6 +46,13 @@
 //! every block's varint structure (including neighbor range checks) before
 //! returning, so truncation, bit rot, and hostile headers all surface as
 //! typed [`GraphError`]s at open — after which the read API cannot fail.
+//! The header's vertex and edge counts are bounded by the payload length
+//! (each costs at least one byte), so no header can make a reader allocate
+//! more than the container's own size.
+//! [`PackedCsr::read_csr`], for callers that only want the decoded [`Csr`],
+//! makes the same header checks, refuses a container of another
+//! [`PackedShape`] than the caller expects, and lets the checked decode
+//! stand in for the walk, rejecting the same damage with the same errors.
 //! Reads decode one block at a time into a pooled scratch buffer (interior
 //! mutability; keep one `PackedCsr` per thread).
 
@@ -378,6 +385,28 @@ impl DecodedBlock {
     }
 }
 
+/// The graph a caller of [`PackedCsr::read_csr`] expects a container to
+/// hold. It is compared with the header before any block is decoded, so a
+/// memory budget planned for this shape holds whatever file is named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedShape {
+    /// Number of vertices.
+    pub num_vertices: usize,
+    /// Whether per-edge weights are stored.
+    pub weighted: bool,
+}
+
+impl std::fmt::Display for PackedShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = if self.weighted {
+            "weighted"
+        } else {
+            "unweighted"
+        };
+        write!(f, "{} vertices, {kind}", self.num_vertices)
+    }
+}
+
 /// A validated, read-only, block-compressed CSR backed by a memory-mapped
 /// (or heap-resident) container.
 ///
@@ -414,14 +443,55 @@ impl PackedCsr {
     /// varint inconsistencies, out-of-range neighbor ids), and
     /// [`GraphError::PackedChecksum`] when the body fails verification.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<PackedCsr, GraphError> {
-        let path = path.as_ref();
+        Self::parse(Self::load(path.as_ref())?)?.certify()
+    }
+
+    /// Reads a container and decodes it straight into a [`Csr`], for
+    /// callers that want the graph rather than the container. Applies the
+    /// header, checksum and index checks of [`PackedCsr::open`], refuses a
+    /// header whose shape is not `expect`, then runs the checked block
+    /// decode of [`PackedCsr::to_csr`] — which rejects the same damage with
+    /// the same error as `open`'s certification walk, so the walk is
+    /// skipped instead of checking every block twice. No uncertified
+    /// container is ever returned.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PackedCsr::open`], plus [`GraphError::PackedShape`] when
+    /// the header declares another shape than `expect`.
+    pub fn read_csr<P: AsRef<Path>>(path: P, expect: PackedShape) -> Result<Csr, GraphError> {
+        Self::parse(Self::load(path.as_ref())?)?.decode_as(expect)
+    }
+
+    /// [`PackedCsr::read_csr`] on a container already resident in memory.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PackedCsr::from_bytes`], plus [`GraphError::PackedShape`].
+    pub fn csr_from_bytes(bytes: Vec<u8>, expect: PackedShape) -> Result<Csr, GraphError> {
+        Self::parse(Storage::Heap(bytes))?.decode_as(expect)
+    }
+
+    fn decode_as(&self, expect: PackedShape) -> Result<Csr, GraphError> {
+        let found = PackedShape {
+            num_vertices: self.num_vertices,
+            weighted: self.weighted,
+        };
+        if found != expect {
+            return Err(GraphError::PackedShape {
+                detail: format!("the header declares {found}; the reader expects {expect}"),
+            });
+        }
+        self.to_csr()
+    }
+
+    fn load(path: &Path) -> Result<Storage, GraphError> {
         let file = File::open(path).map_err(|e| io_err(path, e))?;
         let len = file.metadata().map_err(|e| io_err(path, e))?.len();
         if len > usize::MAX as u64 {
             return Err(format_err("container larger than the address space"));
         }
-        let storage = Self::map_or_read(&file, len as usize, path)?;
-        Self::from_storage(storage)
+        Self::map_or_read(&file, len as usize, path)
     }
 
     #[cfg(unix)]
@@ -452,10 +522,14 @@ impl PackedCsr {
     ///
     /// Same as [`PackedCsr::open`], minus the I/O class.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<PackedCsr, GraphError> {
-        Self::from_storage(Storage::Heap(bytes))
+        Self::parse(Storage::Heap(bytes))?.certify()
     }
 
-    fn from_storage(data: Storage) -> Result<PackedCsr, GraphError> {
+    /// Header, checksum and block-index validation. The blocks themselves
+    /// are not yet checked, so the result must go through
+    /// [`certify`](Self::certify) or straight into [`to_csr`](Self::to_csr)
+    /// before anyone reads it.
+    fn parse(data: Storage) -> Result<PackedCsr, GraphError> {
         let bytes = data.bytes();
         if bytes.len() < HEADER_LEN {
             return Err(format_err(format!(
@@ -502,6 +576,13 @@ impl PackedCsr {
                 "{num_vertices} vertices exceed the 32-bit id space"
             )));
         }
+        // Every vertex costs at least its degree-header byte and every edge
+        // at least one id byte; the decode sizes its arrays by these counts.
+        if u128::from(num_vertices) + u128::from(num_edges) > u128::from(payload_len) {
+            return Err(format_err(format!(
+                "{num_vertices} vertices and {num_edges} edges cannot fit a {payload_len}-byte payload"
+            )));
+        }
         let num_blocks = num_vertices.div_ceil(u64::from(block_size));
         // u128 keeps a hostile header from overflowing the size check.
         let expected_len = HEADER_LEN as u128
@@ -531,16 +612,20 @@ impl PackedCsr {
             scratch: RefCell::new(DecodedBlock::empty()),
         };
         packed.validate_index(payload_len)?;
-        // Walk every block once so the read API cannot fail afterwards:
-        // varint structure, per-block edge counts, and neighbor ranges are
-        // all certified here. The walk is structure-only (`verify_block`):
-        // it decodes the exact same stream `decode_block_into` does but
-        // materializes nothing, which keeps cold-open latency at
-        // varint-scan speed rather than Vec-build speed.
-        for b in 0..packed.num_blocks {
-            packed.verify_block(b)?;
-        }
         Ok(packed)
+    }
+
+    /// Walks every block once so the read API cannot fail afterwards:
+    /// varint structure, per-block edge counts, and neighbor ranges are
+    /// all certified here. The walk is structure-only (`verify_block`): it
+    /// decodes the exact same stream `decode_block_into` does but
+    /// materializes nothing, which keeps cold-open latency at varint-scan
+    /// speed rather than Vec-build speed.
+    fn certify(self) -> Result<PackedCsr, GraphError> {
+        for b in 0..self.num_blocks {
+            self.verify_block(b)?;
+        }
+        Ok(self)
     }
 
     fn index_entry(&self, i: usize) -> (u64, u64) {
@@ -589,15 +674,14 @@ impl PackedCsr {
     }
 
     /// Structure-only certification of one block: applies every check
-    /// [`PackedCsr::decode_block_into`] applies — varint well-formedness,
-    /// per-block edge accounting, neighbor range, weight width, exact
-    /// section consumption — without building the decoded arrays. Ids in a
-    /// `sorted` run are non-decreasing (gaps are unsigned), so the run's
-    /// last id is its maximum and one range check certifies the whole run;
-    /// unsorted runs and weights track a running maximum the same way. The
-    /// reported error class matches the decode path; only which offending
-    /// value gets named may differ (the run maximum rather than the first
-    /// offender).
+    /// [`PackedCsr::decode_block_into`] applies, in the same order —
+    /// varint well-formedness, per-block edge accounting, neighbor range,
+    /// weight width, exact section consumption — without building the
+    /// decoded arrays. Ids in a `sorted` run are non-decreasing (gaps are
+    /// unsigned), so the run's last id is its maximum and one range check
+    /// certifies the whole run; unsorted runs and weights track a running
+    /// maximum the same way. Both paths therefore reject the same damage
+    /// with the same error.
     fn verify_block(&self, block: usize) -> Result<(), GraphError> {
         let (start, first_edge) = self.index_entry(block);
         let (end, next_edge) = self.index_entry(block + 1);
@@ -698,44 +782,42 @@ impl PackedCsr {
                     "block {block} encodes more than its {expected_edges} indexed edges"
                 )));
             }
+            // Range checks run once per run, on its maximum, exactly where
+            // `verify_block` makes them, so both report the same error.
+            let mut max = 0u64;
             if sorted {
-                let mut prev = 0u64;
                 for i in 0..degree {
                     let raw = read_varint(section, &mut pos)?;
-                    let id = if i == 0 {
+                    max = if i == 0 {
                         raw
                     } else {
-                        prev.checked_add(raw)
+                        max.checked_add(raw)
                             .ok_or_else(|| format_err("delta-encoded neighbor id overflows"))?
                     };
-                    if id >= n {
-                        return Err(GraphError::VertexOutOfRange {
-                            vertex: id,
-                            num_vertices: n,
-                        });
-                    }
-                    out.neighbors.push(id as VertexId);
-                    prev = id;
+                    out.neighbors.push(max as VertexId);
                 }
             } else {
                 for _ in 0..degree {
                     let id = read_varint(section, &mut pos)?;
-                    if id >= n {
-                        return Err(GraphError::VertexOutOfRange {
-                            vertex: id,
-                            num_vertices: n,
-                        });
-                    }
+                    max = max.max(id);
                     out.neighbors.push(id as VertexId);
                 }
             }
+            if degree > 0 && max >= n {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex: max,
+                    num_vertices: n,
+                });
+            }
             if self.weighted {
+                let mut wmax = 0u64;
                 for _ in 0..degree {
                     let w = read_varint(section, &mut pos)?;
-                    if w > u64::from(u32::MAX) {
-                        return Err(format_err("edge weight exceeds 32 bits"));
-                    }
+                    wmax = wmax.max(w);
                     out.weights.push(w as Weight);
+                }
+                if wmax > u64::from(u32::MAX) {
+                    return Err(format_err("edge weight exceeds 32 bits"));
                 }
             }
             out.prefix.push(out.neighbors.len() as u32);

@@ -8,7 +8,7 @@ mod common;
 
 use common::{check, int, vec, SplitMix64};
 use scalagraph_suite::graph::error::GraphError;
-use scalagraph_suite::graph::{packed, Csr, Edge, PackedCsr};
+use scalagraph_suite::graph::{packed, Csr, Edge, PackedCsr, PackedShape};
 
 /// Random graph, optionally weighted, with duplicate edges and self-loops
 /// allowed — everything `Csr::from_edges` accepts must round-trip.
@@ -48,6 +48,38 @@ fn reseal(bytes: &mut [u8]) {
     bytes[48..56].copy_from_slice(&sum.to_le_bytes());
 }
 
+fn shape_of(g: &Csr) -> PackedShape {
+    PackedShape {
+        num_vertices: g.num_vertices(),
+        weighted: g.is_weighted(),
+    }
+}
+
+/// Opens `bytes` through both validating entry points — the certifying
+/// `PackedCsr::from_bytes` and the single-pass `PackedCsr::csr_from_bytes`
+/// decode behind `PackedCsr::read_csr`, expecting the `shape` the container
+/// was packed with — and asserts they accept and reject alike, with the
+/// same error. Returns the certified container.
+fn open_both(bytes: Vec<u8>, shape: PackedShape) -> Result<PackedCsr, GraphError> {
+    let decoded = PackedCsr::csr_from_bytes(bytes.clone(), shape);
+    let opened = PackedCsr::from_bytes(bytes);
+    match (&opened, &decoded) {
+        (Ok(p), Ok(g)) => assert_eq!(&p.to_csr().expect("certified container decodes"), g),
+        (Err(a), Err(b)) => assert_eq!(a, b, "open and read_csr reject differently"),
+        _ => panic!(
+            "open and read_csr disagree: open {:?}, read_csr {:?}",
+            opened.as_ref().err(),
+            decoded.as_ref().err()
+        ),
+    }
+    opened
+}
+
+const SAMPLE_SHAPE: PackedShape = PackedShape {
+    num_vertices: 64,
+    weighted: true,
+};
+
 fn sample_container() -> Vec<u8> {
     let edges: Vec<Edge> = (0u32..64)
         .flat_map(|s| [(s, (s * 7 + 1) % 64), (s, (s * 13 + 5) % 64)])
@@ -84,7 +116,8 @@ fn packed_roundtrip_matches_csr() {
     });
 }
 
-/// Truncation at *any* byte boundary is rejected with a typed error.
+/// Truncation at *any* byte boundary is rejected with a typed error, the
+/// same one whether the container is opened or decoded straight away.
 #[test]
 fn truncation_never_panics() {
     check(48, |rng| {
@@ -93,7 +126,7 @@ fn truncation_never_panics() {
 
         let bytes = packed::pack_to_vec(&g, block);
         for len in 0..bytes.len() {
-            let Err(err) = PackedCsr::from_bytes(bytes[..len].to_vec()) else {
+            let Err(err) = open_both(bytes[..len].to_vec(), shape_of(&g)) else {
                 panic!("truncated container must not open");
             };
             assert!(matches!(
@@ -110,11 +143,11 @@ fn truncation_never_panics() {
 #[test]
 fn bit_rot_is_detected() {
     let bytes = sample_container();
-    assert!(PackedCsr::from_bytes(bytes.clone()).is_ok());
+    assert!(open_both(bytes.clone(), SAMPLE_SHAPE).is_ok());
     for pos in (56..bytes.len()).step_by(29) {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x40;
-        let err = PackedCsr::from_bytes(bad)
+        let err = open_both(bad, SAMPLE_SHAPE)
             .err()
             .unwrap_or_else(|| panic!("flip at byte {pos} must be detected"));
         assert!(
@@ -130,7 +163,9 @@ fn bit_rot_is_detected() {
 /// Damaging the payload *and* re-sealing the checksum forces the
 /// structural walk to catch the damage: every single-byte corruption is
 /// either still a well-formed container or a typed error — never a panic,
-/// and any neighbor pushed out of range is reported as such.
+/// and any neighbor pushed out of range is reported as such. The
+/// single-pass decode, which has no walk, must reject exactly the same
+/// corruptions with the same errors.
 #[test]
 fn resealed_corruption_yields_typed_errors() {
     let bytes = sample_container();
@@ -141,7 +176,7 @@ fn resealed_corruption_yields_typed_errors() {
             let mut bad = bytes.clone();
             bad[pos] = val;
             reseal(&mut bad);
-            match PackedCsr::from_bytes(bad) {
+            match open_both(bad, SAMPLE_SHAPE) {
                 Ok(p) => {
                     // Still structurally valid: every accessor must keep
                     // working (the open-time walk certifies decode).
@@ -184,6 +219,10 @@ fn file_open_round_trips_and_rejects_damage() {
     assert_eq!(written, std::fs::metadata(&path).expect("stat").len());
     assert_eq!(p.to_csr().expect("round-trip"), g);
     drop(p);
+    assert_eq!(
+        PackedCsr::read_csr(&path, shape_of(&g)).expect("read container"),
+        g
+    );
 
     // Truncate the file on disk: the mmap-backed open must reject it.
     let bytes = std::fs::read(&path).expect("read back");
@@ -195,8 +234,88 @@ fn file_open_round_trips_and_rejects_damage() {
         err,
         GraphError::PackedFormat { .. } | GraphError::PackedChecksum { .. }
     ));
+    let Err(read_err) = PackedCsr::read_csr(&path, shape_of(&g)) else {
+        panic!("truncated file must not decode");
+    };
+    assert_eq!(read_err, err);
     std::fs::remove_file(&path).expect("cleanup");
 
-    let missing = PackedCsr::open(dir.join("scalagraph-it-packed-missing.sgpk"));
-    assert!(matches!(missing, Err(GraphError::Io { .. })));
+    let missing = dir.join("scalagraph-it-packed-missing.sgpk");
+    assert!(matches!(
+        PackedCsr::open(&missing),
+        Err(GraphError::Io { .. })
+    ));
+    assert!(matches!(
+        PackedCsr::read_csr(&missing, shape_of(&g)),
+        Err(GraphError::Io { .. })
+    ));
+}
+
+/// A header whose counts the payload cannot encode is refused before any
+/// array is sized by them. The crafted container passes every other
+/// header and index check: 1000 one-vertex blocks, each spanning
+/// `u32::MAX` edges in one payload byte, with `num_edges` matching the
+/// index sentinel and a valid checksum — decoding it would ask for
+/// terabytes.
+#[test]
+fn counts_beyond_the_payload_are_rejected_before_allocation() {
+    let blocks = 1000u64;
+    let payload = vec![0u8; blocks as usize]; // one degree-0 header per vertex
+    let num_edges = blocks * u64::from(u32::MAX);
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(packed::PACKED_MAGIC);
+    bytes.extend_from_slice(&packed::PACKED_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // flags: unweighted
+    bytes.extend_from_slice(&blocks.to_le_bytes()); // num_vertices
+    bytes.extend_from_slice(&num_edges.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // block_size
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // checksum, sealed below
+    for b in 0..=blocks {
+        bytes.extend_from_slice(&b.to_le_bytes()); // payload offset
+        bytes.extend_from_slice(&(b * u64::from(u32::MAX)).to_le_bytes()); // first edge
+    }
+    bytes.extend_from_slice(&payload);
+    reseal(&mut bytes);
+
+    let shape = PackedShape {
+        num_vertices: blocks as usize,
+        weighted: false,
+    };
+    let Err(err) = open_both(bytes, shape) else {
+        panic!("a header claiming more edges than payload bytes must not open");
+    };
+    assert!(matches!(err, GraphError::PackedFormat { .. }), "{err:?}");
+}
+
+/// `read_csr` compares the header's shape with the caller's before it
+/// decodes a block: a container of another vertex count or weightedness is
+/// refused as such even when its blocks are damaged too.
+#[test]
+fn read_csr_refuses_another_shape_before_decoding() {
+    let mut bytes = sample_container();
+    let last = bytes.len() - 1;
+    bytes[last] = 0xff; // an unterminated varint in the last block
+    reseal(&mut bytes);
+    assert!(matches!(
+        PackedCsr::csr_from_bytes(bytes.clone(), SAMPLE_SHAPE),
+        Err(GraphError::PackedFormat { .. })
+    ));
+    for expect in [
+        PackedShape {
+            num_vertices: 63,
+            ..SAMPLE_SHAPE
+        },
+        PackedShape {
+            weighted: false,
+            ..SAMPLE_SHAPE
+        },
+    ] {
+        let Err(err) = PackedCsr::csr_from_bytes(bytes.clone(), expect) else {
+            panic!("a container of another shape than {expect} must be refused");
+        };
+        assert!(matches!(err, GraphError::PackedShape { .. }), "{err:?}");
+        assert!(err.to_string().contains(&expect.to_string()), "{err}");
+    }
 }

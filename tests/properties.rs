@@ -12,7 +12,7 @@ use scalagraph_suite::algo::algorithms::{Bfs, ConnectedComponents, Sssp, UNREACH
 use scalagraph_suite::algo::ReferenceEngine;
 use scalagraph_suite::graph::{relayout, Csr, Edge, EdgeList};
 use scalagraph_suite::noc::{Mesh, MeshConfig, Packet};
-use scalagraph_suite::scalagraph::aggregate::AggregationBuffer;
+use scalagraph_suite::scalagraph::aggregate::{AggregationBuffer, PendingUpdate, PushOutcome};
 use scalagraph_suite::scalagraph::{run_on, Mapping, ScalaGraphConfig};
 
 /// A random graph: 2..max_v vertices, 1..max_e weighted edges.
@@ -174,6 +174,139 @@ fn aggregation_min_never_invents_values() {
                     .unwrap()
                     <= u.value
             );
+        }
+    });
+}
+
+/// The aggregation buffer as two chained queues — registers and the
+/// eviction output queue — the form the single-FIFO buffer replaced. Kept
+/// as the reference model the FIFO must match step for step.
+struct TwoQueueBuffer {
+    registers: std::collections::VecDeque<PendingUpdate<u64>>,
+    output: std::collections::VecDeque<PendingUpdate<u64>>,
+    capacity: usize,
+    merges: u64,
+}
+
+impl TwoQueueBuffer {
+    fn new(capacity: usize) -> Self {
+        TwoQueueBuffer {
+            registers: Default::default(),
+            output: Default::default(),
+            capacity,
+            merges: 0,
+        }
+    }
+
+    fn merge(&mut self, dst: u32, value: u64, reduce: fn(u64, u64) -> u64) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        let hit = self
+            .registers
+            .iter_mut()
+            .chain(self.output.iter_mut())
+            .find(|u| u.dst == dst);
+        match hit {
+            Some(hit) => {
+                hit.value = reduce(hit.value, value);
+                self.merges += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn try_push(
+        &mut self,
+        dst: u32,
+        value: u64,
+        max_output: usize,
+        reduce: fn(u64, u64) -> u64,
+    ) -> Option<PushOutcome> {
+        if self.merge(dst, value, reduce) {
+            return Some(PushOutcome::Merged);
+        }
+        let will_evict = self.capacity == 0 || self.registers.len() >= self.capacity;
+        if will_evict && self.output.len() >= max_output {
+            return None;
+        }
+        Some(self.push(dst, value, reduce))
+    }
+
+    fn push(&mut self, dst: u32, value: u64, reduce: fn(u64, u64) -> u64) -> PushOutcome {
+        if self.merge(dst, value, reduce) {
+            return PushOutcome::Merged;
+        }
+        let update = PendingUpdate { dst, value };
+        if self.capacity == 0 {
+            self.output.push_back(update);
+            return PushOutcome::Evicted;
+        }
+        if self.registers.len() < self.capacity {
+            self.registers.push_back(update);
+            return PushOutcome::Buffered;
+        }
+        if let Some(oldest) = self.registers.pop_front() {
+            self.output.push_back(oldest);
+        }
+        self.registers.push_back(update);
+        PushOutcome::Evicted
+    }
+
+    fn drain_one(&mut self) -> Option<PendingUpdate<u64>> {
+        self.output
+            .pop_front()
+            .or_else(|| self.registers.pop_front())
+    }
+
+    fn peek_next(&self) -> Option<&PendingUpdate<u64>> {
+        self.output.front().or_else(|| self.registers.front())
+    }
+
+    fn len(&self) -> usize {
+        self.registers.len() + self.output.len()
+    }
+}
+
+/// The single-FIFO aggregation buffer is observationally the two-queue
+/// buffer: under random interleavings of every operation, each outcome,
+/// each drained update and the occupancy counters agree after every step.
+/// The reduction is deliberately non-commutative, so merging into the
+/// wrong resident update — or with the arguments swapped — shows.
+#[test]
+fn aggregation_fifo_matches_two_queue_model() {
+    check(64, |rng| {
+        let regs = int(rng, 0usize..21);
+        let dsts = int(rng, 1u32..40);
+        let reduce: fn(u64, u64) -> u64 = |a, b| a.wrapping_mul(31).wrapping_add(b);
+        let mut fifo: AggregationBuffer<u64> = AggregationBuffer::new(regs);
+        let mut model = TwoQueueBuffer::new(regs);
+        for step in 0..int(rng, 1usize..400) {
+            match int(rng, 0u32..4) {
+                0 => {
+                    let (dst, value) = (int(rng, 0..dsts), rng.next_u64());
+                    let got = fifo.push(dst, value, reduce);
+                    assert_eq!(got, model.push(dst, value, reduce), "push, step {step}");
+                }
+                1 => {
+                    let (dst, value) = (int(rng, 0..dsts), rng.next_u64());
+                    let bound = int(rng, 0usize..17);
+                    let got = fifo.try_push(dst, value, bound, reduce);
+                    let want = model.try_push(dst, value, bound, reduce);
+                    assert_eq!(got, want, "try_push(bound {bound}), step {step}");
+                }
+                2 => assert_eq!(fifo.drain_one(), model.drain_one(), "drain, step {step}"),
+                _ => assert_eq!(fifo.peek_next(), model.peek_next(), "peek, step {step}"),
+            }
+            assert_eq!(fifo.len(), model.len(), "len, step {step}");
+            assert_eq!(
+                fifo.output_len(),
+                model.output.len(),
+                "output_len, step {step}"
+            );
+            assert_eq!(fifo.merges(), model.merges, "merges, step {step}");
+            assert_eq!(fifo.is_empty(), model.len() == 0, "is_empty, step {step}");
         }
     });
 }
