@@ -1,74 +1,81 @@
-//! `bench_hotloop` — end-to-end timing of the hot-loop optimisations.
+//! `bench_hotloop` — end-to-end timing of the simulator's stepping loop.
 //!
-//! Runs a fixed R-MAT workload through an HBM-latency sensitivity sweep
-//! three times: sequentially with fast-forward off (the pre-optimisation
-//! baseline), on the thread pool with idle-cycle fast-forward, and on the
-//! thread pool with the event-driven stepping core. Asserts all three
-//! sweeps produce bit-identical metrics, then writes `BENCH_hotloop.json`
-//! reporting simulated-cycles/sec, sweep wall-clock, the end-to-end
-//! speedups, and — per configuration — the busy-cycle fraction (the share
-//! of unit-visits the event core actually executed) plus single-threaded
-//! fast-forward vs event-driven cycles/sec. Busy-dominated configurations
-//! are exactly where whole-device fast-forward stops helping and per-unit
-//! skipping has to carry the win.
+//! Runs a fixed BFS matrix twice: in the dense reference (every unit
+//! visited on every cycle, no idle skip) and on the event-driven core the
+//! runtime uses. The matrix is an HBM-latency sensitivity sweep on a
+//! 4,096-vertex R-MAT graph at 512 PEs with serial phases, the same graph
+//! on the U280 preset pipelined, and one busy configuration: Pokec at
+//! 1/256 scale, 512 PEs, U280, pipelined. Asserts both legs produce
+//! bit-identical metrics, then writes `BENCH_hotloop.json` reporting
+//! simulated-cycles/sec and wall-clock of each leg, the speedup, and — per
+//! configuration — the busy-cycle fraction (the share of unit-visits the
+//! event core actually executed) plus single-threaded dense vs event-core
+//! cycles/sec.
 //!
 //! ```text
 //! bench_hotloop [--out <path>] [--check <path>] [--threads <n>]
 //!   --out <path>     where to write the JSON        [BENCH_hotloop.json]
 //!   --check <path>   compare against a previously written JSON and exit
-//!                    nonzero if optimized or event-driven cycles/sec
-//!                    regressed >20%, or if any configuration's simulated
-//!                    cycles or traversed edges differ from the pinned ones
-//!   --threads <n>    worker threads for the parallel sweeps [all cores]
+//!                    nonzero if event-core cycles/sec regressed >20%, or
+//!                    if any configuration's simulated cycles or traversed
+//!                    edges differ from the pinned ones
+//!   --threads <n>    worker threads for both legs   [all cores]
 //! ```
 
 use scalagraph::telemetry::Recorder;
 use scalagraph::{MemoryPreset, ScalaGraphConfig, Simulator};
 use scalagraph_algo::algorithms::Bfs;
-use scalagraph_bench::runners::{sweep_scalagraph_with, SweepRecord};
-use scalagraph_bench::sweep::default_threads;
-use scalagraph_bench::workloads::{PreparedGraph, Workload};
+use scalagraph_bench::runners::{try_run_scalagraph, Metrics};
+use scalagraph_bench::sweep::{default_threads, parallel_map_with};
+use scalagraph_bench::workloads::{prepare, PreparedGraph, Workload};
 use scalagraph_graph::{generators, Csr, Dataset};
 use scalagraph_mem::HbmConfig;
 use std::time::Instant;
 
-/// Fixed workload: every run of this binary simulates exactly this graph.
+/// Fixed R-MAT input of the latency sweep.
 const RMAT_VERTICES: usize = 4096;
 const RMAT_EDGES: usize = 16384;
 const RMAT_SEED: u64 = 42;
 
+/// Fixed busy input: Pokec at 1/`PK_SCALE` of paper size.
+const PK_SCALE: u64 = 256;
+const PK_SEED: u64 = 42;
+
 /// The sweep: HBM load-to-use latency sensitivity at 512 PEs with serial
-/// phases — the paper-style experiment where idle-cycle fast-forward
-/// matters, because deeper memory pipelines mean longer quiescent waits.
+/// phases — the paper-style experiment where idle-cycle skipping matters,
+/// because deeper memory pipelines mean longer quiescent waits.
 const LATENCIES: &[u32] = &[64, 128, 256, 384, 512];
 
 /// Repetitions for the single-threaded per-config timings.
 const PER_CONFIG_REPS: u32 = 8;
 
-fn workload() -> PreparedGraph {
+/// The two inputs, indexed by [`Case::graph`].
+fn inputs() -> [PreparedGraph; 2] {
     let graph = Csr::from_edges(
         RMAT_VERTICES,
         &generators::rmat(RMAT_VERTICES, RMAT_EDGES, RMAT_SEED),
     );
     let root = Dataset::pick_root(&graph);
-    PreparedGraph { graph, root }
+    [
+        PreparedGraph { graph, root },
+        prepare(Dataset::Pokec, Workload::Bfs, PK_SCALE, PK_SEED),
+    ]
 }
 
-/// The three execution modes under comparison.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Sequential stepping, no skipping: the pre-optimisation baseline.
-    Stepped,
-    /// Whole-device idle-cycle fast-forward.
-    FastForward,
-    /// Per-unit activity calendar: step only units with scheduled work.
-    EventDriven,
+/// One configuration of the matrix.
+struct Case {
+    label: String,
+    /// Index into [`inputs`].
+    graph: usize,
+    cfg: ScalaGraphConfig,
 }
 
-fn configs(mode: Mode) -> Vec<(String, ScalaGraphConfig)> {
-    let apply = |cfg: &mut ScalaGraphConfig| {
-        cfg.fast_forward = mode != Mode::Stepped;
-        cfg.event_driven = mode == Mode::EventDriven;
+/// The matrix, in the dense reference (`fast_forward` off) or on the
+/// event-driven core.
+fn cases(fast_forward: bool) -> Vec<Case> {
+    let case = |label: String, graph: usize, mut cfg: ScalaGraphConfig| {
+        cfg.fast_forward = fast_forward;
+        Case { label, graph, cfg }
     };
     let mut out = Vec::new();
     for &lat in LATENCIES {
@@ -77,41 +84,39 @@ fn configs(mode: Mode) -> Vec<(String, ScalaGraphConfig)> {
         let mut hbm = HbmConfig::u280(cfg.effective_clock_mhz() * 1e6);
         hbm.latency_cycles = lat;
         cfg.memory = MemoryPreset::Custom(hbm);
-        apply(&mut cfg);
-        out.push((format!("lat{lat}"), cfg));
+        out.push(case(format!("lat{lat}"), 0, cfg));
     }
-    // One busy, pipelined configuration so the sweep also covers the case
-    // whole-device fast-forward cannot help; the event core still skips
-    // individual idle units there.
-    let mut cfg = ScalaGraphConfig::with_pes(512);
-    apply(&mut cfg);
-    out.push(("u280-pipelined".to_string(), cfg));
+    // Busy, pipelined configurations, where whole-device skips cannot help
+    // and the event core can only skip individual idle units.
+    let busy = ScalaGraphConfig::with_pes(512);
+    out.push(case("u280-pipelined".to_string(), 0, busy.clone()));
+    out.push(case(format!("pk{PK_SCALE}-u280-pipelined"), 1, busy));
     out
 }
 
-struct SweepTiming {
+struct LegTiming {
     wall_seconds: f64,
     total_cycles: u64,
-    records: Vec<SweepRecord>,
+    records: Vec<(String, Metrics)>,
 }
 
-fn timed_sweep(threads: usize, prep: &PreparedGraph, mode: Mode) -> SweepTiming {
+fn timed_leg(threads: usize, inputs: &[PreparedGraph], fast_forward: bool) -> LegTiming {
     let start = Instant::now();
-    let records = sweep_scalagraph_with(threads, prep, Workload::Bfs, configs(mode));
+    let records = parallel_map_with(threads, cases(fast_forward), |c| {
+        let m = try_run_scalagraph(&inputs[c.graph], Workload::Bfs, c.cfg)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", c.label));
+        (c.label, m)
+    });
     let wall_seconds = start.elapsed().as_secs_f64();
-    let total_cycles = records
-        .iter()
-        .filter_map(|r| r.outcome.as_ref().ok())
-        .map(|m| m.cycles)
-        .sum();
-    SweepTiming {
+    let total_cycles = records.iter().map(|(_, m)| m.cycles).sum();
+    LegTiming {
         wall_seconds,
         total_cycles,
         records,
     }
 }
 
-fn cycles_per_sec(t: &SweepTiming) -> f64 {
+fn cycles_per_sec(t: &LegTiming) -> f64 {
     t.total_cycles as f64 / t.wall_seconds.max(1e-9)
 }
 
@@ -134,8 +139,8 @@ fn config_cycles_per_sec(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> f64 {
 }
 
 /// Busy-cycle fraction of one configuration: the share of unit-visits the
-/// event-driven core executed rather than proved idle, from an untimed
-/// recorded run.
+/// event core executed rather than proved idle, from an untimed recorded
+/// run.
 fn config_busy_fraction(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> f64 {
     let algo = Bfs::from_root(prep.root);
     let mut rec = Recorder::new(1000);
@@ -143,7 +148,7 @@ fn config_busy_fraction(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> f64 {
         .and_then(|mut s| s.try_run_with(&mut rec))
         .expect("bench config must converge");
     rec.event_busy_fraction()
-        .expect("event-driven run records busy windows")
+        .expect("event-core run records busy windows")
 }
 
 /// The number after `"key":` in `text`, a flat object of a previous
@@ -158,20 +163,10 @@ fn read_field<T: std::str::FromStr>(text: &str, key: &str) -> Option<T> {
 }
 
 /// The flat object of a previous report that starts after the first
-/// `opener`. (Not `split(opener).nth(1)`: the `event_driven` section holds
-/// an `"event_driven"` key of its own, which would end the slice early.)
+/// `opener`.
 fn read_object<'a>(text: &'a str, opener: &str) -> Option<&'a str> {
     let start = text.find(opener)? + opener.len();
     text[start..].split('}').next()
-}
-
-/// Extracts `"cycles_per_sec"` from the `section` object of a previous
-/// report.
-fn read_section_cps(text: &str, section: &str) -> Option<f64> {
-    read_field(
-        read_object(text, &format!("\"{section}\""))?,
-        "cycles_per_sec",
-    )
 }
 
 /// Extracts the pinned `(cycles, traversed_edges)` of configuration
@@ -207,112 +202,78 @@ fn main() {
         }
     }
 
-    let prep = workload();
-    println!(
-        "workload: BFS on R-MAT |V|={} |E|={} (seed {}), {} configs",
-        prep.graph.num_vertices(),
-        prep.graph.num_edges(),
-        RMAT_SEED,
-        configs(Mode::FastForward).len()
+    let inputs = inputs();
+    let [rmat, pk] = &inputs;
+    let workload = format!(
+        "BFS on R-MAT |V|={} |E|={} seed={RMAT_SEED} and Pokec/{PK_SCALE} |V|={} |E|={} seed={PK_SEED}",
+        rmat.graph.num_vertices(),
+        rmat.graph.num_edges(),
+        pk.graph.num_vertices(),
+        pk.graph.num_edges(),
     );
+    println!("workload: {workload}, {} configs", cases(true).len());
 
-    // Warm-up pass so no timed sweep pays first-touch costs.
-    let _ = timed_sweep(1, &prep, Mode::EventDriven);
+    // Warm-up pass so no timed leg pays first-touch costs.
+    let _ = timed_leg(threads, &inputs, true);
 
-    let baseline = timed_sweep(1, &prep, Mode::Stepped);
-    let optimized = timed_sweep(threads, &prep, Mode::FastForward);
-    let event = timed_sweep(threads, &prep, Mode::EventDriven);
+    let dense = timed_leg(threads, &inputs, false);
+    let event = timed_leg(threads, &inputs, true);
 
-    // The whole point: the optimisations must not change a single result.
-    assert_eq!(baseline.records.len(), optimized.records.len());
-    assert_eq!(baseline.records.len(), event.records.len());
-    for ((b, o), ev) in baseline
-        .records
-        .iter()
-        .zip(&optimized.records)
-        .zip(&event.records)
-    {
-        assert_eq!(b.label, o.label);
-        assert_eq!(b.label, ev.label);
-        let bm = b.outcome.as_ref().expect("baseline config failed");
-        let om = o.outcome.as_ref().expect("optimized config failed");
-        let em = ev.outcome.as_ref().expect("event-driven config failed");
-        assert_eq!(bm, om, "fast-forward metrics diverged for {}", b.label);
-        assert_eq!(bm, em, "event-driven metrics diverged for {}", b.label);
+    // The whole point: skipping idle units must not change a single result.
+    assert_eq!(dense.records.len(), event.records.len());
+    for ((label, dm), (_, em)) in dense.records.iter().zip(&event.records) {
+        assert_eq!(dm, em, "event-core metrics diverged for {label}");
     }
 
-    // Per-config single-threaded comparison: where does per-unit skipping
-    // pay beyond the whole-device jump?
-    let mut per_config = Vec::new();
-    for ((label, ff_cfg), (_, ev_cfg)) in configs(Mode::FastForward)
-        .into_iter()
-        .zip(configs(Mode::EventDriven))
+    // Per-config single-threaded comparison: where does skipping idle
+    // units pay?
+    let mut config_lines = Vec::new();
+    for ((dense_case, event_case), (label, m)) in
+        cases(false).iter().zip(cases(true)).zip(&event.records)
     {
-        let busy = config_busy_fraction(&prep, &ev_cfg);
-        let ff_cps = config_cycles_per_sec(&prep, &ff_cfg);
-        let ev_cps = config_cycles_per_sec(&prep, &ev_cfg);
+        let prep = &inputs[event_case.graph];
+        let busy = config_busy_fraction(prep, &event_case.cfg);
+        let dense_cps = config_cycles_per_sec(prep, &dense_case.cfg);
+        let event_cps = config_cycles_per_sec(prep, &event_case.cfg);
         println!(
-            "  {label:>14}: busy {:5.1}%  ff {ff_cps:>12.0} c/s  event {ev_cps:>12.0} c/s  ({:.2}x)",
+            "  {label:>20}: busy {:5.1}%  dense {dense_cps:>12.0} c/s  event {event_cps:>12.0} c/s  ({:.2}x)",
             busy * 100.0,
-            ev_cps / ff_cps.max(1e-9),
+            event_cps / dense_cps.max(1e-9),
         );
-        per_config.push((label, busy, ff_cps, ev_cps));
+        config_lines.push(format!(
+            "    {{ \"label\": \"{label}\", \"cycles\": {}, \"traversed_edges\": {}, \
+             \"busy_fraction\": {busy:.4}, \"dense_cycles_per_sec\": {dense_cps:.0}, \
+             \"event_cycles_per_sec\": {event_cps:.0} }}",
+            m.cycles, m.traversed_edges
+        ));
     }
 
-    let speedup = baseline.wall_seconds / optimized.wall_seconds.max(1e-9);
-    let event_speedup = optimized.wall_seconds / event.wall_seconds.max(1e-9);
+    let speedup = dense.wall_seconds / event.wall_seconds.max(1e-9);
     println!(
-        "baseline (seq, stepped)  : {:8.1} ms  {:>12.0} cycles/s",
-        baseline.wall_seconds * 1e3,
-        cycles_per_sec(&baseline)
+        "dense reference : {:8.1} ms  {:>12.0} cycles/s  ({threads} threads)",
+        dense.wall_seconds * 1e3,
+        cycles_per_sec(&dense)
     );
     println!(
-        "optimized (par, ff)      : {:8.1} ms  {:>12.0} cycles/s  ({threads} threads)",
-        optimized.wall_seconds * 1e3,
-        cycles_per_sec(&optimized)
-    );
-    println!(
-        "event-driven (par, cal)  : {:8.1} ms  {:>12.0} cycles/s  ({threads} threads)",
+        "event core      : {:8.1} ms  {:>12.0} cycles/s  ({threads} threads)",
         event.wall_seconds * 1e3,
         cycles_per_sec(&event)
     );
-    println!("end-to-end sweep speedup: {speedup:.2}x over stepped, {event_speedup:.2}x over fast-forward (bit-identical results)");
+    println!("speedup: {speedup:.2}x over the dense reference (bit-identical results)");
 
-    let mut config_lines = Vec::new();
-    for (r, (label, busy, ff_cps, ev_cps)) in event.records.iter().zip(&per_config) {
-        assert_eq!(&r.label, label);
-        let m = r.outcome.as_ref().expect("event-driven config failed");
-        config_lines.push(format!(
-            "    {{ \"label\": \"{}\", \"cycles\": {}, \"traversed_edges\": {}, \
-             \"busy_fraction\": {:.4}, \"ff_cycles_per_sec\": {:.0}, \
-             \"event_cycles_per_sec\": {:.0} }}",
-            r.label, m.cycles, m.traversed_edges, busy, ff_cps, ev_cps
-        ));
-    }
     let json = format!(
-        "{{\n  \"workload\": \"BFS on R-MAT |V|={v} |E|={e} seed={s}\",\n  \
+        "{{\n  \"workload\": \"{workload}\",\n  \
          \"configs\": [\n{cfgs}\n  ],\n  \
-         \"baseline\": {{ \"fast_forward\": false, \"threads\": 1, \
-         \"wall_ms\": {bw:.2}, \"cycles_per_sec\": {bc:.0} }},\n  \
-         \"optimized\": {{ \"fast_forward\": true, \"threads\": {t}, \
-         \"wall_ms\": {ow:.2}, \"cycles_per_sec\": {oc:.0} }},\n  \
-         \"event_driven\": {{ \"event_driven\": true, \"threads\": {t}, \
+         \"dense\": {{ \"fast_forward\": false, \"threads\": {threads}, \
+         \"wall_ms\": {dw:.2}, \"cycles_per_sec\": {dc:.0} }},\n  \
+         \"event_core\": {{ \"fast_forward\": true, \"threads\": {threads}, \
          \"wall_ms\": {ew:.2}, \"cycles_per_sec\": {ec:.0} }},\n  \
-         \"speedup\": {sp:.3},\n  \"event_speedup\": {esp:.3},\n  \
-         \"bit_identical\": true\n}}\n",
-        v = RMAT_VERTICES,
-        e = RMAT_EDGES,
-        s = RMAT_SEED,
+         \"speedup\": {speedup:.3},\n  \"bit_identical\": true\n}}\n",
         cfgs = config_lines.join(",\n"),
-        bw = baseline.wall_seconds * 1e3,
-        bc = cycles_per_sec(&baseline),
-        t = threads,
-        ow = optimized.wall_seconds * 1e3,
-        oc = cycles_per_sec(&optimized),
+        dw = dense.wall_seconds * 1e3,
+        dc = cycles_per_sec(&dense),
         ew = event.wall_seconds * 1e3,
         ec = cycles_per_sec(&event),
-        sp = speedup,
-        esp = event_speedup,
     );
     std::fs::write(&out_path, json).expect("could not write report");
     println!("wrote {out_path}");
@@ -321,45 +282,29 @@ fn main() {
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         let mut failed = false;
-        let checks = [
-            (
-                "optimized",
-                read_section_cps(&text, "optimized"),
-                cycles_per_sec(&optimized),
-            ),
-            (
-                "event_driven",
-                read_section_cps(&text, "event_driven"),
-                cycles_per_sec(&event),
-            ),
-        ];
-        for (section, old, new) in checks {
-            let old = old.unwrap_or_else(|| panic!("no {section} cycles_per_sec in {path}"));
-            let ratio = new / old;
-            println!(
-                "regression check [{section}] vs {path}: {old:.0} -> {new:.0} cycles/s ({ratio:.2}x)"
-            );
-            if ratio < 0.8 {
-                eprintln!("error: {section} cycles/sec regressed more than 20% vs {path}");
-                failed = true;
-            }
+        let old: f64 = read_object(&text, "\"event_core\"")
+            .and_then(|obj| read_field(obj, "cycles_per_sec"))
+            .unwrap_or_else(|| panic!("no event_core cycles_per_sec in {path}"));
+        let new = cycles_per_sec(&event);
+        let ratio = new / old;
+        println!(
+            "regression check [event_core] vs {path}: {old:.0} -> {new:.0} cycles/s ({ratio:.2}x)"
+        );
+        if ratio < 0.8 {
+            eprintln!("error: event-core cycles/sec regressed more than 20% vs {path}");
+            failed = true;
         }
         // The model is pinned as well as the speed: a faster simulator
         // that simulates a different machine is a regression too.
-        for r in &event.records {
-            let m = r.outcome.as_ref().expect("event-driven config failed");
+        for (label, m) in &event.records {
             let now = (m.cycles, m.traversed_edges);
-            match read_config_counts(&text, &r.label) {
+            match read_config_counts(&text, label) {
                 Some(pinned) if pinned == now => {
-                    println!(
-                        "model check [{}]: {} cycles, {} edges",
-                        r.label, now.0, now.1
-                    );
+                    println!("model check [{label}]: {} cycles, {} edges", now.0, now.1);
                 }
                 pinned => {
                     eprintln!(
-                        "error: {} simulated (cycles, traversed edges) = {now:?}, {path} pins {pinned:?}",
-                        r.label
+                        "error: {label} simulated (cycles, traversed edges) = {now:?}, {path} pins {pinned:?}"
                     );
                     failed = true;
                 }

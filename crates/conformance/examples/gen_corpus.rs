@@ -96,7 +96,6 @@ fn corpus() -> Vec<Scenario> {
             }],
             modes: ModeMatrix {
                 fast_forward: true,
-                event_driven: true,
                 recording: true,
                 graphdyns: false,
                 gunrock: false,
@@ -188,7 +187,7 @@ fn corpus() -> Vec<Scenario> {
         // the scatter machine saturated, so the event-driven core spends
         // the run in sparse stepping rather than whole-device jumps — the
         // regime where per-unit skip bookkeeping could plausibly drift.
-        // All ScalaGraph modes must stay bit-identical.
+        // The core must stay bit-identical to the dense reference.
         Scenario {
             name: "converge-event-driven-busy-bfs".into(),
             graph: unit_graph(Family::Rmat {
@@ -210,11 +209,12 @@ fn corpus() -> Vec<Scenario> {
             synthetic_bug: false,
             mutations: None,
         },
-        // An HBM pseudo-channel pinned forever mid-run: stepped,
-        // fast-forward and event-driven execution must all trip the
-        // watchdog with the identical cycle, stall count and suspect. The
-        // event-driven core replays the skip/step decision stream, so any
-        // divergence in its wakeup accounting moves the firing cycle.
+        // An HBM pseudo-channel pinned forever mid-run: the dense
+        // reference, the event-driven core and the recording run must all
+        // trip the watchdog with the identical cycle, stall count and
+        // suspect. The core replays the watchdog in closed form across its
+        // idle skips, so any drift in that accounting moves the firing
+        // cycle.
         Scenario {
             name: "wedge-event-driven-hbm-stall".into(),
             graph: unit_graph(Family::Uniform {
@@ -239,7 +239,6 @@ fn corpus() -> Vec<Scenario> {
             }],
             modes: ModeMatrix {
                 fast_forward: true,
-                event_driven: true,
                 recording: true,
                 graphdyns: false,
                 gunrock: false,

@@ -12,7 +12,7 @@
 //!    canonical adjacency and the Section IV-C degree-aware layout must be
 //!    bit-identical),
 //! 3. runs the full engine/mode comparison matrix on the mutated snapshot
-//!    (stepped, fast-forward, event-driven, recording, baselines — exactly
+//!    (stepped, fast-forward, recording, baselines — exactly
 //!    what a static scenario runs), and
 //! 4. advances the incremental algorithm state (BFS/SSSP/CC/widest-path
 //!    repair or delta-PageRank) and checks it **bit-exactly** against the

@@ -9,6 +9,11 @@
 //! | scalagraph/stepped      | vs golden  | vs golden¹          | —     | —         |
 //! | scalagraph/fast-forward | bit-exact vs stepped | bit-exact  | bit-exact | —    |
 //! | scalagraph/recording    | bit-exact vs stepped | bit-exact  | bit-exact | run_cycles = cycles |
+//!
+//! `scalagraph/stepped` is the simulator's dense reference (every unit
+//! visited on every cycle, no idle skip); `scalagraph/fast-forward` is the
+//! event-driven core the runtime runs. Their bit-identity is the check
+//! that the core's activity masks never miss work.
 //! | graphdyns               | vs golden  | vs golden           | —     | —         |
 //! | gunrock                 | vs golden  | vs golden           | —     | —         |
 //!
@@ -33,13 +38,11 @@ use scalagraph_graph::Csr;
 pub mod engines {
     /// The golden sequential engine.
     pub const REFERENCE: &str = "reference";
-    /// ScalaGraph, stepping every cycle.
+    /// ScalaGraph's dense reference: every unit on every cycle.
     pub const STEPPED: &str = "scalagraph/stepped";
-    /// ScalaGraph with idle-cycle fast-forward.
+    /// ScalaGraph's event-driven core with idle-cycle fast-forward.
     pub const FAST_FORWARD: &str = "scalagraph/fast-forward";
-    /// ScalaGraph with the event-driven stepping core.
-    pub const EVENT_DRIVEN: &str = "scalagraph/event-driven";
-    /// ScalaGraph with a telemetry recorder attached.
+    /// The dense reference with a telemetry recorder attached.
     pub const RECORDING: &str = "scalagraph/recording";
     /// The GraphDynS baseline model.
     pub const GRAPHDYNS: &str = "graphdyns";
@@ -249,16 +252,7 @@ pub fn run_scenario(s: &Scenario) -> Result<Report, String> {
     if s.modes.is_empty() {
         return Err(format!(
             "scenario `{}` enables no comparison engines: the mode matrix is empty \
-             (set at least one of fast_forward/event_driven/recording/graphdyns/gunrock)",
-            s.name
-        ));
-    }
-    // A knob the calendar cannot honor is a malformed scenario, not an
-    // engine failure: surface it before any engine runs.
-    if s.modes.event_driven && s.config.watchdog_stall_cycles == 0 {
-        return Err(format!(
-            "scenario `{}` enables the event_driven mode with the watchdog disabled; \
-             the calendar needs a finite stall horizon (set watchdog_stall_cycles > 0)",
+             (set at least one of fast_forward/recording/graphdyns/gunrock)",
             s.name
         ));
     }
@@ -353,7 +347,7 @@ where
         Err(e) => Outcome::Errored(ErrorDigest::from_error(&e)),
     };
 
-    // ScalaGraph, stepped (always).
+    // ScalaGraph, dense reference (always).
     let mut stepped_cfg = cfg.clone();
     stepped_cfg.fast_forward = false;
     let mut stepped = sim_digest(try_run(algo, graph, stepped_cfg), None);
@@ -369,7 +363,7 @@ where
         outcome: stepped,
     });
 
-    // ScalaGraph, fast-forward.
+    // ScalaGraph, event-driven core with fast-forward.
     if s.modes.fast_forward {
         let mut ff_cfg = cfg.clone();
         ff_cfg.fast_forward = true;
@@ -379,19 +373,7 @@ where
         });
     }
 
-    // ScalaGraph, event-driven (implies fast-forward; the two knobs are
-    // validated together, so set both).
-    if s.modes.event_driven {
-        let mut ev_cfg = cfg.clone();
-        ev_cfg.fast_forward = true;
-        ev_cfg.event_driven = true;
-        observations.push(Observation {
-            engine: engines::EVENT_DRIVEN,
-            outcome: sim_digest(try_run(algo, graph, ev_cfg), None),
-        });
-    }
-
-    // ScalaGraph, stepped with a recording collector.
+    // ScalaGraph, dense reference with a recording collector.
     if s.modes.recording {
         let mut rec_cfg = cfg.clone();
         rec_cfg.fast_forward = false;
@@ -576,11 +558,7 @@ fn diff_converge(
 
     // ScalaGraph execution modes must be bit-identical to stepped.
     if let Some(stepped) = &stepped {
-        for mode in [
-            engines::FAST_FORWARD,
-            engines::EVENT_DRIVEN,
-            engines::RECORDING,
-        ] {
+        for mode in [engines::FAST_FORWARD, engines::RECORDING] {
             if let Some(Outcome::Converged(other)) = find(observations, mode) {
                 diff_sim_modes(&mut out, engines::STEPPED, mode, stepped, &other);
             }
@@ -616,11 +594,7 @@ fn diff_wedge(suspect_contains: &str, observations: &[Observation]) -> Vec<Misma
     }
     // Every other ScalaGraph mode must fail identically: same variant, same
     // cycle, same diagnosis.
-    for mode in [
-        engines::FAST_FORWARD,
-        engines::EVENT_DRIVEN,
-        engines::RECORDING,
-    ] {
+    for mode in [engines::FAST_FORWARD, engines::RECORDING] {
         match find(observations, mode) {
             None => {}
             Some(Outcome::Converged(_)) => out.push(Mismatch {
@@ -901,7 +875,7 @@ mod tests {
     fn healthy_scenario_passes_all_engines() {
         let report = run_scenario(&converge_scenario("healthy")).unwrap();
         assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.observations.len(), 7, "all engines observed");
+        assert_eq!(report.observations.len(), 6, "all engines observed");
     }
 
     #[test]
@@ -941,7 +915,6 @@ mod tests {
         let mut s = converge_scenario("all-modes-off");
         s.modes = ModeMatrix {
             fast_forward: false,
-            event_driven: false,
             recording: false,
             graphdyns: false,
             gunrock: false,
@@ -954,18 +927,6 @@ mod tests {
         assert!(err.contains("all-modes-off"), "names the scenario: {err}");
         // Any single engine makes the scenario runnable again.
         s.modes.fast_forward = true;
-        assert!(run_scenario(&s).is_ok());
-    }
-
-    #[test]
-    fn event_driven_with_watchdog_disabled_is_a_usage_error() {
-        let mut s = converge_scenario("ev-no-watchdog");
-        s.config.watchdog_stall_cycles = 0;
-        let err = run_scenario(&s).unwrap_err();
-        assert!(err.contains("watchdog"), "unexpected message: {err}");
-        assert!(err.contains("ev-no-watchdog"), "names the scenario: {err}");
-        // Dropping the event-driven mode makes the scenario runnable again.
-        s.modes.event_driven = false;
         assert!(run_scenario(&s).is_ok());
     }
 }

@@ -721,17 +721,17 @@ impl FaultSpec {
 }
 
 /// Which engine/mode/collector combinations the oracle compares, beyond the
-/// always-run reference engine and stepped ScalaGraph simulation.
+/// always-run reference engine and the dense ScalaGraph reference
+/// (`scalagraph/stepped`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeMatrix {
-    /// Re-run ScalaGraph with idle-cycle fast-forward (must be
-    /// bit-identical to stepped).
+    /// Re-run ScalaGraph on the event-driven core with idle-cycle
+    /// fast-forward, as the runtime runs it (must be bit-identical to
+    /// the dense reference). The parser reads the retired `event_driven`
+    /// key as an alias of this one.
     pub fast_forward: bool,
-    /// Re-run ScalaGraph with the event-driven stepping core (must be
-    /// bit-identical to stepped).
-    pub event_driven: bool,
-    /// Re-run ScalaGraph with a telemetry recorder attached (must be
-    /// bit-identical to stepped, and the summary must be consistent).
+    /// Re-run the dense reference with a telemetry recorder attached (must
+    /// be bit-identical to it, and the summary must be consistent).
     pub recording: bool,
     /// Run the GraphDynS baseline (loop-exact vs the reference).
     pub graphdyns: bool,
@@ -744,7 +744,6 @@ impl ModeMatrix {
     pub fn full() -> Self {
         ModeMatrix {
             fast_forward: true,
-            event_driven: true,
             recording: true,
             graphdyns: true,
             gunrock: true,
@@ -755,7 +754,6 @@ impl ModeMatrix {
     pub fn sim_only() -> Self {
         ModeMatrix {
             fast_forward: true,
-            event_driven: true,
             recording: false,
             graphdyns: false,
             gunrock: false,
@@ -767,17 +765,12 @@ impl ModeMatrix {
     /// vacuously "pass", which silently hides the regression it was meant
     /// to pin.
     pub fn is_empty(self) -> bool {
-        !(self.fast_forward
-            || self.event_driven
-            || self.recording
-            || self.graphdyns
-            || self.gunrock)
+        !(self.fast_forward || self.recording || self.graphdyns || self.gunrock)
     }
 
     fn to_json(self) -> Json {
         obj(vec![
             ("fast_forward", Json::Bool(self.fast_forward)),
-            ("event_driven", Json::Bool(self.event_driven)),
             ("recording", Json::Bool(self.recording)),
             ("graphdyns", Json::Bool(self.graphdyns)),
             ("gunrock", Json::Bool(self.gunrock)),
@@ -785,9 +778,11 @@ impl ModeMatrix {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
+        // `event_driven` asked for a run on the event-driven core, which
+        // is what `fast_forward` selects now.
+        let event_driven = v.opt_bool("event_driven", false)?;
         Ok(ModeMatrix {
-            fast_forward: v.opt_bool("fast_forward", true)?,
-            event_driven: v.opt_bool("event_driven", false)?,
+            fast_forward: v.opt_bool("fast_forward", true)? || event_driven,
             recording: v.opt_bool("recording", false)?,
             graphdyns: v.opt_bool("graphdyns", false)?,
             gunrock: v.opt_bool("gunrock", false)?,
@@ -1344,7 +1339,6 @@ mod tests {
         assert!(!ModeMatrix::sim_only().is_empty());
         let empty = ModeMatrix {
             fast_forward: false,
-            event_driven: false,
             recording: false,
             graphdyns: false,
             gunrock: false,

@@ -84,26 +84,17 @@ pub struct ScalaGraphConfig {
     /// `None` leaves every fault hook cold; results are then bit-identical
     /// to a build without the subsystem.
     pub fault_plan: Option<FaultPlan>,
-    /// Idle-cycle fast-forward: when every unit is quiescent and the
-    /// machine is only waiting on timers (fetch stalls, HBM latency,
-    /// delayed flits, broadcast drain), jump the clock straight to the
-    /// earliest release cycle instead of stepping one cycle at a time.
-    /// Results, `SimStats`, watchdog behaviour, and telemetry windows are
-    /// bit-identical either way — the flag trades nothing but wall-clock
-    /// (pinned by the bit-identity test suite).
+    /// Which form of the event-driven stepping loop runs. On (the
+    /// default): each cycle visits only units with work, and when no unit
+    /// has any the clock jumps straight to the earliest timer expiry
+    /// (fetch stalls, HBM latency, delayed flits, broadcast drain). Off:
+    /// the dense reference, the same loop visiting every unit on every
+    /// cycle with no skip — kept so the oracle and the tests can check
+    /// that the activity masks never miss work. Results, `SimStats`,
+    /// watchdog and cycle-limit firing cycles, fault behaviour and
+    /// telemetry windows are bit-identical either way (pinned by the
+    /// bit-identity test suite); the flag trades nothing but wall-clock.
     pub fast_forward: bool,
-    /// Event-driven stepping: every unit posts its next-activity cycle
-    /// into a per-device calendar (see [`crate::calendar`]) and the engine
-    /// visits only the units scheduled for the current cycle, advancing
-    /// the clock event-to-event. Subsumes [`fast_forward`](Self::fast_forward)
-    /// — a fully quiescent device is the degenerate "one event at cycle K"
-    /// case — and therefore requires it to be enabled. Results, `SimStats`,
-    /// watchdog/cycle-limit firing cycles, fault behaviour, and telemetry
-    /// windows are bit-identical to stepped execution (pinned by the
-    /// bit-identity test suite); only events-dispatched / units-skipped
-    /// diagnostics differ, and those live beside the summary, not inside
-    /// the compared state.
-    pub event_driven: bool,
     /// Hard per-run cycle budget: the run ends with
     /// [`SimError::DeadlineExceeded`] once the clock reaches this cycle
     /// without converging. Unlike a wall-clock deadline this is measured
@@ -157,8 +148,7 @@ impl ScalaGraphConfig {
             router_queue_capacity: 8,
             watchdog_stall_cycles: DEFAULT_WATCHDOG_STALL_CYCLES,
             fault_plan: None,
-            fast_forward: false,
-            event_driven: false,
+            fast_forward: true,
             cycle_limit: None,
         }
     }
@@ -276,28 +266,6 @@ impl ScalaGraphConfig {
                 return Err(SimError::config(format!(
                     "cycle limit {limit} exceeds the cycle safety cap {CYCLE_SAFETY_CAP}"
                 )));
-            }
-        }
-        // Event-driven knob coherence. The calendar can only honor knob
-        // combinations it can express as events: a disabled watchdog leaves
-        // a fully quiescent wedge with no pending event at all (the skip
-        // would leap straight to the safety cap instead of firing a
-        // diagnosable stall), and disabling fast-forward under event-driven
-        // would ask for a mode that both skips idle units and steps every
-        // idle cycle — the whole-device skip *is* the calendar's degenerate
-        // case.
-        if self.event_driven {
-            if !self.fast_forward {
-                return Err(SimError::config(
-                    "event_driven requires fast_forward: the calendar subsumes the \
-                     whole-device idle skip (enable both or neither)",
-                ));
-            }
-            if self.watchdog_stall_cycles == 0 {
-                return Err(SimError::config(
-                    "event_driven cannot honor a zero-period (disabled) watchdog: \
-                     a quiescent wedge would post no wakeup event",
-                ));
             }
         }
         if let Some(plan) = &self.fault_plan {
@@ -428,48 +396,11 @@ mod tests {
         assert!(err.to_string().contains("cycle limit"), "{err}");
         c.cycle_limit = Some(CYCLE_SAFETY_CAP);
         assert!(c.validate().is_ok());
-        // The deadline path composes with fast-forward: the same bounds
-        // hold with the skip optimisation engaged.
-        c.fast_forward = true;
+        // The same bounds hold in the dense reference.
+        c.fast_forward = false;
         assert!(c.validate().is_ok());
         c.cycle_limit = Some(0);
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_event_driven_without_fast_forward() {
-        let mut c = ScalaGraphConfig::with_pes(32);
-        c.event_driven = true;
-        c.fast_forward = false;
-        let err = c.validate().unwrap_err();
-        assert!(
-            matches!(err, SimError::ConfigInvalid { .. }),
-            "typed error expected, got {err}"
-        );
-        assert!(err.to_string().contains("fast_forward"), "{err}");
-        c.fast_forward = true;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_event_driven_with_zero_period_watchdog() {
-        let mut c = ScalaGraphConfig::with_pes(32);
-        c.fast_forward = true;
-        c.event_driven = true;
-        c.watchdog_stall_cycles = 0;
-        let err = c.validate().unwrap_err();
-        assert!(
-            matches!(err, SimError::ConfigInvalid { .. }),
-            "typed error expected, got {err}"
-        );
-        assert!(err.to_string().contains("watchdog"), "{err}");
-        // A disabled watchdog stays legal in the per-cycle modes.
-        c.event_driven = false;
-        assert!(c.validate().is_ok());
-        // And the smallest positive window is legal under event-driven.
-        c.event_driven = true;
-        c.watchdog_stall_cycles = 1;
-        assert!(c.validate().is_ok());
     }
 
     #[test]

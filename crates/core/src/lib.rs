@@ -42,7 +42,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
-pub mod calendar;
 pub mod cancel;
 pub mod config;
 pub mod device;
@@ -54,7 +53,6 @@ pub mod sim;
 pub mod slab;
 pub mod stats;
 
-pub use calendar::{Calendar, NextActivity};
 pub use cancel::{CancelSignal, CancelToken};
 pub use config::{MemoryPreset, ScalaGraphConfig};
 pub use device::DeviceGraph;

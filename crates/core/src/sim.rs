@@ -21,9 +21,17 @@
 //! pass starts; with inter-phase pipelining (Section IV-D) the *next*
 //! Scatter wave runs concurrently with the current Apply pass, fed by
 //! freshly applied vertices.
+//!
+//! Time advances through one event-driven loop. Every pipeline unit class
+//! (EDU rows, GUs, routers, scratchpads, apply units) keeps an activity
+//! bitmap, and a cycle visits only the units whose bit is set. When every
+//! bitmap is empty only timers can act, and the clock jumps to the next
+//! timer expiry in closed form. With
+//! [`fast_forward`](ScalaGraphConfig::fast_forward) off the same loop runs
+//! as the dense reference: every bit is set on every cycle and no cycle is
+//! skipped, so comparing the two checks that the bitmaps never miss work.
 
 use crate::aggregate::{AggregationBuffer, PendingUpdate};
-use crate::calendar::Calendar;
 use crate::cancel::{CancelSignal, CancelToken};
 use crate::config::ScalaGraphConfig;
 use crate::device::DeviceGraph;
@@ -439,36 +447,80 @@ pub fn try_run_on<A: Algorithm, G: GraphRead>(
 }
 
 /// Per-cycle scratch buffers the engine reuses across cycles instead of
-/// reallocating: dispatch lane ownership and source budgets, routing free
-/// space and decided moves. Taken out of the engine with `mem::take` for
-/// the duration of a step stage and put back after, so the buffers never
-/// fight the borrow checker and never hit the allocator in steady state.
+/// reallocating: dispatch lane ownership and source budgets, and routing
+/// free space and decided moves. Taken out of the engine with `mem::take`
+/// for the duration of a step stage and put back after, so the buffers
+/// never fight the borrow checker and never hit the allocator in steady
+/// state.
 #[derive(Default)]
 struct Scratch {
     /// Which segment owns each PE lane this dispatch cycle.
     lane_owner: Vec<u16>,
     /// Distinct source vertices scheduled this dispatch cycle.
     srcs_used: Vec<VertexId>,
-    /// Routing: free buffer slots per (node, direction).
-    route_free: Vec<[usize; NUM_DIRS]>,
+    /// Routing: free buffer slots per node, as they stood before the
+    /// routing pass.
+    route_free: RouteFree,
     /// Routing: decided (destination node, destination buffer) moves.
     route_moves: Vec<(usize, usize)>,
 }
 
-/// A dense activity bitmap over one unit class; a set bit means the unit
-/// may hold work. The single invariant the event core rests on: every
-/// push into a unit's queue sets that unit's bit, and a bit is only
-/// cleared when a visit finds the unit's queues empty — so a clear bit
-/// *proves* the unit has nothing to do and stepping it would be a no-op.
+/// Free slots of one node's five router buffers this routing pass,
+/// valid when `epoch` matches the pass.
+#[derive(Clone, Copy, Default)]
+struct FreeSlots {
+    epoch: u64,
+    free: [usize; NUM_DIRS],
+}
+
+/// The free space every router decision reserves from: each node's buffer
+/// space as it stood before the routing pass drained or filled anything.
+/// A node's entry is filled on first use, which is always early enough: a
+/// router fills its own entry before it drains, and moves land only after
+/// every router has decided.
+#[derive(Default)]
+struct RouteFree {
+    nodes: Vec<FreeSlots>,
+    epoch: u64,
+}
+
+impl RouteFree {
+    /// The pass-start free slots of `node`, whose buffers are `out`, with
+    /// `cap` slots per buffer.
+    #[inline]
+    fn of<P: Copy>(
+        &mut self,
+        node: usize,
+        out: &[AggregationBuffer<P>; NUM_DIRS],
+        cap: usize,
+    ) -> &mut [usize; NUM_DIRS] {
+        let slots = &mut self.nodes[node];
+        if slots.epoch != self.epoch {
+            slots.epoch = self.epoch;
+            for (f, b) in slots.free.iter_mut().zip(out) {
+                *f = cap.saturating_sub(b.len());
+            }
+        }
+        &mut slots.free
+    }
+}
+
+/// An activity bitmap over one unit class; a set bit means the unit may
+/// hold work. The single invariant the event core rests on: every push
+/// into a unit's queue sets that unit's bit, and a bit is only cleared
+/// when a visit finds the unit's queues empty — so a clear bit *proves*
+/// the unit has nothing to do and stepping it would be a no-op.
 #[derive(Default)]
 struct UnitMask {
     bits: Vec<u64>,
+    units: usize,
 }
 
 impl UnitMask {
     fn sized(units: usize) -> Self {
         UnitMask {
             bits: vec![0; units.div_ceil(64)],
+            units,
         }
     }
 
@@ -476,19 +528,23 @@ impl UnitMask {
         self.bits[unit >> 6] |= 1 << (unit & 63);
     }
 
-    fn clear(&mut self, unit: usize) {
-        self.bits[unit >> 6] &= !(1 << (unit & 63));
+    /// Sets every unit's bit (the dense reference's cycle).
+    fn fill(&mut self) {
+        self.bits.fill(!0);
+        let spare = self.bits.len() * 64 - self.units;
+        if let Some(last) = self.bits.last_mut() {
+            *last >>= spare;
+        }
     }
 
     fn is_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// Visits every set bit in ascending order — the same order the
-    /// stepped loops walk units, so side effects land identically —
-    /// clearing the bits for which `keep` returns `false`. Returns the
-    /// number of bits visited. Bits set in *other* masks during the walk
-    /// are untouched; callers never mutate the mask they are walking.
+    /// Visits every set bit in ascending order, clearing the bits for
+    /// which `keep` returns `false`. Returns the number of bits visited.
+    /// Bits set in *other* masks during the walk are untouched; callers
+    /// never mutate the mask they are walking.
     fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) -> usize {
         let mut visited = 0;
         for (wi, word) in self.bits.iter_mut().enumerate() {
@@ -504,32 +560,18 @@ impl UnitMask {
         }
         visited
     }
-
-    /// Appends every set bit in ascending order.
-    fn collect_into(&self, out: &mut Vec<usize>) {
-        for (wi, &word) in self.bits.iter().enumerate() {
-            let mut scan = word;
-            while scan != 0 {
-                let bit = scan.trailing_zeros() as usize;
-                scan &= scan - 1;
-                out.push((wi << 6) | bit);
-            }
-        }
-    }
 }
 
-/// State of the event-driven stepping core
-/// ([`ScalaGraphConfig::event_driven`]): per-unit-class activity bitmaps
-/// for the pipeline units, a [`Calendar`] posting wakeups for
-/// fault-delayed flits, and the unit-visit counters behind the
-/// events-dispatched / units-skipped diagnostics. Frontend timers (HBM
-/// latency, fetch stalls, broadcast drains) keep their closed-form
-/// whole-device skip: once every mask is empty the calendar's job
-/// degenerates to exactly what [`Engine::try_fast_forward`] already does.
-/// When `on` is false every field stays empty and stepped execution pays
-/// one predictable branch per push site.
+/// State of the event-driven stepping core: per-unit-class activity
+/// bitmaps for the pipeline units and the unit-visit counters behind the
+/// events-dispatched / units-skipped diagnostics. Timers (HBM latency,
+/// fetch stalls, broadcast drains, fault-parked flits) need no bitmap:
+/// once every mask is empty, [`Engine::try_fast_forward`] jumps to the
+/// earliest of them.
 struct EventCore {
-    on: bool,
+    /// The dense reference: every bit set on every cycle, no idle skip
+    /// (`fast_forward` off).
+    dense: bool,
     /// Dispatch rows plus four unit classes per PE — the denominator of
     /// the busy fraction.
     units_total: u64,
@@ -543,21 +585,6 @@ struct EventCore {
     spd: UnitMask,
     /// Per-PE apply-queue activity.
     apply: UnitMask,
-    /// Release wakeups for flits parked between routers by delay or
-    /// corruption faults.
-    cal: Calendar<()>,
-    /// Scratch for calendar pops.
-    cal_out: Vec<()>,
-    /// A released flit refused by a full downstream buffer accrues a NoC
-    /// conflict every cycle, so it retries every cycle until accepted.
-    delayed_retry: bool,
-    /// Scratch: the routing pass's active-node snapshot.
-    active_nodes: Vec<usize>,
-    /// Scratch: sparse pre-mutation free-space fill for the routing pass,
-    /// valid where `route_epoch` matches the current `epoch`.
-    route_free: Vec<[usize; NUM_DIRS]>,
-    route_epoch: Vec<u64>,
-    epoch: u64,
     /// Cumulative unit visits performed on executed cycles.
     dispatched: u64,
     /// Cumulative unit visits avoided: masked-off units on executed
@@ -571,26 +598,15 @@ struct EventCore {
 impl EventCore {
     fn new(cfg: &ScalaGraphConfig) -> Self {
         let p = cfg.placement;
-        let (rows, pes) = if cfg.event_driven {
-            (p.tiles * p.rows_per_tile, p.num_pes())
-        } else {
-            (0, 0)
-        };
+        let (rows, pes) = (p.tiles * p.rows_per_tile, p.num_pes());
         EventCore {
-            on: cfg.event_driven,
+            dense: !cfg.fast_forward,
             units_total: (rows + 4 * pes) as u64,
             rows: UnitMask::sized(rows),
             gu: UnitMask::sized(pes),
             route: UnitMask::sized(pes),
             spd: UnitMask::sized(pes),
             apply: UnitMask::sized(pes),
-            cal: Calendar::new(if cfg.event_driven { 64 } else { 1 }),
-            cal_out: Vec::new(),
-            delayed_retry: false,
-            active_nodes: Vec::new(),
-            route_free: vec![[0; NUM_DIRS]; pes],
-            route_epoch: vec![0; pes],
-            epoch: 0,
             dispatched: 0,
             skipped: 0,
             flushed_dispatched: 0,
@@ -606,6 +622,19 @@ impl EventCore {
             && self.route.is_empty()
             && self.spd.is_empty()
             && self.apply.is_empty()
+    }
+
+    /// Sets every bit of every mask, so the cycle visits every unit.
+    fn fill(&mut self) {
+        for mask in [
+            &mut self.rows,
+            &mut self.gu,
+            &mut self.route,
+            &mut self.spd,
+            &mut self.apply,
+        ] {
+            mask.fill();
+        }
     }
 }
 
@@ -743,8 +772,7 @@ struct Engine<'a, A: Algorithm, G: GraphRead, C: Collector> {
     injector: Option<FaultInjector>,
     /// Flits parked between routers by delay/corruption faults.
     delayed: Vec<DelayedFlit<A::Prop>>,
-    /// Event-driven stepping core; inert unless
-    /// [`ScalaGraphConfig::event_driven`] is set.
+    /// Activity bitmaps of the event-driven stepping core.
     ev: EventCore,
     /// Cooperative cancellation flag, polled once per stepped cycle.
     /// `None` (the plain `try_run` paths) costs one branch per cycle.
@@ -809,7 +837,13 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             apply_inflight: 0,
             fetch_stall: 0,
             staged: Vec::new(),
-            scratch: Scratch::default(),
+            scratch: Scratch {
+                route_free: RouteFree {
+                    nodes: vec![FreeSlots::default(); placement.num_pes()],
+                    epoch: 0,
+                },
+                ..Scratch::default()
+            },
             gu_busy_per_node: vec![0; placement.num_pes()],
             dispatched_per_row: vec![0; placement.tiles * placement.rows_per_tile],
             injector: cfg.fault_plan.clone().and_then(FaultInjector::new),
@@ -848,62 +882,33 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
 
         let mut last_mark = self.progress_mark();
         let mut stalled_for: u64 = 0;
-        let event_mode = self.cfg.event_driven;
-        // Fast-forward gate: attempting a jump costs a full quiescence scan,
-        // which would be pure overhead on the ~always-busy cycles of dense
-        // workloads. Only attempt one after a cycle whose cheap activity
-        // signature did not move — an idle window always starts with one.
-        // (The event core needs no such heuristic: empty masks *are* the
-        // quiescence signal, checked in O(units / 64).)
-        let mut quiet_hint = true;
-        let mut last_activity = self.activity_signature();
         loop {
             if self.advance_phases() {
                 break;
             }
-            if event_mode {
-                // Whole-device skip is the calendar's degenerate case:
-                // with every pipeline mask empty only timers can act,
-                // which is exactly the window try_fast_forward jumps.
-                if self.ev.masks_empty() {
-                    let before = self.now;
-                    if self.try_fast_forward(&mut stalled_for) {
-                        self.ev.skipped += (self.now - before) * self.ev.units_total;
-                        if C::ENABLED {
-                            self.tel_spans_at(before + 1);
-                        }
-                        continue;
+            if self.ev.dense {
+                self.ev.fill();
+            } else if self.ev.masks_empty() {
+                // With every pipeline mask empty only timers can act:
+                // jump to the earliest one.
+                let before = self.now;
+                if self.try_fast_forward(&mut stalled_for) {
+                    self.ev.skipped += (self.now - before) * self.ev.units_total;
+                    if C::ENABLED {
+                        self.tel_spans_at(before + 1);
                     }
+                    continue;
                 }
-                if let Err(e) = self.step_event() {
-                    self.tel_finish();
-                    return Err(e);
-                }
-            } else {
-                if self.cfg.fast_forward && quiet_hint {
-                    let before = self.now;
-                    if self.try_fast_forward(&mut stalled_for) {
-                        if C::ENABLED {
-                            self.tel_spans_at(before + 1);
-                        }
-                        continue;
-                    }
-                }
-                if let Err(e) = self.step() {
-                    self.tel_finish();
-                    return Err(e);
-                }
-                if self.cfg.fast_forward {
-                    let activity = self.activity_signature();
-                    quiet_hint = activity == last_activity;
-                    last_activity = activity;
-                }
+            }
+            if let Err(e) = self.step() {
+                self.tel_finish();
+                return Err(e);
             }
             if C::ENABLED {
                 self.tel_cycle();
             }
             // Deterministic cycle budget: observed on exactly `limit`, with
-            // identical counters and telemetry, in stepped and fast-forward
+            // identical counters and telemetry, in dense and fast-forward
             // execution alike (`try_fast_forward` never jumps past it).
             if let Some(limit) = self.cfg.cycle_limit {
                 if self.now >= limit {
@@ -976,11 +981,11 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
     }
 
     /// Reports the event core's unit-visit counters for the window about
-    /// to roll. A no-op outside event-driven mode, so window summaries
-    /// stay mode-invariant by construction — the rows land *beside* the
-    /// compared state as diagnostics, never inside it.
+    /// to roll. A no-op in the dense reference, which visits everything;
+    /// the rows land *beside* the compared state as diagnostics, never
+    /// inside it, so window summaries stay mode-invariant by construction.
     fn tel_flush_event_sample(&mut self) {
-        if !self.ev.on {
+        if self.ev.dense {
             return;
         }
         let dispatched = self.ev.dispatched - self.ev.flushed_dispatched;
@@ -1150,72 +1155,46 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             || self.delayed.iter().any(|d| d.release > self.now)
     }
 
-    /// Cheap per-cycle activity fingerprint for the fast-forward gate: a
-    /// sum of every counter that moves when a unit does real work, and of
-    /// none that tick during an idle wait (`scatter_cycles`,
-    /// `dispatch_starved_row_cycles`, ... are deliberately excluded). The
-    /// gate is a heuristic only — [`try_fast_forward`](Self::try_fast_forward)
-    /// re-checks full quiescence before any jump.
-    fn activity_signature(&self) -> u64 {
-        let s = &self.stats;
-        s.traversed_edges
-            .wrapping_add(s.updates_produced)
-            .wrapping_add(s.updates_delivered)
-            .wrapping_add(s.noc_hops)
-            .wrapping_add(s.noc_conflicts)
-            .wrapping_add(s.applies)
-            .wrapping_add(s.activations)
-            .wrapping_add(s.vpref_lines)
-            .wrapping_add(s.epref_lines)
-            .wrapping_add(s.epref_piggybacks)
-            .wrapping_add(s.flits_dropped)
-            .wrapping_add(s.flits_delayed)
-            .wrapping_add(s.updates_corrupted)
-            .wrapping_add(s.hbm_stalls_injected)
-    }
-
-    /// Idle-cycle fast-forward: when every unit is quiescent and the
-    /// machine is only counting down timers (fetch stalls, broadcast
-    /// drain, HBM latency, delayed flits), jump `now` to just before the
-    /// earliest cycle on which anything can act and replay the skipped
-    /// cycles' bookkeeping in closed form. Returns `true` if any cycles
-    /// were skipped; the caller then re-enters the loop so the event
-    /// cycle itself executes through the normal [`step`](Self::step).
+    /// Idle-cycle fast-forward, called when every activity mask is empty:
+    /// if the machine is only counting down timers (fetch stalls,
+    /// broadcast drain, HBM latency, delayed flits), jump `now` to just
+    /// before the earliest cycle on which anything can act and replay the
+    /// skipped cycles' bookkeeping in closed form. Returns `true` if any
+    /// cycles were skipped; the caller then re-enters the loop so the
+    /// event cycle itself executes through the normal [`step`](Self::step).
     ///
     /// **Invariant: bit-identical results.** A skip is only taken when a
     /// cycle-by-cycle replay would provably touch nothing but the counters
     /// reproduced here; stats, properties, telemetry windows, injected
     /// faults, and watchdog/cycle-cap errors all land on the same cycle
-    /// with the same values as a non-fast-forwarded run.
+    /// with the same values as in the dense reference.
     fn try_fast_forward(&mut self, stalled_for: &mut u64) -> bool {
         // --- Quiescence: nothing but timers may act on the next cycle.
-        if self.apply_inflight != 0 {
-            return false;
-        }
+        // Empty masks prove the pipeline units idle.
+        debug_assert!(
+            self.apply_inflight == 0
+                && self
+                    .nodes
+                    .iter()
+                    .all(|n| n.gu_queue.is_empty() && n.out.iter().all(AggregationBuffer::is_empty))
+                && self
+                    .tiles
+                    .iter()
+                    .all(|t| t.row_queues.iter().all(VecDeque::is_empty)),
+            "an empty activity mask hid pipeline work"
+        );
         // A parked flit with a due (or overdue) release retries next cycle.
         if self.delayed.iter().any(|d| d.release <= self.now + 1) {
             return false;
         }
-        if self
-            .nodes
-            .iter()
-            .any(|n| !n.gu_queue.is_empty() || !n.out.iter().all(AggregationBuffer::is_empty))
+        // With the fetch stall down, the prefetchers would act on (or at
+        // least rotate state over) any pending frontend work.
+        if self.fetch_stall == 0
+            && self.tiles.iter().any(|t| {
+                !t.vpref_pending.is_empty() || !t.records_ready.is_empty() || t.write_backlog >= 8
+            })
         {
             return false;
-        }
-        for t in &self.tiles {
-            if !t.row_queues.iter().all(VecDeque::is_empty) {
-                return false;
-            }
-            // With the fetch stall down, the prefetchers would act on (or
-            // at least rotate state over) any pending frontend work.
-            if self.fetch_stall == 0
-                && (!t.vpref_pending.is_empty()
-                    || !t.records_ready.is_empty()
-                    || t.write_backlog >= 8)
-            {
-                return false;
-            }
         }
 
         // --- Earliest cycle that must execute normally.
@@ -1515,14 +1494,15 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         }
     }
 
-    /// Advances the clock and runs the work every executed cycle shares
-    /// between stepped and event-driven execution: phase-cycle
-    /// accounting, tracing, scheduled fault stalls, the HBM pump and the
-    /// (fetch-stall gated) prefetchers. The frontends step in full every
-    /// executed cycle in both modes — the HBM model draws its latency
-    /// jitter once per unstalled channel per cycle, and preserving that
-    /// draw count is part of the bit-identity contract.
-    fn step_front_half(&mut self) -> Result<(), SimError> {
+    /// One clock cycle. The frontends (phase-cycle accounting, scheduled
+    /// fault stalls, the HBM pump and the fetch-stall gated prefetchers)
+    /// step in full on every executed cycle: the HBM model draws its
+    /// latency jitter once per unstalled channel per cycle, and preserving
+    /// that draw count is part of the bit-identity contract. The pipeline
+    /// stages then visit only the units whose activity bit is set; an
+    /// unvisited unit's queues are empty by the bit invariant, so visiting
+    /// it would be a no-op.
+    fn step(&mut self) -> Result<(), SimError> {
         self.now += 1;
         if !self.scatter_machine_empty() || self.scatter_input_open {
             self.stats.scatter_cycles += 1;
@@ -1530,7 +1510,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         if self.phase == Phase::Apply {
             self.stats.apply_cycles += 1;
         }
-
         if self.injector.is_some() {
             self.apply_scheduled_hbm_stalls();
         }
@@ -1540,59 +1519,16 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         } else {
             self.step_prefetch()?;
         }
-        Ok(())
-    }
 
-    /// One clock cycle for every hardware unit.
-    fn step(&mut self) -> Result<(), SimError> {
-        self.step_front_half()?;
-        self.step_dispatch();
+        let mut visited = self.step_dispatch();
         if !self.delayed.is_empty() {
             self.step_delayed();
         }
-        self.step_routing()?;
-        self.step_gu();
-        self.step_spd()?;
+        visited += self.step_routing()?;
+        visited += self.step_gu();
+        visited += self.step_spd()?;
         if self.phase == Phase::Apply {
-            self.step_apply();
-        }
-        if self.broadcast_backlog > 0 {
-            self.broadcast_backlog -= 1;
-        }
-        Ok(())
-    }
-
-    /// One clock cycle visiting only the units whose activity bit is set.
-    /// Stage order, per-unit work, and every counter match
-    /// [`step`](Self::step) exactly: the masks merely skip units whose
-    /// queues the bit invariant proves empty, for which the stepped loops
-    /// would scan-and-continue.
-    fn step_event(&mut self) -> Result<(), SimError> {
-        self.step_front_half()?;
-        let mut visited = self.step_dispatch_event();
-        if self.delayed.is_empty() {
-            debug_assert!(self.ev.cal.is_empty(), "wakeup without a parked flit");
-            self.ev.delayed_retry = false;
-        } else {
-            // Parked flits wake through the calendar; a released flit
-            // that a full buffer refused retries every cycle (it accrues
-            // a NoC conflict each time, like any back-pressured unit).
-            let due = {
-                let ev = &mut self.ev;
-                ev.cal_out.clear();
-                ev.cal.pop_due(self.now, &mut ev.cal_out);
-                !ev.cal_out.is_empty()
-            };
-            if due || self.ev.delayed_retry {
-                self.step_delayed();
-                self.ev.delayed_retry = self.delayed.iter().any(|d| d.release <= self.now);
-            }
-        }
-        visited += self.step_routing_event()?;
-        visited += self.step_gu_event();
-        visited += self.step_spd_event()?;
-        if self.phase == Phase::Apply {
-            visited += self.step_apply_event();
+            visited += self.step_apply();
         }
         if self.broadcast_backlog > 0 {
             self.broadcast_backlog -= 1;
@@ -1632,8 +1568,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         let placement = self.cfg.placement;
         let geo = &self.geo;
         let slice = self.slice;
-        let ev_on = self.ev.on;
-        let mut rows = std::mem::take(&mut self.ev.rows);
+        let rows = &mut self.ev.rows;
         for t in 0..self.tiles.len() {
             let tile = &mut self.tiles[t];
             tile.hbm.step();
@@ -1674,15 +1609,12 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                         for seg in segs {
                             let row = geo[placement.home_pe(seg.src)].row_in_tile as usize;
                             tile.row_queues[row].push_back(seg);
-                            if ev_on {
-                                rows.set(t * placement.rows_per_tile + row);
-                            }
+                            rows.set(t * placement.rows_per_tile + row);
                         }
                     }
                 }
             }
         }
-        self.ev.rows = rows;
     }
 
     fn step_prefetch(&mut self) -> Result<(), SimError> {
@@ -1890,9 +1822,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                     src_degree: seg.src_degree,
                     src_prop: seg.prop,
                 });
-                if self.ev.on {
-                    self.ev.gu.set(target);
-                }
+                self.ev.gu.set(target);
                 lane_owner[lane] = seg_id;
                 edges_left -= 1;
                 seg.edges.start += 1;
@@ -1908,34 +1838,16 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         !self.tiles[t].row_queues[row].is_empty()
     }
 
-    fn step_dispatch(&mut self) {
-        let placement = self.cfg.placement;
-        // Per-row scratch lives in the pooled engine buffers: cleared and
-        // refilled each row, never reallocated in steady state.
-        let mut lane_owner = std::mem::take(&mut self.scratch.lane_owner);
-        let mut srcs_used = std::mem::take(&mut self.scratch.srcs_used);
-        for t in 0..self.tiles.len() {
-            for row in 0..placement.rows_per_tile {
-                if self.tiles[t].row_queues[row].is_empty() {
-                    self.stats.dispatch_starved_row_cycles += 1;
-                    continue;
-                }
-                self.dispatch_row(t, row, &mut lane_owner, &mut srcs_used);
-            }
-        }
-        self.scratch.lane_owner = lane_owner;
-        self.scratch.srcs_used = srcs_used;
-    }
-
-    /// Masked dispatch: visits only rows whose activity bit is set. A
-    /// visited row found empty clears its bit; every other row is starved
-    /// this cycle — by the bit invariant an unvisited row's queue is
-    /// empty, so the starved count lands exactly where the stepped scan
-    /// puts it.
-    fn step_dispatch_event(&mut self) -> usize {
+    /// Dispatch: visits only rows whose activity bit is set. A visited row
+    /// found empty clears its bit; every other row is starved this cycle —
+    /// by the bit invariant an unvisited row's queue is empty. Returns the
+    /// number of rows visited.
+    fn step_dispatch(&mut self) -> usize {
         let placement = self.cfg.placement;
         let rows_per_tile = placement.rows_per_tile;
         let total_rows = self.tiles.len() * rows_per_tile;
+        // Per-row scratch lives in the pooled engine buffers: cleared and
+        // refilled each row, never reallocated in steady state.
         let mut lane_owner = std::mem::take(&mut self.scratch.lane_owner);
         let mut srcs_used = std::mem::take(&mut self.scratch.srcs_used);
         let mut rows = std::mem::take(&mut self.ev.rows);
@@ -1990,12 +1902,10 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             if dir != EJECT {
                 self.stats.updates_injected += 1;
             }
-            if self.ev.on {
-                if dir == EJECT {
-                    self.ev.spd.set(node);
-                } else {
-                    self.ev.route.set(node);
-                }
+            if dir == EJECT {
+                self.ev.spd.set(node);
+            } else {
+                self.ev.route.set(node);
             }
         } else {
             // A full output buffer is necessarily non-empty, so its
@@ -2005,13 +1915,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         !self.nodes[node].gu_queue.is_empty()
     }
 
-    fn step_gu(&mut self) {
-        for node in 0..self.nodes.len() {
-            self.gu_node(node);
-        }
-    }
-
-    fn step_gu_event(&mut self) -> usize {
+    fn step_gu(&mut self) -> usize {
         let mut mask = std::mem::take(&mut self.ev.gu);
         let visited = mask.retain(|node| self.gu_node(node));
         self.ev.gu = mask;
@@ -2048,12 +1952,10 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 if C::ENABLED {
                     self.col.link_traversal(d_node, d_dir, 1);
                 }
-                if self.ev.on {
-                    if to_dir == EJECT {
-                        self.ev.spd.set(to);
-                    } else {
-                        self.ev.route.set(to);
-                    }
+                if to_dir == EJECT {
+                    self.ev.spd.set(to);
+                } else {
+                    self.ev.route.set(to);
                 }
                 self.delayed.swap_remove(i);
             } else {
@@ -2077,17 +1979,22 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
 
     /// Decides this cycle's moves out of one router: up to `link_width`
     /// updates per link — links are 64-byte buses carrying several 8-byte
-    /// updates. Reservations come out of `free` (the pre-mutation
-    /// free-space snapshot shared by all routers this cycle); drained
-    /// flits stage in `self.staged` keyed by `moves` order.
+    /// updates. Reservations come out of `free` (the pass-start free space
+    /// shared by all routers this cycle); drained flits stage in
+    /// `self.staged` keyed by `moves` order. Returns whether any of the
+    /// router's four mesh buffers still holds flits.
     fn route_decide_node(
         &mut self,
         node: usize,
-        free: &mut [[usize; NUM_DIRS]],
+        free: &mut RouteFree,
         moves: &mut Vec<(usize, usize)>,
-    ) -> Result<(), SimError> {
+    ) -> Result<bool, SimError> {
         let width = self.cfg.link_width;
+        let cap = self.cfg.aggregation_registers + self.cfg.router_queue_capacity;
         let faults_armed = self.injector.is_some();
+        // Record this router's free space before it drains, for routers
+        // later in the pass that reserve into it.
+        free.of(node, &self.nodes[node].out, cap);
         for dir in [NORTH, SOUTH, WEST, EAST] {
             if faults_armed
                 && self
@@ -2148,9 +2055,6 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                                     dir,
                                     update,
                                 });
-                                if self.ev.on {
-                                    self.ev.cal.schedule(self.now + cycles.max(1), ());
-                                }
                             }
                             FlitAction::Corrupt { out_of_range } => {
                                 update.dst = Self::corrupt_dst(
@@ -2168,20 +2072,14 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                                 }
                                 // The corrupted id needs a fresh route
                                 // (hence the fresh header above); park it
-                                // for immediate re-injection at the
-                                // neighbor next cycle.
+                                // for re-injection at the neighbor next
+                                // cycle (this cycle's pass has run).
                                 self.delayed.push(DelayedFlit {
                                     release: self.now,
                                     node,
                                     dir,
                                     update,
                                 });
-                                if self.ev.on {
-                                    // The earliest retry is next cycle:
-                                    // this cycle's re-injection pass has
-                                    // already run.
-                                    self.ev.cal.schedule(self.now + 1, ());
-                                }
                             }
                         }
                         granted += 1;
@@ -2190,14 +2088,15 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 }
                 let to = neighbor(self.cfg, node, dir);
                 let to_dir = route_dir(&self.geo, to, home);
-                if free[to][to_dir] == 0 {
+                let slots = &mut free.of(to, &self.nodes[to].out, cap)[to_dir];
+                if *slots == 0 {
                     self.stats.noc_conflicts += 1;
                     if C::ENABLED {
                         self.col.link_backpressure(node, dir);
                     }
                     break;
                 }
-                free[to][to_dir] -= 1;
+                *slots -= 1;
                 // Drain immediately into a staging list so the next
                 // peek sees the following update.
                 let Some(update) = self.nodes[node].out[dir].drain_one() else {
@@ -2216,11 +2115,14 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 granted += 1;
             }
         }
-        Ok(())
+        let out = &self.nodes[node].out;
+        Ok([NORTH, SOUTH, WEST, EAST]
+            .iter()
+            .any(|&d| !out[d].is_empty()))
     }
 
-    /// Lands the decided moves in their reserved destination slots and,
-    /// in event-driven mode, schedules the receiving units.
+    /// Lands the decided moves in their reserved destination slots and
+    /// schedules the receiving units.
     fn route_apply_moves(&mut self, moves: &[(usize, usize)]) {
         let algo = self.algo;
         let cap = self.cfg.router_queue_capacity;
@@ -2230,104 +2132,47 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                 Flit::merge(a, b, |x, y| algo.reduce(x, y))
             });
             debug_assert!(res.is_some(), "reserved slot must accept");
-            if self.ev.on {
-                if to_dir == EJECT {
-                    self.ev.spd.set(to);
-                } else {
-                    self.ev.route.set(to);
-                }
+            if to_dir == EJECT {
+                self.ev.spd.set(to);
+            } else {
+                self.ev.route.set(to);
             }
         }
         self.staged.clear();
     }
 
-    fn step_routing(&mut self) -> Result<(), SimError> {
-        let n_nodes = self.nodes.len();
-        // Snapshot free space per (node, buffer), reusing pooled scratch.
+    /// Routing: only routers whose activity bit is set may move flits.
+    /// They decide in ascending node order against the pass-start free
+    /// space, a router's bit clears as soon as it decides with its mesh
+    /// buffers empty, and the decided moves land last — setting the bits
+    /// of the routers and scratchpads they reach. Returns the number of
+    /// routers visited.
+    fn step_routing(&mut self) -> Result<usize, SimError> {
         let mut free = std::mem::take(&mut self.scratch.route_free);
-        free.clear();
-        for node in &self.nodes {
-            let mut f = [0usize; NUM_DIRS];
-            for (d, slot) in f.iter_mut().enumerate() {
-                let b = &node.out[d];
-                let cap = b.capacity() + self.cfg.router_queue_capacity;
-                *slot = cap.saturating_sub(b.len());
-            }
-            free.push(f);
-        }
+        free.epoch += 1;
         let mut moves = std::mem::take(&mut self.scratch.route_moves);
         moves.clear();
-        for node in 0..n_nodes {
-            self.route_decide_node(node, &mut free, &mut moves)?;
-        }
-        self.route_apply_moves(&moves);
-        self.scratch.route_free = free;
-        self.scratch.route_moves = moves;
-        Ok(())
-    }
-
-    /// Masked routing: only nodes whose activity bit is set may move
-    /// flits. The free-space snapshot must be pre-mutation exactly like
-    /// the stepped all-node pass, so a sparse epoch-stamped fill covers
-    /// every reachable destination *before* any drain; decisions then run
-    /// in ascending node order, matching the stepped loop on the nodes it
-    /// would not skip.
-    fn step_routing_event(&mut self) -> Result<usize, SimError> {
-        let mut active = std::mem::take(&mut self.ev.active_nodes);
-        active.clear();
-        self.ev.route.collect_into(&mut active);
-        if active.is_empty() {
-            self.ev.active_nodes = active;
-            return Ok(0);
-        }
-        let mut free = std::mem::take(&mut self.ev.route_free);
-        self.ev.epoch += 1;
-        let epoch = self.ev.epoch;
-        for &node in &active {
-            for dir in [NORTH, SOUTH, WEST, EAST] {
-                if self.nodes[node].out[dir].is_empty() {
-                    continue;
-                }
-                let to = neighbor(self.cfg, node, dir);
-                if self.ev.route_epoch[to] != epoch {
-                    self.ev.route_epoch[to] = epoch;
-                    let mut f = [0usize; NUM_DIRS];
-                    for (d, slot) in f.iter_mut().enumerate() {
-                        let b = &self.nodes[to].out[d];
-                        let cap = b.capacity() + self.cfg.router_queue_capacity;
-                        *slot = cap.saturating_sub(b.len());
-                    }
-                    free[to] = f;
-                }
-            }
-        }
-        let mut moves = std::mem::take(&mut self.scratch.route_moves);
-        moves.clear();
+        let mut mask = std::mem::take(&mut self.ev.route);
         let mut result = Ok(());
-        for &node in &active {
-            if let Err(e) = self.route_decide_node(node, &mut free, &mut moves) {
-                result = Err(e);
-                break;
+        let visited = mask.retain(|node| {
+            if result.is_err() {
+                // The engine is unwinding; freeze the remaining bits.
+                return true;
             }
-        }
+            match self.route_decide_node(node, &mut free, &mut moves) {
+                Ok(busy) => busy,
+                Err(e) => {
+                    result = Err(e);
+                    true
+                }
+            }
+        });
+        self.ev.route = mask;
         if result.is_ok() {
             self.route_apply_moves(&moves);
-            // Clear bits only after the pushes landed: a drained router
-            // that just received fresh flits must stay scheduled.
-            for &node in &active {
-                let n = &self.nodes[node];
-                if [NORTH, SOUTH, WEST, EAST]
-                    .iter()
-                    .all(|&d| n.out[d].is_empty())
-                {
-                    self.ev.route.clear(node);
-                }
-            }
         }
-        let visited = active.len();
-        self.ev.route_free = free;
+        self.scratch.route_free = free;
         self.scratch.route_moves = moves;
-        self.ev.active_nodes = active;
         result.map(|()| visited)
     }
 
@@ -2367,20 +2212,12 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         Ok(!self.nodes[node].out[EJECT].is_empty())
     }
 
-    fn step_spd(&mut self) -> Result<(), SimError> {
-        for node in 0..self.nodes.len() {
-            self.spd_node(node)?;
-        }
-        Ok(())
-    }
-
-    fn step_spd_event(&mut self) -> Result<usize, SimError> {
+    fn step_spd(&mut self) -> Result<usize, SimError> {
         let mut mask = std::mem::take(&mut self.ev.spd);
         let mut result = Ok(());
         let visited = mask.retain(|node| {
             if result.is_err() {
-                // The engine is unwinding; freeze the remaining bits
-                // (stepped execution also stops mid-scan on error).
+                // The engine is unwinding; freeze the remaining bits.
                 return true;
             }
             match self.spd_node(node) {
@@ -2432,13 +2269,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
         !self.nodes[node].apply_queue.is_empty()
     }
 
-    fn step_apply(&mut self) {
-        for node in 0..self.nodes.len() {
-            self.apply_node(node);
-        }
-    }
-
-    fn step_apply_event(&mut self) -> usize {
+    fn step_apply(&mut self) -> usize {
         let mut mask = std::mem::take(&mut self.ev.apply);
         let visited = mask.retain(|node| self.apply_node(node));
         self.ev.apply = mask;
@@ -2456,6 +2287,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             for v in iv.start..iv.end {
                 let node = placement.home_pe(v);
                 self.nodes[node].apply_queue.push_back(v);
+                self.ev.apply.set(node);
                 self.apply_inflight += 1;
             }
         } else {
@@ -2464,14 +2296,8 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
             for v in list {
                 let node = placement.home_pe(v);
                 self.nodes[node].apply_queue.push_back(v);
+                self.ev.apply.set(node);
                 self.apply_inflight += 1;
-            }
-        }
-        if self.ev.on {
-            for node in 0..self.nodes.len() {
-                if !self.nodes[node].apply_queue.is_empty() {
-                    self.ev.apply.set(node);
-                }
             }
         }
         self.phase = Phase::Apply;
@@ -2855,147 +2681,6 @@ mod tests {
         assert!(sim.stats.noc_hops >= sim.stats.activations * 31);
     }
 
-    // ----- idle-cycle fast-forward ----------------------------------------
-
-    /// The fast-forward contract: not "close enough", but the same machine.
-    /// Every counter in `SimStats`, every frontier size, every property
-    /// must match a cycle-by-cycle run exactly.
-    fn assert_ff_identical<A: Algorithm>(algo: &A, graph: &Csr, cfg: &ScalaGraphConfig) {
-        let mut off = cfg.clone();
-        off.fast_forward = false;
-        let mut on = cfg.clone();
-        on.fast_forward = true;
-        let a = run_on(algo, graph, off);
-        let b = run_on(algo, graph, on);
-        assert_eq!(a.properties, b.properties, "properties diverge");
-        assert_eq!(a.frontier_sizes, b.frontier_sizes, "frontiers diverge");
-        assert_eq!(a.stats, b.stats, "stats diverge");
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical_for_pipelined_bfs() {
-        let g = Csr::from_edges(600, &generators::power_law(600, 8000, 0.8, 41));
-        assert_ff_identical(&Bfs::from_root(Dataset::pick_root(&g)), &g, &cfg32());
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical_without_pipelining() {
-        // Non-pipelined runs spend long stretches in the inter-iteration
-        // fetch stall — the main idle window the jump exists for.
-        let g = Csr::from_edges(500, &generators::uniform(500, 4000, 7));
-        let mut cfg = cfg32();
-        cfg.inter_phase_pipelining = false;
-        assert_ff_identical(&Bfs::from_root(3), &g, &cfg);
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical_for_sssp_and_cc() {
-        let mut list = EdgeList::new(200);
-        for e in generators::uniform(200, 1500, 13) {
-            list.push(e);
-        }
-        list.randomize_weights(255, 5);
-        let g = Csr::from_edge_list(&list);
-        assert_ff_identical(&Sssp::from_root(0), &g, &cfg32());
-
-        let mut list = EdgeList::new(150);
-        for e in generators::uniform(150, 600, 17) {
-            list.push(e);
-        }
-        list.symmetrize();
-        let g = Csr::from_edge_list(&list);
-        assert_ff_identical(&ConnectedComponents::new(), &g, &cfg32());
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical_for_pagerank_and_dom_broadcasts() {
-        let g = Csr::from_edges(120, &generators::power_law(120, 1200, 0.8, 21));
-        assert_ff_identical(&PageRank::new(5), &g, &cfg32());
-
-        // DOM exercises the broadcast-backlog drain timer.
-        let g = Csr::from_edges(128, &generators::uniform(128, 1000, 59));
-        let mut cfg = cfg32();
-        cfg.mapping = Mapping::DestinationOriented;
-        assert_ff_identical(&Bfs::from_root(0), &g, &cfg);
-    }
-
-    #[test]
-    fn fast_forward_is_bit_identical_across_slices() {
-        let g = Csr::from_edges(300, &generators::uniform(300, 3000, 37));
-        let mut cfg = cfg32();
-        cfg.spd_capacity_vertices = 64; // forces ~5 slices
-        assert_ff_identical(&Bfs::from_root(0), &g, &cfg);
-    }
-
-    #[test]
-    fn fast_forward_trips_the_watchdog_on_the_same_cycle() {
-        use crate::fault::{Fault, FaultKind, FaultPlan};
-        // Permanently pin a channel mid-run: the watchdog must fire on the
-        // identical cycle with the identical stall count either way.
-        let g = Csr::from_edges(400, &generators::uniform(400, 3000, 11));
-        let algo = Bfs::from_root(0);
-        let mut cfg = cfg32();
-        cfg.watchdog_stall_cycles = 2_000;
-        cfg.fault_plan = Some(
-            FaultPlan::seeded(11).with(
-                Fault::new(FaultKind::HbmStall {
-                    tile: 0,
-                    channel: 0,
-                    cycles: u64::MAX,
-                })
-                .window(20, 21),
-            ),
-        );
-        let run = |ff: bool| {
-            let mut c = cfg.clone();
-            c.fast_forward = ff;
-            try_run_on(&algo, &g, c)
-        };
-        match (run(false), run(true)) {
-            (Err(ea), Err(eb)) => {
-                let sa = ea.snapshot().expect("stall errors carry a snapshot");
-                let sb = eb.snapshot().expect("stall errors carry a snapshot");
-                assert_eq!(sa.cycle, sb.cycle, "watchdog cycle diverges");
-                assert_eq!(sa.stalled_for, sb.stalled_for);
-                assert!(sa.stalled_for >= 2_000);
-            }
-            (a, b) => panic!("expected identical stalls, got {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn cycle_limit_fires_identically_with_fast_forward() {
-        let g = Csr::from_edges(200, &generators::uniform(200, 1500, 3));
-        let algo = Bfs::from_root(0);
-        let full = try_run_on(&algo, &g, cfg32()).expect("full run converges");
-        assert!(full.stats.cycles > 16, "graph too small to interrupt");
-        let limit = full.stats.cycles / 2;
-        let run = |ff: bool| {
-            let mut c = cfg32();
-            c.cycle_limit = Some(limit);
-            c.fast_forward = ff;
-            try_run_on(&algo, &g, c)
-        };
-        match (run(false), run(true)) {
-            (
-                Err(SimError::DeadlineExceeded {
-                    cycle: ca,
-                    partial: pa,
-                }),
-                Err(SimError::DeadlineExceeded {
-                    cycle: cb,
-                    partial: pb,
-                }),
-            ) => {
-                assert_eq!(ca, limit, "deadline lands on exactly the limit cycle");
-                assert_eq!(cb, limit);
-                assert_eq!(pa, pb, "partial counters diverge between modes");
-                assert_eq!(pa.cycles, limit);
-            }
-            (a, b) => panic!("expected identical deadlines, got {a:?} vs {b:?}"),
-        }
-    }
-
     #[test]
     fn cancel_token_signals_map_to_typed_errors() {
         let g = Csr::from_edges(100, &generators::uniform(100, 600, 9));
@@ -3037,16 +2722,16 @@ mod tests {
 
     // ----- event-driven stepping core -------------------------------------
 
-    /// The event-driven contract extends the fast-forward one: stepped and
-    /// event-driven execution are the same machine, counter for counter.
+    /// The event core's contract: not "close enough", but the same machine.
+    /// Every counter in `SimStats`, every frontier size, every property
+    /// must match the dense reference, which visits every unit on every
+    /// cycle and skips none.
     fn assert_ev_identical<A: Algorithm>(algo: &A, graph: &Csr, cfg: &ScalaGraphConfig) {
-        let mut stepped = cfg.clone();
-        stepped.fast_forward = false;
-        stepped.event_driven = false;
+        let mut dense = cfg.clone();
+        dense.fast_forward = false;
         let mut event = cfg.clone();
         event.fast_forward = true;
-        event.event_driven = true;
-        let a = run_on(algo, graph, stepped);
+        let a = run_on(algo, graph, dense);
         let b = run_on(algo, graph, event);
         assert_eq!(a.properties, b.properties, "properties diverge");
         assert_eq!(a.frontier_sizes, b.frontier_sizes, "frontiers diverge");
@@ -3058,16 +2743,6 @@ mod tests {
         let g = Csr::from_edges(600, &generators::power_law(600, 8000, 0.8, 41));
         let algo = Bfs::from_root(Dataset::pick_root(&g));
         assert_ev_identical(&algo, &g, &cfg32());
-        // Three-way: the intermediate fast-forward-only mode must also
-        // land on the same machine state.
-        let mut ff = cfg32();
-        ff.fast_forward = true;
-        let mut ev = cfg32();
-        ev.fast_forward = true;
-        ev.event_driven = true;
-        let a = run_on(&algo, &g, ff);
-        let b = run_on(&algo, &g, ev);
-        assert_eq!(a.stats, b.stats, "fast-forward vs event-driven diverge");
     }
 
     #[test]
@@ -3122,8 +2797,8 @@ mod tests {
     #[test]
     fn event_driven_is_bit_identical_under_link_faults() {
         use crate::fault::{Fault, FaultKind, FaultPlan, LinkDir};
-        // Delayed and corrupted flits park in the side pool and wake via
-        // the calendar; drops perturb the fault RNG stream. All of it must
+        // Delayed and corrupted flits park in the side pool and bound the
+        // idle skip; drops perturb the fault RNG stream. All of it must
         // replay identically when only active units are stepped.
         let g = Csr::from_edges(400, &generators::power_law(400, 4000, 0.8, 23));
         let algo = Bfs::from_root(Dataset::pick_root(&g));
@@ -3184,23 +2859,20 @@ mod tests {
                 .window(20, 21),
             ),
         );
-        let run = |ff: bool, ev: bool| {
+        let run = |ff: bool| {
             let mut c = cfg.clone();
             c.fast_forward = ff;
-            c.event_driven = ev;
             try_run_on(&algo, &g, c)
         };
-        match (run(false, false), run(true, false), run(true, true)) {
-            (Err(ea), Err(eb), Err(ec)) => {
+        match (run(false), run(true)) {
+            (Err(ea), Err(eb)) => {
                 let sa = ea.snapshot().expect("stall errors carry a snapshot");
                 let sb = eb.snapshot().expect("stall errors carry a snapshot");
-                let sc = ec.snapshot().expect("stall errors carry a snapshot");
-                assert_eq!(sa.cycle, sc.cycle, "watchdog cycle diverges");
-                assert_eq!(sb.cycle, sc.cycle);
-                assert_eq!(sa.stalled_for, sc.stalled_for);
-                assert!(sc.stalled_for >= 2_000);
+                assert_eq!(sa.cycle, sb.cycle, "watchdog cycle diverges");
+                assert_eq!(sa.stalled_for, sb.stalled_for);
+                assert!(sb.stalled_for >= 2_000);
             }
-            (a, b, c) => panic!("expected identical stalls, got {a:?} / {b:?} / {c:?}"),
+            (a, b) => panic!("expected identical stalls, got {a:?} vs {b:?}"),
         }
     }
 
@@ -3214,7 +2886,6 @@ mod tests {
             let mut c = cfg32();
             c.cycle_limit = Some(limit);
             c.fast_forward = ev;
-            c.event_driven = ev;
             try_run_on(&algo, &g, c)
         };
         match (run(false), run(true)) {
@@ -3237,14 +2908,13 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_telemetry_matches_stepped_and_adds_diagnostics() {
+    fn event_driven_telemetry_matches_dense_and_adds_diagnostics() {
         use crate::telemetry::Recorder;
         let g = Csr::from_edges(500, &generators::power_law(500, 5000, 0.8, 19));
         let algo = Bfs::from_root(Dataset::pick_root(&g));
         let run = |ev: bool| {
             let mut c = cfg32();
             c.fast_forward = ev;
-            c.event_driven = ev;
             let mut rec = Recorder::new(64);
             let r = Simulator::try_new(&algo, &g, c)
                 .and_then(|mut s| s.try_run_with(&mut rec))
@@ -3259,7 +2929,7 @@ mod tests {
             rec_b.summary(),
             "telemetry summary must be mode-invariant"
         );
-        // Per-cycle runs emit no event-core rows at all.
+        // The dense reference emits no event-core rows at all.
         assert!(rec_a.event_windows().is_empty());
         assert_eq!(rec_a.event_core_totals(), (0, 0));
         assert_eq!(rec_a.event_busy_fraction(), None);
@@ -3292,10 +2962,11 @@ mod tests {
         });
         assert_eq!(visited, 5);
         assert_eq!(seen, [0, 63, 64, 65, 129], "visit order is ascending");
-        let mut left = Vec::new();
-        m.collect_into(&mut left);
-        assert_eq!(left, [64]);
-        m.clear(64);
+        assert_eq!(m.retain(|u| u != 64), 1, "only unit 64 is left");
+        assert!(m.is_empty());
+        // A filled mask holds exactly its units, the tail word included.
+        m.fill();
+        assert_eq!(m.retain(|_| false), 130);
         assert!(m.is_empty());
     }
 }

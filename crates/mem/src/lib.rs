@@ -479,15 +479,6 @@ impl Hbm {
         earliest
     }
 
-    /// [`next_event_cycle`](Self::next_event_cycle) reshaped for an
-    /// event-driven caller that tracks its own clock: the earliest cycle
-    /// *strictly after* `now` at which the device may act. The clamp
-    /// matters when the caller asks mid-cycle — an unconsumed response is
-    /// "actionable now", but the next *stepping* opportunity is `now + 1`.
-    pub fn next_activity_cycle(&self, now: u64) -> Option<u64> {
-        self.next_event_cycle().map(|c| c.max(now + 1))
-    }
-
     /// Pops the next completed read on `channel`, if any.
     pub fn pop_ready(&mut self, channel: usize) -> Option<MemRequest> {
         self.channels[channel].ready.pop_front()
@@ -827,24 +818,6 @@ mod tests {
         }
         assert_eq!(hbm, stepped);
         assert_eq!(hbm.channel_telemetry(1).stall_cycles, 9);
-    }
-
-    #[test]
-    fn next_activity_cycle_clamps_to_the_future() {
-        let mut hbm = Hbm::new(tiny_config());
-        assert!(hbm.try_request(0, MemRequest::read(7, 64)));
-        hbm.step(); // serviced at cycle 1, ready at 5
-        assert_eq!(hbm.next_event_cycle(), Some(5));
-        assert_eq!(hbm.next_activity_cycle(1), Some(5));
-        // An unconsumed response is actionable "now"; the next stepping
-        // opportunity is still strictly in the caller's future.
-        for _ in 0..4 {
-            hbm.step();
-        }
-        assert_eq!(hbm.next_event_cycle(), Some(hbm.now() + 1));
-        assert_eq!(hbm.next_activity_cycle(hbm.now()), Some(hbm.now() + 1));
-        while hbm.pop_ready(0).is_some() {}
-        assert_eq!(hbm.next_activity_cycle(hbm.now()), None);
     }
 
     #[test]

@@ -504,21 +504,6 @@ impl Mesh {
             .all(|r| r.inputs.iter().all(VecDeque::is_empty))
     }
 
-    /// The earliest future cycle at which [`step`](Self::step) could move
-    /// a packet, or `None` once every router pipeline is drained. Routers
-    /// have no internal timers — any queued packet is a candidate on the
-    /// very next cycle — so this is `now + 1` or nothing. Undelivered
-    /// ejections do not count: they wait on the consumer, not the clock.
-    /// Event-driven simulators use this to post the mesh's next-activity
-    /// cycle into their calendar.
-    pub fn next_activity_cycle(&self) -> Option<u64> {
-        if self.in_flight_empty() {
-            None
-        } else {
-            Some(self.now + 1)
-        }
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> NocStats {
         self.stats
@@ -951,29 +936,6 @@ mod tests {
         assert_eq!(loads[0].to, 1);
         assert_eq!(loads[0].traversals, 0);
         assert_eq!(loads[0].blocked_cycles, 8);
-    }
-
-    #[test]
-    fn next_activity_tracks_in_flight_packets() {
-        let mut m = Mesh::new(MeshConfig::new(2, 2));
-        assert_eq!(m.next_activity_cycle(), None, "empty mesh never acts");
-        m.try_inject(
-            0,
-            Packet {
-                dst: 3,
-                payload: 1,
-                inject_cycle: 0,
-            },
-        );
-        while m.next_activity_cycle().is_some() {
-            assert_eq!(m.next_activity_cycle(), Some(m.now() + 1));
-            m.step();
-            assert!(m.now() < 20, "packet must drain");
-        }
-        // Delivered but unconsumed: the mesh itself has nothing left to do.
-        assert!(!m.is_idle());
-        assert_eq!(m.next_activity_cycle(), None);
-        assert_eq!(m.pop_delivered(3).unwrap().payload, 1);
     }
 
     #[test]

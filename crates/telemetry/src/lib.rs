@@ -335,13 +335,13 @@ pub trait Collector {
 
     /// Event-core activity of the metrics window that just closed:
     /// `dispatched` unit-visits actually executed and `skipped` unit-visits
-    /// the calendar proved idle and never touched. Emitted only by the
-    /// event-driven engine (per-cycle engines visit everything and report
-    /// nothing here), right before each [`roll_window`](Self::roll_window)
-    /// and once more at run end for the final partial window. These are
-    /// mode *diagnostics*: they live beside the compared telemetry, so
-    /// summaries stay bit-identical across stepped / fast-forward /
-    /// event-driven execution.
+    /// the activity masks proved idle and never touched. Emitted only by
+    /// the sparse engine (its dense reference visits everything and
+    /// reports nothing here), right before each
+    /// [`roll_window`](Self::roll_window) and once more at run end for the
+    /// final partial window. These are mode *diagnostics*: they live
+    /// beside the compared telemetry, so summaries stay bit-identical
+    /// across the two.
     fn event_core_sample(&mut self, dispatched: u64, skipped: u64) {
         let _ = (dispatched, skipped);
     }

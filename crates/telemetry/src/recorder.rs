@@ -52,10 +52,9 @@ pub struct LinkWindowRow {
 
 /// Event-core activity over one metrics window: unit-visits the
 /// event-driven engine executed vs. proved idle and skipped. Only the
-/// event-driven engine produces rows (per-cycle engines visit every unit
-/// and report nothing), so these are mode *diagnostics* — deliberately
-/// kept out of [`TelemetrySummary`], which stays bit-identical across
-/// stepped / fast-forward / event-driven execution.
+/// sparse engine produces rows (its dense reference visits every unit and
+/// reports nothing), so these are mode *diagnostics* — deliberately kept
+/// out of [`TelemetrySummary`], which stays bit-identical across the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventWindowRow {
     /// Window index (0-based).
@@ -264,15 +263,15 @@ impl Recorder {
         self.end_cycle
     }
 
-    /// Event-core diagnostics per window (event-driven runs only; empty
-    /// otherwise). Windows where nothing was dispatched *or* skipped
+    /// Event-core diagnostics per window (sparse runs only; empty in the
+    /// dense reference). Windows where nothing was dispatched *or* skipped
     /// produce no row.
     pub fn event_windows(&self) -> &[EventWindowRow] {
         &self.event_rows
     }
 
     /// Total event-core unit-visits over the whole run, as
-    /// `(dispatched, skipped)`. `(0, 0)` for per-cycle runs.
+    /// `(dispatched, skipped)`. `(0, 0)` for dense runs.
     pub fn event_core_totals(&self) -> (u64, u64) {
         self.event_rows
             .iter()
@@ -281,7 +280,7 @@ impl Recorder {
 
     /// Fraction of unit-visits the event-driven run actually executed:
     /// `dispatched / (dispatched + skipped)`. `None` when no event-core
-    /// rows were recorded (per-cycle runs).
+    /// rows were recorded (dense runs).
     pub fn event_busy_fraction(&self) -> Option<f64> {
         let (d, s) = self.event_core_totals();
         if d + s == 0 {

@@ -60,10 +60,10 @@
 //!   --watchdog <cycles>             stall watchdog threshold, 0 disables [25000]
 //!   --threads <n>                   worker threads for parallel sweeps
 //!                                   (sets SCALAGRAPH_THREADS) [all cores]
-//!   --fast-forward                  skip quiescent cycles in bulk [on]
-//!   --no-fast-forward               step every cycle individually
-//!   --event-driven                  step only units with scheduled work
-//!                                   (implies --fast-forward)
+//!   --fast-forward                  step only units with work, skip
+//!                                   quiescent cycles in bulk [on]
+//!   --no-fast-forward               dense reference: step every unit on
+//!                                   every cycle
 //!   --baseline                      also run the GraphDynS-128 baseline
 //!   --metrics-window <cycles>       telemetry sampling window [1000]
 //!   --trace-out <path>              write a Chrome trace-event JSON
@@ -92,13 +92,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &[
-    "no-pipeline",
-    "baseline",
-    "fast-forward",
-    "no-fast-forward",
-    "event-driven",
-];
+const SWITCHES: &[&str] = &["no-pipeline", "baseline", "fast-forward", "no-fast-forward"];
 /// Flags that take a value.
 const OPTIONS: &[&str] = &[
     "algo",
@@ -220,9 +214,6 @@ fn build_config(args: &HashMap<String, String>) -> ScalaGraphConfig {
     // Fast-forward is on by default; results are bit-identical either way,
     // so --no-fast-forward exists for A/B timing, not correctness.
     cfg.fast_forward = !args.contains_key("no-fast-forward");
-    // Event-driven stepping subsumes the whole-device jump, so it needs
-    // fast-forward enabled — validate() rejects the combination otherwise.
-    cfg.event_driven = args.contains_key("event-driven");
     cfg
 }
 
@@ -746,9 +737,6 @@ fn main() {
     let args = parse_args();
     if args.contains_key("fast-forward") && args.contains_key("no-fast-forward") {
         usage_and_exit("--fast-forward and --no-fast-forward are mutually exclusive");
-    }
-    if args.contains_key("event-driven") && args.contains_key("no-fast-forward") {
-        usage_and_exit("--event-driven requires fast-forward; drop --no-fast-forward");
     }
     if let Some(t) = args.get("threads") {
         match t.parse::<usize>() {

@@ -86,12 +86,11 @@ fn batch_over_corpus_deadline_kills_the_wedge_and_balances() {
         if matches!(scenario.expect, Expectation::Wedge { .. }) {
             // Pin the wedge open: disable the watchdog (which would
             // otherwise diagnose the stall as a structured failure) and
-            // force plain stepped execution — the event-driven core
-            // requires a live watchdog, so it is switched off too — so
-            // only the runtime's wall-clock deadline can end the job.
+            // force the dense reference — the idle skip would leap a
+            // watchdog-free wedge straight to the cycle cap — so only the
+            // runtime's wall-clock deadline can end the job.
             scenario.config.watchdog_stall_cycles = 0;
             scenario.modes.fast_forward = false;
-            scenario.modes.event_driven = false;
             wedge_names.push(scenario.name.clone());
         }
         specs.push(JobSpec::new(scenario));

@@ -6,8 +6,8 @@
 //! shifts one arbitration tie, say. This test runs a small fixed matrix of
 //! configurations and compares the complete [`SimStats`], the frontier
 //! trace and a hash of the final property bits with constants recorded
-//! from an earlier build (the `golden` module at the end), in both the
-//! fast-forward and the event-driven stepping modes.
+//! from an earlier build (the `golden` module at the end), on both the
+//! event-driven core and the dense reference.
 //!
 //! The matrix covers the paths the hot loop specialises: row-oriented
 //! mapping at 512 PEs on U280 memory with pipelined BFS; a three-column
@@ -73,21 +73,19 @@ fn observe<P: Bits + Copy>(result: SimResult<P>) -> Observed {
     }
 }
 
-/// Runs `algo` in fast-forward and in event-driven mode, asserts the two
-/// agree, and returns the shared outcome.
+/// Runs `algo` on the event-driven core and in the dense reference,
+/// asserts the two agree, and returns the shared outcome.
 fn run_both<A: Algorithm>(algo: &A, graph: &Csr, cfg: &ScalaGraphConfig) -> Observed
 where
     A::Prop: Bits,
 {
-    let mut ff = cfg.clone();
-    ff.fast_forward = true;
-    ff.event_driven = false;
     let mut ev = cfg.clone();
     ev.fast_forward = true;
-    ev.event_driven = true;
-    let a = observe(try_run_on(algo, graph, ff).expect("fast-forward run converges"));
-    let b = observe(try_run_on(algo, graph, ev).expect("event-driven run converges"));
-    assert_eq!(a, b, "fast-forward and event-driven runs diverged");
+    let mut dense = cfg.clone();
+    dense.fast_forward = false;
+    let a = observe(try_run_on(algo, graph, ev).expect("event-core run converges"));
+    let b = observe(try_run_on(algo, graph, dense).expect("dense run converges"));
+    assert_eq!(a, b, "event-core and dense runs diverged");
     a
 }
 

@@ -475,18 +475,17 @@ fn event_driven_is_bit_identical_including_telemetry() {
         let run = |event: bool| {
             let mut c = cfg.clone();
             c.fast_forward = event;
-            c.event_driven = event;
             let mut rec = Recorder::new(window);
             let r = Simulator::try_new(&algo, &g, c)
                 .and_then(|mut s| s.try_run_with(&mut rec))
                 .expect("run converges");
             (r, rec)
         };
-        let (stepped, rec_s) = run(false);
+        let (dense, rec_s) = run(false);
         let (event, rec_e) = run(true);
-        assert_eq!(&event.properties, &stepped.properties);
-        assert_eq!(&event.frontier_sizes, &stepped.frontier_sizes);
-        assert_eq!(event.stats, stepped.stats);
+        assert_eq!(&event.properties, &dense.properties);
+        assert_eq!(&event.frontier_sizes, &dense.frontier_sizes);
+        assert_eq!(event.stats, dense.stats);
         // The recorded telemetry stream — every window row, every span —
         // must be bit-identical too; only the event-core diagnostic rows
         // are mode-specific.
@@ -517,7 +516,6 @@ fn event_driven_cancellation_yields_a_prefix_telemetry_stream() {
         let algo = Bfs::from_root(0);
         let mut cfg = ScalaGraphConfig::with_pes(32);
         cfg.fast_forward = true;
-        cfg.event_driven = true;
         let mut full_rec = Recorder::new(window);
         let full = Simulator::try_new(&algo, &g, cfg.clone())
             .and_then(|mut s| s.try_run_with(&mut full_rec))

@@ -317,6 +317,53 @@ fn fast_forward_trips_the_watchdog_identically() {
     assert_fast_forward_identical(&g, &cfg);
 }
 
+/// With the watchdog off nothing diagnoses a wedge, so the event core's
+/// idle skip has no watchdog cycle to stop at: it must still land on the
+/// cycle limit with the dense reference's error and partial counters.
+#[test]
+fn a_wedge_with_the_watchdog_off_ends_identically_on_both_loops() {
+    let g = test_graph(4);
+    let mut cfg = ScalaGraphConfig::with_pes(32);
+    cfg.watchdog_stall_cycles = 0;
+    cfg.cycle_limit = Some(20_000);
+    cfg.fault_plan = Some(
+        FaultPlan::seeded(11).with(
+            Fault::new(FaultKind::HbmStall {
+                tile: 0,
+                channel: 0,
+                cycles: u64::MAX,
+            })
+            .window(20, 21),
+        ),
+    );
+    let run = |fast_forward: bool| {
+        let mut c = cfg.clone();
+        c.fast_forward = fast_forward;
+        try_run_on(&Bfs::from_root(0), &g, c)
+    };
+    match (run(false), run(true)) {
+        (
+            Err(SimError::DeadlineExceeded {
+                cycle: dense_cycle,
+                partial: dense,
+            }),
+            Err(SimError::DeadlineExceeded {
+                cycle: core_cycle,
+                partial: core,
+            }),
+        ) => {
+            assert_eq!(dense_cycle, 20_000, "the wedge runs to the limit");
+            assert_eq!(core_cycle, dense_cycle);
+            assert_eq!(core, dense, "partial counters diverge");
+        }
+        (a, b) => panic!(
+            "expected two DeadlineExceeded errors, got dense={:?} core={:?}",
+            a.map(|r| r.stats),
+            b.map(|r| r.stats)
+        ),
+    }
+}
+
 #[test]
 fn corrupt_graph_files_error_instead_of_panicking() {
     let dir = std::env::temp_dir().join("scalagraph_robustness_tests");

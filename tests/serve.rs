@@ -14,6 +14,8 @@
 //!    `malformed_json` refusal, not a stack overflow that aborts the
 //!    daemon.
 //! 5. Dynamic corpus scenarios (with a `mutations` schedule) run over HTTP.
+//! 6. A scenario that still carries the retired `modes.event_driven` key
+//!    parses to its migrated form, shares its fingerprint, and is served.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -242,6 +244,57 @@ fn a_dynamic_corpus_scenario_runs_over_http() {
     assert_eq!(status, 200, "{body}");
     assert!(body.starts_with("{\"ok\":true"), "{body}");
     assert!(body.contains("\"status\":\"completed\""), "{body}");
+    server.stop();
+    let counters = server.join();
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+}
+
+#[test]
+fn a_scenario_with_the_retired_event_driven_key_is_served_as_its_migrated_form() {
+    let migrated = healthy("serve-retired-event-driven");
+    let text = migrated.to_json_string();
+    let current = "\"fast_forward\": true,";
+    assert!(text.contains(current), "{text}");
+    // Scenarios written before the event-driven core became the only
+    // loop: the old canonical form, and one that asked for the core
+    // through `event_driven` alone.
+    let old_forms = [
+        text.replacen(
+            current,
+            "\"fast_forward\": true,\n    \"event_driven\": true,",
+            1,
+        ),
+        text.replacen(
+            current,
+            "\"fast_forward\": false,\n    \"event_driven\": true,",
+            1,
+        ),
+    ];
+    for old in &old_forms {
+        let parsed = Scenario::from_json_str(old).expect("the old form parses");
+        assert_eq!(parsed, migrated, "{old}");
+        assert_eq!(parsed.fingerprint(), migrated.fingerprint());
+    }
+
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    let mut results = Vec::new();
+    for body in old_forms.iter().chain([&text]) {
+        let (status, response) = post_run(&addr, body);
+        assert_eq!(status, 200, "{response}");
+        assert!(response.starts_with("{\"ok\":true"), "{response}");
+        assert!(response.contains("\"status\":\"completed\""), "{response}");
+        results.push(
+            extract_result(&response)
+                .expect("result payload")
+                .to_string(),
+        );
+    }
+    assert!(
+        results.iter().all(|r| *r == results[0]),
+        "one fingerprint, one result: {results:?}"
+    );
+    assert_eq!(metric(&addr, "memo_hits"), 2, "later forms hit the memo");
     server.stop();
     let counters = server.join();
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
