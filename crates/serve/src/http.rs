@@ -91,17 +91,24 @@ pub fn read_request(
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let declared = value
                     .trim()
                     .parse()
                     .map_err(|_| HttpError::Malformed("unparseable Content-Length".into()))?;
+                if content_length.is_some_and(|earlier| earlier != declared) {
+                    return Err(HttpError::Malformed(
+                        "conflicting Content-Length headers".into(),
+                    ));
+                }
+                content_length = Some(declared);
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         let buffered = buf.len().saturating_sub(head_end + 4);
         return Err(HttpError::Oversized {
@@ -231,6 +238,21 @@ mod tests {
             request("POST /run\r\n\r\n", 1024),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        let twice = |a, b| {
+            format!("POST /run HTTP/1.1\r\nContent-Length: {a}\r\nContent-Length: {b}\r\n\r\nok")
+        };
+        assert!(matches!(
+            request(&twice(2, 3), 1024),
+            Err(HttpError::Malformed(m)) if m.contains("conflicting")
+        ));
+        assert_eq!(
+            request(&twice(2, 2), 1024).expect("repeats agree").body,
+            "ok"
+        );
     }
 
     #[test]

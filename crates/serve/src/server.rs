@@ -9,17 +9,18 @@
 //! listener.
 //!
 //! Shutdown is cooperative and total: a `shutdown` control request (either
-//! transport) or [`Server::stop`] flips one flag; the accept loop closes,
-//! the executor drains its queue into typed refusals and cancels in-flight
-//! simulations through their [`CancelToken`](scalagraph::CancelToken)s,
-//! connection threads flush their last responses, and [`Server::join`]
-//! returns the final counters — whose ledger must balance, exactly as in
-//! the batch runtime.
+//! transport) or [`Server::stop`] flips one flag and wakes the accept
+//! thread, which blocks in `accept()`, with a connection of its own; the
+//! accept loop closes, the executor drains its queue into typed refusals
+//! and cancels in-flight simulations through their
+//! [`CancelToken`](scalagraph::CancelToken)s, connection threads flush
+//! their last responses, and [`Server::join`] returns the final counters —
+//! whose ledger must balance, exactly as in the batch runtime.
 
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -124,16 +125,46 @@ pub fn render_metrics_text(
     out
 }
 
+/// How long a connection read blocks before its handler re-checks the stop
+/// flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// How long a wake-up connect may take, and how long [`Server::join`] waits
+/// for the accept thread before waking it again.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+
 struct Shared {
     metrics: Arc<ServiceMetrics>,
     graphs: Arc<GraphCache>,
     memo: Arc<MemoCache>,
     executor: Executor,
     stop: AtomicBool,
+    /// Where a wake-up connection reaches the listener.
+    wake_addr: SocketAddr,
     max_body_bytes: usize,
 }
 
 impl Shared {
+    /// Flips the stop flag, then wakes the accept thread out of `accept()`.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.wake_listener();
+    }
+
+    /// Opens, and at once drops, one connection to the listener; the accept
+    /// loop checks the stop flag after every accept. A failed connect is
+    /// left to [`Server::join`], which wakes the listener until its thread
+    /// has exited.
+    fn wake_listener(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
+
+    fn reader<'a>(&'a self, stream: &'a TcpStream) -> ConnReader<'a> {
+        ConnReader {
+            stream,
+            stop: &self.stop,
+        }
+    }
+
     fn metrics_text(&self) -> String {
         render_metrics_text(
             &self.metrics.snapshot(),
@@ -151,7 +182,7 @@ impl Shared {
                 control_response("metrics", Some(("text", Json::Str(self.metrics_text()))))
             }
             Request::Control(Control::Shutdown) => {
-                self.stop.store(true, Ordering::Release);
+                self.request_stop();
                 control_response("shutdown", None)
             }
             Request::Run {
@@ -188,23 +219,40 @@ impl Shared {
     }
 }
 
-enum LineRead {
-    Line(Vec<u8>),
-    Eof,
-    Oversized,
-    Stopped,
+/// A connection's read side. A read waits out any number of
+/// [`READ_TIMEOUT`]s while the daemon runs, so a slow peer is waited for;
+/// once the daemon is stopping, a timeout ends the read with its error.
+struct ConnReader<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
 }
 
-/// Reads one `\n`-terminated line from a stream with a read timeout,
-/// polling the stop flag between timeouts and refusing lines over `cap`
-/// bytes. `pending` carries bytes already read (sniffing, previous line
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) && !self.stop.load(Ordering::Acquire) => {}
+                done => return done,
+            }
+        }
+    }
+}
+
+enum LineRead {
+    Line(Vec<u8>),
+    /// The peer closed, the socket failed, or the daemon is stopping.
+    End,
+    Oversized,
+}
+
+/// Reads one `\n`-terminated line, refusing lines over `cap` bytes.
+/// `pending` carries bytes already read (sniffing, previous line
 /// overshoot) across calls.
-fn read_line(
-    stream: &mut TcpStream,
-    pending: &mut Vec<u8>,
-    cap: usize,
-    stop: &AtomicBool,
-) -> LineRead {
+fn read_line(reader: &mut ConnReader<'_>, pending: &mut Vec<u8>, cap: usize) -> LineRead {
     loop {
         if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
             let mut line: Vec<u8> = pending.drain(..=pos).collect();
@@ -217,27 +265,22 @@ fn read_line(
         if pending.len() > cap {
             return LineRead::Oversized;
         }
-        if stop.load(Ordering::Acquire) {
-            return LineRead::Stopped;
+        // A session ends at a stop even while its peer keeps sending.
+        if reader.stop.load(Ordering::Acquire) {
+            return LineRead::End;
         }
         let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
+        match reader.read(&mut chunk) {
             Ok(0) => {
                 return if pending.iter().any(|b| !b.is_ascii_whitespace()) {
                     // A final unterminated line still counts as a request.
                     LineRead::Line(std::mem::take(pending))
                 } else {
-                    LineRead::Eof
+                    LineRead::End
                 };
             }
             Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // re-check stop, then block again
-            }
-            Err(_) => return LineRead::Eof,
+            Err(_) => return LineRead::End,
         }
     }
 }
@@ -253,12 +296,11 @@ fn serve_jsonl(shared: &Shared, mut stream: TcpStream, mut pending: Vec<u8>) {
     };
     loop {
         match read_line(
-            &mut stream,
+            &mut shared.reader(&stream),
             &mut pending,
             shared.max_body_bytes,
-            &shared.stop,
         ) {
-            LineRead::Eof | LineRead::Stopped => return,
+            LineRead::End => return,
             LineRead::Oversized => {
                 // Framing is lost past an oversized line: answer, then close.
                 let body = ErrorReply::oversized(shared.max_body_bytes).to_response();
@@ -293,7 +335,8 @@ fn serve_jsonl(shared: &Shared, mut stream: TcpStream, mut pending: Vec<u8>) {
 
 /// One HTTP exchange: route, answer, close.
 fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
-    let request = match http::read_request(&pending, &mut stream, shared.max_body_bytes) {
+    let mut reader = shared.reader(&stream);
+    let request = match http::read_request(&pending, &mut reader, shared.max_body_bytes) {
         Ok(request) => request,
         Err(http::HttpError::Oversized { unread }) => {
             let refusal = ErrorReply::oversized(shared.max_body_bytes);
@@ -386,28 +429,16 @@ fn status_from_body(body: &str) -> (u16, &'static str) {
 }
 
 /// Sniffs the transport and dispatches the connection.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+fn serve_connection(shared: &Shared, stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     // Read until the first bytes disambiguate the transport.
     let mut pending: Vec<u8> = Vec::new();
-    loop {
-        if pending.len() >= 8 || pending.contains(&b'\n') {
-            break;
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
+    while pending.len() < 8 && !pending.contains(&b'\n') {
         let mut chunk = [0u8; 1024];
-        match stream.read(&mut chunk) {
+        match shared.reader(&stream).read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
             Err(_) => return,
         }
     }
@@ -433,7 +464,9 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    /// Disconnects when the accept thread exits.
+    accept_exited: Receiver<()>,
     summary: Option<JoinHandle<()>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -445,6 +478,9 @@ impl Server {
     ///
     /// The bind error, verbatim.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(&config.addr)?;
+        let local_addr = listener.local_addr()?;
+
         let metrics = Arc::new(ServiceMetrics::new());
         let graphs = Arc::new(GraphCache::with_byte_budget(
             config.graph_cache_capacity,
@@ -473,22 +509,25 @@ impl Server {
             memo,
             executor,
             stop: AtomicBool::new(false),
+            wake_addr: wake_addr(local_addr),
             max_body_bytes: config.max_body_bytes,
         });
 
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let (exited, accept_exited) = channel::<()>();
         let accept = {
             let shared = Arc::clone(&shared);
             let connections = Arc::clone(&connections);
             std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                // A stop's wake-up connection, or a client that raced the
+                // stop, is dropped here uncounted. Dropping `exited` tells
+                // `join` the loop is gone.
                 if shared.stop.load(Ordering::Acquire) {
+                    drop(exited);
                     return;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _)) => {
                         shared.metrics.conn_opened();
                         let shared = Arc::clone(&shared);
@@ -508,9 +547,8 @@ impl Server {
                             *conns = alive;
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+                    // A failed accept (the peer reset, descriptors ran out):
+                    // back off instead of spinning on it.
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             })
@@ -537,7 +575,8 @@ impl Server {
         Ok(Server {
             shared,
             local_addr,
-            accept: Some(accept),
+            accept,
+            accept_exited,
             summary,
             connections,
         })
@@ -561,7 +600,7 @@ impl Server {
     /// Requests a graceful shutdown (same effect as a `shutdown` control
     /// request over either transport).
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_stop();
     }
 
     /// Blocks until a shutdown is requested, then drains everything in
@@ -569,13 +608,15 @@ impl Server {
     /// (no new connections), then the executor (queued jobs refused,
     /// in-flight jobs cancelled — which unblocks connection handlers
     /// waiting on replies), then the connection threads.
-    pub fn join(mut self) -> ServiceCounters {
-        while !self.shared.stop.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(20));
+    pub fn join(self) -> ServiceCounters {
+        // Every stop path wakes the accept thread once; should that connect
+        // have failed, wake it again until the thread has exited.
+        while let Err(RecvTimeoutError::Timeout) = self.accept_exited.recv_timeout(WAKE_TIMEOUT) {
+            if self.stopping() {
+                self.shared.wake_listener();
+            }
         }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        let _ = self.accept.join();
         // Executor teardown releases every connection handler blocked on a
         // job reply, so it must run before joining connection threads.
         self.shared.executor.shutdown();
@@ -586,9 +627,34 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        if let Some(summary) = self.summary.take() {
+        if let Some(summary) = self.summary {
             let _ = summary.join();
         }
         self.shared.metrics.snapshot()
+    }
+}
+
+/// The address a wake-up connection dials: the listener's own, or loopback
+/// when it is bound to every interface.
+fn wake_addr(mut local: SocketAddr) -> SocketAddr {
+    match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => local.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => local.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    local
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_wildcard_listener_is_woken_over_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7451"), "127.0.0.1:7451");
+        assert_eq!(wake("[::]:7451"), "[::1]:7451");
+        assert_eq!(wake("127.0.0.1:7451"), "127.0.0.1:7451");
+        assert_eq!(wake("10.1.2.3:7451"), "10.1.2.3:7451");
     }
 }

@@ -14,8 +14,6 @@
 //!    stepped and fast-forward execution with identical partial stats,
 //!    and its telemetry windows are a prefix of the full run's.
 
-use std::fs;
-use std::path::Path;
 use std::time::Duration;
 
 mod common;
@@ -34,20 +32,9 @@ use scalagraph_suite::telemetry::Recorder;
 /// Loads every scenario of the repository's conformance corpus, in
 /// deterministic (sorted filename) order.
 fn corpus_scenarios() -> Vec<Scenario> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let mut paths: Vec<_> = fs::read_dir(&dir)
-        .expect("corpus/ directory must exist")
-        .map(|e| e.expect("readable corpus entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "corpus/ must contain scenarios");
-    paths
+    common::corpus_files()
         .iter()
-        .map(|p| {
-            let text = fs::read_to_string(p).expect("readable corpus file");
-            Scenario::from_json_str(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()))
-        })
+        .map(|(path, text)| Scenario::from_json_str(text).unwrap_or_else(|e| panic!("{path}: {e}")))
         .collect()
 }
 

@@ -1,4 +1,5 @@
-//! A seeded case runner for the property tests.
+//! A seeded case runner for the property tests, and the conformance
+//! corpus they and the end-to-end tests start from.
 //!
 //! Each case draws its inputs from its own [`SplitMix64`] stream, so a run
 //! is a pure function of the case count, on any host. A failing case
@@ -61,4 +62,25 @@ pub fn vec<T>(
 ) -> Vec<T> {
     let n = int(rng, len);
     (0..n).map(|_| item(rng)).collect()
+}
+
+/// Every file of the repository's conformance corpus as (path, text), in
+/// sorted path order.
+pub fn corpus_files() -> Vec<(String, String)> {
+    let dir = format!("{}/corpus", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("corpus/ directory must exist")
+        .map(|e| e.expect("readable corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| p.to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "corpus must not be empty");
+    files
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("readable corpus file");
+            (p, text)
+        })
+        .collect()
 }

@@ -7,29 +7,13 @@
 //! combination, and the files themselves are pinned to the canonical
 //! serialization so a drive-by edit cannot silently de-canonicalize them.
 
+mod common;
+
+use common::corpus_files;
 use scalagraph_suite::conformance::{
     fuzz, run_scenario, shrink, signature, AlgoSpec, ConfigSpec, Expectation, Family, GraphSource,
     GraphSpec, ModeMatrix, Outcome, Scenario,
 };
-
-fn corpus_files() -> Vec<(String, String)> {
-    let dir = format!("{}/corpus", env!("CARGO_MANIFEST_DIR"));
-    let mut files: Vec<String> = std::fs::read_dir(&dir)
-        .expect("corpus/ directory must exist")
-        .map(|e| e.expect("readable corpus entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .map(|p| p.to_string_lossy().into_owned())
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "corpus must not be empty");
-    files
-        .into_iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).expect("readable corpus file");
-            (p, text)
-        })
-        .collect()
-}
 
 #[test]
 fn corpus_scenarios_are_canonical_and_pass() {

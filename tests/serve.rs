@@ -16,17 +16,34 @@
 //! 5. Dynamic corpus scenarios (with a `mutations` schedule) run over HTTP.
 //! 6. A scenario that still carries the retired `modes.event_driven` key
 //!    parses to its migrated form, shares its fingerprint, and is served.
+//! 7. A client that pauses longer than the daemon's read timeout inside
+//!    its request still gets its reply.
+//! 8. Every stop path wakes the blocking accept loop: `join` returns
+//!    within 10 s of a `shutdown` verb or [`Server::stop`], for a listener
+//!    bound to loopback or to every interface, and the wake-up connection
+//!    is not counted.
+//! 9. Mutated corpus scenarios, framed as HTTP requests and as jsonl lines,
+//!    get `Ok` or a typed error from both wire parsers, never a panic.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use scalagraph_suite::conformance::json;
 use scalagraph_suite::conformance::scenario::{
     AlgoSpec, ConfigSpec, Expectation, Family, ModeMatrix,
 };
 use scalagraph_suite::conformance::{GraphSource, GraphSpec, Scenario};
-use scalagraph_suite::serve::protocol::extract_result;
-use scalagraph_suite::serve::{ServeConfig, Server};
+use scalagraph_suite::serve::http::{read_request, HttpError};
+use scalagraph_suite::serve::protocol::{
+    extract_result, parse_jsonl_request, parse_scenario_strict,
+};
+use scalagraph_suite::serve::{ErrorReply, Request, ServeConfig, Server};
+use scalagraph_suite::telemetry::ServiceCounters;
+
+use common::{int, SplitMix64};
 
 fn healthy(name: &str) -> Scenario {
     Scenario {
@@ -63,8 +80,34 @@ fn start_server() -> Server {
     .expect("bind ephemeral port")
 }
 
+/// Joins the daemon on a helper thread, failing instead of hanging the
+/// suite when a stop did not wake its accept loop.
+fn join_within_10s(server: Server) -> ServiceCounters {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        // The receiver is gone only when the wait below has already failed.
+        let _ = tx.send(server.join());
+    });
+    let counters = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join() returns within 10 s of a stop");
+    joiner.join().expect("join thread");
+    counters
+}
+
 /// One HTTP exchange on a fresh connection; returns (status, body).
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
+    http_with_pause(addr, method, path, body, Duration::ZERO)
+}
+
+/// [`http`], with the client pausing for `pause` between head and body.
+fn http_with_pause(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+    pause: Duration,
+) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -74,6 +117,7 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
         body.len()
     );
     stream.write_all(head.as_bytes()).expect("write head");
+    std::thread::sleep(pause);
     stream.write_all(body.as_bytes()).expect("write body");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
@@ -151,7 +195,7 @@ fn identical_concurrent_http_runs_share_one_build_and_replay_bytes() {
 
     let (status, response) = http(&addr, "POST", "/shutdown", "");
     assert_eq!(status, 200, "shutdown acknowledged: {response}");
-    let counters = server.join();
+    let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
 }
 
@@ -206,7 +250,7 @@ fn wire_errors_are_typed_and_never_kill_the_daemon() {
 
     assert!(metric(&addr, "requests_error") >= 6);
     server.stop();
-    let counters = server.join();
+    let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
 }
 
@@ -225,7 +269,7 @@ fn deep_nesting_is_refused_and_the_daemon_keeps_serving() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"status\":\"completed\""), "{body}");
     server.stop();
-    let counters = server.join();
+    let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
 }
 
@@ -245,7 +289,7 @@ fn a_dynamic_corpus_scenario_runs_over_http() {
     assert!(body.starts_with("{\"ok\":true"), "{body}");
     assert!(body.contains("\"status\":\"completed\""), "{body}");
     server.stop();
-    let counters = server.join();
+    let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
 }
 
@@ -296,7 +340,7 @@ fn a_scenario_with_the_retired_event_driven_key_is_served_as_its_migrated_form()
     );
     assert_eq!(metric(&addr, "memo_hits"), 2, "later forms hit the memo");
     server.stop();
-    let counters = server.join();
+    let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
 }
 
@@ -369,9 +413,221 @@ fn a_jsonl_session_mixes_controls_runs_and_survives_garbage() {
     // Shutdown: acknowledged, then the daemon drains and the ledger closes.
     let response = request("{\"control\":\"shutdown\"}");
     assert!(response.contains("\"control\":\"shutdown\""), "{response}");
-    let counters = server.join();
+    let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(
+        counters.connections, 1,
+        "the wake-up connection is not counted"
+    );
     assert_eq!(counters.submitted, 2, "two runs were admitted");
     assert_eq!(counters.completed, 2);
     assert!(counters.memo_hits >= 1);
+}
+
+#[test]
+fn a_client_that_pauses_between_head_and_body_still_gets_its_reply() {
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    // Three times the daemon's 100 ms read timeout.
+    let (status, body) = http_with_pause(
+        &addr,
+        "POST",
+        "/run",
+        &healthy("serve-e2e-slow-client").to_json_string(),
+        Duration::from_millis(300),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"completed\""), "{body}");
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+}
+
+#[test]
+fn stop_wakes_a_listener_bound_to_every_interface() {
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind every interface");
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    assert_eq!(metric(&addr, "connections"), 1);
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(
+        counters.connections, 1,
+        "the wake-up connection is not counted"
+    );
+}
+
+fn http_frame(body: &str) -> Vec<u8> {
+    format!(
+        "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+fn jsonl_frame(scenario: &str) -> Vec<u8> {
+    format!(
+        "{{\"run\":{},\"priority\":\"high\"}}",
+        scenario.replace('\n', " ")
+    )
+    .into_bytes()
+}
+
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w == needle)
+}
+
+/// One seeded mutation: a byte flip, a digit rewritten (which keeps the
+/// JSON well formed, so the scenario's own checks see it), a truncation, a
+/// splice from `donor`, or (for HTTP) a repeated or bogus
+/// `Content-Length` header.
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, donor: &[u8], is_http: bool) {
+    let at = |rng: &mut SplitMix64, len: usize| int(rng, 0..len + 1);
+    let value = |rng: &mut SplitMix64| match int(rng, 0..3) {
+        0 => ["-1", "+12", " 7 ", "1e3", "0x10", "", "x"][int(rng, 0..7)].to_string(),
+        1 => int(rng, 0u64..2048).to_string(),
+        _ => u128::MAX.to_string(),
+    };
+    let digits: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i].is_ascii_digit())
+        .collect();
+    match int(rng, 0..if is_http { 6 } else { 4 }) {
+        0 if !bytes.is_empty() => {
+            let i = int(rng, 0..bytes.len());
+            bytes[i] ^= int(rng, 1u8..255);
+        }
+        1 if !digits.is_empty() => {
+            let i = digits[int(rng, 0..digits.len())];
+            bytes[i] = b'0' + int(rng, 0u8..10);
+        }
+        2 => bytes.truncate(at(rng, bytes.len())),
+        3 => {
+            let (from, to) = (at(rng, donor.len()), at(rng, donor.len()));
+            let i = at(rng, bytes.len());
+            let j = int(rng, i..bytes.len() + 1);
+            bytes.splice(i..j, donor[from.min(to)..from.max(to)].iter().copied());
+        }
+        4 => {
+            // A second header, behind the request line.
+            if let Some(i) = find(bytes, b"\r\n").map(|i| i + 2) {
+                let header = format!("Content-Length: {}\r\n", value(rng));
+                bytes.splice(i..i, header.into_bytes());
+            }
+        }
+        5 => {
+            // A bogus value in place of the declared one.
+            let key = b"Content-Length: ";
+            if let Some(i) = find(bytes, key).map(|i| i + key.len()) {
+                let j = find(&bytes[i..], b"\r\n").map_or(bytes.len(), |p| i + p);
+                bytes.splice(i..j, value(rng).into_bytes());
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Hands out its bytes in pieces of at most `piece`, as a socket would.
+struct Pieces<'a> {
+    rest: &'a [u8],
+    piece: usize,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.piece).min(self.rest.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
+
+fn assert_typed(refusal: &ErrorReply) {
+    let response = json::parse(&refusal.to_response()).expect("the refusal is JSON");
+    assert!(!refusal.kind.is_empty() && !refusal.message.is_empty());
+    assert_eq!(
+        response.get("error").and_then(|e| e.get("kind")),
+        Some(&json::Json::Str(refusal.kind.to_string()))
+    );
+}
+
+/// What the daemon accepted has a canonical form that parses back to it.
+fn assert_round_trips(scenario: &Scenario) {
+    let canonical = scenario.to_json_string();
+    let reparsed = Scenario::from_json_str(&canonical).expect("the canonical form parses");
+    assert_eq!(&reparsed, scenario, "{canonical}");
+}
+
+#[test]
+fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
+    let texts: Vec<String> = common::corpus_files()
+        .into_iter()
+        .map(|(_, text)| text)
+        .collect();
+    let frames: Vec<(Vec<u8>, Vec<u8>)> = texts
+        .iter()
+        .map(|t| (http_frame(t), jsonl_frame(t)))
+        .collect();
+    common::check(1000, |rng| {
+        let seed = int(rng, 0..frames.len());
+        let (http_seed, jsonl_seed) = &frames[seed];
+        let (http_donor, jsonl_donor) = &frames[int(rng, 0..frames.len())];
+        let mutations = int(rng, 0..4);
+
+        // HTTP, through the sniffer's split and a socket's short reads.
+        let mut bytes = http_seed.clone();
+        for _ in 0..mutations {
+            mutate(rng, &mut bytes, http_donor, true);
+        }
+        let max_body = [64, 1024, 1 << 20][int(rng, 0..3)];
+        let (already, rest) = bytes.split_at(int(rng, 0..bytes.len() + 1));
+        let mut reader = Pieces {
+            rest,
+            piece: int(rng, 1..2048),
+        };
+        match read_request(already, &mut reader, max_body) {
+            Ok(request) => {
+                assert!(request.body.len() <= max_body);
+                if mutations == 0 {
+                    assert_eq!(request.body, texts[seed], "an intact request parses");
+                }
+                // What `POST /run` does with the body.
+                let scenario = json::parse(&request.body)
+                    .map_err(ErrorReply::malformed_json)
+                    .and_then(|v| parse_scenario_strict(&v));
+                match scenario {
+                    Ok(scenario) => assert_round_trips(&scenario),
+                    Err(refusal) => {
+                        assert!(mutations > 0, "an intact scenario is served");
+                        assert_typed(&refusal);
+                    }
+                }
+            }
+            Err(HttpError::Malformed(message)) => {
+                assert!(mutations > 0 && !message.is_empty(), "{message}");
+            }
+            Err(HttpError::Oversized { .. }) => {
+                assert!(mutations > 0 || max_body < texts[seed].len());
+            }
+            Err(HttpError::Io(e)) => panic!("an in-memory reader cannot fail: {e}"),
+        }
+
+        // jsonl, decoded as the session decodes a line.
+        let mut line = jsonl_seed.clone();
+        for _ in 0..mutations {
+            mutate(rng, &mut line, jsonl_donor, false);
+        }
+        match parse_jsonl_request(&String::from_utf8_lossy(&line)) {
+            Ok(Request::Run { scenario, .. }) => assert_round_trips(&scenario),
+            Ok(Request::Control(_)) => {}
+            Err(refusal) => {
+                assert!(mutations > 0, "an intact line is served");
+                assert_typed(&refusal);
+            }
+        }
+    });
 }
