@@ -8,7 +8,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod runners;
 pub mod sweep;
 pub mod workloads;

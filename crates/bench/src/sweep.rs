@@ -52,29 +52,6 @@ where
     })
 }
 
-/// [`parallel_map`] with per-item panic isolation: a closure that panics
-/// yields `Err(message)` for that item instead of tearing down the whole
-/// sweep. Built for sweeps over hostile inputs (e.g. fuzz-derived
-/// scenarios) where one bad item must not cost the other results.
-pub fn parallel_map_isolated<T, R, F>(inputs: Vec<T>, f: F) -> Vec<Result<R, String>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map(inputs, |item| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            }
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,19 +89,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn isolated_map_contains_panics_per_item() {
-        let out = parallel_map_isolated(vec![1, 2, 3, 4], |x| {
-            if x == 3 {
-                panic!("boom on {x}");
-            }
-            x * 10
-        });
-        assert_eq!(out[0], Ok(10));
-        assert_eq!(out[1], Ok(20));
-        assert!(out[2].as_ref().is_err_and(|m| m.contains("boom on 3")));
-        assert_eq!(out[3], Ok(40));
     }
 }

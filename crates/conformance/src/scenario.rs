@@ -15,7 +15,7 @@
 use crate::json::{obj, parse, Json};
 use scalagraph::fault::{Fault, FaultKind, FaultPlan, LinkDir};
 use scalagraph::{Mapping, MemoryPreset, ScalaGraphConfig};
-use scalagraph_graph::{generators, Csr, EdgeList, PackedCsr, PackedShape};
+use scalagraph_graph::{generators, Csr, EdgeList, PackedCsr, PackedShape, VertexId};
 use scalagraph_mem::HbmConfig;
 
 /// The graph generator family plus its size/seed parameters.
@@ -64,7 +64,9 @@ pub enum Family {
 }
 
 impl Family {
-    /// Vertex count of the generated graph.
+    /// Vertex count of the generated graph; saturates at `usize::MAX`
+    /// instead of wrapping, so an oversized grid cannot pass for a small
+    /// one.
     pub fn vertices(&self) -> usize {
         match *self {
             Family::Rmat { vertices, .. }
@@ -72,11 +74,12 @@ impl Family {
             | Family::Path { vertices }
             | Family::Star { vertices }
             | Family::BinaryTree { vertices } => vertices,
-            Family::Grid { rows, cols } => rows * cols,
+            Family::Grid { rows, cols } => rows.saturating_mul(cols),
         }
     }
 
-    /// Nominal edge count (generator input, before symmetrization).
+    /// Nominal edge count (generator input, before symmetrization);
+    /// saturates like [`Family::vertices`].
     pub fn edges(&self) -> usize {
         match *self {
             Family::Rmat { edges, .. } | Family::Uniform { edges, .. } => edges,
@@ -84,7 +87,7 @@ impl Family {
                 vertices.saturating_sub(1)
             }
             Family::Star { vertices } => vertices.saturating_sub(1),
-            Family::Grid { rows, cols } => 2 * rows * cols,
+            Family::Grid { rows, cols } => rows.saturating_mul(cols).saturating_mul(2),
         }
     }
 }
@@ -936,6 +939,12 @@ impl Scenario {
                 "graph must have at least 2 vertices, got {vertices}"
             ));
         }
+        if vertices > VertexId::MAX as usize {
+            return Err(format!(
+                "graph has {vertices} vertices, more than vertex ids can number ({})",
+                VertexId::MAX
+            ));
+        }
         match self.algo {
             AlgoSpec::Bfs { root } | AlgoSpec::Sssp { root } | AlgoSpec::WidestPath { root } => {
                 if root as usize >= vertices {
@@ -984,8 +993,8 @@ impl Scenario {
     /// A stable 64-bit signature of the scenario's *behavior*: FNV-1a over
     /// the canonical JSON with the (purely cosmetic) name cleared. Two
     /// scenarios with the same fingerprint run the same graph, algorithm,
-    /// configuration, and fault schedule, so a batch runtime can use it to
-    /// quarantine repeat offenders even when job names differ.
+    /// configuration, and fault schedule, so they produce the same result
+    /// whatever their names.
     pub fn fingerprint(&self) -> u64 {
         let mut anonymous = self.clone();
         anonymous.name.clear();
@@ -1373,6 +1382,30 @@ mod tests {
         let mut tiny = ok.clone();
         tiny.graph.family = Family::Path { vertices: 1 };
         assert!(tiny.validate().unwrap_err().contains("at least 2"));
+    }
+
+    #[test]
+    fn validate_refuses_more_vertices_than_ids_without_wrapping() {
+        let mut ok = sample();
+        ok.config.watchdog_stall_cycles = 25_000;
+        ok.algo = AlgoSpec::Cc;
+        // (2^62 + 1) x 4 wraps a u64 to 4: it must not pass as 4 vertices.
+        let mut wrapping = ok.clone();
+        wrapping.graph.family = Family::Grid {
+            rows: (1 << 62) + 1,
+            cols: 4,
+        };
+        assert_eq!(wrapping.graph.family.vertices(), usize::MAX);
+        assert_eq!(wrapping.graph.family.edges(), usize::MAX);
+        assert!(wrapping.validate().unwrap_err().contains("vertex ids"));
+
+        let ids = VertexId::MAX as usize;
+        let mut one_too_many = ok.clone();
+        one_too_many.graph.family = Family::Path { vertices: ids + 1 };
+        assert!(one_too_many.validate().unwrap_err().contains("vertex ids"));
+        let mut at_the_limit = ok;
+        at_the_limit.graph.family = Family::Path { vertices: ids };
+        at_the_limit.validate().expect("every vertex has an id");
     }
 
     #[test]

@@ -1,78 +1,21 @@
-//! The batch runtime: a worker pool with supervision.
+//! Batch runs: a finite client of the [`Executor`].
 //!
-//! [`BatchRuntime::run`] takes a batch of [`JobSpec`]s and produces exactly
-//! one [`JobOutcome`] per spec, never fewer, never more — the ledger
-//! invariant `submitted == completed + failed + cancelled + rejected` is
-//! checked by [`BatchReport::balanced`] and holds by construction:
-//!
-//! * admission control rejects what the bounded queue cannot hold
-//!   (outcome recorded at submit time);
-//! * a supervisor thread expires per-job wall-clock deadlines into the
-//!   simulator's cooperative [`CancelToken`], and on a global deadline
-//!   cancels running work and drains the queue into cancelled outcomes;
-//! * workers run each attempt under `catch_unwind`, so one panicking job
-//!   becomes a `Failed(Panicked)` outcome instead of a poisoned pool;
-//! * transient fault-injection errors retry with deterministic backoff,
-//!   while a per-fingerprint circuit breaker quarantines scenarios that
-//!   keep failing;
-//! * resource budgets degrade oversized scenarios before they run.
-//!
-//! Everything is std-only: `thread::scope`, `Mutex`, `Condvar`.
+//! [`BatchRuntime::run`] starts an executor, submits every spec (admission
+//! rejections are recorded inline), and collects one [`JobOutcome`] per
+//! accepted spec. A global deadline stops the wait and shuts the executor
+//! down, which cancels running jobs and drains the queue into cancelled
+//! outcomes. The ledger invariant `submitted == completed + failed +
+//! cancelled + rejected` is checked by [`BatchReport::balanced`].
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Instant;
 
-use scalagraph::{CancelToken, SimError};
 use scalagraph_telemetry::{ServiceCounters, ServiceMetrics};
 
-use crate::breaker::{BreakerState, CircuitBreaker};
-use crate::budget::ResourceBudgets;
+use crate::executor::{Executor, RuntimeConfig};
 use crate::graphcache::GraphCache;
-use crate::job::{FailureReason, JobId, JobOutcome, JobSpec, JobStatus};
-use crate::queue::AdmissionQueue;
-use crate::retry::RetryPolicy;
-use crate::runner::{run_attempt_on, AttemptError, AttemptOverrides};
-
-/// Knobs of one batch run.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// Worker threads (clamped to at least 1).
-    pub workers: usize,
-    /// Admission queue capacity across both lanes.
-    pub queue_capacity: usize,
-    /// Wall-clock deadline applied to jobs that don't carry their own.
-    pub default_deadline: Option<Duration>,
-    /// Wall-clock ceiling on the whole batch: when it expires, running
-    /// jobs are cancelled and queued jobs drain into cancelled outcomes.
-    pub global_deadline: Option<Duration>,
-    /// Retry budget for transient fault-injection failures.
-    pub retry: RetryPolicy,
-    /// Consecutive failures of one scenario fingerprint before the
-    /// circuit breaker quarantines it (0 disables).
-    pub breaker_threshold: u32,
-    /// Resource ceilings with graceful degradation.
-    pub budgets: ResourceBudgets,
-    /// Supervisor polling cadence for deadline enforcement.
-    pub poll_interval: Duration,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            workers: 4,
-            queue_capacity: 256,
-            default_deadline: None,
-            global_deadline: None,
-            retry: RetryPolicy::default(),
-            breaker_threshold: 3,
-            budgets: ResourceBudgets::unlimited(),
-            poll_interval: Duration::from_millis(2),
-        }
-    }
-}
+use crate::job::{JobOutcome, JobSpec, JobStatus};
 
 /// What one batch run produced.
 #[derive(Debug)]
@@ -92,7 +35,7 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// The ledger invariant: every submitted job landed in exactly one
-    /// terminal bucket.
+    /// terminal bucket, and each has its outcome.
     pub fn balanced(&self) -> bool {
         self.counters.balanced() && self.outcomes.len() as u64 == self.counters.submitted
     }
@@ -106,51 +49,7 @@ impl BatchReport {
     }
 }
 
-/// A job admitted to the queue, waiting for a worker.
-struct QueuedJob {
-    id: JobId,
-    spec: JobSpec,
-    admitted: Instant,
-}
-
-/// Supervisor-visible state of a job a worker is currently running.
-struct ActiveJob {
-    started: Instant,
-    deadline: Option<Duration>,
-    token: CancelToken,
-}
-
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-fn sim_variant(e: &SimError) -> &'static str {
-    match e {
-        SimError::ConfigInvalid { .. } => "ConfigInvalid",
-        SimError::ProtocolViolation { .. } => "ProtocolViolation",
-        SimError::FaultUnrecoverable { .. } => "FaultUnrecoverable",
-        SimError::DeadlockDetected { .. } => "DeadlockDetected",
-        SimError::WatchdogStall { .. } => "WatchdogStall",
-        SimError::CycleCapExceeded { .. } => "CycleCapExceeded",
-        SimError::Cancelled { .. } => "Cancelled",
-        SimError::DeadlineExceeded { .. } => "DeadlineExceeded",
-        _ => "Unknown",
-    }
-}
-
-/// The resilient batch executor. See the module docs for the guarantees.
+/// Runs whole batches on a fresh executor each. See the module docs.
 pub struct BatchRuntime {
     config: RuntimeConfig,
     graphs: Arc<GraphCache>,
@@ -159,14 +58,11 @@ pub struct BatchRuntime {
 impl BatchRuntime {
     /// A runtime with the given knobs and a private graph cache.
     pub fn new(config: RuntimeConfig) -> Self {
-        BatchRuntime {
-            config,
-            graphs: Arc::new(GraphCache::with_default_capacity()),
-        }
+        BatchRuntime::with_graph_cache(config, Arc::new(GraphCache::with_default_capacity()))
     }
 
-    /// A runtime sharing an existing graph cache — how the serve daemon
-    /// keeps one cache alive across many batches.
+    /// A runtime resolving graphs through `graphs`, which may outlive it;
+    /// its byte budget is the one jobs are refused against.
     pub fn with_graph_cache(config: RuntimeConfig, graphs: Arc<GraphCache>) -> Self {
         BatchRuntime { config, graphs }
     }
@@ -176,417 +72,73 @@ impl BatchRuntime {
         &self.graphs
     }
 
-    /// Runs a whole batch to completion and reports every outcome.
+    /// Runs a whole batch and reports every outcome.
     pub fn run(&self, specs: Vec<JobSpec>) -> BatchReport {
-        let cfg = self.config;
-        let workers = cfg.workers.max(1);
         let started = Instant::now();
+        let metrics = Arc::new(ServiceMetrics::new());
+        let executor = Executor::start(self.config, Arc::clone(&metrics), Arc::clone(&self.graphs));
 
-        let metrics = ServiceMetrics::new();
-        let queue: AdmissionQueue<QueuedJob> = AdmissionQueue::new(cfg.queue_capacity.max(1));
-        let breaker = CircuitBreaker::new(cfg.breaker_threshold);
-        let active: Mutex<HashMap<JobId, ActiveJob>> = Mutex::new(HashMap::new());
-        let outcomes: Mutex<Vec<Option<JobOutcome>>> = Mutex::new(vec![None; specs.len()]);
-        let stop = AtomicBool::new(false);
-
-        let record = |id: JobId, outcome: JobOutcome| {
-            let mut slots = recover(outcomes.lock());
-            if let Some(slot) = slots.get_mut(id) {
-                *slot = Some(outcome);
-            }
-        };
-
-        let mut workers_joined = 0usize;
-        std::thread::scope(|scope| {
-            // Worker pool: pop until the queue is closed and drained.
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        while let Some(job) = queue.pop() {
-                            metrics.queue_left();
-                            let outcome = self.process(
-                                job.id,
-                                &job.spec,
-                                job.admitted,
-                                &metrics,
-                                &breaker,
-                                &active,
-                            );
-                            record(job.id, outcome);
-                        }
-                    })
-                })
-                .collect();
-
-            // Supervisor: walks deadlines on the poll cadence.
-            let supervisor = scope.spawn(|| {
-                let mut global_fired = false;
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    for job in recover(active.lock()).values() {
-                        if let Some(deadline) = job.deadline {
-                            if job.started.elapsed() >= deadline {
-                                job.token.expire();
-                            }
-                        }
-                    }
-                    if !global_fired {
-                        if let Some(global) = cfg.global_deadline {
-                            if started.elapsed() >= global {
-                                global_fired = true;
-                                // Stop running work cooperatively...
-                                for job in recover(active.lock()).values() {
-                                    job.token.cancel();
-                                }
-                                // ...and turn everything still queued into
-                                // cancelled outcomes without running it.
-                                for job in queue.drain() {
-                                    metrics.queue_left();
-                                    metrics.job_cancelled();
-                                    record(
-                                        job.id,
-                                        JobOutcome {
-                                            job: job.id,
-                                            name: job.spec.scenario.name.clone(),
-                                            status: JobStatus::Cancelled { at_cycle: None },
-                                            attempts: 0,
-                                            degraded: false,
-                                            wall_ms: job.admitted.elapsed().as_millis() as u64,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    std::thread::sleep(cfg.poll_interval);
-                }
-            });
-
-            // Submission: admission control answers inline.
-            for (id, spec) in specs.iter().enumerate() {
-                metrics.job_submitted();
-                let queued = QueuedJob {
-                    id,
-                    spec: spec.clone(),
-                    admitted: Instant::now(),
-                };
-                // The gauge must rise before the item becomes visible to a
-                // worker: a worker that pops it decrements immediately, and
-                // an entered-after-push ordering would let the depth
-                // underflow under a fast consumer.
-                metrics.queue_entered();
-                match queue.try_push(queued, spec.priority) {
-                    Ok(()) => {}
-                    Err(rejection) => {
-                        metrics.queue_left();
-                        metrics.job_rejected();
-                        record(
-                            id,
-                            JobOutcome {
-                                job: id,
-                                name: spec.scenario.name.clone(),
-                                status: JobStatus::Rejected { rejection },
-                                attempts: 0,
-                                degraded: false,
-                                wall_ms: 0,
-                            },
-                        );
-                    }
-                }
-            }
-            queue.close();
-
-            for handle in handles {
-                if handle.join().is_ok() {
-                    workers_joined += 1;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            drop(supervisor); // joined implicitly at scope exit
-        });
-
-        // Safety net: a lost job would silently unbalance the ledger, so
-        // synthesize a failure for any slot no thread ever filled.
-        let outcomes: Vec<JobOutcome> = recover(outcomes.lock())
-            .drain(..)
-            .enumerate()
-            .map(|(id, slot)| {
-                slot.unwrap_or_else(|| {
-                    metrics.job_failed();
-                    JobOutcome {
-                        job: id,
-                        name: specs
-                            .get(id)
-                            .map(|s| s.scenario.name.clone())
-                            .unwrap_or_default(),
-                        status: JobStatus::Failed {
-                            reason: FailureReason::Malformed {
-                                message: "job lost by the runtime (no outcome recorded)".into(),
-                            },
-                        },
-                        attempts: 0,
-                        degraded: false,
+        let (tx, rx) = channel();
+        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; specs.len()];
+        let mut pending = 0usize;
+        // A fresh executor numbers submissions from 0: job id = spec index.
+        for (job, spec) in specs.into_iter().enumerate() {
+            let name = spec.scenario.name.clone();
+            match executor.submit(spec, tx.clone()) {
+                Ok(_) => pending += 1,
+                Err(rejection) => {
+                    outcomes[job] = Some(JobOutcome {
+                        job,
+                        name,
+                        status: JobStatus::Rejected { rejection },
                         wall_ms: 0,
-                    }
-                })
-            })
-            .collect();
+                    })
+                }
+            }
+        }
+        drop(tx);
+
+        let mut global = self.config.global_deadline.map(|d| started + d);
+        let mut workers_joined = None;
+        while pending > 0 {
+            let next = match global {
+                Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match next {
+                Ok(outcome) => {
+                    pending -= 1;
+                    let job = outcome.job;
+                    outcomes[job] = Some(outcome);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    global = None;
+                    workers_joined = Some(executor.shutdown());
+                }
+                // Every reply sender is gone with outcomes still pending:
+                // a job was lost, which the report shows as unbalanced.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        let workers_joined = workers_joined.unwrap_or_else(|| executor.shutdown());
 
         BatchReport {
-            outcomes,
+            outcomes: outcomes.into_iter().flatten().collect(),
             counters: metrics.snapshot(),
             wall_ms: started.elapsed().as_millis() as u64,
-            workers_spawned: workers,
+            workers_spawned: executor.workers(),
             workers_joined,
         }
-    }
-
-    /// Runs one job to a terminal status on the calling worker thread.
-    #[allow(clippy::too_many_arguments)]
-    fn process(
-        &self,
-        id: JobId,
-        spec: &JobSpec,
-        admitted: Instant,
-        metrics: &ServiceMetrics,
-        breaker: &CircuitBreaker,
-        active: &Mutex<HashMap<JobId, ActiveJob>>,
-    ) -> JobOutcome {
-        let cfg = self.config;
-        let fingerprint = spec.scenario.fingerprint();
-        let finish = |status: JobStatus, attempts: u32, degraded: bool| JobOutcome {
-            job: id,
-            name: spec.scenario.name.clone(),
-            status,
-            attempts,
-            degraded,
-            wall_ms: admitted.elapsed().as_millis() as u64,
-        };
-
-        // Circuit breaker: quarantine repeat offenders before spending a
-        // deadline + retry budget on them.
-        if let BreakerState::Open { failures } = breaker.check(fingerprint) {
-            metrics.job_quarantined();
-            metrics.job_failed();
-            return finish(
-                JobStatus::Failed {
-                    reason: FailureReason::Quarantined {
-                        fingerprint,
-                        consecutive_failures: failures,
-                    },
-                },
-                0,
-                false,
-            );
-        }
-
-        // Resource budgets: degrade or refuse before building anything.
-        let plan = match cfg.budgets.plan(&spec.scenario) {
-            Ok(plan) => plan,
-            Err(reason) => {
-                metrics.job_failed();
-                return finish(JobStatus::Failed { reason }, 0, false);
-            }
-        };
-        if plan.degraded {
-            metrics.job_degraded();
-        }
-
-        // Resolve the graph through the shared cache: one build per distinct
-        // spec no matter how many jobs in the batch reuse it. Build failures
-        // are deterministic, so they fail the job like any malformed input.
-        let graph = match self.graphs.fetch(&plan.scenario.graph) {
-            Ok(fetched) => {
-                if fetched.built {
-                    metrics.graph_cache_miss();
-                } else {
-                    metrics.graph_cache_hit();
-                }
-                fetched.graph
-            }
-            Err(message) => {
-                metrics.job_failed();
-                if breaker.record_failure(fingerprint) {
-                    metrics.breaker_opened();
-                }
-                return finish(
-                    JobStatus::Failed {
-                        reason: FailureReason::Malformed { message },
-                    },
-                    0,
-                    plan.degraded,
-                );
-            }
-        };
-
-        let deadline = spec.deadline.or(cfg.default_deadline);
-        let token = CancelToken::new();
-        recover(active.lock()).insert(
-            id,
-            ActiveJob {
-                started: Instant::now(),
-                deadline,
-                token: token.clone(),
-            },
-        );
-
-        let mut attempt = 0u32;
-        let status = loop {
-            attempt += 1;
-            if attempt > 1 {
-                metrics.retry_scheduled();
-                std::thread::sleep(cfg.retry.backoff(fingerprint, attempt));
-            }
-            let overrides = AttemptOverrides {
-                cycle_limit: plan.cycle_limit,
-                fault_seed: (attempt > 1)
-                    .then(|| RetryPolicy::reseed(plan.scenario.fault_seed, attempt)),
-            };
-            let inject_panic = spec.inject_panic;
-            let scenario = &plan.scenario;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("injected test panic");
-                }
-                run_attempt_on(scenario, &graph, overrides, &token)
-            }));
-            match result {
-                Err(payload) => {
-                    metrics.panic_contained();
-                    metrics.job_failed();
-                    if breaker.record_failure(fingerprint) {
-                        metrics.breaker_opened();
-                    }
-                    break JobStatus::Failed {
-                        reason: FailureReason::Panicked {
-                            message: panic_message(payload),
-                        },
-                    };
-                }
-                Ok(Ok(job_metrics)) => {
-                    metrics.job_completed();
-                    breaker.record_success(fingerprint);
-                    break JobStatus::Completed {
-                        metrics: job_metrics,
-                    };
-                }
-                Ok(Err(AttemptError::Malformed(message))) => {
-                    metrics.job_failed();
-                    if breaker.record_failure(fingerprint) {
-                        metrics.breaker_opened();
-                    }
-                    break JobStatus::Failed {
-                        reason: FailureReason::Malformed { message },
-                    };
-                }
-                Ok(Err(AttemptError::Sim(e))) => match e {
-                    SimError::Cancelled { cycle, .. } => {
-                        metrics.job_cancelled();
-                        break JobStatus::Cancelled {
-                            at_cycle: Some(cycle),
-                        };
-                    }
-                    SimError::DeadlineExceeded { cycle, .. } => {
-                        metrics.deadline_kill();
-                        metrics.job_cancelled();
-                        if breaker.record_failure(fingerprint) {
-                            metrics.breaker_opened();
-                        }
-                        break JobStatus::DeadlineExceeded {
-                            at_cycle: Some(cycle),
-                        };
-                    }
-                    other
-                        if RetryPolicy::is_transient(&other)
-                            && attempt < cfg.retry.max_attempts =>
-                    {
-                        continue;
-                    }
-                    other => {
-                        metrics.job_failed();
-                        if breaker.record_failure(fingerprint) {
-                            metrics.breaker_opened();
-                        }
-                        break JobStatus::Failed {
-                            reason: FailureReason::Sim {
-                                variant: sim_variant(&other).to_string(),
-                                message: other.to_string(),
-                            },
-                        };
-                    }
-                },
-            }
-        };
-
-        recover(active.lock()).remove(&id);
-        finish(status, attempt, plan.degraded)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobMetrics, Priority};
-    use scalagraph_conformance::scenario::{
-        AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, ModeMatrix,
-    };
-    use scalagraph_conformance::{GraphSource, GraphSpec, Scenario};
-
-    fn healthy(name: &str) -> Scenario {
-        Scenario {
-            name: name.into(),
-            graph: GraphSpec {
-                family: Family::Uniform {
-                    vertices: 64,
-                    edges: 256,
-                    seed: 7,
-                },
-                symmetrize: false,
-                max_weight: 0,
-                weight_seed: 0,
-                source: GraphSource::Generate,
-            },
-            algo: AlgoSpec::Bfs { root: 0 },
-            config: ConfigSpec::small(),
-            fault_seed: 0,
-            faults: Vec::new(),
-            modes: ModeMatrix::sim_only(),
-            expect: Expectation::Converge,
-            strict_frontier: None,
-            synthetic_bug: false,
-            mutations: None,
-        }
-    }
-
-    /// A scenario that can never converge: the watchdog is disabled and a
-    /// permanent HBM stall (the corpus wedge scenario's fault) freezes all
-    /// progress, so only an external deadline or cancellation can end it.
-    fn wedge(name: &str) -> Scenario {
-        let mut s = healthy(name);
-        s.graph.family = Family::Uniform {
-            vertices: 400,
-            edges: 3000,
-            seed: 4,
-        };
-        s.config.watchdog_stall_cycles = 0;
-        s.modes.fast_forward = false;
-        s.faults = vec![FaultSpec {
-            kind: FaultKindSpec::HbmStall {
-                tile: 0,
-                channel: 0,
-                cycles: 0, // pins the channel forever once applied
-            },
-            from: 20,
-            until: 21,
-        }];
-        s.fault_seed = 1;
-        s.expect = Expectation::Wedge {
-            suspect_contains: String::new(),
-        };
-        s
-    }
+    use crate::job::{FailureReason, JobMetrics, Priority, Rejection};
+    use crate::test_support::{healthy, wedge};
+    use scalagraph_conformance::scenario::{AlgoSpec, Family};
+    use std::time::Duration;
 
     fn run_with(cfg: RuntimeConfig, specs: Vec<JobSpec>) -> BatchReport {
         BatchRuntime::new(cfg).run(specs)
@@ -607,7 +159,8 @@ mod tests {
         assert!(report.balanced(), "{}", report.render());
         assert_eq!(report.counters.completed, 6);
         assert_eq!(report.workers_joined, report.workers_spawned);
-        for outcome in &report.outcomes {
+        for (i, outcome) in report.outcomes.iter().enumerate() {
+            assert_eq!(outcome.job, i, "outcomes in submission order");
             assert!(
                 matches!(outcome.status, JobStatus::Completed { metrics: JobMetrics { cycles, .. } } if cycles > 0),
                 "{outcome}"
@@ -645,7 +198,7 @@ mod tests {
         for outcome in &report.outcomes {
             if let JobStatus::Rejected { rejection } = &outcome.status {
                 assert!(
-                    matches!(rejection, crate::job::Rejection::QueueFull { capacity: 1 }),
+                    matches!(rejection, Rejection::QueueFull { capacity: 1 }),
                     "{outcome}"
                 );
             }
@@ -662,7 +215,6 @@ mod tests {
         let report = run_with(
             RuntimeConfig {
                 workers: 3,
-                breaker_threshold: 0,
                 ..RuntimeConfig::default()
             },
             specs,
@@ -712,63 +264,39 @@ mod tests {
     }
 
     #[test]
-    fn the_circuit_breaker_quarantines_repeat_offenders() {
-        // Four copies of the same malformed scenario (identical
-        // fingerprint: only the name differs). Threshold 2: the first two
-        // fail on their own, the rest are quarantined instantly.
-        let specs: Vec<JobSpec> = (0..4)
-            .map(|i| {
-                let mut s = healthy(&format!("dup-{i}"));
-                s.algo = AlgoSpec::Bfs { root: 9_999 };
-                JobSpec::new(s)
-            })
-            .collect();
-        let report = run_with(
-            RuntimeConfig {
-                workers: 1, // serialize so the breaker sees failures in order
-                breaker_threshold: 2,
-                ..RuntimeConfig::default()
-            },
-            specs,
-        );
-        assert!(report.balanced(), "{}", report.render());
-        assert_eq!(report.counters.failed, 4);
-        assert_eq!(report.counters.quarantined, 2, "{}", report.render());
-        assert_eq!(report.counters.breaker_opened, 1);
-        assert!(matches!(
-            &report.outcomes[3].status,
-            JobStatus::Failed {
-                reason: FailureReason::Quarantined {
-                    consecutive_failures: 2,
-                    ..
-                }
-            }
-        ));
-    }
-
-    #[test]
-    fn budgets_degrade_oversized_jobs_instead_of_failing_them() {
+    fn a_job_over_the_cache_byte_budget_is_refused_unbuilt() {
         let mut big = healthy("big");
         big.graph.family = Family::Uniform {
             vertices: 4096,
             edges: 32_768,
             seed: 1,
         };
-        let report = run_with(
+        let runtime = BatchRuntime::with_graph_cache(
             RuntimeConfig {
                 workers: 1,
-                budgets: ResourceBudgets {
-                    max_cycles: None,
-                    max_graph_bytes: Some(30_000),
-                },
                 ..RuntimeConfig::default()
             },
-            vec![JobSpec::new(big)],
+            Arc::new(GraphCache::with_byte_budget(8, 30_000)),
         );
+        let report = runtime.run(vec![JobSpec::new(big), JobSpec::new(healthy("small"))]);
         assert!(report.balanced(), "{}", report.render());
+        assert_eq!(report.counters.failed, 1, "{}", report.render());
         assert_eq!(report.counters.completed, 1, "{}", report.render());
-        assert_eq!(report.counters.degraded, 1);
-        assert!(report.outcomes[0].degraded, "{}", report.outcomes[0]);
+        assert_eq!(
+            report.outcomes[0].status,
+            JobStatus::Failed {
+                reason: FailureReason::OverBudget {
+                    estimated: 4096 * 16 + 32_768 * 8,
+                    budget: 30_000,
+                }
+            }
+        );
+        assert!(report.outcomes[0].to_string().contains("over budget"));
+        assert_eq!(
+            runtime.graph_cache().stats().builds,
+            1,
+            "only the small graph"
+        );
     }
 
     #[test]
@@ -776,11 +304,7 @@ mod tests {
         let report = run_with(
             RuntimeConfig {
                 workers: 1,
-                breaker_threshold: 0,
-                budgets: ResourceBudgets {
-                    max_cycles: Some(7),
-                    max_graph_bytes: None,
-                },
+                max_cycles: Some(7),
                 ..RuntimeConfig::default()
             },
             vec![JobSpec::new(healthy("capped"))],
@@ -805,13 +329,13 @@ mod tests {
         let report = run_with(
             RuntimeConfig {
                 workers: 1,
-                breaker_threshold: 0,
                 global_deadline: Some(Duration::from_millis(100)),
                 ..RuntimeConfig::default()
             },
             specs,
         );
         assert!(report.balanced(), "{}", report.render());
+        assert_eq!(report.workers_joined, report.workers_spawned);
         assert_eq!(
             report.counters.cancelled,
             4,
@@ -832,12 +356,9 @@ mod tests {
 
     #[test]
     fn high_priority_jobs_jump_the_queue() {
-        // One worker; submit a slow normal job first so the lanes fill
-        // while it runs, then check the high-priority job ran before the
-        // other normal ones by comparing completion order via wall_ms is
-        // unreliable — instead use a capacity-bounded queue and assert all
-        // complete with the ledger balanced (ordering itself is covered by
-        // the queue unit tests).
+        // Ordering itself is covered by the queue unit tests; here a
+        // high-priority job in a one-worker batch completes like the rest
+        // and the ledger balances.
         let specs = vec![
             JobSpec::new(healthy("first")),
             JobSpec::new(healthy("normal")),
@@ -904,13 +425,20 @@ mod tests {
     }
 
     #[test]
-    fn malformed_scenarios_fail_without_retries() {
+    fn malformed_scenarios_fail_with_the_defect_named() {
         let mut s = healthy("malformed");
         s.algo = AlgoSpec::PageRank { iters: 0 };
         let report = run_with(RuntimeConfig::default(), vec![JobSpec::new(s)]);
         assert!(report.balanced(), "{}", report.render());
         assert_eq!(report.counters.failed, 1);
-        assert_eq!(report.counters.retries, 0, "malformed jobs never retry");
-        assert_eq!(report.outcomes[0].attempts, 1);
+        assert!(
+            matches!(
+                &report.outcomes[0].status,
+                JobStatus::Failed { reason: FailureReason::Malformed { message } }
+                    if message.contains("iteration")
+            ),
+            "{}",
+            report.outcomes[0]
+        );
     }
 }

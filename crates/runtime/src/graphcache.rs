@@ -24,10 +24,26 @@
 //! `Building` placeholders are never evicted — a waiter is parked on them.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 
 use scalagraph_conformance::GraphSpec;
 use scalagraph_graph::Csr;
+
+use crate::recover;
+
+/// Estimated resident bytes of the CSR a [`GraphSpec`] builds, derived
+/// from the generator parameters alone (nothing is built): ~16 bytes of
+/// per-vertex bookkeeping (offsets, in-degrees, property slots) plus 8
+/// bytes per directed edge (destination + weight), doubled when the spec
+/// symmetrizes. Saturates at `u64::MAX` rather than wrapping, so no size
+/// can pass for a small one.
+pub fn estimated_graph_bytes(spec: &GraphSpec) -> u64 {
+    let vertices = spec.family.vertices() as u64;
+    let directed = (spec.family.edges() as u64).saturating_mul(if spec.symmetrize { 2 } else { 1 });
+    vertices
+        .saturating_mul(16)
+        .saturating_add(directed.saturating_mul(8))
+}
 
 /// Counters describing the cache's behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,12 +102,6 @@ pub struct Fetched {
     pub built: bool,
 }
 
-fn recover<'a>(
-    r: Result<MutexGuard<'a, State>, PoisonError<MutexGuard<'a, State>>>,
-) -> MutexGuard<'a, State> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
 impl GraphCache {
     /// A cache holding at most `capacity` finished entries (minimum 1),
     /// with no resident-byte budget.
@@ -102,8 +112,9 @@ impl GraphCache {
     /// A cache bounded by both a finished-entry count and a resident-byte
     /// budget: eviction runs until both constraints hold (the entry just
     /// published is never evicted, so a single over-budget graph still
-    /// serves its own fetch). A `byte_budget` of 0 keeps at most the
-    /// in-flight graph resident.
+    /// serves its own fetch). A `byte_budget` of 0 means no budget. The
+    /// executor refuses any job whose [`estimated_graph_bytes`] exceed the
+    /// budget, before fetching.
     pub fn with_byte_budget(capacity: usize, byte_budget: u64) -> Self {
         GraphCache {
             state: Mutex::new(State {
@@ -113,7 +124,11 @@ impl GraphCache {
             }),
             published: Condvar::new(),
             capacity: capacity.max(1),
-            byte_budget,
+            byte_budget: if byte_budget == 0 {
+                u64::MAX
+            } else {
+                byte_budget
+            },
         }
     }
 
@@ -431,5 +446,41 @@ mod tests {
         // The next publication evicts it (it is no longer `keep`).
         cache.fetch(&spec(2)).unwrap();
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_zero_byte_budget_means_no_budget() {
+        let cache = GraphCache::with_byte_budget(8, 0);
+        assert_eq!(cache.byte_budget(), u64::MAX);
+        assert_eq!(cache.stats().byte_budget, 0);
+        cache.fetch(&spec(1)).unwrap();
+        cache.fetch(&spec(2)).unwrap();
+        assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn estimate_scales_with_symmetrization_and_saturates() {
+        let mut s = spec(1);
+        s.family = Family::Uniform {
+            vertices: 100,
+            edges: 500,
+            seed: 1,
+        };
+        assert_eq!(estimated_graph_bytes(&s), 100 * 16 + 500 * 8);
+        s.symmetrize = true;
+        assert_eq!(estimated_graph_bytes(&s), 100 * 16 + 1000 * 8);
+        // Sizes whose product wraps a u64 estimate as the largest one,
+        // never as a small graph.
+        s.family = Family::Uniform {
+            vertices: 2,
+            edges: 1 << 63,
+            seed: 1,
+        };
+        assert_eq!(estimated_graph_bytes(&s), u64::MAX);
+        s.family = Family::Grid {
+            rows: (1 << 62) + 1,
+            cols: 4,
+        };
+        assert_eq!(estimated_graph_bytes(&s), u64::MAX);
     }
 }

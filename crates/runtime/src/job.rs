@@ -11,8 +11,9 @@ use std::time::Duration;
 
 use scalagraph_conformance::Scenario;
 
-/// Runtime-assigned job identifier: the index of the spec in the submitted
-/// batch, so outcomes can be correlated with inputs positionally.
+/// Executor-assigned job identifier: submissions counted from 0, so in a
+/// batch it is the index of the spec and outcomes correlate with inputs
+/// positionally.
 pub type JobId = usize;
 
 /// Admission lane. High-priority jobs are popped before normal ones but
@@ -26,7 +27,7 @@ pub enum Priority {
     High,
 }
 
-/// One unit of work for the batch runtime.
+/// One unit of work for the executor.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The scenario to simulate.
@@ -110,16 +111,8 @@ pub enum FailureReason {
         /// Rendered panic payload.
         message: String,
     },
-    /// The scenario's circuit breaker is open: too many consecutive
-    /// failures with the same behavioral fingerprint.
-    Quarantined {
-        /// The scenario fingerprint the breaker tracks.
-        fingerprint: u64,
-        /// Consecutive failures observed when the breaker opened.
-        consecutive_failures: u32,
-    },
-    /// The job exceeded its resource budget and could not be degraded to
-    /// fit.
+    /// The job's estimated graph exceeds the graph cache's byte budget;
+    /// refused before anything was built.
     OverBudget {
         /// Estimated demand (bytes).
         estimated: u64,
@@ -134,14 +127,6 @@ impl std::fmt::Display for FailureReason {
             FailureReason::Sim { variant, message } => write!(f, "{variant}: {message}"),
             FailureReason::Malformed { message } => write!(f, "malformed scenario: {message}"),
             FailureReason::Panicked { message } => write!(f, "worker panicked: {message}"),
-            FailureReason::Quarantined {
-                fingerprint,
-                consecutive_failures,
-            } => write!(
-                f,
-                "quarantined by circuit breaker ({consecutive_failures} consecutive failures \
-                 of fingerprint {fingerprint:#018x})"
-            ),
             FailureReason::OverBudget { estimated, budget } => write!(
                 f,
                 "over budget: estimated {estimated} bytes exceeds ceiling {budget} bytes"
@@ -208,7 +193,7 @@ impl JobStatus {
     }
 }
 
-/// The record a batch run emits for each submitted job.
+/// The record the executor emits for each submitted job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// Runtime-assigned id (submission index).
@@ -217,10 +202,6 @@ pub struct JobOutcome {
     pub name: String,
     /// Terminal state.
     pub status: JobStatus,
-    /// Attempts consumed (0 when the job never started, e.g. rejected).
-    pub attempts: u32,
-    /// Whether the job ran in a budget-degraded configuration.
-    pub degraded: bool,
     /// Wall-clock milliseconds from admission to terminal state.
     pub wall_ms: u64,
 }
@@ -229,16 +210,12 @@ impl std::fmt::Display for JobOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "job {:>4} {:<32} {:<18} attempts={} wall_ms={}",
+            "job {:>4} {:<32} {:<18} wall_ms={}",
             self.job,
             self.name,
             self.status.label(),
-            self.attempts,
             self.wall_ms
         )?;
-        if self.degraded {
-            write!(f, " degraded")?;
-        }
         match &self.status {
             JobStatus::Failed { reason } => write!(f, " ({reason})"),
             JobStatus::Rejected { rejection } => write!(f, " ({rejection})"),
@@ -285,13 +262,10 @@ mod tests {
                     message: "boom".into(),
                 },
             },
-            attempts: 1,
-            degraded: true,
             wall_ms: 12,
         };
         let line = outcome.to_string();
         assert!(line.contains("failed"), "{line}");
         assert!(line.contains("worker panicked: boom"), "{line}");
-        assert!(line.contains("degraded"), "{line}");
     }
 }

@@ -7,9 +7,10 @@
 //! capacity, blocking consumers, and a close signal that drains cleanly.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex};
 
 use crate::job::{Priority, Rejection};
+use crate::recover;
 
 struct Lanes<T> {
     high: VecDeque<T>,
@@ -28,14 +29,6 @@ pub struct AdmissionQueue<T> {
     lanes: Mutex<Lanes<T>>,
     capacity: usize,
     available: Condvar,
-}
-
-// A worker panicking while holding the lock must not wedge the pool:
-// recover the guard and keep serving.
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, Lanes<T>>, PoisonError<MutexGuard<'a, Lanes<T>>>>,
-) -> MutexGuard<'a, Lanes<T>> {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<T> AdmissionQueue<T> {
@@ -101,7 +94,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Closes the queue and removes everything still waiting, in pop order.
-    /// Used by a global deadline to turn queued work into cancelled
+    /// Used by the executor's shutdown to turn queued work into cancelled
     /// outcomes without running it.
     pub fn drain(&self) -> Vec<T> {
         let mut lanes = recover(self.lanes.lock());

@@ -1,12 +1,10 @@
 //! One attempt of one scenario under runtime control.
 //!
-//! The runner is the bridge between the batch layer and the simulator: it
+//! The runner is the bridge between the executor and the simulator: it
 //! builds the scenario exactly the way the conformance oracle does (same
 //! graph construction, same config assembly, same root checks), then runs
 //! the ScalaGraph engine *cancellably* — threading the worker's
-//! [`CancelToken`] and any budget-derived cycle ceiling into the hot loop.
-//! Retries enter here too: an attempt can override the scenario's fault
-//! seed so a probabilistic fault stream rolls differently.
+//! [`CancelToken`] and any configured cycle ceiling into the hot loop.
 
 use scalagraph::{CancelToken, SimError, Simulator};
 use scalagraph_algo::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp, WidestPath};
@@ -22,20 +20,17 @@ use crate::job::JobMetrics;
 /// Per-attempt knobs layered on top of the scenario.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AttemptOverrides {
-    /// Deterministic simulated-cycle ceiling (from resource budgets); the
-    /// engine ends the run with `SimError::DeadlineExceeded` on exactly
-    /// this cycle. Merged (min) with any ceiling the config already has.
+    /// Deterministic simulated-cycle ceiling; the engine ends the run
+    /// with `SimError::DeadlineExceeded` on exactly this cycle. Merged
+    /// (min) with any ceiling the config already has.
     pub cycle_limit: Option<u64>,
-    /// Replacement fault seed (retry reseeding). `None` keeps the
-    /// scenario's own seed.
-    pub fault_seed: Option<u64>,
 }
 
 /// Why an attempt did not complete.
 #[derive(Debug)]
 pub enum AttemptError {
     /// The scenario itself is unusable (bad graph spec, out-of-range
-    /// root, invalid config). Never retried.
+    /// root, invalid config).
     Malformed(String),
     /// The simulation surfaced a typed error — including cooperative
     /// `Cancelled` / `DeadlineExceeded` terminations.
@@ -44,8 +39,8 @@ pub enum AttemptError {
 
 /// Runs one attempt of `scenario`, polling `token` every simulated cycle.
 ///
-/// Builds the scenario's graph itself; batch and serve layers that share
-/// graphs across jobs should resolve the graph through a
+/// Builds the scenario's graph itself; callers that share graphs across
+/// jobs should resolve the graph through a
 /// [`GraphCache`](crate::GraphCache) and call [`run_attempt_on`] instead.
 ///
 /// # Errors
@@ -80,7 +75,7 @@ pub fn run_attempt_on(
     // A mutation schedule runs the simulation against the final mutated
     // snapshot. The cached base graph stays shared and immutable: the
     // schedule is replayed onto a private copy per attempt, while the
-    // scenario fingerprint (which covers the schedule) keeps batch/serve
+    // scenario fingerprint (which covers the schedule) keeps the daemon's
     // memoization distinct across schedules sharing one base graph.
     let mutated;
     let graph = match scenario.mutations {
@@ -172,14 +167,7 @@ fn run_typed<A: Algorithm>(
     token: &CancelToken,
 ) -> Result<JobMetrics, AttemptError> {
     let mut cfg = scenario.config.build().map_err(AttemptError::Malformed)?;
-    cfg.fault_plan = match overrides.fault_seed {
-        Some(seed) => {
-            let mut reseeded = scenario.clone();
-            reseeded.fault_seed = seed;
-            reseeded.fault_plan()
-        }
-        None => scenario.fault_plan(),
-    };
+    cfg.fault_plan = scenario.fault_plan();
     cfg.fast_forward = scenario.modes.fast_forward;
     if let Some(limit) = overrides.cycle_limit {
         cfg.cycle_limit = Some(cfg.cycle_limit.map_or(limit, |own| own.min(limit)));
@@ -197,33 +185,9 @@ fn run_typed<A: Algorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalagraph_conformance::scenario::{ConfigSpec, Expectation, Family, ModeMatrix};
-    use scalagraph_conformance::{GraphSource, GraphSpec};
 
     fn scenario() -> Scenario {
-        Scenario {
-            name: "runner-test".into(),
-            graph: GraphSpec {
-                family: Family::Uniform {
-                    vertices: 64,
-                    edges: 256,
-                    seed: 7,
-                },
-                symmetrize: false,
-                max_weight: 0,
-                weight_seed: 0,
-                source: GraphSource::Generate,
-            },
-            algo: AlgoSpec::Bfs { root: 0 },
-            config: ConfigSpec::small(),
-            fault_seed: 0,
-            faults: Vec::new(),
-            modes: ModeMatrix::sim_only(),
-            expect: Expectation::Converge,
-            strict_frontier: None,
-            synthetic_bug: false,
-            mutations: None,
-        }
+        crate::test_support::healthy("runner-test")
     }
 
     #[test]
@@ -263,7 +227,6 @@ mod tests {
         let token = CancelToken::new();
         let overrides = AttemptOverrides {
             cycle_limit: Some(5),
-            fault_seed: None,
         };
         match run_attempt(&scenario(), overrides, &token) {
             Err(AttemptError::Sim(SimError::DeadlineExceeded { cycle, partial })) => {
@@ -374,23 +337,5 @@ mod tests {
             Err(AttemptError::Malformed(msg)) => assert!(msg.contains("at least 1 batch"), "{msg}"),
             other => panic!("expected malformed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fault_seed_override_changes_the_plan_seed_only() {
-        // Reseeding without faults is a no-op plan either way.
-        let s = scenario();
-        let token = CancelToken::new();
-        let base = run_attempt(&s, AttemptOverrides::default(), &token).expect("base run");
-        let reseeded = run_attempt(
-            &s,
-            AttemptOverrides {
-                cycle_limit: None,
-                fault_seed: Some(99),
-            },
-            &token,
-        )
-        .expect("reseeded run");
-        assert_eq!(base, reseeded, "no faults: seed override must not matter");
     }
 }

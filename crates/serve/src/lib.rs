@@ -1,22 +1,22 @@
 //! Simulation-as-a-service: a long-lived daemon in front of the ScalaGraph
 //! simulator.
 //!
-//! The batch runtime ([`scalagraph_runtime`]) answers "run these N
-//! scenarios resiliently"; this crate answers "keep running scenarios
-//! forever, for many concurrent clients, without redoing work":
+//! The runtime ([`scalagraph_runtime`]) runs scenarios on its one worker
+//! pool; this crate keeps that pool running for many concurrent clients,
+//! without redoing work:
 //!
 //! | layer | module | what it adds |
 //! |-------|--------|--------------|
 //! | transports | [`server`] + [`http`] | one port speaking line-delimited JSON *and* HTTP/1.1, sniffed per connection |
 //! | protocol | [`protocol`] | strict parsing with typed error responses — malformed input never drops a connection or panics the daemon |
-//! | execution | [`executor`] | a persistent worker pool behind the runtime's bounded two-lane admission queue |
+//! | memoization | [`memo`] | completed results replayed byte-for-byte for identical requests, single-flight, checked before admission |
+//! | execution | [`scalagraph_runtime::Executor`] | the runtime's worker pool behind its bounded two-lane admission queue |
 //! | graph sharing | [`scalagraph_runtime::GraphCache`] | one CSR build per distinct graph spec for the daemon's lifetime |
-//! | memoization | [`memo`] | completed results replayed byte-for-byte for identical scenario fingerprints, single-flight |
 //!
-//! The ledger invariant of the batch runtime
-//! (`submitted == completed + failed + cancelled + rejected`) carries over
-//! to the daemon and is re-checked at shutdown, *including* a shutdown that
-//! lands mid-drain with jobs queued and simulations in flight.
+//! The runtime's ledger invariant
+//! (`submitted == completed + failed + cancelled + rejected`) holds for
+//! the daemon too and is re-checked at shutdown, *including* a shutdown
+//! that lands mid-drain with jobs queued and simulations in flight.
 //!
 //! Two binaries ship with the crate: `scalagraph-serve` (the daemon) and
 //! `loadgen` (a corpus-replaying load generator that writes
@@ -25,14 +25,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod executor;
 pub mod http;
 pub mod memo;
 pub mod protocol;
 pub mod server;
 
-pub use executor::{Executor, ExecutorConfig, RunReply};
-pub use memo::{Memo, MemoCache, MemoGuard, MemoStats};
+pub use memo::{memo_key, Memo, MemoCache, MemoGuard, MemoStats};
 pub use protocol::{Control, ErrorReply, Request};
 pub use server::{render_metrics_text, ServeConfig, Server};
 

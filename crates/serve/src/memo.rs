@@ -6,7 +6,9 @@
 //! produce the same result — so a completed result can be replayed
 //! *verbatim* for every later identical request. The cache stores the
 //! serialized result JSON (not a parsed structure), which makes memoized
-//! replies byte-identical to the original by construction.
+//! replies byte-identical to the original by construction. That JSON
+//! carries the request's name, which the fingerprint ignores, so the daemon
+//! keys results by [`memo_key`]: the fingerprint with the name hashed in.
 //!
 //! Soundness boundary: only **completed** runs may be published. Cancelled
 //! and deadline-killed outcomes depend on wall-clock timing (which cycle the
@@ -75,6 +77,17 @@ pub struct MemoGuard<'a> {
     cache: &'a MemoCache,
     fingerprint: u64,
     published: bool,
+}
+
+/// The key the daemon memoizes a result under: `fingerprint` (the
+/// scenario's [`fingerprint`](scalagraph_conformance::Scenario::fingerprint),
+/// which clears the name) extended FNV-1a style over the name's bytes. A
+/// replay is then byte-identical to what its own request would have
+/// produced, name included.
+pub fn memo_key(fingerprint: u64, name: &str) -> u64 {
+    name.bytes().fold(fingerprint, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 fn recover<'a>(
@@ -227,6 +240,14 @@ impl Drop for MemoGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memo_keys_separate_names_of_one_fingerprint() {
+        assert_ne!(memo_key(7, "alpha"), memo_key(7, "beta"));
+        assert_ne!(memo_key(7, "alpha"), memo_key(8, "alpha"));
+        assert_eq!(memo_key(7, "alpha"), memo_key(7, "alpha"));
+        assert_eq!(memo_key(7, ""), 7, "an empty name keys by fingerprint");
+    }
 
     #[test]
     fn publish_then_hit_returns_the_same_bytes() {

@@ -18,7 +18,7 @@
 
 use scalagraph_conformance::json::{obj, parse, Json};
 use scalagraph_conformance::Scenario;
-use scalagraph_runtime::{JobMetrics, JobStatus, Priority};
+use scalagraph_runtime::{JobMetrics, JobStatus, Priority, Rejection};
 
 /// Envelope keys the jsonl transport accepts.
 const ENVELOPE_KEYS: [&str; 4] = ["run", "control", "priority", "deadline_ms"];
@@ -143,6 +143,15 @@ impl ErrorReply {
             ),
         ])
         .compact()
+    }
+}
+
+impl From<Rejection> for ErrorReply {
+    fn from(rejection: Rejection) -> Self {
+        match rejection {
+            Rejection::QueueFull { capacity } => ErrorReply::queue_full(capacity),
+            Rejection::ShuttingDown => ErrorReply::shutting_down(),
+        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! The daemon: a TCP listener in front of the [`Executor`].
+//! The daemon: a TCP listener and a result memo in front of the runtime's
+//! [`Executor`].
 //!
 //! One port speaks both transports. The first bytes of a connection are
 //! sniffed: an HTTP method verb (`POST `, `GET `, ...) selects the
@@ -10,9 +11,10 @@
 //!
 //! Shutdown is cooperative and total: a `shutdown` control request (either
 //! transport) or [`Server::stop`] flips one flag and wakes the accept
-//! thread, which blocks in `accept()`, with a connection of its own; the
-//! accept loop closes, the executor drains its queue into typed refusals
-//! and cancels in-flight simulations through their
+//! thread, which blocks in `accept()`, with a connection of its own; run
+//! requests are refused from then on, memo hits included; the accept loop
+//! closes, the executor drains its queue into typed refusals and cancels
+//! in-flight simulations through their
 //! [`CancelToken`](scalagraph::CancelToken)s, connection threads flush
 //! their last responses, and [`Server::join`] returns the final counters —
 //! whose ledger must balance, exactly as in the batch runtime.
@@ -23,18 +25,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use scalagraph_conformance::json::{parse, Json};
-use scalagraph_runtime::{GraphCache, GraphCacheStats};
+use scalagraph_conformance::Scenario;
+use scalagraph_runtime::{
+    Executor, GraphCache, GraphCacheStats, JobSpec, JobStatus, Priority, RuntimeConfig,
+};
 use scalagraph_telemetry::{ServiceCounters, ServiceMetrics};
 
-use crate::executor::{Executor, ExecutorConfig, RunReply};
 use crate::http;
-use crate::memo::{MemoCache, MemoStats};
+use crate::memo::{memo_key, Memo, MemoCache, MemoStats};
 use crate::protocol::{
-    control_response, ok_response, parse_jsonl_request, parse_scenario_strict, Control, ErrorReply,
-    Request,
+    control_response, ok_response, parse_jsonl_request, parse_scenario_strict, result_json,
+    Control, ErrorReply, Request,
 };
 
 /// Daemon knobs.
@@ -54,9 +58,10 @@ pub struct ServeConfig {
     /// Graph cache capacity (distinct graph specs).
     pub graph_cache_capacity: usize,
     /// Graph cache resident-byte budget; 0 disables the byte bound (the
-    /// entry-count capacity still applies).
+    /// entry-count capacity still applies). A job whose estimated graph
+    /// exceeds it is refused before anything is built.
     pub graph_cache_bytes: u64,
-    /// Memo capacity (distinct scenario fingerprints).
+    /// Memo capacity (distinct results).
     pub memo_capacity: usize,
     /// Emit a metrics summary to stderr on this cadence.
     pub summary_every: Option<Duration>,
@@ -112,7 +117,7 @@ pub fn render_metrics_text(
         ("bytes_in", counters.bytes_in),
         ("bytes_out", counters.bytes_out),
         ("ledger_balanced", u64::from(counters.balanced())),
-        ("workers_busy", 0), // reserved; kept for line-format stability
+        ("workers_busy", counters.workers_busy),
     ];
     let mut out = String::new();
     for (name, value) in pairs {
@@ -134,9 +139,10 @@ const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 
 struct Shared {
     metrics: Arc<ServiceMetrics>,
-    graphs: Arc<GraphCache>,
-    memo: Arc<MemoCache>,
+    memo: MemoCache,
     executor: Executor,
+    /// Deadline of a run request that names none.
+    default_deadline: Option<Duration>,
     stop: AtomicBool,
     /// Where a wake-up connection reaches the listener.
     wake_addr: SocketAddr,
@@ -168,7 +174,7 @@ impl Shared {
     fn metrics_text(&self) -> String {
         render_metrics_text(
             &self.metrics.snapshot(),
-            &self.graphs.stats(),
+            &self.executor.graph_cache().stats(),
             &self.memo.stats(),
         )
     }
@@ -189,25 +195,66 @@ impl Shared {
                 scenario,
                 priority,
                 deadline_ms,
-            } => {
-                let (tx, rx) = channel();
-                if let Err(refusal) = self.executor.submit(*scenario, priority, deadline_ms, tx) {
-                    return refusal.to_response();
-                }
-                match rx.recv() {
-                    Ok(RunReply::Done {
-                        result,
-                        memo_hit,
-                        wall_ms,
-                    }) => ok_response(&result, memo_hit, wall_ms),
-                    Ok(RunReply::Refused(refusal)) => refusal.to_response(),
-                    // The worker died without replying — contained panics
-                    // still reply, so this is a runtime bug, answered as a
-                    // typed error rather than a dropped connection.
-                    Err(_) => ErrorReply::internal("job reply channel lost").to_response(),
-                }
-            }
+            } => self
+                .run(*scenario, priority, deadline_ms)
+                .unwrap_or_else(|refusal| refusal.to_response()),
         }
+    }
+
+    /// Runs one scenario to its response body. The memo answers first, so
+    /// a completed identical request (same behaviour, same name) is
+    /// replayed without passing admission; a replay still counts as one
+    /// submitted and one completed job. Once the daemon is stopping every
+    /// run is refused, memo hits included.
+    fn run(
+        &self,
+        scenario: Scenario,
+        priority: Priority,
+        deadline_ms: Option<u64>,
+    ) -> Result<String, ErrorReply> {
+        let arrived = Instant::now();
+        if self.stop.load(Ordering::Acquire) {
+            self.metrics.job_submitted();
+            self.metrics.job_rejected();
+            return Err(ErrorReply::shutting_down());
+        }
+        let fingerprint = scenario.fingerprint();
+        // `begin` blocks while an identical request is in flight and
+        // returns its published result.
+        let flight = match self.memo.begin(memo_key(fingerprint, &scenario.name)) {
+            Memo::Hit(result) => {
+                self.metrics.job_submitted();
+                self.metrics.memo_hit();
+                self.metrics.job_completed();
+                let wall_ms = arrived.elapsed().as_millis() as u64;
+                return Ok(ok_response(&result, true, wall_ms));
+            }
+            Memo::Miss(flight) => flight,
+        };
+        self.metrics.memo_miss();
+        let mut spec = JobSpec::new(scenario).with_priority(priority);
+        spec.deadline = match deadline_ms {
+            Some(0) => None,
+            Some(ms) => Some(Duration::from_millis(ms)),
+            None => self.default_deadline,
+        };
+        let (tx, rx) = channel();
+        self.executor.submit(spec, tx)?;
+        // Contained panics still reply, so a lost reply is a runtime bug,
+        // answered as a typed error rather than a dropped connection.
+        let outcome = rx
+            .recv()
+            .map_err(|_| ErrorReply::internal("job reply channel lost"))?;
+        let rendered = result_json(&outcome.name, fingerprint, &outcome.status);
+        let result = match outcome.status {
+            // Only a completed result is a pure function of the request.
+            JobStatus::Completed { .. } => flight.publish(rendered),
+            // Drained from the queue unrun: the daemon is stopping.
+            JobStatus::Cancelled { at_cycle: None } => return Err(ErrorReply::shutting_down()),
+            // Dropping the flight abandons it; a waiter runs the job anew.
+            _ => Arc::new(rendered),
+        };
+        Ok(ok_response(&result, false, outcome.wall_ms))
     }
 
     fn count_response(&self, body: &str) {
@@ -360,7 +407,7 @@ fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
             {
                 Ok(scenario) => shared.answer(Request::Run {
                     scenario: Box::new(scenario),
-                    priority: scalagraph_runtime::Priority::Normal,
+                    priority: Priority::Normal,
                     deadline_ms: None,
                 }),
                 Err(refusal) => refusal.to_response(),
@@ -472,7 +519,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns the accept loop and worker pool.
+    /// Binds the listener and spawns the accept loop and the executor.
     ///
     /// # Errors
     ///
@@ -482,32 +529,24 @@ impl Server {
         let local_addr = listener.local_addr()?;
 
         let metrics = Arc::new(ServiceMetrics::new());
-        let graphs = Arc::new(GraphCache::with_byte_budget(
-            config.graph_cache_capacity,
-            if config.graph_cache_bytes == 0 {
-                u64::MAX
-            } else {
-                config.graph_cache_bytes
-            },
-        ));
-        let memo = Arc::new(MemoCache::new(config.memo_capacity));
         let executor = Executor::start(
-            ExecutorConfig {
+            RuntimeConfig {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
-                default_deadline: (config.default_deadline_ms > 0)
-                    .then(|| Duration::from_millis(config.default_deadline_ms)),
-                poll_interval: Duration::from_millis(2),
+                ..RuntimeConfig::default()
             },
             Arc::clone(&metrics),
-            Arc::clone(&graphs),
-            Arc::clone(&memo),
+            Arc::new(GraphCache::with_byte_budget(
+                config.graph_cache_capacity,
+                config.graph_cache_bytes,
+            )),
         );
         let shared = Arc::new(Shared {
             metrics,
-            graphs,
-            memo,
+            memo: MemoCache::new(config.memo_capacity),
             executor,
+            default_deadline: (config.default_deadline_ms > 0)
+                .then(|| Duration::from_millis(config.default_deadline_ms)),
             stop: AtomicBool::new(false),
             wake_addr: wake_addr(local_addr),
             max_body_bytes: config.max_body_bytes,
@@ -648,6 +687,149 @@ fn wake_addr(mut local: SocketAddr) -> SocketAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::extract_result;
+    use crate::test_support::healthy_scenario;
+    use scalagraph_conformance::scenario::Family;
+
+    fn start(workers: usize) -> Server {
+        Server::start(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        })
+        .expect("bind an ephemeral port")
+    }
+
+    /// One run request through the daemon's answer path: the result
+    /// bytes, and whether the memo replayed them.
+    fn run(shared: &Shared, scenario: Scenario, deadline_ms: Option<u64>) -> (String, bool) {
+        let response = shared.answer(Request::Run {
+            scenario: Box::new(scenario),
+            priority: Priority::Normal,
+            deadline_ms,
+        });
+        let result = extract_result(&response)
+            .unwrap_or_else(|| panic!("not a result: {response}"))
+            .to_string();
+        (
+            result,
+            response.starts_with("{\"ok\":true,\"memo_hit\":true"),
+        )
+    }
+
+    fn builds(server: &Server) -> u64 {
+        server.shared.executor.graph_cache().stats().builds
+    }
+
+    #[test]
+    fn identical_concurrent_requests_share_one_simulation() {
+        let server = start(4);
+        let shared = &*server.shared;
+        let replies: Vec<(String, bool)> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| run(shared, healthy_scenario("same"), None)))
+                .collect();
+            clients
+                .into_iter()
+                .map(|c| c.join().expect("client thread"))
+                .collect()
+        });
+        assert!(replies.iter().all(|(result, _)| *result == replies[0].0));
+        assert!(replies[0].0.contains("\"status\":\"completed\""));
+        let memo_hits = replies.iter().filter(|(_, hit)| *hit).count();
+        assert_eq!(memo_hits, 7, "one flight, seven memo replays");
+        assert_eq!(builds(&server), 1);
+        server.stop();
+        let counters = server.join();
+        assert!(counters.balanced(), "{counters}");
+        assert_eq!(counters.submitted, 8);
+        assert_eq!(counters.completed, 8);
+        assert_eq!(counters.memo_hits, 7);
+        assert_eq!(counters.memo_misses, 1);
+    }
+
+    #[test]
+    fn mutation_schedules_memoize_per_schedule_but_share_the_base_graph() {
+        use scalagraph_conformance::MutationSpec;
+        let with_schedule = |seed: u64| {
+            let mut s = healthy_scenario("dynamic-memo");
+            s.mutations = Some(MutationSpec {
+                batches: 2,
+                insert_edges: 4,
+                remove_edges: 4,
+                add_vertices: 0,
+                isolate_vertices: 0,
+                seed,
+            });
+            s
+        };
+        let server = start(4);
+        // Identical scenario + schedule: second run replays the memo.
+        let (first, hit_first) = run(&server.shared, with_schedule(11), None);
+        let (replay, hit_replay) = run(&server.shared, with_schedule(11), None);
+        assert!(!hit_first);
+        assert!(hit_replay, "identical schedule must memo-hit");
+        assert_eq!(first, replay, "replayed bytes are identical");
+        // Same base graph, different schedule: distinct fingerprint, so a
+        // fresh flight — a stale replay here would be unsound.
+        let (other, hit_other) = run(&server.shared, with_schedule(12), None);
+        assert!(!hit_other, "a different schedule must not memo-hit");
+        assert_ne!(first, other, "different schedule, different result");
+        // All three runs resolved one shared base CSR from the cache; the
+        // schedule is applied per attempt, never to the cached graph.
+        assert_eq!(builds(&server), 1);
+        server.stop();
+        let counters = server.join();
+        assert!(counters.balanced(), "{counters}");
+        assert_eq!(counters.memo_hits, 1);
+        assert_eq!(counters.memo_misses, 2);
+    }
+
+    #[test]
+    fn a_deadline_kill_is_not_memoized_but_a_completion_is() {
+        let server = start(2);
+        let mut s = healthy_scenario("dl");
+        s.graph.family = Family::Uniform {
+            vertices: 2048,
+            edges: 16_384,
+            seed: 5,
+        };
+        // First: an impossible 1 ms deadline, which usually kills the run.
+        let (first, first_hit) = run(&server.shared, s.clone(), Some(1));
+        assert!(!first_hit);
+        // Timing decides whether the tiny deadline actually fired; either
+        // way the second, undeadlined run must simulate (no memo of a
+        // killed result) unless the first genuinely completed.
+        let (second, second_hit) = run(&server.shared, s, Some(0));
+        assert!(second.contains("\"status\":\"completed\""), "{second}");
+        if first.contains("\"status\":\"completed\"") {
+            assert!(second_hit, "a completed first run memoizes");
+        } else {
+            assert!(!second_hit, "a killed first run must not memoize");
+        }
+        server.stop();
+        assert!(server.join().balanced());
+    }
+
+    #[test]
+    fn a_stopping_daemon_refuses_runs_even_when_the_memo_would_hit() {
+        let server = start(1);
+        let (result, _) = run(&server.shared, healthy_scenario("late"), None);
+        assert!(result.contains("\"status\":\"completed\""), "{result}");
+        server.stop();
+        let response = server.shared.answer(Request::Run {
+            scenario: Box::new(healthy_scenario("late")),
+            priority: Priority::Normal,
+            deadline_ms: None,
+        });
+        assert!(
+            response.contains("\"kind\":\"shutting_down\""),
+            "{response}"
+        );
+        let counters = server.join();
+        assert!(counters.balanced(), "{counters}");
+        assert_eq!((counters.submitted, counters.rejected), (2, 1));
+        assert_eq!(counters.memo_hits, 0);
+    }
 
     #[test]
     fn a_wildcard_listener_is_woken_over_loopback() {

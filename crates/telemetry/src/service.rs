@@ -1,13 +1,14 @@
-//! Service-level metrics for batch execution.
+//! Service-level metrics for job execution.
 //!
 //! The rest of this crate watches a *single* simulation from the inside.
 //! This module watches a *fleet* of simulations from the outside: how many
-//! jobs were admitted, rejected, retried, killed by a deadline, quarantined
-//! by a circuit breaker. A [`ServiceMetrics`] is a bag of atomic counters a
-//! batch runtime's workers bump from many threads without coordination;
+//! jobs were admitted, rejected, killed by a deadline, contained after a
+//! panic. A [`ServiceMetrics`] is a bag of atomic counters an executor's
+//! workers bump from many threads without coordination;
 //! [`ServiceCounters`] is a plain snapshot for reporting.
 //!
-//! The counters are deliberately monotonic (except the queue-depth gauge):
+//! The counters are deliberately monotonic (except the queue-depth and
+//! busy-worker gauges):
 //! a balanced ledger — `submitted == completed + failed + cancelled +
 //! rejected` — is the batch runtime's core invariant, and monotonic
 //! counters make the check meaningful at any observation point after the
@@ -15,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Thread-safe counters a batch runtime bumps while it runs.
+/// Thread-safe counters an executor bumps while it runs.
 ///
 /// All methods take `&self`; relaxed ordering everywhere since the counters
 /// are statistics, not synchronization.
@@ -27,13 +28,10 @@ pub struct ServiceMetrics {
     failed: AtomicU64,
     cancelled: AtomicU64,
     deadline_kills: AtomicU64,
-    retries: AtomicU64,
     panics_contained: AtomicU64,
-    degraded: AtomicU64,
-    quarantined: AtomicU64,
-    breaker_opened: AtomicU64,
     queue_depth: AtomicU64,
     queue_peak: AtomicU64,
+    workers_busy: AtomicU64,
     // Serve-side counters: a long-lived daemon watches its wire traffic and
     // its caches with the same metrics bag its executor already bumps.
     connections: AtomicU64,
@@ -69,8 +67,8 @@ impl ServiceMetrics {
         job_rejected => rejected,
         /// A job finished with a usable result.
         job_completed => completed,
-        /// A job ended in an error outcome (sim error, panic, quarantine,
-        /// malformed spec, over budget).
+        /// A job ended in an error outcome (sim error, panic, malformed
+        /// spec, over budget).
         job_failed => failed,
         /// A job was cancelled (explicitly or by a deadline) before
         /// completing.
@@ -78,18 +76,9 @@ impl ServiceMetrics {
         /// A deadline expiry was the cancellation cause. Subset of
         /// [`ServiceMetrics::job_cancelled`].
         deadline_kill => deadline_kills,
-        /// One retry attempt was scheduled after a transient failure.
-        retry_scheduled => retries,
         /// A worker caught a panic and converted it into a structured
         /// outcome.
         panic_contained => panics_contained,
-        /// A job ran in a degraded (down-scaled) configuration to fit its
-        /// resource budget.
-        job_degraded => degraded,
-        /// An open circuit breaker refused a job.
-        job_quarantined => quarantined,
-        /// A circuit breaker transitioned closed -> open.
-        breaker_opened => breaker_opened,
         /// A client connection was accepted by the serve listener.
         conn_opened => connections,
         /// A request was answered with a protocol-level success.
@@ -138,6 +127,19 @@ impl ServiceMetrics {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
     }
 
+    /// Records a worker starting a job it popped.
+    pub fn worker_busy(&self) {
+        self.workers_busy.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a worker done with its job, before the job's reply is sent.
+    /// Saturates at zero like [`queue_left`](Self::queue_left).
+    pub fn worker_idle(&self) {
+        let _ = self
+            .workers_busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
+    }
+
     /// A point-in-time snapshot of every counter.
     pub fn snapshot(&self) -> ServiceCounters {
         ServiceCounters {
@@ -147,13 +149,10 @@ impl ServiceMetrics {
             failed: self.failed.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            breaker_opened: self.breaker_opened.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
+            workers_busy: self.workers_busy.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
             requests_ok: self.requests_ok.load(Ordering::Relaxed),
             requests_error: self.requests_error.load(Ordering::Relaxed),
@@ -182,20 +181,14 @@ pub struct ServiceCounters {
     pub cancelled: u64,
     /// Cancellations caused by a deadline expiry.
     pub deadline_kills: u64,
-    /// Retry attempts scheduled.
-    pub retries: u64,
     /// Panics caught and contained by workers.
     pub panics_contained: u64,
-    /// Jobs run in a degraded configuration.
-    pub degraded: u64,
-    /// Jobs refused by an open circuit breaker.
-    pub quarantined: u64,
-    /// Closed -> open breaker transitions.
-    pub breaker_opened: u64,
     /// Jobs sitting in the admission queue right now.
     pub queue_depth: u64,
     /// High-water mark of the admission queue.
     pub queue_peak: u64,
+    /// Jobs a worker is running right now.
+    pub workers_busy: u64,
     /// Client connections accepted by the serve listener.
     pub connections: u64,
     /// Requests answered with a protocol-level success.
@@ -218,7 +211,7 @@ pub struct ServiceCounters {
 
 impl ServiceCounters {
     /// Whether every submitted job is accounted for by exactly one terminal
-    /// bucket. The batch runtime asserts this after draining.
+    /// bucket. Batch runs and the daemon check this after draining.
     pub fn balanced(&self) -> bool {
         self.submitted == self.completed + self.failed + self.cancelled + self.rejected
     }
@@ -240,15 +233,10 @@ impl std::fmt::Display for ServiceCounters {
                 "UNBALANCED"
             }
         )?;
-        writeln!(
-            f,
-            "resilience: {} retries, {} deadline kills, {} panics contained, {} degraded",
-            self.retries, self.deadline_kills, self.panics_contained, self.degraded
-        )?;
         write!(
             f,
-            "pressure: queue peak {}, {} quarantined, {} breaker trips",
-            self.queue_peak, self.quarantined, self.breaker_opened
+            "resilience: {} deadline kills, {} panics contained, queue peak {}",
+            self.deadline_kills, self.panics_contained, self.queue_peak
         )?;
         // The serve line only appears once the metrics have actually seen
         // wire traffic, so batch-mode output is unchanged.
@@ -288,7 +276,6 @@ mod tests {
         m.job_cancelled();
         m.deadline_kill();
         m.job_rejected();
-        m.retry_scheduled();
         m.panic_contained();
         let c = m.snapshot();
         assert_eq!(c.submitted, 5);
@@ -310,6 +297,18 @@ mod tests {
         let c = m.snapshot();
         assert_eq!(c.queue_depth, 2);
         assert_eq!(c.queue_peak, 3);
+    }
+
+    #[test]
+    fn busy_gauge_tracks_running_jobs_and_saturates() {
+        let m = ServiceMetrics::new();
+        m.worker_busy();
+        m.worker_busy();
+        m.worker_idle();
+        assert_eq!(m.snapshot().workers_busy, 1);
+        m.worker_idle();
+        m.worker_idle(); // stray decrement: must not wrap
+        assert_eq!(m.snapshot().workers_busy, 0);
     }
 
     #[test]

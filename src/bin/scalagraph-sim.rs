@@ -27,20 +27,20 @@
 //!   print the header of a packed CSR container.
 //!
 //! scalagraph-sim batch [options] <scenario.json | dir> [...]
-//!   run conformance scenarios through the resilient batch runtime
-//!   (directories expand to their *.json files, sorted). Prints one
-//!   outcome record per job plus the runtime ledger. Exits 0 when the
-//!   ledger balances, 1 on an unbalanced ledger or --strict violation,
-//!   2 on usage errors.
+//!   run conformance scenarios on the runtime's worker pool (directories
+//!   expand to their *.json files, sorted). Prints one outcome record per
+//!   job plus the runtime ledger. A job is run as asked or refused with a
+//!   typed outcome, never retried or shrunk. Exits 0 when the ledger
+//!   balances, 1 on an unbalanced ledger or --strict violation, 2 on
+//!   usage errors.
 //!   --workers <n>             worker threads                    [4]
 //!   --queue-cap <n>           admission queue capacity          [256]
 //!   --deadline-ms <ms>        per-job wall-clock deadline       [none]
 //!   --global-deadline-ms <ms> whole-batch wall-clock ceiling    [none]
-//!   --retries <n>             max attempts per job              [3]
-//!   --breaker <n>             breaker threshold, 0 disables     [3]
 //!   --max-cycles <n>          per-job simulated-cycle budget    [none]
-//!   --max-graph-bytes <n>     per-job graph-memory budget       [none]
-//!   --graph-cache-bytes <n>   shared graph-cache byte budget    [unbounded]
+//!   --graph-cache-bytes <n>   graph-cache byte budget, 0=none; a job
+//!                             whose estimated graph exceeds it fails
+//!                             over budget, unbuilt              [0]
 //!   --inject-panic <name>     panic the worker on this scenario (test hook)
 //!   --strict                  exit 1 unless every job completed
 //!
@@ -557,12 +557,11 @@ fn cmd_graph_info(rest: &[String]) -> ! {
     exit(0)
 }
 
-/// `scalagraph-sim batch`: run scenarios through the resilient batch
-/// runtime.
+/// `scalagraph-sim batch`: run scenarios on the runtime's worker pool.
 fn cmd_batch(rest: &[String]) -> ! {
     let mut config = RuntimeConfig::default();
     let mut strict = false;
-    let mut graph_cache_bytes: Option<u64> = None;
+    let mut graph_cache_bytes = 0;
     let mut inject_panic: Option<String> = None;
     let mut inputs: Vec<String> = Vec::new();
     let mut it = rest.iter();
@@ -596,22 +595,11 @@ fn cmd_batch(rest: &[String]) -> ! {
                     value("--global-deadline-ms"),
                 )))
             }
-            "--retries" => {
-                config.retry.max_attempts = parse_u64("--retries", value("--retries")).max(1) as u32
-            }
-            "--breaker" => {
-                config.breaker_threshold = parse_u64("--breaker", value("--breaker")) as u32
-            }
             "--max-cycles" => {
-                config.budgets.max_cycles = Some(parse_u64("--max-cycles", value("--max-cycles")))
-            }
-            "--max-graph-bytes" => {
-                config.budgets.max_graph_bytes =
-                    Some(parse_u64("--max-graph-bytes", value("--max-graph-bytes")))
+                config.max_cycles = Some(parse_u64("--max-cycles", value("--max-cycles")))
             }
             "--graph-cache-bytes" => {
-                graph_cache_bytes =
-                    Some(parse_u64("--graph-cache-bytes", value("--graph-cache-bytes")).max(1))
+                graph_cache_bytes = parse_u64("--graph-cache-bytes", value("--graph-cache-bytes"))
             }
             "--inject-panic" => inject_panic = Some(value("--inject-panic")),
             "--strict" => strict = true,
@@ -680,13 +668,10 @@ fn cmd_batch(rest: &[String]) -> ! {
         config.workers,
         config.queue_capacity
     );
-    let runtime = match graph_cache_bytes {
-        Some(bytes) => BatchRuntime::with_graph_cache(
-            config,
-            Arc::new(GraphCache::with_byte_budget(64, bytes)),
-        ),
-        None => BatchRuntime::new(config),
-    };
+    let runtime = BatchRuntime::with_graph_cache(
+        config,
+        Arc::new(GraphCache::with_byte_budget(64, graph_cache_bytes)),
+    );
     let report = runtime.run(specs);
     for outcome in &report.outcomes {
         println!("{outcome}");

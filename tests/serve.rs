@@ -24,6 +24,11 @@
 //!    is not counted.
 //! 9. Mutated corpus scenarios, framed as HTTP requests and as jsonl lines,
 //!    get `Ok` or a typed error from both wire parsers, never a panic.
+//! 10. A memo hit answers with its own request's name: two scenarios that
+//!     differ only in name get their own result bytes.
+//! 11. Oversized graph families neither wrap past `validate()` nor slip
+//!     under the graph cache's byte budget, and nothing is built for them.
+//! 12. `workers_busy` on `/metrics` counts the jobs the executor is running.
 
 mod common;
 
@@ -33,7 +38,7 @@ use std::time::Duration;
 
 use scalagraph_suite::conformance::json;
 use scalagraph_suite::conformance::scenario::{
-    AlgoSpec, ConfigSpec, Expectation, Family, ModeMatrix,
+    AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, ModeMatrix,
 };
 use scalagraph_suite::conformance::{GraphSource, GraphSpec, Scenario};
 use scalagraph_suite::serve::http::{read_request, HttpError};
@@ -460,6 +465,147 @@ fn stop_wakes_a_listener_bound_to_every_interface() {
         counters.connections, 1,
         "the wake-up connection is not counted"
     );
+}
+
+#[test]
+fn a_memo_hit_answers_with_its_own_requests_name() {
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    let mut results = Vec::new();
+    for name in ["alpha", "beta", "alpha"] {
+        let (status, body) = post_run(&addr, &healthy(name).to_json_string());
+        assert_eq!(status, 200, "{body}");
+        let result = extract_result(&body).expect("result payload").to_string();
+        assert!(
+            result.contains(&format!("\"name\":\"{name}\"")),
+            "{name}: {result}"
+        );
+        results.push(result);
+    }
+    assert_eq!(results[0], results[2], "a replay is byte-identical");
+    assert_eq!(
+        results[0].replace("alpha", "beta"),
+        results[1],
+        "one behaviour, two names"
+    );
+    assert_eq!(
+        metric(&addr, "memo_hits"),
+        1,
+        "only the second alpha replays"
+    );
+    assert_eq!(metric(&addr, "graph_cache_builds"), 1);
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+}
+
+#[test]
+fn oversized_families_are_refused_before_anything_is_built() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        graph_cache_bytes: 1 << 20,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+
+    // (2^62 + 1) x 4 wraps to 4 vertices in unchecked arithmetic.
+    let mut grid = healthy("serve-oversized-grid");
+    grid.graph.family = Family::Grid {
+        rows: (1 << 62) + 1,
+        cols: 4,
+    };
+    let (status, body) = post_run(&addr, &grid.to_json_string());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\":\"invalid_scenario\""), "{body}");
+
+    // 2^63 edges, doubled by symmetrization, wrap to 0 bytes of edges; and
+    // a graph that fits a host but not the daemon's 1 MiB budget.
+    let mut wrapping = healthy("serve-oversized-uniform");
+    wrapping.graph.family = Family::Uniform {
+        vertices: 2,
+        edges: 1 << 63,
+        seed: 7,
+    };
+    wrapping.graph.symmetrize = true;
+    let mut large = healthy("serve-over-budget");
+    large.graph.family = Family::Uniform {
+        vertices: 100_000,
+        edges: 400_000,
+        seed: 7,
+    };
+    for scenario in [wrapping, large] {
+        let (status, body) = post_run(&addr, &scenario.to_json_string());
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"status\":\"failed\""), "{body}");
+        assert!(body.contains("over budget"), "{body}");
+    }
+    assert_eq!(metric(&addr, "graph_cache_builds"), 0);
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(counters.failed, 2);
+}
+
+#[test]
+fn workers_busy_counts_the_running_job() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        default_deadline_ms: 2000,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    assert_eq!(metric(&addr, "workers_busy"), 0);
+
+    // A wedge with the watchdog off runs until its deadline.
+    let mut wedge = healthy("serve-busy-wedge");
+    wedge.graph.family = Family::Uniform {
+        vertices: 400,
+        edges: 3000,
+        seed: 4,
+    };
+    wedge.config.watchdog_stall_cycles = 0;
+    wedge.modes.fast_forward = false;
+    wedge.faults = vec![FaultSpec {
+        kind: FaultKindSpec::HbmStall {
+            tile: 0,
+            channel: 0,
+            cycles: 0,
+        },
+        from: 20,
+        until: 21,
+    }];
+    wedge.fault_seed = 1;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = {
+        let addr = addr.clone();
+        let body = wedge.to_json_string();
+        std::thread::spawn(move || {
+            let _ = tx.send(post_run(&addr, &body));
+        })
+    };
+    let waited = std::time::Instant::now();
+    while metric(&addr, "workers_busy") == 0 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the wedge never showed as running"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(metric(&addr, "workers_busy"), 1);
+    let (status, body) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the wedge is answered within 10 s");
+    client.join().expect("client thread");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"deadline-exceeded\""), "{body}");
+    assert_eq!(metric(&addr, "workers_busy"), 0);
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
 }
 
 fn http_frame(body: &str) -> Vec<u8> {
