@@ -24,13 +24,14 @@
 //! ```text
 //! bench_datasets [--out <path>] [--check <path>]
 //!   --out <path>     where to write the JSON        [BENCH_datasets.json]
-//!   --check <path>   compare against a previous JSON and exit nonzero if
-//!                    the pack ratio worsened >10%, or the gen/cold-open
-//!                    speedups fell below half their recorded values
+//!   --check <path>   gate against a previous report: exit 1 if the
+//!                    worst pack ratio exceeds 1.10x the report's, or the
+//!                    gen/cold-open speedups fall below half of its values
 //! ```
 
 use scalagraph::{ScalaGraphConfig, Simulator};
 use scalagraph_algo::algorithms::Bfs;
+use scalagraph_bench::{Checker, Gate, Rule};
 use scalagraph_graph::{packed, Csr, Dataset, PackedCsr};
 use std::time::Instant;
 
@@ -267,33 +268,8 @@ fn run_end_to_end() -> EndToEnd {
     }
 }
 
-/// Extracts `"key": <number>` from a previous report. Hand-rolled because
-/// the JSON is ours and the keys are unique at top level.
-fn read_number(text: &str, key: &str) -> Option<f64> {
-    let after = text.split(&format!("\"{key}\":")).nth(1)?;
-    after
-        .trim_start()
-        .split(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
-        .next()?
-        .parse()
-        .ok()
-}
-
 fn main() {
-    let mut out_path = "BENCH_datasets.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            other => panic!("unknown flag `{other}`"),
-        }
-    }
+    let checker = Checker::from_args("BENCH_datasets.json", |_, _| false);
 
     println!("dataset ladder ({} presets):", PRESETS.len());
     let results: Vec<PresetResult> = PRESETS
@@ -307,8 +283,6 @@ fn main() {
         .enumerate()
         .max_by_key(|(_, r)| r.edges)
         .expect("preset ladder is not empty");
-    let largest_gen_speedup = largest.gen_speedup;
-    let worst_pack_ratio = results.iter().map(|r| r.pack_ratio).fold(0.0, f64::max);
 
     let (cold_dataset, cold_scale) = PRESETS[largest_idx];
     let cold = run_cold_open(cold_dataset, cold_scale, largest.regen_s);
@@ -338,18 +312,18 @@ fn main() {
     let json = format!(
         "{{\n  \"presets\": [\n{presets}\n  ],\n  \
          \"largest_preset\": \"{lp}\",\n  \
-         \"largest_gen_speedup\": {lgs:.3},\n  \
-         \"worst_pack_ratio\": {wpr:.4},\n  \
+         \"largest_gen_speedup\": {lgs},\n  \
+         \"worst_pack_ratio\": {wpr},\n  \
          \"cold_open\": {{ \"preset\": \"{lp}\", \"regen_s\": {rg:.3}, \
          \"open_ms\": {om:.1}, \"open_to_csr_ms\": {oc:.1} }},\n  \
-         \"cold_open_speedup\": {cos:.1},\n  \
+         \"cold_open_speedup\": {cos},\n  \
          \"end_to_end\": {{ \"preset\": \"{sp}\", \"algo\": \"bfs\", \
          \"csr_wall_ms\": {cw:.2}, \"packed_wall_ms\": {pw:.2}, \
          \"cycles\": {cy}, \"bit_identical\": true }}\n}}\n",
         presets = preset_lines.join(",\n"),
         lp = largest.label,
-        lgs = largest_gen_speedup,
-        wpr = worst_pack_ratio,
+        lgs = largest.gen_speedup,
+        wpr = results.iter().map(|r| r.pack_ratio).fold(0.0, f64::max),
         rg = largest.regen_s,
         om = cold.open_ms,
         oc = cold.open_to_csr_ms,
@@ -359,50 +333,11 @@ fn main() {
         pw = e2e.packed_wall_ms,
         cy = e2e.cycles,
     );
-    std::fs::write(&out_path, json).expect("could not write report");
-    println!("wrote {out_path}");
-
-    if let Some(path) = check_path {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let mut failed = false;
-        // (key, old -> bound, new value, direction). Every gate is a
-        // ratio, so host speed cancels out of the comparison.
-        let gates = [
-            (
-                "worst_pack_ratio",
-                read_number(&text, "worst_pack_ratio").map(|v| v * 1.10),
-                worst_pack_ratio,
-                "above",
-            ),
-            (
-                "largest_gen_speedup",
-                read_number(&text, "largest_gen_speedup").map(|v| v * 0.5),
-                largest_gen_speedup,
-                "below",
-            ),
-            (
-                "cold_open_speedup",
-                read_number(&text, "cold_open_speedup").map(|v| v * 0.5),
-                cold.speedup,
-                "below",
-            ),
-        ];
-        for (key, bound, new, direction) in gates {
-            let bound = bound.unwrap_or_else(|| panic!("no {key} in {path}"));
-            println!("regression check [{key}] vs {path}: bound {bound:.3} ({direction}), measured {new:.3}");
-            let tripped = match direction {
-                "above" => new > bound,
-                _ => new < bound,
-            };
-            if tripped {
-                eprintln!("error: {key} regressed {direction} its bound vs {path}");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("regression checks passed");
-    }
+    // Every gate is a ratio, so host speed cancels out of the comparison.
+    let gates = [
+        Gate::at("worst_pack_ratio", Rule::AtMost(1.10)),
+        Gate::at("largest_gen_speedup", Rule::AtLeast(0.5)),
+        Gate::at("cold_open_speedup", Rule::AtLeast(0.5)),
+    ];
+    checker.finish(&json, &gates);
 }

@@ -16,12 +16,13 @@
 //! **ratio-only**: the in-run incremental-over-recompute speedup at the
 //! ≤1% churn presets must be ≥ 2x (`GATE_MIN_SPEEDUP`); absolute times are
 //! published for context but never gated. `--check` compares ratios
-//! against a previous report, again never wall-clock.
+//! against a previous report, again never wall-clock. The report is
+//! written before it is gated, so a failing run still leaves it behind.
 //!
 //! ```text
 //! bench_dynamic [--out <path>] [--check <path>] [--reps <n>]
 //!   --out <path>     where to write the JSON        [BENCH_dynamic.json]
-//!   --check <path>   also require: current gated speedups >= half the
+//!   --check <path>   also require: the smallest gated speedup >= half the
 //!                    previous report's (ratio-to-ratio, noise-tolerant)
 //!   --reps <n>       timed reps per leg (min-of-N)  [5]
 //! ```
@@ -29,6 +30,8 @@
 use scalagraph_algo::algorithms::{Bfs, PageRank};
 use scalagraph_algo::dynamic::{delta_pagerank, repair_rooted, trace_pagerank, PageRankTrace};
 use scalagraph_algo::ReferenceEngine;
+use scalagraph_bench::{Checker, Gate, Rule};
+use scalagraph_conformance::json::Json;
 use scalagraph_conformance::{materialize_batch, MutationSpec};
 use scalagraph_graph::mutate::DynamicCsr;
 use scalagraph_graph::{generators, Csr};
@@ -251,46 +254,29 @@ fn batch_json(timings: &[BatchTiming]) -> String {
     lines.join(",\n")
 }
 
-/// Extracts the gated `"gm_speedup"` values from a previous report: every
-/// number following a `"gm_speedup":` key inside a gated preset. The JSON
-/// is ours and flat, so a scan is enough.
-fn read_gated_speedups(text: &str) -> Vec<f64> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"gated\": true").skip(1) {
-        for field in chunk.split("\"gm_speedup\":").skip(1).take(2) {
-            if let Some(v) = field
-                .trim_start()
-                .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-                .next()
-                .and_then(|s| s.parse::<f64>().ok())
-            {
-                out.push(v);
+/// The smallest `gm_speedup` of the gated presets, as a report records
+/// them: the one figure both dynamic gates bound.
+fn min_gated_speedup(report: &Json) -> Option<f64> {
+    let mut gated = Vec::new();
+    for preset in report.get("presets")?.as_array()? {
+        if preset.get("gated")?.as_bool()? {
+            for leg in ["bfs_repair", "delta_pagerank"] {
+                gated.push(preset.get(leg)?.get("gm_speedup")?.as_f64()?);
             }
         }
     }
-    out
+    gated.into_iter().reduce(f64::min)
 }
 
 fn main() {
-    let mut out_path = "BENCH_dynamic.json".to_string();
-    let mut check_path: Option<String> = None;
     let mut reps: u32 = 5;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            "--reps" => {
-                reps = value("--reps").parse().expect("--reps needs an integer");
-                assert!(reps > 0, "--reps needs a positive integer");
-            }
-            other => panic!("unknown flag `{other}`"),
+    let checker = Checker::from_args("BENCH_dynamic.json", |flag, value| {
+        if flag == "--reps" {
+            reps = value.parse().expect("--reps needs an integer");
+            assert!(reps > 0, "--reps needs a positive integer");
         }
-    }
+        flag == "--reps"
+    });
 
     println!(
         "workloads: bfs-repair uniform |V|={BFS_VERTICES} |E|={BFS_EDGES}, \
@@ -299,8 +285,6 @@ fn main() {
     );
 
     let mut sections = Vec::new();
-    let mut gate_ok = true;
-    let mut gated_current = Vec::new();
     for preset in PRESETS {
         let churn = churn_fraction(preset);
         let gated = churn <= GATE_MAX_CHURN;
@@ -315,50 +299,19 @@ fn main() {
             bfs_gm,
             pr_gm,
         );
-        if gated {
-            gated_current.push(bfs_gm);
-            gated_current.push(pr_gm);
-            gate_ok &= bfs_gm >= GATE_MIN_SPEEDUP && pr_gm >= GATE_MIN_SPEEDUP;
-        }
         let mut section = format!(
             "    {{\n      \"preset\": \"{}\", \"churn_fraction\": {churn:.4}, \"gated\": {gated},\n",
             preset.name
         );
         section.push_str(&format!(
-            "      \"bfs_repair\": {{ \"gm_speedup\": {bfs_gm:.2}, \"batches\": [\n{}\n      ] }},\n",
+            "      \"bfs_repair\": {{ \"gm_speedup\": {bfs_gm}, \"batches\": [\n{}\n      ] }},\n",
             batch_json(&bfs)
         ));
         section.push_str(&format!(
-            "      \"delta_pagerank\": {{ \"gm_speedup\": {pr_gm:.2}, \"batches\": [\n{}\n      ] }}\n    }}",
+            "      \"delta_pagerank\": {{ \"gm_speedup\": {pr_gm}, \"batches\": [\n{}\n      ] }}\n    }}",
             batch_json(&pagerank)
         ));
         sections.push(section);
-    }
-
-    assert!(
-        gate_ok,
-        "ratio gate failed: incremental must be >= {GATE_MIN_SPEEDUP}x \
-         over full recompute at <= {GATE_MAX_CHURN} churn"
-    );
-
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let previous = read_gated_speedups(&text);
-        assert!(
-            !previous.is_empty(),
-            "--check: {path} has no gated gm_speedup fields"
-        );
-        // Ratio-to-ratio only: current gated speedups may not collapse to
-        // less than half of what the checked-in report published.
-        let prev_min = previous.iter().copied().fold(f64::MAX, f64::min);
-        let cur_min = gated_current.iter().copied().fold(f64::MAX, f64::min);
-        assert!(
-            cur_min >= prev_min / 2.0,
-            "--check: gated speedup collapsed: current min {cur_min:.2}x \
-             vs previous min {prev_min:.2}x"
-        );
-        println!("check vs {path}: current gated min {cur_min:.2}x, previous {prev_min:.2}x — ok");
     }
 
     let mut json = format!(
@@ -368,12 +321,26 @@ fn main() {
         "  \"batches_per_preset\": {BATCHES},\n  \"reps\": {reps},\n"
     ));
     json.push_str(&format!(
-        "  \"gate\": {{ \"min_speedup\": {GATE_MIN_SPEEDUP}, \"max_churn\": {GATE_MAX_CHURN}, \"pass\": {gate_ok} }},\n"
+        "  \"gate\": {{ \"min_speedup\": {GATE_MIN_SPEEDUP}, \"max_churn\": {GATE_MAX_CHURN} }},\n"
     ));
     json.push_str(&format!(
         "  \"presets\": [\n{}\n  ]\n}}\n",
         sections.join(",\n")
     ));
-    std::fs::write(&out_path, json).expect("write report");
-    println!("wrote {out_path}");
+    // Ratio-to-ratio only: the gated speedups must clear the in-run
+    // floor, and may not collapse to less than half of what the baseline
+    // published.
+    let gates = [
+        Gate::new(
+            "min gated gm_speedup (in run)",
+            Rule::Floor(GATE_MIN_SPEEDUP),
+            min_gated_speedup,
+        ),
+        Gate::new(
+            "min gated gm_speedup (vs baseline)",
+            Rule::AtLeast(0.5),
+            min_gated_speedup,
+        ),
+    ];
+    checker.finish(&json, &gates);
 }

@@ -15,10 +15,10 @@
 //! ```text
 //! bench_hotloop [--out <path>] [--check <path>] [--threads <n>]
 //!   --out <path>     where to write the JSON        [BENCH_hotloop.json]
-//!   --check <path>   compare against a previously written JSON and exit
-//!                    nonzero if event-core cycles/sec regressed >20%, or
-//!                    if any configuration's simulated cycles or traversed
-//!                    edges differ from the pinned ones
+//!   --check <path>   gate against a previous report: exit 1 unless
+//!                    event-core cycles/sec is at least 0.8x the report's
+//!                    and every configuration's simulated cycles and
+//!                    traversed edges equal the ones it pins
 //!   --threads <n>    worker threads for both legs   [all cores]
 //! ```
 
@@ -28,6 +28,7 @@ use scalagraph_algo::algorithms::Bfs;
 use scalagraph_bench::runners::{try_run_scalagraph, Metrics};
 use scalagraph_bench::sweep::{default_threads, parallel_map_with};
 use scalagraph_bench::workloads::{prepare, PreparedGraph, Workload};
+use scalagraph_bench::{entry, Checker, Gate, Rule};
 use scalagraph_graph::{generators, Csr, Dataset};
 use scalagraph_mem::HbmConfig;
 use std::time::Instant;
@@ -151,56 +152,15 @@ fn config_busy_fraction(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> f64 {
         .expect("event-core run records busy windows")
 }
 
-/// The number after `"key":` in `text`, a flat object of a previous
-/// report. Hand-rolled because the JSON is ours and flat.
-fn read_field<T: std::str::FromStr>(text: &str, key: &str) -> Option<T> {
-    let num = text.split(&format!("\"{key}\":")).nth(1)?;
-    num.trim_start()
-        .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .next()?
-        .parse()
-        .ok()
-}
-
-/// The flat object of a previous report that starts after the first
-/// `opener`.
-fn read_object<'a>(text: &'a str, opener: &str) -> Option<&'a str> {
-    let start = text.find(opener)? + opener.len();
-    text[start..].split('}').next()
-}
-
-/// Extracts the pinned `(cycles, traversed_edges)` of configuration
-/// `label` from a previous report.
-fn read_config_counts(text: &str, label: &str) -> Option<(u64, u64)> {
-    let obj = read_object(text, &format!("\"label\": \"{label}\""))?;
-    Some((
-        read_field(obj, "cycles")?,
-        read_field(obj, "traversed_edges")?,
-    ))
-}
-
 fn main() {
-    let mut out_path = "BENCH_hotloop.json".to_string();
-    let mut check_path: Option<String> = None;
     let mut threads = default_threads();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            "--threads" => {
-                threads = value("--threads")
-                    .parse()
-                    .expect("--threads needs a positive integer");
-                assert!(threads > 0, "--threads needs a positive integer");
-            }
-            other => panic!("unknown flag `{other}`"),
+    let checker = Checker::from_args("BENCH_hotloop.json", |flag, value| {
+        if flag == "--threads" {
+            threads = value.parse().expect("--threads needs a positive integer");
+            assert!(threads > 0, "--threads needs a positive integer");
         }
-    }
+        flag == "--threads"
+    });
 
     let inputs = inputs();
     let [rmat, pk] = &inputs;
@@ -267,7 +227,7 @@ fn main() {
          \"dense\": {{ \"fast_forward\": false, \"threads\": {threads}, \
          \"wall_ms\": {dw:.2}, \"cycles_per_sec\": {dc:.0} }},\n  \
          \"event_core\": {{ \"fast_forward\": true, \"threads\": {threads}, \
-         \"wall_ms\": {ew:.2}, \"cycles_per_sec\": {ec:.0} }},\n  \
+         \"wall_ms\": {ew:.2}, \"cycles_per_sec\": {ec} }},\n  \
          \"speedup\": {speedup:.3},\n  \"bit_identical\": true\n}}\n",
         cfgs = config_lines.join(",\n"),
         dw = dense.wall_seconds * 1e3,
@@ -275,43 +235,22 @@ fn main() {
         ew = event.wall_seconds * 1e3,
         ec = cycles_per_sec(&event),
     );
-    std::fs::write(&out_path, json).expect("could not write report");
-    println!("wrote {out_path}");
-
-    if let Some(path) = check_path {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let mut failed = false;
-        let old: f64 = read_object(&text, "\"event_core\"")
-            .and_then(|obj| read_field(obj, "cycles_per_sec"))
-            .unwrap_or_else(|| panic!("no event_core cycles_per_sec in {path}"));
-        let new = cycles_per_sec(&event);
-        let ratio = new / old;
-        println!(
-            "regression check [event_core] vs {path}: {old:.0} -> {new:.0} cycles/s ({ratio:.2}x)"
-        );
-        if ratio < 0.8 {
-            eprintln!("error: event-core cycles/sec regressed more than 20% vs {path}");
-            failed = true;
-        }
-        // The model is pinned as well as the speed: a faster simulator
-        // that simulates a different machine is a regression too.
-        for (label, m) in &event.records {
-            let now = (m.cycles, m.traversed_edges);
-            match read_config_counts(&text, label) {
-                Some(pinned) if pinned == now => {
-                    println!("model check [{label}]: {} cycles, {} edges", now.0, now.1);
-                }
-                pinned => {
-                    eprintln!(
-                        "error: {label} simulated (cycles, traversed edges) = {now:?}, {path} pins {pinned:?}"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
+    // The model is pinned as well as the speed: a faster simulator that
+    // simulates a different machine is a regression too.
+    let mut gates = vec![Gate::at("event_core.cycles_per_sec", Rule::AtLeast(0.8))];
+    for (label, _) in &event.records {
+        for field in ["cycles", "traversed_edges"] {
+            let label = label.clone();
+            gates.push(Gate::new(
+                format!("configs[{label}].{field}"),
+                Rule::Equal,
+                move |report| {
+                    entry(report, "configs", "label", &label)?
+                        .get(field)?
+                        .as_f64()
+                },
+            ));
         }
     }
+    checker.finish(&json, &gates);
 }

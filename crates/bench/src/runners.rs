@@ -1,9 +1,7 @@
 //! System runners: execute a workload on ScalaGraph, GraphDynS, or the
 //! Gunrock model and return a uniform metrics record.
 
-use crate::sweep::{default_threads, parallel_map_with};
 use crate::workloads::{PreparedGraph, Workload, PAGERANK_ITERATIONS};
-use scalagraph::telemetry::{Recorder, TelemetrySummary};
 use scalagraph::{ScalaGraphConfig, SimError, SimStats, Simulator};
 use scalagraph_algo::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
 use scalagraph_algo::Algorithm;
@@ -64,25 +62,17 @@ pub trait ErasedRunner {
     fn scalagraph(&self, graph: &Csr, cfg: ScalaGraphConfig) -> Metrics;
     /// Fallible ScalaGraph run: invalid configurations, watchdog-detected
     /// deadlocks, and unrecoverable injected faults come back as a
-    /// [`SimError`] instead of a panic, so sweeps can record the failure
-    /// and keep going.
+    /// [`SimError`] instead of a panic.
     fn try_scalagraph(&self, graph: &Csr, cfg: ScalaGraphConfig) -> Result<Metrics, SimError>;
-    /// Like [`try_scalagraph`](Self::try_scalagraph) but runs with a
-    /// [`Recorder`] sampling every `window` cycles, and returns the
-    /// [`TelemetrySummary`] alongside the metrics.
-    fn try_scalagraph_telemetry(
-        &self,
-        graph: &Csr,
-        cfg: ScalaGraphConfig,
-        window: u64,
-    ) -> Result<(Metrics, TelemetrySummary), SimError>;
     /// Runs on the GraphDynS baseline.
     fn graphdyns(&self, graph: &Csr, cfg: GraphDynsConfig) -> Metrics;
     /// Runs on the Gunrock GPU model.
     fn gunrock(&self, graph: &Csr, model: GunrockModel) -> Metrics;
 }
 
-fn scalagraph_metrics(s: SimStats, clock: f64) -> Metrics {
+/// Metrics of a cycle-level run (ScalaGraph or GraphDynS) clocked at
+/// `clock` MHz.
+fn sim_metrics(s: SimStats, clock: f64) -> Metrics {
     Metrics {
         seconds: s.seconds(clock),
         gteps: s.gteps(clock),
@@ -112,37 +102,12 @@ impl<A: Algorithm> ErasedRunner for AlgoRunner<A> {
     fn try_scalagraph(&self, graph: &Csr, cfg: ScalaGraphConfig) -> Result<Metrics, SimError> {
         let clock = cfg.effective_clock_mhz();
         let result = Simulator::try_new(&self.algo, graph, cfg)?.try_run()?;
-        Ok(scalagraph_metrics(result.stats, clock))
-    }
-
-    fn try_scalagraph_telemetry(
-        &self,
-        graph: &Csr,
-        cfg: ScalaGraphConfig,
-        window: u64,
-    ) -> Result<(Metrics, TelemetrySummary), SimError> {
-        let clock = cfg.effective_clock_mhz();
-        let mut rec = Recorder::new(window);
-        let result = Simulator::try_new(&self.algo, graph, cfg)?.try_run_with(&mut rec)?;
-        Ok((scalagraph_metrics(result.stats, clock), rec.summary()))
+        Ok(sim_metrics(result.stats, clock))
     }
 
     fn graphdyns(&self, graph: &Csr, cfg: GraphDynsConfig) -> Metrics {
         let clock = cfg.effective_clock_mhz();
-        let result = GraphDyns::new(cfg).run(&self.algo, graph);
-        let s = result.stats;
-        Metrics {
-            seconds: s.seconds(clock),
-            gteps: s.gteps(clock),
-            traversed_edges: s.traversed_edges,
-            cycles: s.cycles,
-            noc_hops: s.noc_hops,
-            offchip_bytes: s.offchip_bytes(),
-            pe_utilization: s.pe_utilization(),
-            avg_routing_latency: s.avg_routing_latency(),
-            agg_merges: s.agg_merges,
-            iterations: s.iterations,
-        }
+        sim_metrics(GraphDyns::new(cfg).run(&self.algo, graph).stats, clock)
     }
 
     fn gunrock(&self, graph: &Csr, model: GunrockModel) -> Metrics {
@@ -180,103 +145,6 @@ pub fn try_run_scalagraph(
     })
 }
 
-/// One configuration's outcome inside a sweep: the metrics, or the error
-/// that stopped the run — never a panic that kills the whole batch.
-#[derive(Debug, Clone)]
-pub struct SweepRecord {
-    /// Configuration label, as passed to [`sweep_scalagraph`].
-    pub label: String,
-    /// Metrics on success, the structured failure otherwise.
-    pub outcome: Result<Metrics, SimError>,
-    /// Time-resolved summary when the sweep ran with telemetry enabled
-    /// ([`sweep_scalagraph_telemetry`]); `None` for plain sweeps.
-    pub telemetry: Option<TelemetrySummary>,
-}
-
-/// Runs `workload` under every labelled configuration in parallel. Failed
-/// configurations (invalid parameters, deadlocks under fault injection)
-/// are recorded in their [`SweepRecord`] and do not disturb the others.
-pub fn sweep_scalagraph(
-    prep: &PreparedGraph,
-    workload: Workload,
-    configs: Vec<(String, ScalaGraphConfig)>,
-) -> Vec<SweepRecord> {
-    sweep_scalagraph_with(default_threads(), prep, workload, configs)
-}
-
-/// [`sweep_scalagraph`] with an explicit worker count; `threads == 1` runs
-/// every configuration sequentially on the caller's thread. Record order
-/// matches `configs` order regardless of the worker count.
-pub fn sweep_scalagraph_with(
-    threads: usize,
-    prep: &PreparedGraph,
-    workload: Workload,
-    configs: Vec<(String, ScalaGraphConfig)>,
-) -> Vec<SweepRecord> {
-    parallel_map_with(threads, configs, |(label, cfg)| SweepRecord {
-        outcome: try_run_scalagraph(prep, workload, cfg),
-        label,
-        telemetry: None,
-    })
-}
-
-/// Fallible telemetry run: like [`try_run_scalagraph`] but samples with a
-/// [`Recorder`] (window of `window` cycles) and returns the summary too.
-///
-/// # Errors
-///
-/// Returns [`SimError`] when the configuration is invalid or the run
-/// cannot complete (deadlock, watchdog stall, unrecoverable fault).
-pub fn try_run_scalagraph_telemetry(
-    prep: &PreparedGraph,
-    workload: Workload,
-    cfg: ScalaGraphConfig,
-    window: u64,
-) -> Result<(Metrics, TelemetrySummary), SimError> {
-    with_algorithm(workload, prep, |r| {
-        r.try_scalagraph_telemetry(&prep.graph, cfg.clone(), window)
-    })
-}
-
-/// [`sweep_scalagraph`] with telemetry: every successful record carries a
-/// [`TelemetrySummary`] (peak link utilization, routing-latency
-/// percentiles, phase breakdown) sampled on `window`-cycle boundaries.
-pub fn sweep_scalagraph_telemetry(
-    prep: &PreparedGraph,
-    workload: Workload,
-    configs: Vec<(String, ScalaGraphConfig)>,
-    window: u64,
-) -> Vec<SweepRecord> {
-    sweep_scalagraph_telemetry_with(default_threads(), prep, workload, configs, window)
-}
-
-/// [`sweep_scalagraph_telemetry`] with an explicit worker count (see
-/// [`sweep_scalagraph_with`]).
-pub fn sweep_scalagraph_telemetry_with(
-    threads: usize,
-    prep: &PreparedGraph,
-    workload: Workload,
-    configs: Vec<(String, ScalaGraphConfig)>,
-    window: u64,
-) -> Vec<SweepRecord> {
-    parallel_map_with(
-        threads,
-        configs,
-        |(label, cfg)| match try_run_scalagraph_telemetry(prep, workload, cfg, window) {
-            Ok((metrics, summary)) => SweepRecord {
-                label,
-                outcome: Ok(metrics),
-                telemetry: Some(summary),
-            },
-            Err(e) => SweepRecord {
-                label,
-                outcome: Err(e),
-                telemetry: None,
-            },
-        },
-    )
-}
-
 /// Convenience: run `workload` on the GraphDynS baseline with `cfg`.
 pub fn run_graphdyns(prep: &PreparedGraph, workload: Workload, cfg: GraphDynsConfig) -> Metrics {
     with_algorithm(workload, prep, |r| r.graphdyns(&prep.graph, cfg))
@@ -303,75 +171,5 @@ mod tests {
         // All traverse the same number of edges.
         assert_eq!(sg.traversed_edges, gd.traversed_edges);
         assert_eq!(sg.traversed_edges, gu.traversed_edges);
-    }
-
-    #[test]
-    fn sweep_records_the_invalid_config_and_finishes_the_rest() {
-        let prep = prepare(Dataset::Pokec, Workload::Bfs, 8192, 1);
-        let mut configs = Vec::new();
-        for (i, &(agg, sched, pipeline)) in [
-            (16usize, 16usize, true),
-            (0, 16, true),
-            (16, 4, true),
-            (16, 16, false),
-            (0, 4, false),
-            (4, 8, true),
-            (16, 1, true),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let mut cfg = ScalaGraphConfig::with_pes(32);
-            cfg.aggregation_registers = agg;
-            cfg.max_scheduled_vertices = sched;
-            cfg.inter_phase_pipelining = pipeline;
-            configs.push((format!("cfg{i}"), cfg));
-        }
-        // The eighth configuration is deliberately degenerate.
-        let mut bad = ScalaGraphConfig::with_pes(32);
-        bad.gu_queue_capacity = 0;
-        configs.push(("bad".to_string(), bad));
-        assert_eq!(configs.len(), 8);
-
-        let records = sweep_scalagraph(&prep, Workload::Bfs, configs);
-        assert_eq!(records.len(), 8);
-        let (ok, failed): (Vec<_>, Vec<_>) = records.iter().partition(|r| r.outcome.is_ok());
-        assert_eq!(ok.len(), 7, "seven valid configurations must complete");
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].label, "bad");
-        assert!(matches!(
-            failed[0].outcome,
-            Err(SimError::ConfigInvalid { .. })
-        ));
-        for r in &ok {
-            let m = r.outcome.as_ref().unwrap();
-            assert!(m.cycles > 0 && m.traversed_edges > 0, "{}", r.label);
-        }
-    }
-
-    #[test]
-    fn telemetry_sweep_attaches_summaries_without_changing_metrics() {
-        let prep = prepare(Dataset::Pokec, Workload::Bfs, 8192, 1);
-        let configs = vec![
-            ("pe32".to_string(), ScalaGraphConfig::with_pes(32)),
-            ("pe64".to_string(), ScalaGraphConfig::with_pes(64)),
-        ];
-        let plain = sweep_scalagraph(&prep, Workload::Bfs, configs.clone());
-        let traced = sweep_scalagraph_telemetry(&prep, Workload::Bfs, configs, 256);
-        assert_eq!(plain.len(), traced.len());
-        for (p, t) in plain.iter().zip(&traced) {
-            assert_eq!(p.label, t.label);
-            assert!(p.telemetry.is_none());
-            let (pm, tm) = (p.outcome.as_ref().unwrap(), t.outcome.as_ref().unwrap());
-            // The recorder must not perturb the simulation.
-            assert_eq!(pm, tm, "{}", t.label);
-            let summary = t.telemetry.expect("telemetry sweep must attach a summary");
-            assert_eq!(summary.run_cycles, tm.cycles);
-            assert_eq!(summary.window_cycles, 256);
-            assert!(summary.windows > 0);
-            assert!(summary.total_link_traversals > 0);
-            assert!(summary.routing_latency_max >= summary.routing_latency_p95);
-            assert!(summary.routing_latency_p95 >= summary.routing_latency_p50);
-        }
     }
 }

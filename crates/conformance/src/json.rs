@@ -45,6 +45,16 @@ impl Json {
         }
     }
 
+    /// The value as a float: any number, integers converted (exactly up
+    /// to 2^53).
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::Int(n) => Some(n as f64),
+            Json::Float(x) => Some(x),
+            _ => None,
+        }
+    }
+
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -364,13 +374,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                        let mut code = hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        // A scalar above U+FFFF is escaped as a UTF-16 pair:
+                        // a high surrogate, then a `\u` low surrogate.
+                        if (0xD800..0xDC00).contains(&code) && bytes[*pos + 1..].starts_with(b"\\u")
+                        {
+                            let low = hex4(bytes, *pos + 3)?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        // `from_u32` refuses any surrogate left unpaired.
+                        out.push(char::from_u32(code).ok_or("lone surrogate in \\u escape")?);
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
@@ -388,6 +405,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The code unit a `\u` escape writes as the four hex digits at `at`:
+/// exactly four ASCII hex digits, no sign.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b).to_digit(16).ok_or("bad \\u escape")?;
+        Ok(code * 16 + digit)
+    })
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -485,6 +512,40 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("{} extra").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_join_surrogate_pairs() {
+        let s = |text: &str| parse(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(
+            s(r#""\u0041\u00e9\u00E9""#).unwrap().unwrap(),
+            "A\u{e9}\u{e9}"
+        );
+        // How Python's `json.dumps` writes an emoji by default.
+        assert_eq!(s(r#""\ud83d\ude00""#).unwrap().unwrap(), "\u{1F600}");
+        assert_eq!(s(r#""\udbff\udfff""#).unwrap().unwrap(), "\u{10FFFF}");
+        assert_eq!(s(r#""a\u0000b""#).unwrap().unwrap(), "a\0b");
+    }
+
+    #[test]
+    fn malformed_unicode_escapes_are_refused() {
+        for bad in [
+            r#""\u+041""#, // a sign is not a hex digit
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,        // three digits, then the closing quote
+            r#""\ud83d""#,       // lone high surrogate
+            r#""\ud83dx""#,      // high surrogate, then a plain character
+            r#""\ud83d\n""#,     // high surrogate, then another escape
+            r#""\ud83d\u0041""#, // high surrogate, then no low one
+            r#""\ud83d\ud83d""#, // two high surrogates
+            r#""\ude00""#,       // lone low surrogate
+            r#""\ude00\ud83d""#, // a pair in reverse
+            r#""\ud83d\ude0""#,  // truncated low surrogate
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ mod common;
 
 use common::corpus_files;
 use scalagraph_suite::conformance::{
-    fuzz, run_scenario, shrink, signature, AlgoSpec, ConfigSpec, Expectation, Family, GraphSource,
-    GraphSpec, ModeMatrix, Outcome, Scenario,
+    fuzz, json, run_scenario, shrink, signature, AlgoSpec, ConfigSpec, Expectation, Family,
+    GraphSource, GraphSpec, ModeMatrix, Outcome, Scenario,
 };
 
 #[test]
@@ -173,6 +173,29 @@ fn event_driven_corpus_wedge_fires_identically_across_modes() {
         assert_eq!(digest.suspect, first.suspect, "{engine}");
         assert!(digest.stalled_for >= 1_500, "{engine}: {digest:?}");
     }
+}
+
+/// The bench harnesses' `--check` reads its baseline through `json::parse`,
+/// so every checked-in report must parse, or CI's gate fails before it
+/// measures anything. (`*.ci.json` are local, unversioned CI outputs.)
+#[test]
+fn checked_in_bench_reports_parse() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut reports = 0;
+    for entry in std::fs::read_dir(root).expect("readable repository root") {
+        let name = entry.expect("readable entry").file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("BENCH_") && name.ends_with(".json") && !name.ends_with(".ci.json") {
+            let text = std::fs::read_to_string(format!("{root}/{name}")).expect("readable report");
+            let report = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(
+                matches!(report, json::Json::Obj(_)),
+                "{name} is not an object"
+            );
+            reports += 1;
+        }
+    }
+    assert!(reports >= 4, "found {reports} BENCH_*.json reports");
 }
 
 #[test]

@@ -10,6 +10,7 @@
 
 use scalagraph_suite::algo::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
 use scalagraph_suite::algo::Algorithm;
+use scalagraph_suite::conformance::json::{self, Json};
 use scalagraph_suite::graph::{generators, Csr};
 use scalagraph_suite::scalagraph::{
     Fault, FaultKind, FaultPlan, LinkDir, ScalaGraphConfig, SimResult, Simulator,
@@ -95,112 +96,39 @@ fn recorder_is_bit_identical_under_fault_injection_and_records_instants() {
     assert_eq!(drops, plain.stats.flits_dropped);
 }
 
-// ---- a minimal JSON syntax checker (no external crates) ----------------
-
-struct Json<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Json<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.ws();
-        self.b.get(self.i).copied().unwrap_or(0)
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            b'{' => {
-                self.eat(b'{')?;
-                if self.peek() != b'}' {
-                    loop {
-                        self.string()?;
-                        self.eat(b':')?;
-                        self.value()?;
-                        if self.peek() != b',' {
-                            break;
-                        }
-                        self.eat(b',')?;
-                    }
-                }
-                self.eat(b'}')
+/// Parses a Chrome trace and checks that on every track each end event
+/// closes an earlier begin and no begin is left open — Perfetto rejects
+/// traces that violate this. Returns the parsed trace and its span count.
+fn balanced_spans(text: &str) -> (Json, usize) {
+    let trace = json::parse(text).expect("trace must be valid JSON");
+    let events = trace
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("trace has a traceEvents array");
+    let mut depth: HashMap<u64, i64> = HashMap::new();
+    let mut begins = 0;
+    for event in events {
+        let step = match event.get("ph").and_then(Json::as_str) {
+            Some("B") => {
+                begins += 1;
+                1
             }
-            b'[' => {
-                self.eat(b'[')?;
-                if self.peek() != b']' {
-                    loop {
-                        self.value()?;
-                        if self.peek() != b',' {
-                            break;
-                        }
-                        self.eat(b',')?;
-                    }
-                }
-                self.eat(b']')
-            }
-            b'"' => self.string(),
-            b't' | b'f' | b'n' => {
-                while self.i < self.b.len() && self.b[self.i].is_ascii_alphabetic() {
-                    self.i += 1;
-                }
-                Ok(())
-            }
-            c if c == b'-' || c.is_ascii_digit() => {
-                while self.i < self.b.len()
-                    && matches!(
-                        self.b[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
-                {
-                    self.i += 1;
-                }
-                Ok(())
-            }
-            c => Err(format!("unexpected byte `{}` at {}", c as char, self.i)),
-        }
+            Some("E") => -1,
+            _ => continue,
+        };
+        let tid = event
+            .get("tid")
+            .and_then(Json::as_u64)
+            .expect("span events carry a tid");
+        let d = depth.entry(tid).or_insert(0);
+        *d += step;
+        assert!(*d >= 0, "end before begin on track {tid}");
     }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while self.i < self.b.len() {
-            match self.b[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => self.i += 2,
-                _ => self.i += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn check(bytes: &'a [u8]) -> Result<(), String> {
-        let mut p = Json { b: bytes, i: 0 };
-        p.value()?;
-        p.ws();
-        if p.i == p.b.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes at {}", p.i))
-        }
-    }
+    assert!(
+        depth.values().all(|&d| d == 0),
+        "unbalanced spans: {depth:?}"
+    );
+    (trace, begins)
 }
 
 #[test]
@@ -210,37 +138,9 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     let mut buf = Vec::new();
     rec.write_chrome_trace(&mut buf).expect("in-memory write");
     let text = String::from_utf8(buf).expect("trace must be UTF-8");
-    Json::check(text.as_bytes()).expect("trace must be valid JSON");
-    assert!(text.contains("\"traceEvents\""));
-    assert!(text.contains("\"displayTimeUnit\""));
-
-    // Every begin event must have a matching end on the same track, in
-    // order — Perfetto rejects traces that violate this.
-    let mut depth: HashMap<&str, i64> = HashMap::new();
-    let mut begins = 0;
-    for line in text.lines() {
-        let ph = if line.contains("\"ph\": \"B\"") {
-            begins += 1;
-            1
-        } else if line.contains("\"ph\": \"E\"") {
-            -1
-        } else {
-            continue;
-        };
-        let tid = line
-            .split("\"tid\": ")
-            .nth(1)
-            .and_then(|s| s.split(&[',', '}'][..]).next())
-            .expect("span events carry a tid");
-        let d = depth.entry(tid).or_insert(0);
-        *d += ph;
-        assert!(*d >= 0, "end before begin on track {tid}");
-    }
+    let (trace, begins) = balanced_spans(&text);
+    assert!(trace.get("displayTimeUnit").is_some());
     assert!(begins > 0, "trace must contain span events");
-    assert!(
-        depth.values().all(|&d| d == 0),
-        "unbalanced spans: {depth:?}"
-    );
 }
 
 #[test]
@@ -270,16 +170,19 @@ fn csv_and_heatmap_exports_are_well_formed() {
     let mut heat = Vec::new();
     rec.write_link_heatmap(&mut heat).expect("in-memory write");
     let heat = String::from_utf8(heat).expect("heatmap must be UTF-8");
-    Json::check(heat.as_bytes()).expect("heatmap must be valid JSON");
-    for key in [
-        "\"window_cycles\"",
-        "\"cols\"",
-        "\"rows\"",
-        "\"links\"",
-        "\"utilization\"",
-    ] {
-        assert!(heat.contains(key), "heatmap missing {key}");
+    let heat = json::parse(&heat).expect("heatmap must be valid JSON");
+    for key in ["window_cycles", "cols", "rows"] {
+        assert!(heat.get(key).is_some(), "heatmap missing {key}");
     }
+    let links = heat
+        .get("links")
+        .and_then(Json::as_array)
+        .expect("heatmap has a links array");
+    assert!(!links.is_empty(), "heatmap must contain links");
+    assert!(
+        links.iter().all(|l| l.get("utilization").is_some()),
+        "heatmap link missing its utilization"
+    );
 }
 
 #[test]
@@ -311,11 +214,9 @@ fn wedged_run_still_exports_a_balanced_trace_with_the_watchdog_event() {
     let mut buf = Vec::new();
     rec.write_chrome_trace(&mut buf).expect("in-memory write");
     let text = String::from_utf8(buf).expect("trace must be UTF-8");
-    Json::check(text.as_bytes()).expect("trace of a failed run must still be valid JSON");
-    let begins = text.matches("\"ph\": \"B\"").count();
-    let ends = text.matches("\"ph\": \"E\"").count();
+    // Balanced on every track: the error-path flush must close open spans.
+    let (_, begins) = balanced_spans(&text);
     assert!(begins > 0);
-    assert_eq!(begins, ends, "error-path flush must close open spans");
 }
 
 #[test]
