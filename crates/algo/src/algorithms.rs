@@ -3,7 +3,7 @@
 use crate::model::{Algorithm, EdgeCtx};
 #[cfg(test)]
 use scalagraph_graph::Edge;
-use scalagraph_graph::{GraphRead, VertexId};
+use scalagraph_graph::{Csr, VertexId};
 
 /// Sentinel for "unreached" in BFS/SSSP/CC lattices.
 pub const UNREACHED: u32 = u32::MAX;
@@ -35,7 +35,7 @@ impl Algorithm for Bfs {
         "BFS"
     }
 
-    fn init(&self, v: VertexId, _graph: &dyn GraphRead) -> u32 {
+    fn init(&self, v: VertexId, _graph: &Csr) -> u32 {
         if v == self.root {
             0
         } else {
@@ -43,7 +43,7 @@ impl Algorithm for Bfs {
         }
     }
 
-    fn initial_frontier(&self, _graph: &dyn GraphRead) -> Vec<VertexId> {
+    fn initial_frontier(&self, _graph: &Csr) -> Vec<VertexId> {
         vec![self.root]
     }
 
@@ -59,7 +59,7 @@ impl Algorithm for Bfs {
         a.min(b)
     }
 
-    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &dyn GraphRead) -> u32 {
+    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &Csr) -> u32 {
         old.min(temp)
     }
 
@@ -95,7 +95,7 @@ impl Algorithm for Sssp {
         "SSSP"
     }
 
-    fn init(&self, v: VertexId, _graph: &dyn GraphRead) -> u32 {
+    fn init(&self, v: VertexId, _graph: &Csr) -> u32 {
         if v == self.root {
             0
         } else {
@@ -103,7 +103,7 @@ impl Algorithm for Sssp {
         }
     }
 
-    fn initial_frontier(&self, _graph: &dyn GraphRead) -> Vec<VertexId> {
+    fn initial_frontier(&self, _graph: &Csr) -> Vec<VertexId> {
         vec![self.root]
     }
 
@@ -119,7 +119,7 @@ impl Algorithm for Sssp {
         a.min(b)
     }
 
-    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &dyn GraphRead) -> u32 {
+    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &Csr) -> u32 {
         old.min(temp)
     }
 
@@ -151,12 +151,12 @@ impl Algorithm for ConnectedComponents {
         "CC"
     }
 
-    fn init(&self, v: VertexId, _graph: &dyn GraphRead) -> u32 {
+    fn init(&self, v: VertexId, _graph: &Csr) -> u32 {
         v
     }
 
-    fn initial_frontier(&self, graph: &dyn GraphRead) -> Vec<VertexId> {
-        graph.vertex_ids().collect()
+    fn initial_frontier(&self, graph: &Csr) -> Vec<VertexId> {
+        graph.vertices().collect()
     }
 
     fn reduce_identity(&self) -> u32 {
@@ -171,7 +171,7 @@ impl Algorithm for ConnectedComponents {
         a.min(b)
     }
 
-    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &dyn GraphRead) -> u32 {
+    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &Csr) -> u32 {
         old.min(temp)
     }
 
@@ -224,12 +224,12 @@ impl Algorithm for PageRank {
         "PageRank"
     }
 
-    fn init(&self, _v: VertexId, graph: &dyn GraphRead) -> f32 {
+    fn init(&self, _v: VertexId, graph: &Csr) -> f32 {
         1.0 / graph.num_vertices().max(1) as f32
     }
 
-    fn initial_frontier(&self, graph: &dyn GraphRead) -> Vec<VertexId> {
-        graph.vertex_ids().collect()
+    fn initial_frontier(&self, graph: &Csr) -> Vec<VertexId> {
+        graph.vertices().collect()
     }
 
     fn reduce_identity(&self) -> f32 {
@@ -244,7 +244,7 @@ impl Algorithm for PageRank {
         a + b
     }
 
-    fn apply(&self, _v: VertexId, _old: f32, temp: f32, graph: &dyn GraphRead) -> f32 {
+    fn apply(&self, _v: VertexId, _old: f32, temp: f32, graph: &Csr) -> f32 {
         (1.0 - self.damping) / graph.num_vertices().max(1) as f32 + self.damping * temp
     }
 
@@ -293,7 +293,7 @@ impl Algorithm for WidestPath {
         "WidestPath"
     }
 
-    fn init(&self, v: VertexId, _graph: &dyn GraphRead) -> u32 {
+    fn init(&self, v: VertexId, _graph: &Csr) -> u32 {
         if v == self.root {
             u32::MAX // the root has unbounded ingress capacity
         } else {
@@ -301,7 +301,7 @@ impl Algorithm for WidestPath {
         }
     }
 
-    fn initial_frontier(&self, _graph: &dyn GraphRead) -> Vec<VertexId> {
+    fn initial_frontier(&self, _graph: &Csr) -> Vec<VertexId> {
         vec![self.root]
     }
 
@@ -317,7 +317,7 @@ impl Algorithm for WidestPath {
         a.max(b)
     }
 
-    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &dyn GraphRead) -> u32 {
+    fn apply(&self, _v: VertexId, old: u32, temp: u32, _graph: &Csr) -> u32 {
         old.max(temp)
     }
 
@@ -329,7 +329,7 @@ impl Algorithm for WidestPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalagraph_graph::{generators, Csr};
+    use scalagraph_graph::generators;
 
     fn ctx(weight: u32, deg: u32) -> EdgeCtx {
         EdgeCtx {

@@ -1,6 +1,6 @@
 //! The `Process` / `Reduce` / `Apply` programming model of Figure 1.
 
-use scalagraph_graph::{GraphRead, VertexId, Weight};
+use scalagraph_graph::{Csr, VertexId, Weight};
 use std::fmt::Debug;
 
 /// A vertex property value.
@@ -56,10 +56,10 @@ pub trait Algorithm: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Initial persistent property of vertex `v`.
-    fn init(&self, v: VertexId, graph: &dyn GraphRead) -> Self::Prop;
+    fn init(&self, v: VertexId, graph: &Csr) -> Self::Prop;
 
     /// The initially active vertex set (`V_active` for iteration 0).
-    fn initial_frontier(&self, graph: &dyn GraphRead) -> Vec<VertexId>;
+    fn initial_frontier(&self, graph: &Csr) -> Vec<VertexId>;
 
     /// Identity element of [`reduce`](Algorithm::reduce); the value each
     /// `V_temp[v]` holds at the start of a Scatter phase.
@@ -77,13 +77,7 @@ pub trait Algorithm: Send + Sync {
 
     /// `Apply` (Figure 1 line 10): merges the temporary property into the
     /// persistent one, producing the new persistent property.
-    fn apply(
-        &self,
-        v: VertexId,
-        old: Self::Prop,
-        temp: Self::Prop,
-        graph: &dyn GraphRead,
-    ) -> Self::Prop;
+    fn apply(&self, v: VertexId, old: Self::Prop, temp: Self::Prop, graph: &Csr) -> Self::Prop;
 
     /// Whether the vertex becomes active for the next iteration after its
     /// property changed from `old` to `new`. Figure 1 activates on any

@@ -11,12 +11,11 @@
 //!    noisy host.
 //! 2. **Packing**: delta+varint container size vs the resident CSR, per
 //!    preset (the <60% acceptance line lives here).
-//! 3. **Cold-open**: `PackedCsr::open` of the largest preset (header +
-//!    checksum + structure-only walk) against regenerating the same graph
-//!    from its spec (serial generation + CSR build), measured in one run.
-//! 4. **End-to-end**: one BFS simulation on the in-memory `Csr` vs the
-//!    same graph through the `PackedCsr` read path, asserting bit-identical
-//!    `SimStats` and final properties.
+//! 3. **Cold-open**: `PackedCsr::read_csr` of the largest preset (header,
+//!    checksum and index checks, then the checked decode into a `Csr`: the
+//!    call every cache miss on a packed-file scenario makes) against
+//!    regenerating the same graph from its spec (serial generation + CSR
+//!    build), measured in one run.
 //!
 //! All regression gates are *ratios* (gen speedup, pack ratio, cold-open
 //! speedup), so a slower or faster host does not trip them.
@@ -29,10 +28,8 @@
 //!                    gen/cold-open speedups fall below half of its values
 //! ```
 
-use scalagraph::{ScalaGraphConfig, Simulator};
-use scalagraph_algo::algorithms::Bfs;
 use scalagraph_bench::{Checker, Gate, Rule};
-use scalagraph_graph::{packed, Csr, Dataset, PackedCsr};
+use scalagraph_graph::{packed, Csr, Dataset, PackedCsr, PackedShape};
 use std::time::Instant;
 
 const SEED: u64 = 42;
@@ -54,12 +51,6 @@ const PRESETS: &[(Dataset, u64)] = &[
     (Dataset::Rmat24, 64),
     (Dataset::Pokec, 8),
 ];
-
-/// Preset for the end-to-end simulation comparison: small enough that a
-/// full device simulation completes in seconds.
-const SIM_DATASET: Dataset = Dataset::Pokec;
-const SIM_SCALE: u64 = 256;
-const SIM_REPS: u32 = 3;
 
 struct PresetResult {
     label: String,
@@ -156,116 +147,48 @@ fn run_preset(dataset: Dataset, scale: u64, reps: u32) -> PresetResult {
 }
 
 struct ColdOpen {
-    open_ms: f64,
-    open_to_csr_ms: f64,
+    read_csr_ms: f64,
     speedup: f64,
 }
 
 /// Cold-open of the largest preset: write the container, then time
-/// `PackedCsr::open` (min of three, after one warm-up so the page cache —
-/// not the disk — is the backing, which is the steady state a cache
+/// `PackedCsr::read_csr` (min of three, after one warm-up so the page
+/// cache — not the disk — is the backing, which is the steady state a cache
 /// daemon sees) against the in-run regeneration cost of the same spec.
 fn run_cold_open(dataset: Dataset, scale: u64, regen_s: f64) -> ColdOpen {
     let graph = dataset.generate(scale, SEED);
+    let shape = PackedShape {
+        num_vertices: graph.num_vertices(),
+        weighted: graph.is_weighted(),
+    };
+    let edges = graph.num_edges();
     let path = std::env::temp_dir().join(format!("scalagraph-bench-{}.sgpk", std::process::id()));
     packed::write_packed(&graph, &path, packed::DEFAULT_BLOCK_SIZE).expect("write container");
     drop(graph);
 
-    let timed_open = || {
+    let timed_read = || {
         let start = Instant::now();
-        let p = PackedCsr::open(&path).expect("open container");
+        let csr = PackedCsr::read_csr(&path, shape).expect("container decodes");
         let secs = start.elapsed().as_secs_f64();
-        (secs, p)
+        assert_eq!(csr.num_edges(), edges);
+        secs
     };
-    let _ = timed_open(); // warm the page cache
-    let mut open_s = f64::MAX;
-    for _ in 0..3 {
-        open_s = open_s.min(timed_open().0);
-    }
-    let (_, p) = timed_open();
-    let start = Instant::now();
-    let csr = p.to_csr().expect("container round-trips");
-    let to_csr_s = start.elapsed().as_secs_f64();
-    assert_eq!(csr.num_edges(), p.num_edges());
-    drop(csr);
-    drop(p);
+    let _ = timed_read(); // warm the page cache
+    let read_s = (0..3).map(|_| timed_read()).fold(f64::MAX, f64::min);
     std::fs::remove_file(&path).expect("remove temp container");
 
     let cold = ColdOpen {
-        open_ms: open_s * 1e3,
-        open_to_csr_ms: (open_s + to_csr_s) * 1e3,
-        speedup: regen_s / open_s.max(1e-9),
+        read_csr_ms: read_s * 1e3,
+        speedup: regen_s / read_s.max(1e-9),
     };
     println!(
-        "  cold-open {}: open {:.0} ms (+to_csr {:.0} ms) vs regen {:.1}s -> {:.0}x",
+        "  cold-open {}: read_csr {:.0} ms vs regen {:.1}s -> {:.0}x",
         label_of(dataset, scale),
-        cold.open_ms,
-        cold.open_to_csr_ms,
+        cold.read_csr_ms,
         regen_s,
         cold.speedup,
     );
     cold
-}
-
-struct EndToEnd {
-    csr_wall_ms: f64,
-    packed_wall_ms: f64,
-    cycles: u64,
-}
-
-/// One BFS device simulation on both graph backings, bit-identity
-/// asserted on every run.
-fn run_end_to_end() -> EndToEnd {
-    let graph = SIM_DATASET.generate(SIM_SCALE, SEED);
-    let packed_graph =
-        PackedCsr::from_bytes(packed::pack_to_vec(&graph, packed::DEFAULT_BLOCK_SIZE))
-            .expect("pack round-trips");
-    let root = Dataset::pick_root(&graph);
-    let algo = Bfs::from_root(root);
-    let cfg = ScalaGraphConfig::with_pes(64);
-
-    let reference = Simulator::try_new(&algo, &graph, cfg.clone())
-        .and_then(|mut s| s.try_run())
-        .expect("bench sim must converge");
-
-    let timed = |on_packed: bool| {
-        let start = Instant::now();
-        for _ in 0..SIM_REPS {
-            let result = if on_packed {
-                Simulator::try_new(&algo, &packed_graph, cfg.clone())
-                    .and_then(|mut s| s.try_run())
-                    .expect("packed-backed sim must converge")
-            } else {
-                Simulator::try_new(&algo, &graph, cfg.clone())
-                    .and_then(|mut s| s.try_run())
-                    .expect("csr-backed sim must converge")
-            };
-            assert_eq!(
-                result.stats, reference.stats,
-                "graph backing changed simulation statistics"
-            );
-            assert_eq!(
-                result.properties, reference.properties,
-                "graph backing changed algorithm results"
-            );
-        }
-        start.elapsed().as_secs_f64() * 1e3 / f64::from(SIM_REPS)
-    };
-    let csr_wall_ms = timed(false);
-    let packed_wall_ms = timed(true);
-
-    println!(
-        "  end-to-end BFS {}: csr {:.1} ms/run, packed {:.1} ms/run, {} cycles, bit-identical",
-        label_of(SIM_DATASET, SIM_SCALE),
-        csr_wall_ms,
-        packed_wall_ms,
-        reference.stats.cycles,
-    );
-    EndToEnd {
-        csr_wall_ms,
-        packed_wall_ms,
-        cycles: reference.stats.cycles,
-    }
 }
 
 fn main() {
@@ -286,7 +209,6 @@ fn main() {
 
     let (cold_dataset, cold_scale) = PRESETS[largest_idx];
     let cold = run_cold_open(cold_dataset, cold_scale, largest.regen_s);
-    let e2e = run_end_to_end();
 
     let preset_lines: Vec<String> = results
         .iter()
@@ -315,23 +237,15 @@ fn main() {
          \"largest_gen_speedup\": {lgs},\n  \
          \"worst_pack_ratio\": {wpr},\n  \
          \"cold_open\": {{ \"preset\": \"{lp}\", \"regen_s\": {rg:.3}, \
-         \"open_ms\": {om:.1}, \"open_to_csr_ms\": {oc:.1} }},\n  \
-         \"cold_open_speedup\": {cos},\n  \
-         \"end_to_end\": {{ \"preset\": \"{sp}\", \"algo\": \"bfs\", \
-         \"csr_wall_ms\": {cw:.2}, \"packed_wall_ms\": {pw:.2}, \
-         \"cycles\": {cy}, \"bit_identical\": true }}\n}}\n",
+         \"read_csr_ms\": {rc:.1} }},\n  \
+         \"cold_open_speedup\": {cos}\n}}\n",
         presets = preset_lines.join(",\n"),
         lp = largest.label,
         lgs = largest.gen_speedup,
         wpr = results.iter().map(|r| r.pack_ratio).fold(0.0, f64::max),
         rg = largest.regen_s,
-        om = cold.open_ms,
-        oc = cold.open_to_csr_ms,
+        rc = cold.read_csr_ms,
         cos = cold.speedup,
-        sp = label_of(SIM_DATASET, SIM_SCALE),
-        cw = e2e.csr_wall_ms,
-        pw = e2e.packed_wall_ms,
-        cy = e2e.cycles,
     );
     // Every gate is a ratio, so host speed cancels out of the comparison.
     let gates = [

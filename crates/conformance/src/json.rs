@@ -428,6 +428,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     if token.is_empty() {
         return Err(format!("expected a value at byte {start}"));
     }
+    if !is_json_number(token.as_bytes()) {
+        return Err(format!("invalid number `{token}`"));
+    }
     if token.bytes().all(|b| b.is_ascii_digit()) {
         token
             .parse::<u64>()
@@ -439,6 +442,38 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             .map(Json::Float)
             .map_err(|_| format!("invalid number `{token}`"))
     }
+}
+
+/// Whether `t` is a number as RFC 8259 spells one:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. Rust's
+/// `str::parse` alone would also take `+1`, `.5`, `5.` and `01`.
+fn is_json_number(t: &[u8]) -> bool {
+    let digits = |from: usize| t[from..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(t.first() == Some(&b'-'));
+    let int = digits(i);
+    if int == 0 || (int > 1 && t[i] == b'0') {
+        return false;
+    }
+    i += int;
+    if t.get(i) == Some(&b'.') {
+        let frac = digits(i + 1);
+        if frac == 0 {
+            return false;
+        }
+        i += 1 + frac;
+    }
+    if matches!(t.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(t.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let exp = digits(i);
+        if exp == 0 {
+            return false;
+        }
+        i += exp;
+    }
+    i == t.len()
 }
 
 /// Convenience object builder preserving member order.
@@ -512,6 +547,37 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("{} extra").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn numbers_outside_rfc_8259_are_refused() {
+        for bad in [
+            "+1", ".5", "5.", "1.e3", "01", "-01", "-", "1e", "1e+", "-.5", "--1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+            assert!(
+                parse(&format!("{{\"n\": [{bad}]}}")).is_err(),
+                "{bad} parsed in a document"
+            );
+        }
+    }
+
+    #[test]
+    fn rfc_8259_numbers_parse_as_before() {
+        assert_eq!(parse("0").unwrap(), Json::Int(0));
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::Int(u64::MAX));
+        let Json::Float(minus_zero) = parse("-0").unwrap() else {
+            panic!("-0 is a float");
+        };
+        assert!(minus_zero == 0.0 && minus_zero.is_sign_negative());
+        for (text, value) in [
+            ("0.5", 0.5),
+            ("1e3", 1e3),
+            ("1E+3", 1e3),
+            ("-1.5e-3", -1.5e-3),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Float(value), "{text}");
+        }
     }
 
     #[test]

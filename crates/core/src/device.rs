@@ -12,7 +12,7 @@
 use crate::config::ScalaGraphConfig;
 use crate::mapping::Mapping;
 use scalagraph_graph::relayout::degree_aware_relayout;
-use scalagraph_graph::{Csr, Edge, GraphRead, Partitioner, VertexId, VertexInterval};
+use scalagraph_graph::{Csr, Edge, Partitioner, VertexId, VertexInterval};
 
 /// The graph as laid out in device memory for a given configuration.
 #[derive(Debug, Clone)]
@@ -22,12 +22,6 @@ pub struct DeviceGraph {
     slice_tiles: Vec<Vec<Csr>>,
     /// Destination intervals of the slices.
     intervals: Vec<VertexInterval>,
-    /// Global out-degree per vertex. The engine needs this once per
-    /// scheduled vertex (PageRank normalizes by the *global* degree, not
-    /// the tile partition's share); resolving it here keeps the hot loop
-    /// off the input backing, whose `out_degree` may be a block decode
-    /// rather than an offset subtraction (the packed on-disk reader).
-    out_degrees: Vec<u32>,
     /// Total edges across all partitions.
     total_edges: usize,
     /// Fraction of edges lane-aligned after the degree-aware re-layout
@@ -37,13 +31,7 @@ pub struct DeviceGraph {
 
 impl DeviceGraph {
     /// Partitions and lays out `graph` for `config`.
-    ///
-    /// Generic over the input backing ([`Csr`] in memory or the packed
-    /// on-disk reader): the layout depends only on the edge multiset and
-    /// its CSR visitation order, so any two [`GraphRead`] backings holding
-    /// the same graph produce bit-identical device layouts — and therefore
-    /// bit-identical simulations.
-    pub fn prepare<G: GraphRead + ?Sized>(graph: &G, config: &ScalaGraphConfig) -> Self {
+    pub fn prepare(graph: &Csr, config: &ScalaGraphConfig) -> Self {
         let placement = config.placement;
         // ROM and DOM keep an edge with its *destination's* tile so the
         // update lands in a local scratchpad after intra-tile routing only
@@ -70,17 +58,14 @@ impl DeviceGraph {
             // Intervals are sorted and contiguous; binary search by end.
             intervals.partition_point(|iv| iv.end <= dst)
         };
-        let mut out_degrees = vec![0u32; graph.num_vertices()];
-        graph.for_each_edge(&mut |e| {
+        for e in graph.edges() {
             let tile = if by_destination {
                 placement.tile_of(e.dst)
             } else {
                 placement.tile_of(e.src)
             };
-            let slice = slice_of(e.dst);
-            out_degrees[e.src as usize] += 1;
-            buckets[slice][tile].push(e);
-        });
+            buckets[slice_of(e.dst)][tile].push(e);
+        }
 
         let mut lane_aligned_edges = 0usize;
         let mut slice_tiles = Vec::with_capacity(intervals.len());
@@ -101,7 +86,6 @@ impl DeviceGraph {
         DeviceGraph {
             slice_tiles,
             intervals,
-            out_degrees,
             total_edges: graph.num_edges(),
             lane_alignment: if graph.num_edges() == 0 {
                 1.0
@@ -131,13 +115,6 @@ impl DeviceGraph {
     /// Out-degree of `v` within slice `s`, tile `t`.
     pub fn degree_in(&self, s: usize, t: usize, v: VertexId) -> usize {
         self.slice_tiles[s][t].out_degree(v)
-    }
-
-    /// Global out-degree of `v` (across all slices and tiles) — equal to
-    /// the input graph's `out_degree(v)`, resolved from the device-side
-    /// table.
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out_degrees[v as usize] as usize
     }
 
     /// Total edge count across all partitions (equals the input graph's).

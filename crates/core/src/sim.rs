@@ -44,7 +44,7 @@ use crate::placement::Placement;
 use crate::slab::TagSlab;
 use crate::stats::{SimResult, SimStats};
 use scalagraph_algo::{Algorithm, EdgeCtx};
-use scalagraph_graph::{Csr, GraphRead, VertexId, EDGES_PER_LINE, LINE_BYTES};
+use scalagraph_graph::{Csr, VertexId, EDGES_PER_LINE, LINE_BYTES};
 use scalagraph_mem::{Hbm, MemRequest};
 use scalagraph_telemetry::{
     Collector, HbmChannelSample, InstantKind, NullCollector, SpanName, TileSample, Topology,
@@ -266,14 +266,14 @@ enum Phase {
 /// assert_eq!(result.properties[1], 1);
 /// assert!(result.stats.cycles > 0);
 /// ```
-pub struct Simulator<'a, A: Algorithm, G: GraphRead = Csr> {
+pub struct Simulator<'a, A: Algorithm> {
     algo: &'a A,
-    graph: &'a G,
+    graph: &'a Csr,
     config: ScalaGraphConfig,
     device: DeviceGraph,
 }
 
-impl<'a, A: Algorithm, G: GraphRead> Simulator<'a, A, G> {
+impl<'a, A: Algorithm> Simulator<'a, A> {
     /// Prepares a simulator: validates the configuration and lays the
     /// graph out across tiles (and slices, if it exceeds on-chip
     /// capacity).
@@ -283,7 +283,7 @@ impl<'a, A: Algorithm, G: GraphRead> Simulator<'a, A, G> {
     /// Panics if the configuration is inconsistent (see
     /// [`ScalaGraphConfig::validate`]); [`Simulator::try_new`] reports the
     /// same conditions as a [`SimError`] instead.
-    pub fn new(algo: &'a A, graph: &'a G, config: ScalaGraphConfig) -> Self {
+    pub fn new(algo: &'a A, graph: &'a Csr, config: ScalaGraphConfig) -> Self {
         match Self::try_new(algo, graph, config) {
             Ok(sim) => sim,
             Err(e) => panic!("{e}"),
@@ -298,7 +298,11 @@ impl<'a, A: Algorithm, G: GraphRead> Simulator<'a, A, G> {
     ///
     /// Returns [`SimError::ConfigInvalid`] when
     /// [`ScalaGraphConfig::validate`] does.
-    pub fn try_new(algo: &'a A, graph: &'a G, config: ScalaGraphConfig) -> Result<Self, SimError> {
+    pub fn try_new(
+        algo: &'a A,
+        graph: &'a Csr,
+        config: ScalaGraphConfig,
+    ) -> Result<Self, SimError> {
         config.validate()?;
         let device = DeviceGraph::prepare(graph, &config);
         Ok(Simulator {
@@ -423,11 +427,7 @@ impl<'a, A: Algorithm, G: GraphRead> Simulator<'a, A, G> {
 }
 
 /// Convenience one-shot run with a fresh simulator.
-pub fn run_on<A: Algorithm, G: GraphRead>(
-    algo: &A,
-    graph: &G,
-    config: ScalaGraphConfig,
-) -> SimResult<A::Prop> {
+pub fn run_on<A: Algorithm>(algo: &A, graph: &Csr, config: ScalaGraphConfig) -> SimResult<A::Prop> {
     Simulator::new(algo, graph, config).run()
 }
 
@@ -438,9 +438,9 @@ pub fn run_on<A: Algorithm, G: GraphRead>(
 ///
 /// Returns [`SimError`] when the configuration is invalid or the run
 /// cannot complete.
-pub fn try_run_on<A: Algorithm, G: GraphRead>(
+pub fn try_run_on<A: Algorithm>(
     algo: &A,
-    graph: &G,
+    graph: &Csr,
     config: ScalaGraphConfig,
 ) -> Result<SimResult<A::Prop>, SimError> {
     Simulator::try_new(algo, graph, config)?.try_run()
@@ -710,9 +710,9 @@ impl TelScratch {
     }
 }
 
-struct Engine<'a, A: Algorithm, G: GraphRead, C: Collector> {
+struct Engine<'a, A: Algorithm, C: Collector> {
     algo: &'a A,
-    graph: &'a G,
+    graph: &'a Csr,
     cfg: &'a ScalaGraphConfig,
     dev: &'a DeviceGraph,
     col: &'a mut C,
@@ -779,10 +779,10 @@ struct Engine<'a, A: Algorithm, G: GraphRead, C: Collector> {
     ctl: Option<&'a CancelToken>,
 }
 
-impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
+impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     fn new(
         algo: &'a A,
-        graph: &'a G,
+        graph: &'a Csr,
         cfg: &'a ScalaGraphConfig,
         dev: &'a DeviceGraph,
         col: &'a mut C,
@@ -1565,6 +1565,7 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
 
     fn step_memory(&mut self) {
         let dev = self.dev;
+        let graph = self.graph;
         let placement = self.cfg.placement;
         let geo = &self.geo;
         let slice = self.slice;
@@ -1586,12 +1587,8 @@ impl<'a, A: Algorithm, G: GraphRead, C: Collector> Engine<'a, A, G, C> {
                             let range = csr.edge_range(av.v);
                             // The vertex record carries the *global*
                             // out-degree (PageRank normalizes by it), not
-                            // this tile partition's share. Read it from
-                            // the device table: on a packed backing the
-                            // graph's own `out_degree` is a block decode,
-                            // and prefetch batches return in an order that
-                            // thrashes the one-block scratch.
-                            let degree = dev.out_degree(av.v) as u32;
+                            // this tile partition's share.
+                            let degree = graph.out_degree(av.v) as u32;
                             tile.records_ready.push_back(EdgeCursor {
                                 av,
                                 cursor: range.start,

@@ -5,34 +5,14 @@
 //!   (`src dst [weight]` per line, `#`/`%` comments) — the format of the
 //!   SNAP downloads (Pokec, LiveJournal, Orkut, Twitter).
 //! * [`write_edge_list`] writes the same format.
-//! * [`read_csr_binary`] / [`write_csr_binary`] store a [`Csr`] in a
-//!   compact little-endian binary layout for fast reloads.
 //!
-//! # Example
-//!
-//! ```
-//! use scalagraph_graph::{generators, io, Csr};
-//!
-//! # fn main() -> std::io::Result<()> {
-//! let g = Csr::from_edges(100, &generators::uniform(100, 500, 1));
-//! let dir = std::env::temp_dir().join("scalagraph_io_doc");
-//! std::fs::create_dir_all(&dir)?;
-//! let path = dir.join("g.bin");
-//! io::write_csr_binary(&g, &path)?;
-//! let back = io::read_csr_binary(&path)?;
-//! assert_eq!(g, back);
-//! # std::fs::remove_file(path)?;
-//! # Ok(())
-//! # }
-//! ```
+//! Graphs are stored for fast reloads in the packed container of
+//! [`crate::packed`].
 
-use crate::{Csr, Edge, EdgeList, VertexId};
+use crate::{Edge, EdgeList, VertexId};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-
-/// Magic bytes prefixing the binary CSR format.
-const CSR_MAGIC: &[u8; 8] = b"SCLGCSR1";
 
 /// Reads a whitespace-separated text edge list. Lines starting with `#` or
 /// `%` are comments; each data line is `src dst` or `src dst weight`.
@@ -124,118 +104,6 @@ pub fn write_edge_list<P: AsRef<Path>>(list: &EdgeList, path: P) -> io::Result<(
     w.flush()
 }
 
-fn put_u64(w: &mut impl Write, x: u64) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn get_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Writes a [`Csr`] in the compact binary format.
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] on filesystem failures.
-pub fn write_csr_binary<P: AsRef<Path>>(graph: &Csr, path: P) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(CSR_MAGIC)?;
-    put_u64(&mut w, graph.num_vertices() as u64)?;
-    put_u64(&mut w, graph.num_edges() as u64)?;
-    put_u64(&mut w, u64::from(graph.is_weighted()))?;
-    for &o in graph.offsets() {
-        put_u64(&mut w, o)?;
-    }
-    for &n in graph.neighbor_array() {
-        w.write_all(&n.to_le_bytes())?;
-    }
-    if graph.is_weighted() {
-        for v in graph.vertices() {
-            // `is_weighted` guarantees every vertex has weights.
-            for &wt in graph.edge_weights(v).unwrap_or(&[]) {
-                w.write_all(&wt.to_le_bytes())?;
-            }
-        }
-    }
-    w.flush()
-}
-
-/// Reads a [`Csr`] written by [`write_csr_binary`].
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] on filesystem failures, a bad magic number, a
-/// header whose declared sizes disagree with the file length (truncated
-/// or corrupt files are rejected before anything is allocated), or
-/// structurally invalid content (e.g. non-monotonic offsets).
-pub fn read_csr_binary<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != CSR_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a scalagraph binary CSR file",
-        ));
-    }
-    let file_len = r.get_ref().metadata()?.len();
-    let n_raw = get_u64(&mut r)?;
-    let m_raw = get_u64(&mut r)?;
-    let weighted_flag = get_u64(&mut r)?;
-    if weighted_flag > 1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("weighted flag must be 0 or 1, got {weighted_flag}"),
-        ));
-    }
-    let weighted = weighted_flag == 1;
-    // Check the header against the on-disk size before trusting it with an
-    // allocation: a corrupt header must not trigger a multi-GB Vec.
-    // Header = magic + 3 counters; payload = (n+1) offsets, m neighbors,
-    // and m weights when the weighted flag is set. u128 keeps adversarial
-    // u64::MAX counts from overflowing the check itself.
-    let expected = 8u128
-        + 3 * 8
-        + (u128::from(n_raw) + 1) * 8
-        + u128::from(m_raw) * 4
-        + if weighted { u128::from(m_raw) * 4 } else { 0 };
-    if u128::from(file_len) != expected {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "header declares {n_raw} vertices / {m_raw} edges \
-                 ({expected} bytes) but the file is {file_len} bytes"
-            ),
-        ));
-    }
-    let n = n_raw as usize;
-    let m = m_raw as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(get_u64(&mut r)?);
-    }
-    let mut neighbors = Vec::with_capacity(m);
-    let mut b4 = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut b4)?;
-        neighbors.push(u32::from_le_bytes(b4));
-    }
-    let weights = if weighted {
-        let mut ws = Vec::with_capacity(m);
-        for _ in 0..m {
-            r.read_exact(&mut b4)?;
-            ws.push(u32::from_le_bytes(b4));
-        }
-        Some(ws)
-    } else {
-        None
-    };
-    Csr::from_raw_parts(offsets, neighbors, weights)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,94 +163,6 @@ mod tests {
         let path = tmp("garbage.txt");
         std::fs::write(&path, "0 not_a_number\n").unwrap();
         let err = read_edge_list(&path, None).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn binary_roundtrip_weighted_and_unweighted() {
-        for weighted in [false, true] {
-            let path = tmp(if weighted { "w.bin" } else { "u.bin" });
-            let mut list = EdgeList::new(64);
-            for e in generators::power_law(64, 500, 0.8, 11) {
-                list.push(e);
-            }
-            if weighted {
-                list.randomize_weights(255, 5);
-            }
-            let g = Csr::from_edge_list(&list);
-            write_csr_binary(&g, &path).unwrap();
-            let back = read_csr_binary(&path).unwrap();
-            assert_eq!(g, back);
-            std::fs::remove_file(path).unwrap();
-        }
-    }
-
-    #[test]
-    fn binary_rejects_wrong_magic() {
-        let path = tmp("bad.bin");
-        std::fs::write(&path, b"NOTACSR!xxxxxxxx").unwrap();
-        assert!(read_csr_binary(&path).is_err());
-        std::fs::remove_file(path).unwrap();
-    }
-
-    fn write_good_csr(name: &str) -> (PathBuf, Vec<u8>) {
-        let path = tmp(name);
-        let mut list = EdgeList::new(16);
-        for e in generators::uniform(16, 60, 13) {
-            list.push(e);
-        }
-        write_csr_binary(&Csr::from_edge_list(&list), &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        (path, bytes)
-    }
-
-    #[test]
-    fn binary_rejects_truncated_file() {
-        let (path, bytes) = write_good_csr("trunc.bin");
-        for cut in [bytes.len() - 1, bytes.len() / 2, 40, 12] {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let err = read_csr_binary(&path).unwrap_err();
-            assert!(
-                matches!(
-                    err.kind(),
-                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-                ),
-                "cut at {cut}: {err}"
-            );
-        }
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn binary_rejects_huge_declared_counts_without_allocating() {
-        let (path, mut bytes) = write_good_csr("huge.bin");
-        // Claim u64::MAX vertices: must fail the length check, not OOM.
-        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_csr_binary(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn binary_rejects_bad_weighted_flag() {
-        let (path, mut bytes) = write_good_csr("flag.bin");
-        bytes[24..32].copy_from_slice(&7u64.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_csr_binary(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("weighted flag"));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn binary_rejects_non_monotonic_offsets() {
-        let (path, mut bytes) = write_good_csr("offsets.bin");
-        // Corrupt the second offset to exceed the edge count.
-        bytes[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_csr_binary(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(path).unwrap();
     }

@@ -11,19 +11,17 @@
 //!   consumed by the CSR builder.
 //! * [`generators`] — seedable synthetic graph generators (R-MAT, power-law
 //!   configuration model, uniform, and a set of structured test graphs).
-//! * [`io`] — SNAP-style text edge lists and a compact binary CSR format,
-//!   for running the real datasets where available.
+//! * [`io`] — SNAP-style text edge lists, for running the real datasets
+//!   where available.
 //! * [`mutate`] — batched graph mutations ([`mutate::MutationBatch`]) applied
 //!   against CSR storage incrementally, keeping the Section IV-C degree-aware
 //!   laid-out view valid by re-shuffling only touched vertices.
 //! * [`datasets`] — presets matching the paper's evaluation datasets
 //!   (Table I / Table III) at a configurable down-scaling factor, generated
 //!   chunk-parallel with bit-identical serial/parallel output.
-//! * [`packed`] — the delta+varint compressed on-disk CSR container with an
-//!   mmap-backed zero-copy reader, for paper-scale graphs that should load
-//!   in milliseconds instead of regenerating.
-//! * [`read`] — the [`GraphRead`] trait that lets the simulator consume
-//!   either backing bit-identically.
+//! * [`packed`] — the delta+varint compressed on-disk CSR container and
+//!   its one reader, which maps a file and decodes it straight into a
+//!   [`Csr`], so paper-scale graphs load instead of regenerating.
 //! * [`partition`] — Graphicionado-style vertex-interval slicing used when a
 //!   graph's vertex properties do not fit on-chip (Section III-A).
 //! * [`relayout`] — the degree-aware edge re-layout of Section IV-C: edges of
@@ -60,7 +58,6 @@ pub mod mutate;
 pub mod packed;
 mod pargen;
 pub mod partition;
-pub mod read;
 pub mod relayout;
 mod rng;
 pub mod stats;
@@ -73,7 +70,6 @@ pub use error::GraphError;
 pub use packed::{PackedCsr, PackedShape};
 pub use pargen::{default_threads, run_chunks};
 pub use partition::{Partitioner, VertexInterval};
-pub use read::GraphRead;
 pub use rng::SplitMix64;
 pub use stats::DegreeStats;
 

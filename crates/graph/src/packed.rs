@@ -6,8 +6,8 @@
 //! work for footprint the way bandwidth-efficient graph systems (GraphScale,
 //! Ligra+) do: adjacency lists are varint-encoded — delta-encoded first when
 //! a vertex's neighbors are sorted — behind a coarse *block index*, and the
-//! whole container can be memory-mapped so opening a packed graph costs
-//! header + index validation, not an O(edges) rebuild.
+//! container is memory-mapped, so loading a packed graph costs one checksum
+//! pass and one decode rather than a regeneration.
 //!
 //! # Container layout (all little-endian)
 //!
@@ -42,22 +42,18 @@
 //!
 //! # Validation
 //!
-//! [`PackedCsr::open`] validates the header, checksums the body, and walks
-//! every block's varint structure (including neighbor range checks) before
-//! returning, so truncation, bit rot, and hostile headers all surface as
-//! typed [`GraphError`]s at open — after which the read API cannot fail.
-//! The header's vertex and edge counts are bounded by the payload length
-//! (each costs at least one byte), so no header can make a reader allocate
-//! more than the container's own size.
-//! [`PackedCsr::read_csr`], for callers that only want the decoded [`Csr`],
-//! makes the same header checks, refuses a container of another
-//! [`PackedShape`] than the caller expects, and lets the checked decode
-//! stand in for the walk, rejecting the same damage with the same errors.
-//! Reads decode one block at a time into a pooled scratch buffer (interior
-//! mutability; keep one `PackedCsr` per thread).
+//! [`PackedCsr::open`] checks the header, checksums the body and checks the
+//! block index. The blocks are checked as [`PackedCsr::to_csr`], their only
+//! reader, decodes them straight into the [`Csr`] arrays: varint structure,
+//! per-block edge counts, neighbor ranges. Truncation, bit rot and hostile
+//! headers therefore all surface as typed [`GraphError`]s. The header's
+//! vertex and edge counts are bounded by the payload length (each costs at
+//! least one byte), so no header can make the decode allocate more than the
+//! container's own size. [`PackedCsr::read_csr`], for callers that know the
+//! graph they expect, also refuses a container of another [`PackedShape`]
+//! before any block is decoded.
 
-use crate::{Csr, Edge, GraphError, GraphRead, VertexId, Weight};
-use std::cell::{Ref, RefCell};
+use crate::{Csr, GraphError, VertexId, Weight};
 use std::fs::File;
 use std::io::Read as _;
 use std::path::Path;
@@ -69,8 +65,7 @@ pub const PACKED_MAGIC: &[u8; 8] = b"SGPKCSR1";
 pub const PACKED_VERSION: u32 = 1;
 
 /// Default vertices per block: 1024 keeps the index at 16 KiB per million
-/// vertices (resident even for Twitter-scale graphs) while a decoded block
-/// (~1K adjacency lists) still fits comfortably in L2 scratch.
+/// vertices (resident even for Twitter-scale graphs).
 pub const DEFAULT_BLOCK_SIZE: u32 = 1024;
 
 const HEADER_LEN: usize = 56;
@@ -145,46 +140,6 @@ fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, GraphError> {
             return Err(format_err("varint exceeds 64 bits"));
         }
     }
-}
-
-/// Varint decode tuned for the open-time validation walk: one unaligned
-/// 32-bit load resolves any varint that terminates within 4 bytes (every
-/// delta gap and almost every id in practice), falling back to
-/// [`read_varint`] near the section tail, for longer encodings, and for
-/// every error case — so the two functions accept and reject *exactly*
-/// the same byte sequences with the same values (overlong-but-terminated
-/// encodings included).
-#[inline]
-fn scan_varint(data: &[u8], pos: &mut usize) -> Result<u64, GraphError> {
-    if let Some(chunk) = data.get(*pos..*pos + 4) {
-        let w = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        // A varint ends at the first byte whose continuation bit is clear.
-        // A compare chain beats a branchless trailing_zeros extraction
-        // here: within one graph the delta gaps cluster around one length
-        // (`n / avg_degree`), so these branches predict near-perfectly.
-        if w & 0x80 == 0 {
-            *pos += 1;
-            return Ok(u64::from(w & 0x7f));
-        }
-        if w & 0x8000 == 0 {
-            *pos += 2;
-            return Ok(u64::from(w & 0x7f) | u64::from((w >> 8) & 0x7f) << 7);
-        }
-        if w & 0x0080_0000 == 0 {
-            *pos += 3;
-            return Ok(u64::from(w & 0x7f)
-                | u64::from((w >> 8) & 0x7f) << 7
-                | u64::from((w >> 16) & 0x7f) << 14);
-        }
-        if w & 0x8000_0000 == 0 {
-            *pos += 4;
-            return Ok(u64::from(w & 0x7f)
-                | u64::from((w >> 8) & 0x7f) << 7
-                | u64::from((w >> 16) & 0x7f) << 14
-                | u64::from((w >> 24) & 0x7f) << 21);
-        }
-    }
-    read_varint(data, pos)
 }
 
 /// Serializes `graph` into a packed container in memory.
@@ -364,27 +319,6 @@ impl Storage {
     }
 }
 
-/// One decoded block, reused as pooled scratch across reads.
-struct DecodedBlock {
-    /// Which block is currently decoded; `usize::MAX` means none.
-    block: usize,
-    /// Local edge offsets within the block (`verts_in_block + 1` entries).
-    prefix: Vec<u32>,
-    neighbors: Vec<VertexId>,
-    weights: Vec<Weight>,
-}
-
-impl DecodedBlock {
-    fn empty() -> Self {
-        DecodedBlock {
-            block: usize::MAX,
-            prefix: Vec::new(),
-            neighbors: Vec::new(),
-            weights: Vec::new(),
-        }
-    }
-}
-
 /// The graph a caller of [`PackedCsr::read_csr`] expects a container to
 /// hold. It is compared with the header before any block is decoded, so a
 /// memory budget planned for this shape holds whatever file is named.
@@ -407,20 +341,19 @@ impl std::fmt::Display for PackedShape {
     }
 }
 
-/// A validated, read-only, block-compressed CSR backed by a memory-mapped
-/// (or heap-resident) container.
+/// An opened packed container, memory-mapped (or heap-resident), whose
+/// header, checksum and block index have been checked. Its blocks are read
+/// only through the checked decode of [`PackedCsr::to_csr`].
 ///
 /// # Example
 ///
 /// ```
-/// use scalagraph_graph::{generators, packed, Csr};
+/// use scalagraph_graph::{generators, packed, Csr, PackedCsr, PackedShape};
 ///
 /// let g = Csr::from_edges(64, &generators::uniform(64, 256, 7));
 /// let bytes = packed::pack_to_vec(&g, 16);
-/// let p = packed::PackedCsr::from_bytes(bytes).unwrap();
-/// assert_eq!(p.num_vertices(), 64);
-/// assert_eq!(&*p.neighbors(3), g.neighbors(3));
-/// assert_eq!(p.to_csr().unwrap(), g);
+/// let shape = PackedShape { num_vertices: 64, weighted: false };
+/// assert_eq!(PackedCsr::csr_from_bytes(bytes, shape).unwrap(), g);
 /// ```
 pub struct PackedCsr {
     data: Storage,
@@ -429,45 +362,42 @@ pub struct PackedCsr {
     weighted: bool,
     block_size: usize,
     num_blocks: usize,
-    scratch: RefCell<DecodedBlock>,
 }
 
 impl PackedCsr {
-    /// Opens and fully validates a packed container, memory-mapping it when
-    /// the platform allows (falling back to a heap read otherwise).
+    /// Opens a container, memory-mapping it when the platform allows
+    /// (falling back to a heap read otherwise), and checks its header, body
+    /// checksum and block index. The blocks are checked as
+    /// [`PackedCsr::to_csr`] decodes them.
     ///
     /// # Errors
     ///
     /// [`GraphError::Io`] on filesystem failures, [`GraphError::PackedFormat`]
-    /// for structural corruption (bad magic/version, truncation, index or
-    /// varint inconsistencies, out-of-range neighbor ids), and
-    /// [`GraphError::PackedChecksum`] when the body fails verification.
+    /// for structural corruption (bad magic/version, truncation, index
+    /// inconsistencies), and [`GraphError::PackedChecksum`] when the body
+    /// fails verification.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<PackedCsr, GraphError> {
-        Self::parse(Self::load(path.as_ref())?)?.certify()
+        Self::parse(Self::load(path.as_ref())?)
     }
 
-    /// Reads a container and decodes it straight into a [`Csr`], for
-    /// callers that want the graph rather than the container. Applies the
-    /// header, checksum and index checks of [`PackedCsr::open`], refuses a
-    /// header whose shape is not `expect`, then runs the checked block
-    /// decode of [`PackedCsr::to_csr`] — which rejects the same damage with
-    /// the same error as `open`'s certification walk, so the walk is
-    /// skipped instead of checking every block twice. No uncertified
-    /// container is ever returned.
+    /// Reads a container and decodes it into a [`Csr`]: [`PackedCsr::open`],
+    /// then a refusal of a header whose shape is not `expect`, then
+    /// [`PackedCsr::to_csr`].
     ///
     /// # Errors
     ///
-    /// Same as [`PackedCsr::open`], plus [`GraphError::PackedShape`] when
-    /// the header declares another shape than `expect`.
+    /// Those of [`PackedCsr::open`] and [`PackedCsr::to_csr`], plus
+    /// [`GraphError::PackedShape`] when the header declares another shape
+    /// than `expect`.
     pub fn read_csr<P: AsRef<Path>>(path: P, expect: PackedShape) -> Result<Csr, GraphError> {
-        Self::parse(Self::load(path.as_ref())?)?.decode_as(expect)
+        Self::open(path)?.decode_as(expect)
     }
 
     /// [`PackedCsr::read_csr`] on a container already resident in memory.
     ///
     /// # Errors
     ///
-    /// Same as [`PackedCsr::from_bytes`], plus [`GraphError::PackedShape`].
+    /// Same as [`PackedCsr::read_csr`], minus the I/O class.
     pub fn csr_from_bytes(bytes: Vec<u8>, expect: PackedShape) -> Result<Csr, GraphError> {
         Self::parse(Storage::Heap(bytes))?.decode_as(expect)
     }
@@ -499,7 +429,7 @@ impl PackedCsr {
         match map::Map::of_file(file, len) {
             Ok(m) => Ok(Storage::Mapped(m)),
             // A filesystem without mmap support degrades to a heap read;
-            // validation and the read API are identical either way.
+            // the checks and the decode are identical either way.
             Err(_) => Self::read_heap(file, len, path),
         }
     }
@@ -515,20 +445,8 @@ impl PackedCsr {
         Ok(Storage::Heap(buf))
     }
 
-    /// Opens a container already resident in memory (tests, in-process
-    /// pack-then-load pipelines). Identical validation to [`PackedCsr::open`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PackedCsr::open`], minus the I/O class.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<PackedCsr, GraphError> {
-        Self::parse(Storage::Heap(bytes))?.certify()
-    }
-
     /// Header, checksum and block-index validation. The blocks themselves
-    /// are not yet checked, so the result must go through
-    /// [`certify`](Self::certify) or straight into [`to_csr`](Self::to_csr)
-    /// before anyone reads it.
+    /// are checked by [`to_csr`](Self::to_csr), the only reader of them.
     fn parse(data: Storage) -> Result<PackedCsr, GraphError> {
         let bytes = data.bytes();
         if bytes.len() < HEADER_LEN {
@@ -609,23 +527,9 @@ impl PackedCsr {
             block_size: block_size as usize,
             num_blocks: num_blocks as usize,
             data,
-            scratch: RefCell::new(DecodedBlock::empty()),
         };
         packed.validate_index(payload_len)?;
         Ok(packed)
-    }
-
-    /// Walks every block once so the read API cannot fail afterwards:
-    /// varint structure, per-block edge counts, and neighbor ranges are
-    /// all certified here. The walk is structure-only (`verify_block`): it
-    /// decodes the exact same stream `decode_block_into` does but
-    /// materializes nothing, which keeps cold-open latency at varint-scan
-    /// speed rather than Vec-build speed.
-    fn certify(self) -> Result<PackedCsr, GraphError> {
-        for b in 0..self.num_blocks {
-            self.verify_block(b)?;
-        }
-        Ok(self)
     }
 
     fn index_entry(&self, i: usize) -> (u64, u64) {
@@ -673,16 +577,19 @@ impl PackedCsr {
         Ok(())
     }
 
-    /// Structure-only certification of one block: applies every check
-    /// [`PackedCsr::decode_block_into`] applies, in the same order —
-    /// varint well-formedness, per-block edge accounting, neighbor range,
-    /// weight width, exact section consumption — without building the
-    /// decoded arrays. Ids in a `sorted` run are non-decreasing (gaps are
-    /// unsigned), so the run's last id is its maximum and one range check
-    /// certifies the whole run; unsorted runs and weights track a running
-    /// maximum the same way. Both paths therefore reject the same damage
-    /// with the same error.
-    fn verify_block(&self, block: usize) -> Result<(), GraphError> {
+    /// Decodes and checks `block`, appending its vertices' end offsets,
+    /// neighbors and weights to the [`Csr`] arrays [`to_csr`](Self::to_csr)
+    /// is building: varint well-formedness, per-block edge accounting,
+    /// neighbor range, weight width, exact section consumption. The pushes
+    /// never pass the capacity `to_csr` reserved from the header, because a
+    /// block may not encode more than its indexed edge count.
+    fn decode_block_into(
+        &self,
+        block: usize,
+        offsets: &mut Vec<u64>,
+        neighbors: &mut Vec<VertexId>,
+        weights: &mut Vec<Weight>,
+    ) -> Result<(), GraphError> {
         let (start, first_edge) = self.index_entry(block);
         let (end, next_edge) = self.index_entry(block + 1);
         let expected_edges = (next_edge - first_edge) as usize;
@@ -690,100 +597,20 @@ impl PackedCsr {
         let hi = (lo + self.block_size).min(self.num_vertices);
         let section = &self.payload()[start as usize..end as usize];
 
-        let n = self.num_vertices as u64;
-        let mut pos = 0usize;
-        let mut decoded = 0usize;
-        for _ in lo..hi {
-            let header = scan_varint(section, &mut pos)?;
-            let degree = (header >> 1) as usize;
-            let sorted = header & 1 == 1;
-            if decoded + degree > expected_edges {
-                return Err(format_err(format!(
-                    "block {block} encodes more than its {expected_edges} indexed edges"
-                )));
-            }
-            if sorted {
-                if degree > 0 {
-                    let mut id = scan_varint(section, &mut pos)?;
-                    for _ in 1..degree {
-                        let raw = scan_varint(section, &mut pos)?;
-                        id = id
-                            .checked_add(raw)
-                            .ok_or_else(|| format_err("delta-encoded neighbor id overflows"))?;
-                    }
-                    if id >= n {
-                        return Err(GraphError::VertexOutOfRange {
-                            vertex: id,
-                            num_vertices: n,
-                        });
-                    }
-                }
-            } else {
-                let mut max = 0u64;
-                for _ in 0..degree {
-                    max = max.max(scan_varint(section, &mut pos)?);
-                }
-                if degree > 0 && max >= n {
-                    return Err(GraphError::VertexOutOfRange {
-                        vertex: max,
-                        num_vertices: n,
-                    });
-                }
-            }
-            if self.weighted {
-                let mut wmax = 0u64;
-                for _ in 0..degree {
-                    wmax = wmax.max(scan_varint(section, &mut pos)?);
-                }
-                if wmax > u64::from(u32::MAX) {
-                    return Err(format_err("edge weight exceeds 32 bits"));
-                }
-            }
-            decoded += degree;
-        }
-        if pos != section.len() {
-            return Err(format_err(format!(
-                "block {block} leaves {} undecoded payload bytes",
-                section.len() - pos
-            )));
-        }
-        if decoded != expected_edges {
-            return Err(format_err(format!(
-                "block {block} decodes {decoded} edges but the index promises {expected_edges}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn decode_block_into(&self, block: usize, out: &mut DecodedBlock) -> Result<(), GraphError> {
-        let (start, first_edge) = self.index_entry(block);
-        let (end, next_edge) = self.index_entry(block + 1);
-        let expected_edges = (next_edge - first_edge) as usize;
-        let lo = block * self.block_size;
-        let hi = (lo + self.block_size).min(self.num_vertices);
-        let section = &self.payload()[start as usize..end as usize];
-
-        out.block = usize::MAX;
-        out.prefix.clear();
-        out.neighbors.clear();
-        out.weights.clear();
-        out.prefix.reserve(hi - lo + 1);
-        out.neighbors.reserve(expected_edges);
-        out.prefix.push(0);
-
+        let base = neighbors.len();
         let n = self.num_vertices as u64;
         let mut pos = 0usize;
         for _ in lo..hi {
             let header = read_varint(section, &mut pos)?;
             let degree = (header >> 1) as usize;
             let sorted = header & 1 == 1;
-            if out.neighbors.len() + degree > expected_edges {
+            if neighbors.len() - base + degree > expected_edges {
                 return Err(format_err(format!(
                     "block {block} encodes more than its {expected_edges} indexed edges"
                 )));
             }
-            // Range checks run once per run, on its maximum, exactly where
-            // `verify_block` makes them, so both report the same error.
+            // A run is range-checked once, on its maximum: ids in a sorted
+            // run are non-decreasing (gaps are unsigned), so the last one.
             let mut max = 0u64;
             if sorted {
                 for i in 0..degree {
@@ -794,13 +621,13 @@ impl PackedCsr {
                         max.checked_add(raw)
                             .ok_or_else(|| format_err("delta-encoded neighbor id overflows"))?
                     };
-                    out.neighbors.push(max as VertexId);
+                    neighbors.push(max as VertexId);
                 }
             } else {
                 for _ in 0..degree {
                     let id = read_varint(section, &mut pos)?;
                     max = max.max(id);
-                    out.neighbors.push(id as VertexId);
+                    neighbors.push(id as VertexId);
                 }
             }
             if degree > 0 && max >= n {
@@ -814,13 +641,13 @@ impl PackedCsr {
                 for _ in 0..degree {
                     let w = read_varint(section, &mut pos)?;
                     wmax = wmax.max(w);
-                    out.weights.push(w as Weight);
+                    weights.push(w as Weight);
                 }
                 if wmax > u64::from(u32::MAX) {
                     return Err(format_err("edge weight exceeds 32 bits"));
                 }
             }
-            out.prefix.push(out.neighbors.len() as u32);
+            offsets.push(neighbors.len() as u64);
         }
         if pos != section.len() {
             return Err(format_err(format!(
@@ -828,34 +655,13 @@ impl PackedCsr {
                 section.len() - pos
             )));
         }
-        if out.neighbors.len() != expected_edges {
+        let decoded = neighbors.len() - base;
+        if decoded != expected_edges {
             return Err(format_err(format!(
-                "block {block} decodes {} edges but the index promises {expected_edges}",
-                out.neighbors.len()
+                "block {block} decodes {decoded} edges but the index promises {expected_edges}"
             )));
         }
-        out.block = block;
         Ok(())
-    }
-
-    /// Decodes `block` into the pooled scratch unless it is already there.
-    fn ensure_block(&self, block: usize) {
-        if self.scratch.borrow().block == block {
-            return;
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        match self.decode_block_into(block, &mut scratch) {
-            Ok(()) => {}
-            // Every block was certified at open; failing here means the
-            // backing file mutated under the mapping.
-            Err(e) => panic!("packed block {block} failed to decode after open-time validation (backing file changed?): {e}"),
-        }
-    }
-
-    fn locate(&self, v: VertexId) -> (usize, usize) {
-        let v = v as usize;
-        assert!(v < self.num_vertices, "vertex {v} out of range");
-        (v / self.block_size, v % self.block_size)
     }
 
     /// Number of vertices.
@@ -888,98 +694,24 @@ impl PackedCsr {
         self.data.bytes().len() as u64
     }
 
-    /// Out-degree of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        let (block, local) = self.locate(v);
-        self.ensure_block(block);
-        let s = self.scratch.borrow();
-        (s.prefix[local + 1] - s.prefix[local]) as usize
-    }
-
-    /// Index range of `v`'s edges in the global edge order — identical to
-    /// [`Csr::edge_range`] on the graph this container was packed from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn edge_range(&self, v: VertexId) -> std::ops::Range<usize> {
-        let (block, local) = self.locate(v);
-        let (_, first_edge) = self.index_entry(block);
-        self.ensure_block(block);
-        let s = self.scratch.borrow();
-        let base = first_edge as usize;
-        base + s.prefix[local] as usize..base + s.prefix[local + 1] as usize
-    }
-
-    /// Destination vertices of `v`'s out-edges, decoded into the pooled
-    /// block scratch. The borrow must be dropped before touching a vertex
-    /// of a *different* block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range, or if a previous scratch borrow is
-    /// still alive when a different block must be decoded.
-    pub fn neighbors(&self, v: VertexId) -> Ref<'_, [VertexId]> {
-        let (block, local) = self.locate(v);
-        self.ensure_block(block);
-        Ref::map(self.scratch.borrow(), |s| {
-            &s.neighbors[s.prefix[local] as usize..s.prefix[local + 1] as usize]
-        })
-    }
-
-    /// Weights of `v`'s out-edges (same discipline as
-    /// [`PackedCsr::neighbors`]).
+    /// Decodes the container into an in-memory [`Csr`], bit-identical
+    /// (offsets, adjacency order, weights) to the graph it was packed from,
+    /// checking every block as it goes.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::MissingWeights`] on an unweighted container.
-    pub fn edge_weights(&self, v: VertexId) -> Result<Ref<'_, [Weight]>, GraphError> {
-        if !self.weighted {
-            return Err(GraphError::MissingWeights);
-        }
-        let (block, local) = self.locate(v);
-        self.ensure_block(block);
-        Ok(Ref::map(self.scratch.borrow(), |s| {
-            &s.weights[s.prefix[local] as usize..s.prefix[local + 1] as usize]
-        }))
-    }
-
-    /// Fully decodes the container into an in-memory [`Csr`], bit-identical
-    /// (offsets, adjacency order, weights) to the graph it was packed from.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Csr::from_raw_parts`] error class if the decoded
-    /// arrays are structurally inconsistent — unreachable for containers
-    /// produced by [`pack_to_vec`], kept fallible for defense in depth.
+    /// [`GraphError::PackedFormat`] for a damaged block (malformed varint,
+    /// edge counts that disagree with the index, leftover bytes, a weight
+    /// over 32 bits), [`GraphError::VertexOutOfRange`] for a neighbor id
+    /// past the vertex count, and the [`Csr::from_raw_parts`] error class if
+    /// the decoded arrays are structurally inconsistent.
     pub fn to_csr(&self) -> Result<Csr, GraphError> {
         let mut offsets = Vec::with_capacity(self.num_vertices + 1);
         let mut neighbors = Vec::with_capacity(self.num_edges);
-        let mut weights = if self.weighted {
-            Vec::with_capacity(self.num_edges)
-        } else {
-            Vec::new()
-        };
+        let mut weights = Vec::with_capacity(if self.weighted { self.num_edges } else { 0 });
         offsets.push(0u64);
-        let mut scratch = DecodedBlock::empty();
         for b in 0..self.num_blocks {
-            match self.decode_block_into(b, &mut scratch) {
-                Ok(()) => {}
-                Err(e) => return Err(e),
-            }
-            let verts = scratch.prefix.len() - 1;
-            let base = neighbors.len() as u64;
-            for local in 0..verts {
-                offsets.push(base + u64::from(scratch.prefix[local + 1]));
-            }
-            neighbors.extend_from_slice(&scratch.neighbors);
-            if self.weighted {
-                weights.extend_from_slice(&scratch.weights);
-            }
+            self.decode_block_into(b, &mut offsets, &mut neighbors, &mut weights)?;
         }
         Csr::from_raw_parts(offsets, neighbors, self.weighted.then_some(weights))
     }
@@ -997,48 +729,25 @@ impl std::fmt::Debug for PackedCsr {
     }
 }
 
-impl GraphRead for PackedCsr {
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn is_weighted(&self) -> bool {
-        self.weighted
-    }
-
-    fn out_degree(&self, v: VertexId) -> usize {
-        PackedCsr::out_degree(self, v)
-    }
-
-    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
-        for block in 0..self.num_blocks {
-            self.ensure_block(block);
-            let s = self.scratch.borrow();
-            let lo = block * self.block_size;
-            let verts = s.prefix.len() - 1;
-            for local in 0..verts {
-                let src = (lo + local) as VertexId;
-                for i in s.prefix[local] as usize..s.prefix[local + 1] as usize {
-                    let w = if self.weighted { s.weights[i] } else { 0 };
-                    visit(Edge::weighted(src, s.neighbors[i], w));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, EdgeList};
+    use crate::{generators, Edge, EdgeList};
 
     fn patch_checksum(bytes: &mut [u8]) {
         let sum = checksum64(&bytes[HEADER_LEN..]);
         bytes[48..56].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn shape_of(g: &Csr) -> PackedShape {
+        PackedShape {
+            num_vertices: g.num_vertices(),
+            weighted: g.is_weighted(),
+        }
+    }
+
+    fn decode(bytes: Vec<u8>, g: &Csr) -> Result<Csr, GraphError> {
+        PackedCsr::csr_from_bytes(bytes, shape_of(g))
     }
 
     fn sample(weighted: bool) -> Csr {
@@ -1057,24 +766,9 @@ mod tests {
         for weighted in [false, true] {
             let g = sample(weighted);
             for block_size in [1u32, 7, 64, 4096] {
-                let p = PackedCsr::from_bytes(pack_to_vec(&g, block_size)).unwrap();
-                assert_eq!(p.num_vertices(), g.num_vertices());
-                assert_eq!(p.num_edges(), g.num_edges());
-                assert_eq!(p.is_weighted(), g.is_weighted());
-                assert_eq!(p.to_csr().unwrap(), g, "block size {block_size}");
+                let back = decode(pack_to_vec(&g, block_size), &g).unwrap();
+                assert_eq!(back, g, "block size {block_size}");
             }
-        }
-    }
-
-    #[test]
-    fn per_vertex_reads_match_source() {
-        let g = sample(true);
-        let p = PackedCsr::from_bytes(pack_to_vec(&g, 16)).unwrap();
-        for v in g.vertices() {
-            assert_eq!(p.out_degree(v), g.out_degree(v));
-            assert_eq!(p.edge_range(v), g.edge_range(v));
-            assert_eq!(&*p.neighbors(v), g.neighbors(v));
-            assert_eq!(&*p.edge_weights(v).unwrap(), g.edge_weights(v).unwrap());
         }
     }
 
@@ -1103,28 +797,13 @@ mod tests {
             p_unsorted.len()
         );
         // Both still round-trip exactly.
-        assert_eq!(
-            PackedCsr::from_bytes(p_unsorted).unwrap().to_csr().unwrap(),
-            g_unsorted
-        );
-    }
-
-    #[test]
-    fn graph_read_for_each_edge_matches_csr() {
-        let g = sample(true);
-        let p = PackedCsr::from_bytes(pack_to_vec(&g, 32)).unwrap();
-        let mut from_packed = Vec::new();
-        GraphRead::for_each_edge(&p, &mut |e| from_packed.push(e));
-        let from_csr: Vec<Edge> = g.edges().collect();
-        assert_eq!(from_packed, from_csr);
+        assert_eq!(decode(p_unsorted, &g_unsorted).unwrap(), g_unsorted);
     }
 
     #[test]
     fn empty_and_edgeless_graphs_roundtrip() {
         for g in [Csr::from_edges(0, &[]), Csr::from_edges(5, &[])] {
-            let p = PackedCsr::from_bytes(pack_to_vec(&g, 4)).unwrap();
-            assert_eq!(p.to_csr().unwrap(), g);
-            assert_eq!(p.num_edges(), 0);
+            assert_eq!(decode(pack_to_vec(&g, 4), &g).unwrap(), g);
         }
     }
 
@@ -1153,7 +832,7 @@ mod tests {
         let g = sample(false);
         let bytes = pack_to_vec(&g, 8);
         for cut in 0..bytes.len() {
-            let err = PackedCsr::from_bytes(bytes[..cut].to_vec()).unwrap_err();
+            let err = decode(bytes[..cut].to_vec(), &g).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1171,7 +850,7 @@ mod tests {
         for pos in [HEADER_LEN, HEADER_LEN + 16, bytes.len() - 1] {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x40;
-            let err = PackedCsr::from_bytes(corrupt).unwrap_err();
+            let err = decode(corrupt, &g).unwrap_err();
             assert!(
                 matches!(err, GraphError::PackedChecksum { .. }),
                 "flip at {pos}: {err}"
@@ -1181,8 +860,8 @@ mod tests {
 
     #[test]
     fn out_of_range_neighbor_is_typed_even_with_valid_checksum() {
-        // Pack a single-vertex self-loop graph, then re-point the neighbor
-        // id out of range and fix the checksum: the block walk must catch it.
+        // Pack a one-edge graph, then re-point the neighbor id out of range
+        // and fix the checksum: the block decode must catch it.
         let g = Csr::from_edges(2, &[Edge::new(0, 1)]);
         let mut bytes = pack_to_vec(&g, 4);
         // Payload is [header(v0), id(=1), header(v1)]; the id byte is the
@@ -1191,7 +870,7 @@ mod tests {
         assert_eq!(bytes[id_byte], 1, "neighbor id byte");
         bytes[id_byte] = 9; // 9 >= num_vertices(2)
         patch_checksum(&mut bytes);
-        let err = PackedCsr::from_bytes(bytes).unwrap_err();
+        let err = decode(bytes, &g).unwrap_err();
         assert!(
             matches!(err, GraphError::VertexOutOfRange { vertex: 9, .. }),
             "{err}"
@@ -1206,25 +885,25 @@ mod tests {
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         assert!(matches!(
-            PackedCsr::from_bytes(bad_magic).unwrap_err(),
+            decode(bad_magic, &g).unwrap_err(),
             GraphError::PackedFormat { .. }
         ));
 
         let mut bad_version = good.clone();
         bad_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let err = PackedCsr::from_bytes(bad_version).unwrap_err();
+        let err = decode(bad_version, &g).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
 
         let mut bad_flags = good.clone();
         bad_flags[12..16].copy_from_slice(&0xffu32.to_le_bytes());
         assert!(matches!(
-            PackedCsr::from_bytes(bad_flags).unwrap_err(),
+            decode(bad_flags, &g).unwrap_err(),
             GraphError::PackedFormat { .. }
         ));
 
         let mut huge_counts = good;
         huge_counts[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = PackedCsr::from_bytes(huge_counts).unwrap_err();
+        let err = decode(huge_counts, &g).unwrap_err();
         assert!(matches!(err, GraphError::PackedFormat { .. }), "{err}");
     }
 
@@ -1233,54 +912,6 @@ mod tests {
         assert_ne!(checksum64(&[0u8; 8]), checksum64(&[0u8; 16]));
         assert_ne!(checksum64(b"abc"), checksum64(b"abd"));
         assert_ne!(checksum64(&[]), 0);
-    }
-
-    #[test]
-    fn scan_varint_agrees_with_read_varint_on_arbitrary_bytes() {
-        // verify_block uses the word-at-a-time scanner while decode uses
-        // the byte loop; any divergence would let open certify a payload
-        // the read path later rejects (a post-open panic). Fuzz both over
-        // random byte soup, encoded values with trailing garbage, and
-        // continuation-heavy prefixes.
-        let mut state = 0x243f_6a88_85a3_08d3u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let check = |buf: &[u8]| {
-            let mut pa = 0usize;
-            let mut pb = 0usize;
-            let a = read_varint(buf, &mut pa);
-            let b = scan_varint(buf, &mut pb);
-            match (&a, &b) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x, y, "value mismatch on {buf:?}");
-                    assert_eq!(pa, pb, "position mismatch on {buf:?}");
-                }
-                (Err(_), Err(_)) => {}
-                _ => panic!("outcome mismatch on {buf:?}: {a:?} vs {b:?}"),
-            }
-        };
-        for _ in 0..20_000 {
-            let len = (next() % 16) as usize;
-            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            check(&buf);
-        }
-        for _ in 0..5_000 {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, next() >> (next() % 64));
-            buf.extend((0..(next() % 8) as usize).map(|_| next() as u8));
-            check(&buf);
-        }
-        for k in 0..12 {
-            let mut buf = vec![0xffu8; k];
-            check(&buf);
-            buf.push(0x01);
-            check(&buf);
-        }
     }
 
     #[test]

@@ -3,17 +3,21 @@
 #
 #   1. Parallel-generate a mid-scale dataset stand-in and pack it into the
 #      delta+varint container (`scalagraph-sim graph pack`).
-#   2. Mmap-open the container and print its header (`graph info`) — this
-#      exercises open-time validation (magic/version/checksum/structure).
+#   2. Open and decode the container, then print its header (`graph info`):
+#      this exercises the reader's checks (magic, version, checksum, index
+#      and every block).
 #   3. Replay a conformance corpus scenario with `--packed`, which re-runs
-#      the scenario on a packed on-disk backing and fails unless the
-#      replayed report is bit-identical to the in-memory run.
-#   4. Re-measure the dataset benchmarks and gate against the checked-in
+#      the scenario with its graph written to a packed file and read back,
+#      and fails unless the replayed report is bit-identical to the run on
+#      the generated graph.
+#   4. Pack PK at scale 512 and run `scalagraph-sim --csr` on the file; its
+#      stdout must be byte-identical to the run on `--graph PK --scale 512`.
+#   5. Re-measure the dataset benchmarks and gate against the checked-in
 #      BENCH_datasets.json (pack ratio >10% worse, or gen/cold-open
 #      speedups below half their recorded values, fail the job).
 #
 # Usage: scripts/dataset_pack_smoke.sh [--skip-bench]
-#   --skip-bench  run only the pack/info/replay smoke (fast path)
+#   --skip-bench  run only the pack/info/replay/--csr smoke (fast path)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,17 +30,24 @@ for a in "$@"; do
 done
 
 SIM=(cargo run --offline --locked --release --bin scalagraph-sim --)
-CONTAINER=$(mktemp -t scalagraph-smoke-XXXXXX.sgpk)
-trap 'rm -f "$CONTAINER"' EXIT
+WORK=$(mktemp -d -t scalagraph-smoke-XXXXXX)
+trap 'rm -rf "$WORK"' EXIT
+CONTAINER="$WORK/pk4.sgpk"
 
 echo "== pack: Pokec/4 (parallel generation -> packed container) =="
 "${SIM[@]}" graph pack --graph PK --scale 4 --seed 42 --out "$CONTAINER"
 
-echo "== info: mmap-open and validate the container =="
+echo "== info: open, decode and describe the container =="
 "${SIM[@]}" graph info "$CONTAINER"
 
-echo "== replay: corpus scenario on packed backing must be bit-identical =="
+echo "== replay: corpus scenario read from a packed file must be bit-identical =="
 "${SIM[@]}" replay --packed corpus/converge-pagerank-dense.json
+
+echo "== --csr: a run on a packed file must print the generated run's bytes =="
+"${SIM[@]}" graph pack --graph PK --scale 512 --seed 42 --out "$WORK/pk512.sgpk"
+"${SIM[@]}" --csr "$WORK/pk512.sgpk" > "$WORK/from-file.txt"
+"${SIM[@]}" --graph PK --scale 512 --seed 42 > "$WORK/generated.txt"
+cmp "$WORK/generated.txt" "$WORK/from-file.txt"
 
 if [ "$SKIP_BENCH" = 0 ]; then
   echo "== bench: regression gates vs checked-in BENCH_datasets.json =="

@@ -1,8 +1,8 @@
 //! `scalagraph-sim` — command-line driver for the ScalaGraph simulator.
 //!
 //! Runs one of the paper's algorithms on a dataset stand-in, a SNAP-format
-//! edge-list file, or a binary CSR, on a configurable accelerator, and
-//! prints the performance counters.
+//! edge-list file, or a packed CSR container, on a configurable
+//! accelerator, and prints the performance counters.
 //!
 //! ```text
 //! scalagraph-sim fuzz [--budget <n>] [--seed <n>] [--out <dir>]
@@ -24,7 +24,7 @@
 //!   delta+varint CSR container; prints the raw/packed sizes and ratio.
 //!
 //! scalagraph-sim graph info <path>
-//!   print the header of a packed CSR container.
+//!   decode a packed CSR container and print its header.
 //!
 //! scalagraph-sim batch [options] <scenario.json | dir> [...]
 //!   run conformance scenarios on the runtime's worker pool (directories
@@ -48,7 +48,8 @@
 //!   --algo <bfs|sssp|cc|pagerank>   algorithm            [bfs]
 //!   --graph <PK|LJ|OR|RM|TW|FL>     dataset stand-in     [PK]
 //!   --file <path>                   edge-list file instead of a stand-in
-//!   --csr <path>                    binary CSR file instead of a stand-in
+//!   --csr <path>                    packed CSR container (`graph pack`)
+//!                                   instead of a stand-in
 //!   --scale <divisor>               stand-in down-scale  [2048]
 //!   --pes <n>                       PE count (multiple of 32) [512]
 //!   --mapping <som|dom|rom>         workload mapping     [rom]
@@ -157,7 +158,9 @@ fn load_graph(args: &HashMap<String, String>, weighted: bool, symmetric: bool) -
         .get("scale")
         .map_or(2048, |s| s.parse().unwrap_or(2048));
     let mut list: EdgeList = if let Some(path) = args.get("csr") {
-        let g = io::read_csr_binary(path).unwrap_or_else(|e| usage_and_exit(&format!("{e}")));
+        let g = PackedCsr::open(path)
+            .and_then(|p| p.to_csr())
+            .unwrap_or_else(|e| usage_and_exit(&format!("{e}")));
         if !weighted && !symmetric {
             return g;
         }
@@ -437,7 +440,7 @@ fn cmd_replay(rest: &[String]) -> ! {
 }
 
 /// Re-runs `scenario` with its graph packed to a temporary on-disk
-/// container and loaded back through the mmap reader, asserting the
+/// container and read back through `PackedCsr::read_csr`, asserting the
 /// replayed report is byte-identical to `baseline`.
 fn replay_on_packed_backing(scenario: &Scenario, baseline: &str) -> Result<(), String> {
     let graph = scenario.graph.build()?;
@@ -543,6 +546,10 @@ fn cmd_graph_info(rest: &[String]) -> ! {
         eprintln!("error: {e}");
         exit(1)
     });
+    if let Err(e) = g.to_csr() {
+        eprintln!("error: {e}");
+        exit(1)
+    }
     println!("packed CSR container {path}");
     println!("  vertices     : {}", g.num_vertices());
     println!("  edges        : {}", g.num_edges());

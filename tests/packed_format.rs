@@ -1,8 +1,8 @@
 //! Integration tests of the packed-CSR container (`graph::packed`):
-//! property-based round-trips through the compressed format, and corruption
-//! handling — every malformed container must come back as a typed
-//! [`GraphError`], never a panic, because packed files arrive from disk and
-//! the network, not from this process.
+//! property-based round-trips through the compressed format, corruption
+//! handling and a mutational fuzz — every malformed container must come back
+//! from the one reader as a typed [`GraphError`], never a panic, because
+//! packed files arrive from disk and the network, not from this process.
 
 mod common;
 
@@ -27,9 +27,9 @@ fn arb_graph(rng: &mut SplitMix64, max_v: usize, max_e: usize) -> Csr {
     Csr::from_edges(v, &edges)
 }
 
-/// Mirrors the container's trailer checksum (word-wise FNV-1a over the
-/// body) so corruption tests can damage the payload and re-seal the file —
-/// exactly what the checksum cannot catch and the structural walk must.
+/// Mirrors the container's checksum (word-wise FNV-1a over the body) so
+/// corruption tests can damage the payload and re-seal the file — exactly
+/// what the checksum cannot catch and the block decode must.
 fn reseal(bytes: &mut [u8]) {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -55,26 +55,6 @@ fn shape_of(g: &Csr) -> PackedShape {
     }
 }
 
-/// Opens `bytes` through both validating entry points — the certifying
-/// `PackedCsr::from_bytes` and the single-pass `PackedCsr::csr_from_bytes`
-/// decode behind `PackedCsr::read_csr`, expecting the `shape` the container
-/// was packed with — and asserts they accept and reject alike, with the
-/// same error. Returns the certified container.
-fn open_both(bytes: Vec<u8>, shape: PackedShape) -> Result<PackedCsr, GraphError> {
-    let decoded = PackedCsr::csr_from_bytes(bytes.clone(), shape);
-    let opened = PackedCsr::from_bytes(bytes);
-    match (&opened, &decoded) {
-        (Ok(p), Ok(g)) => assert_eq!(&p.to_csr().expect("certified container decodes"), g),
-        (Err(a), Err(b)) => assert_eq!(a, b, "open and read_csr reject differently"),
-        _ => panic!(
-            "open and read_csr disagree: open {:?}, read_csr {:?}",
-            opened.as_ref().err(),
-            decoded.as_ref().err()
-        ),
-    }
-    opened
-}
-
 const SAMPLE_SHAPE: PackedShape = PackedShape {
     num_vertices: 64,
     weighted: true,
@@ -88,36 +68,20 @@ fn sample_container() -> Vec<u8> {
     packed::pack_to_vec(&Csr::from_edges(64, &edges), 16)
 }
 
-/// The packed container reproduces the CSR bit-for-bit through every
-/// read accessor, across block sizes small enough to force many
-/// blocks.
+/// The packed container reproduces the CSR bit-for-bit (offsets, adjacency
+/// order, weights) across block sizes small enough to force many blocks.
 #[test]
 fn packed_roundtrip_matches_csr() {
     check(48, |rng| {
         let g = arb_graph(rng, 60, 400);
         let block = int(rng, 1u32..48);
-
-        let p = PackedCsr::from_bytes(packed::pack_to_vec(&g, block))
-            .expect("freshly packed container must open");
-        assert_eq!(p.num_vertices(), g.num_vertices());
-        assert_eq!(p.num_edges(), g.num_edges());
-        assert_eq!(p.is_weighted(), g.is_weighted());
-        for v in g.vertices() {
-            assert_eq!(p.out_degree(v), g.out_degree(v));
-            assert_eq!(p.edge_range(v), g.edge_range(v));
-            assert_eq!(&*p.neighbors(v), g.neighbors(v));
-            if g.is_weighted() {
-                let pw = p.edge_weights(v).expect("weighted container has weights");
-                let gw = g.edge_weights(v).expect("weighted csr has weights");
-                assert_eq!(&*pw, gw);
-            }
-        }
-        assert_eq!(p.to_csr().expect("container round-trips"), g);
+        let back = PackedCsr::csr_from_bytes(packed::pack_to_vec(&g, block), shape_of(&g))
+            .expect("freshly packed container must decode");
+        assert_eq!(back, g);
     });
 }
 
-/// Truncation at *any* byte boundary is rejected with a typed error, the
-/// same one whether the container is opened or decoded straight away.
+/// Truncation at *any* byte boundary is rejected with a typed error.
 #[test]
 fn truncation_never_panics() {
     check(48, |rng| {
@@ -126,8 +90,8 @@ fn truncation_never_panics() {
 
         let bytes = packed::pack_to_vec(&g, block);
         for len in 0..bytes.len() {
-            let Err(err) = open_both(bytes[..len].to_vec(), shape_of(&g)) else {
-                panic!("truncated container must not open");
+            let Err(err) = PackedCsr::csr_from_bytes(bytes[..len].to_vec(), shape_of(&g)) else {
+                panic!("truncated container must not decode");
             };
             assert!(matches!(
                 err,
@@ -143,11 +107,11 @@ fn truncation_never_panics() {
 #[test]
 fn bit_rot_is_detected() {
     let bytes = sample_container();
-    assert!(open_both(bytes.clone(), SAMPLE_SHAPE).is_ok());
+    assert!(PackedCsr::csr_from_bytes(bytes.clone(), SAMPLE_SHAPE).is_ok());
     for pos in (56..bytes.len()).step_by(29) {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x40;
-        let err = open_both(bad, SAMPLE_SHAPE)
+        let err = PackedCsr::csr_from_bytes(bad, SAMPLE_SHAPE)
             .err()
             .unwrap_or_else(|| panic!("flip at byte {pos} must be detected"));
         assert!(
@@ -160,12 +124,10 @@ fn bit_rot_is_detected() {
     }
 }
 
-/// Damaging the payload *and* re-sealing the checksum forces the
-/// structural walk to catch the damage: every single-byte corruption is
-/// either still a well-formed container or a typed error — never a panic,
-/// and any neighbor pushed out of range is reported as such. The
-/// single-pass decode, which has no walk, must reject exactly the same
-/// corruptions with the same errors.
+/// Damaging the payload *and* re-sealing the checksum forces the block
+/// decode to catch the damage: every single-byte corruption either still
+/// decodes to a well-formed graph or is a typed error — never a panic, and
+/// any neighbor pushed out of range is reported as such.
 #[test]
 fn resealed_corruption_yields_typed_errors() {
     let bytes = sample_container();
@@ -176,14 +138,8 @@ fn resealed_corruption_yields_typed_errors() {
             let mut bad = bytes.clone();
             bad[pos] = val;
             reseal(&mut bad);
-            match open_both(bad, SAMPLE_SHAPE) {
-                Ok(p) => {
-                    // Still structurally valid: every accessor must keep
-                    // working (the open-time walk certifies decode).
-                    for v in 0..p.num_vertices() as u32 {
-                        let _ = p.neighbors(v);
-                    }
-                }
+            match PackedCsr::csr_from_bytes(bad, SAMPLE_SHAPE) {
+                Ok(g) => assert_eq!(g.num_vertices(), 64),
                 Err(GraphError::VertexOutOfRange { num_vertices, .. }) => {
                     saw_out_of_range = true;
                     assert_eq!(num_vertices, 64);
@@ -283,8 +239,8 @@ fn counts_beyond_the_payload_are_rejected_before_allocation() {
         num_vertices: blocks as usize,
         weighted: false,
     };
-    let Err(err) = open_both(bytes, shape) else {
-        panic!("a header claiming more edges than payload bytes must not open");
+    let Err(err) = PackedCsr::csr_from_bytes(bytes, shape) else {
+        panic!("a header claiming more edges than payload bytes must not decode");
     };
     assert!(matches!(err, GraphError::PackedFormat { .. }), "{err:?}");
 }
@@ -318,4 +274,92 @@ fn read_csr_refuses_another_shape_before_decoding() {
         assert!(matches!(err, GraphError::PackedShape { .. }), "{err:?}");
         assert!(err.to_string().contains(&expect.to_string()), "{err}");
     }
+}
+
+/// Header fields a fuzz mutation may rewrite, as (offset, width in bytes):
+/// version, flags, vertex and edge counts, block size, the reserved word
+/// and the payload length.
+const HEADER_FIELDS: [(usize, usize); 7] =
+    [(8, 4), (12, 4), (16, 8), (24, 8), (32, 4), (36, 4), (40, 8)];
+
+/// Replaces the `width`-byte little-endian integer at `off`, if the
+/// container still reaches that far, with a neighbouring or extreme value.
+fn rewrite(rng: &mut SplitMix64, bytes: &mut [u8], off: usize, width: usize) {
+    let Some(field) = bytes.get_mut(off..off + width) else {
+        return;
+    };
+    let mut word = [0u8; 8];
+    word[..width].copy_from_slice(field);
+    let old = u64::from_le_bytes(word);
+    let new = match int(rng, 0..5) {
+        0 => old.wrapping_add(1),
+        1 => old.wrapping_sub(1),
+        2 => 0,
+        3 => u64::MAX,
+        _ => rng.next_u64() >> int(rng, 0u32..64),
+    };
+    field.copy_from_slice(&new.to_le_bytes()[..width]);
+}
+
+/// One mutation of a container packed with `index_words` block-index
+/// words: a byte overwrite, a truncation, a splice of `donor`'s bytes, or a
+/// rewritten header field or index word.
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, donor: &[u8], index_words: usize) {
+    let at = |rng: &mut SplitMix64, len: usize| int(rng, 0..len + 1);
+    match int(rng, 0..5) {
+        0 if !bytes.is_empty() => {
+            let i = int(rng, 0..bytes.len());
+            bytes[i] = rng.next_u64() as u8;
+        }
+        1 => bytes.truncate(at(rng, bytes.len())),
+        2 => {
+            // A span of the donor, over as many bytes (so the container
+            // keeps its length) or over a span of another length.
+            let from = at(rng, donor.len());
+            let to = int(rng, from..donor.len() + 1);
+            let i = at(rng, bytes.len());
+            let j = if rng.chance(50) {
+                (i + to - from).min(bytes.len())
+            } else {
+                int(rng, i..bytes.len() + 1)
+            };
+            bytes.splice(i..j, donor[from..to].iter().copied());
+        }
+        3 => {
+            let (off, width) = HEADER_FIELDS[int(rng, 0..HEADER_FIELDS.len())];
+            rewrite(rng, bytes, off, width);
+        }
+        _ => {
+            let word = int(rng, 0..index_words);
+            rewrite(rng, bytes, 56 + 8 * word, 8);
+        }
+    }
+}
+
+/// The `.sgpk` fuzz: containers packed from random graphs at random block
+/// sizes, damaged by up to four mutations and, in most cases, resealed so
+/// the damage gets past the checksum to the header, index and block
+/// checks. The one reader answers every case with a graph or a typed
+/// error, never a panic, and an undamaged container with its source graph.
+#[test]
+fn mutated_containers_decode_or_fail_typed() {
+    check(1000, |rng| {
+        let g = arb_graph(rng, 40, 200);
+        let block = int(rng, 1u32..48);
+        let donor = packed::pack_to_vec(&arb_graph(rng, 40, 200), int(rng, 1u32..48));
+        let index_words = 2 * (g.num_vertices().div_ceil(block as usize) + 1);
+        let mut bytes = packed::pack_to_vec(&g, block);
+        let mutations = int(rng, 0..5);
+        for _ in 0..mutations {
+            mutate(rng, &mut bytes, &donor, index_words);
+        }
+        if bytes.len() >= 56 && rng.chance(80) {
+            reseal(&mut bytes);
+        }
+        match PackedCsr::csr_from_bytes(bytes, shape_of(&g)) {
+            Ok(back) if mutations == 0 => assert_eq!(back, g),
+            Ok(back) => assert_eq!(back.num_vertices(), g.num_vertices()),
+            Err(e) => assert!(mutations > 0, "an undamaged container is refused: {e}"),
+        }
+    });
 }
