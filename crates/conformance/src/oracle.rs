@@ -103,17 +103,7 @@ pub struct ErrorDigest {
 
 impl ErrorDigest {
     fn from_error(e: &SimError) -> Self {
-        let variant = match e {
-            SimError::ConfigInvalid { .. } => "ConfigInvalid",
-            SimError::ProtocolViolation { .. } => "ProtocolViolation",
-            SimError::FaultUnrecoverable { .. } => "FaultUnrecoverable",
-            SimError::DeadlockDetected { .. } => "DeadlockDetected",
-            SimError::WatchdogStall { .. } => "WatchdogStall",
-            SimError::CycleCapExceeded { .. } => "CycleCapExceeded",
-            SimError::Cancelled { .. } => "Cancelled",
-            SimError::DeadlineExceeded { .. } => "DeadlineExceeded",
-            _ => "Unknown",
-        };
+        let variant = e.variant();
         // The interruption variants carry no stall snapshot but do know the
         // cycle they fired on; surface it so digests of two interrupted
         // modes can be compared cycle-exactly.

@@ -279,7 +279,7 @@ impl GraphSpec {
         Ok(GraphSpec {
             family,
             symmetrize: v.opt_bool("symmetrize", false)?,
-            max_weight: v.opt_u64("max_weight", 0)? as u32,
+            max_weight: u32_member(v, "max_weight", Some(0))?,
             weight_seed: v.opt_u64("weight_seed", 0)?,
             source,
         })
@@ -340,17 +340,17 @@ impl AlgoSpec {
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(match v.req_str("kind")? {
             "bfs" => AlgoSpec::Bfs {
-                root: v.req_u64("root")? as u32,
+                root: u32_member(v, "root", None)?,
             },
             "sssp" => AlgoSpec::Sssp {
-                root: v.req_u64("root")? as u32,
+                root: u32_member(v, "root", None)?,
             },
             "cc" => AlgoSpec::Cc,
             "pagerank" => AlgoSpec::PageRank {
                 iters: v.req_u64("iters")? as usize,
             },
             "widest" => AlgoSpec::WidestPath {
-                root: v.req_u64("root")? as u32,
+                root: u32_member(v, "root", None)?,
             },
             other => return Err(format!("unknown algorithm `{other}`")),
         })
@@ -502,8 +502,8 @@ impl ConfigSpec {
             "u280" => MemorySpec::U280,
             "unlimited" => MemorySpec::Unlimited,
             "custom" => MemorySpec::Custom {
-                latency_cycles: mem.req_u64("latency_cycles")? as u32,
-                jitter: mem.opt_u64("jitter", 0)? as u32,
+                latency_cycles: u32_member(mem, "latency_cycles", None)?,
+                jitter: u32_member(mem, "jitter", Some(0))?,
             },
             other => return Err(format!("unknown memory preset `{other}`")),
         };
@@ -565,6 +565,16 @@ pub enum FaultKindSpec {
         one_in: u32,
         out_of_range: bool,
     },
+}
+
+/// A `u32` member, required when `default` is `None`. A value past
+/// `u32::MAX` is refused by its key instead of truncated.
+fn u32_member(v: &Json, key: &str, default: Option<u32>) -> Result<u32, String> {
+    let n = match default {
+        None => v.req_u64(key)?,
+        Some(d) => v.opt_u64(key, u64::from(d))?,
+    };
+    u32::try_from(n).map_err(|_| format!("key `{key}` must be at most {}, got {n}", u32::MAX))
 }
 
 fn dir_to_str(d: LinkDir) -> &'static str {
@@ -695,7 +705,7 @@ impl FaultSpec {
             "link_drop" => FaultKindSpec::LinkDrop {
                 node: v.req_u64("node")? as usize,
                 dir: dir_from_str(v.req_str("dir")?)?,
-                one_in: v.req_u64("one_in")? as u32,
+                one_in: u32_member(v, "one_in", None)?,
             },
             "link_delay" => FaultKindSpec::LinkDelay {
                 node: v.req_u64("node")? as usize,
@@ -710,7 +720,7 @@ impl FaultSpec {
             "corrupt_payload" => FaultKindSpec::CorruptPayload {
                 node: v.req_u64("node")? as usize,
                 dir: dir_from_str(v.req_str("dir")?)?,
-                one_in: v.req_u64("one_in")? as u32,
+                one_in: u32_member(v, "one_in", None)?,
                 out_of_range: v.req_bool("out_of_range")?,
             },
             other => return Err(format!("unknown fault kind `{other}`")),
@@ -837,11 +847,11 @@ impl MutationSpec {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(MutationSpec {
-            batches: v.req_u64("batches")? as u32,
-            insert_edges: v.opt_u64("insert_edges", 0)? as u32,
-            remove_edges: v.opt_u64("remove_edges", 0)? as u32,
-            add_vertices: v.opt_u64("add_vertices", 0)? as u32,
-            isolate_vertices: v.opt_u64("isolate_vertices", 0)? as u32,
+            batches: u32_member(v, "batches", None)?,
+            insert_edges: u32_member(v, "insert_edges", Some(0))?,
+            remove_edges: u32_member(v, "remove_edges", Some(0))?,
+            add_vertices: u32_member(v, "add_vertices", Some(0))?,
+            isolate_vertices: u32_member(v, "isolate_vertices", Some(0))?,
             seed: v.opt_u64("seed", 0)?,
         })
     }
@@ -1207,6 +1217,85 @@ mod tests {
             m.seed = 100;
         }
         assert_ne!(reseeded.fingerprint(), s.fingerprint());
+    }
+
+    #[test]
+    fn u32_members_past_u32_max_are_refused_by_key() {
+        fn set(v: &mut Json, key: &str, n: u64) -> bool {
+            match v {
+                Json::Obj(members) => members.iter_mut().any(|(k, x)| {
+                    if k == key {
+                        *x = Json::Int(n);
+                        true
+                    } else {
+                        set(x, key, n)
+                    }
+                }),
+                Json::Arr(items) => items.iter_mut().any(|x| set(x, key, n)),
+                _ => false,
+            }
+        }
+        let with_algo = |algo| Scenario { algo, ..sample() };
+        let with_fault = |kind| Scenario {
+            faults: vec![FaultSpec {
+                kind,
+                from: 0,
+                until: 0,
+            }],
+            ..sample()
+        };
+        let dynamic = Scenario {
+            faults: Vec::new(),
+            expect: Expectation::Converge,
+            mutations: Some(MutationSpec {
+                batches: 1,
+                insert_edges: 1,
+                remove_edges: 1,
+                add_vertices: 1,
+                isolate_vertices: 1,
+                seed: 1,
+            }),
+            ..sample()
+        };
+        let link_drop = with_fault(FaultKindSpec::LinkDrop {
+            node: 0,
+            dir: LinkDir::South,
+            one_in: 2,
+        });
+        let corrupt = with_fault(FaultKindSpec::CorruptPayload {
+            node: 0,
+            dir: LinkDir::South,
+            one_in: 2,
+            out_of_range: false,
+        });
+        let cases = [
+            (sample(), "max_weight"),
+            (sample(), "root"),
+            (with_algo(AlgoSpec::Bfs { root: 1 }), "root"),
+            (with_algo(AlgoSpec::WidestPath { root: 1 }), "root"),
+            (sample(), "latency_cycles"),
+            (sample(), "jitter"),
+            (link_drop, "one_in"),
+            (corrupt, "one_in"),
+            (dynamic.clone(), "batches"),
+            (dynamic.clone(), "insert_edges"),
+            (dynamic.clone(), "remove_edges"),
+            (dynamic.clone(), "add_vertices"),
+            (dynamic, "isolate_vertices"),
+        ];
+        for (scenario, key) in cases {
+            let parse_with = |n: u64| {
+                let mut doc = scenario.to_json();
+                assert!(set(&mut doc, key, n), "{key} is a member");
+                Scenario::from_json(&doc)
+            };
+            let err = parse_with(1 << 32).expect_err(key);
+            assert!(err.contains(&format!("`{key}`")), "{key}: {err}");
+            let parsed = parse_with(u64::from(u32::MAX)).unwrap_or_else(|e| panic!("{key}: {e}"));
+            if let Err(e) = parsed.validate() {
+                assert!(e.contains(key), "{key}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -79,6 +79,20 @@ pub enum SimError {
 }
 
 impl SimError {
+    /// The variant's name, as reports and digests print it.
+    pub fn variant(&self) -> &'static str {
+        match self {
+            SimError::ConfigInvalid { .. } => "ConfigInvalid",
+            SimError::ProtocolViolation { .. } => "ProtocolViolation",
+            SimError::FaultUnrecoverable { .. } => "FaultUnrecoverable",
+            SimError::DeadlockDetected { .. } => "DeadlockDetected",
+            SimError::WatchdogStall { .. } => "WatchdogStall",
+            SimError::CycleCapExceeded { .. } => "CycleCapExceeded",
+            SimError::Cancelled { .. } => "Cancelled",
+            SimError::DeadlineExceeded { .. } => "DeadlineExceeded",
+        }
+    }
+
     /// The diagnostic snapshot, for the watchdog/deadlock/cap variants.
     pub fn snapshot(&self) -> Option<&StallSnapshot> {
         match self {

@@ -56,7 +56,8 @@
 use crate::{Csr, GraphError, VertexId, Weight};
 use std::fs::File;
 use std::io::Read as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes prefixing the packed CSR container.
 pub const PACKED_MAGIC: &[u8; 8] = b"SGPKCSR1";
@@ -214,6 +215,10 @@ pub fn pack_to_vec(graph: &Csr, block_size: u32) -> Vec<u8> {
 /// Packs `graph` and writes the container to `path`, returning the number
 /// of bytes written.
 ///
+/// The bytes go to a sibling temporary file that is then renamed over
+/// `path`, so a reader that has the old container mapped keeps the old
+/// file: it is never truncated or rewritten under the mapping.
+///
 /// # Errors
 ///
 /// Returns [`GraphError::Io`] on filesystem failures.
@@ -222,9 +227,22 @@ pub fn write_packed<P: AsRef<Path>>(
     path: P,
     block_size: u32,
 ) -> Result<u64, GraphError> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
     let bytes = pack_to_vec(graph, block_size);
-    std::fs::write(path, &bytes).map_err(|e| io_err(path, e))?;
+    let mut sibling = path.as_os_str().to_owned();
+    sibling.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let sibling = PathBuf::from(sibling);
+    std::fs::write(&sibling, &bytes)
+        .and_then(|()| std::fs::rename(&sibling, path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&sibling);
+            io_err(path, e)
+        })?;
     Ok(bytes.len() as u64)
 }
 

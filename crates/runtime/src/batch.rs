@@ -378,8 +378,8 @@ mod tests {
     #[test]
     fn a_corpus_over_three_families_builds_exactly_three_graphs() {
         // Thirty scenarios cycling over three graph families: the shared
-        // cache must build three graphs, not thirty, and the hit/miss
-        // telemetry must account for every fetch.
+        // cache must build three graphs, not thirty, and its hit/miss
+        // counters must account for every fetch.
         let specs: Vec<JobSpec> = (0..30)
             .map(|i| {
                 let mut s = healthy(&format!("fam-{i}"));
@@ -406,8 +406,6 @@ mod tests {
         assert_eq!(stats.builds, 3, "three families, three builds: {stats:?}");
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 27);
-        assert_eq!(report.counters.graph_cache_misses, 3);
-        assert_eq!(report.counters.graph_cache_hits, 27);
     }
 
     #[test]

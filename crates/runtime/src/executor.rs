@@ -14,8 +14,9 @@
 //!   refused as [`FailureReason::OverBudget`]: a typed refusal, never a
 //!   smaller graph than the one asked for;
 //! * graphs come from the shared [`GraphCache`], one build per spec;
-//! * each job runs under `catch_unwind`, so a panicking job is one
-//!   `Failed(Panicked)` outcome and its worker keeps serving;
+//! * each job runs under one `catch_unwind`, graph build included, so a
+//!   panicking job is one `Failed(Panicked)` outcome and its worker keeps
+//!   serving;
 //! * shutdown cancels in-flight jobs and drains the queue into
 //!   `Cancelled { at_cycle: None }` outcomes.
 //!
@@ -257,24 +258,32 @@ impl Pool {
         if self.draining.load(Ordering::Acquire) {
             return JobStatus::Cancelled { at_cycle: None };
         }
-        let failed = |reason| JobStatus::Failed { reason };
         let budget = self.graphs.byte_budget();
         let estimated = estimated_graph_bytes(&spec.scenario.graph);
         if estimated > budget {
             return failed(FailureReason::OverBudget { estimated, budget });
         }
+        // One panic boundary around the whole job, graph build included.
+        let status = catch_unwind(AssertUnwindSafe(|| self.attempt(id, spec)));
+        recover(self.active.lock()).remove(&id);
+        status.unwrap_or_else(|payload| {
+            self.metrics.panic_contained();
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            failed(FailureReason::Panicked { message })
+        })
+    }
+
+    /// Fetches the job's graph and simulates it. The deadline clock starts
+    /// with the simulation, after the fetch.
+    fn attempt(&self, id: JobId, spec: &JobSpec) -> JobStatus {
         let graph = match self.graphs.fetch(&spec.scenario.graph) {
-            Ok(fetched) => {
-                if fetched.built {
-                    self.metrics.graph_cache_miss();
-                } else {
-                    self.metrics.graph_cache_hit();
-                }
-                fetched.graph
-            }
+            Ok(fetched) => fetched.graph,
             Err(message) => return failed(FailureReason::Malformed { message }),
         };
-
         let token = CancelToken::new();
         recover(self.active.lock()).insert(
             id,
@@ -284,47 +293,33 @@ impl Pool {
                 token: token.clone(),
             },
         );
+        if spec.inject_panic {
+            panic!("injected test panic");
+        }
         let overrides = AttemptOverrides {
             cycle_limit: self.config.max_cycles,
         };
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if spec.inject_panic {
-                panic!("injected test panic");
-            }
-            run_attempt_on(&spec.scenario, &graph, overrides, &token)
-        }));
-        recover(self.active.lock()).remove(&id);
-
-        match attempt {
-            Ok(Ok(metrics)) => JobStatus::Completed { metrics },
-            Ok(Err(AttemptError::Malformed(message))) => {
-                failed(FailureReason::Malformed { message })
-            }
-            Ok(Err(AttemptError::Sim(SimError::Cancelled { cycle, .. }))) => JobStatus::Cancelled {
+        match run_attempt_on(&spec.scenario, &graph, overrides, &token) {
+            Ok(metrics) => JobStatus::Completed { metrics },
+            Err(AttemptError::Malformed(message)) => failed(FailureReason::Malformed { message }),
+            Err(AttemptError::Sim(SimError::Cancelled { cycle, .. })) => JobStatus::Cancelled {
                 at_cycle: Some(cycle),
             },
-            Ok(Err(AttemptError::Sim(SimError::DeadlineExceeded { cycle, .. }))) => {
+            Err(AttemptError::Sim(SimError::DeadlineExceeded { cycle, .. })) => {
                 JobStatus::DeadlineExceeded {
                     at_cycle: Some(cycle),
                 }
             }
-            Ok(Err(AttemptError::Sim(e))) => failed(FailureReason::Sim {
-                variant: sim_variant(&e).to_string(),
+            Err(AttemptError::Sim(e)) => failed(FailureReason::Sim {
+                variant: e.variant().to_string(),
                 message: e.to_string(),
             }),
-            Err(payload) => {
-                self.metrics.panic_contained();
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                failed(FailureReason::Panicked { message })
-            }
         }
     }
+}
+
+fn failed(reason: FailureReason) -> JobStatus {
+    JobStatus::Failed { reason }
 }
 
 /// Bumps the ledger bucket of a terminal status.
@@ -338,20 +333,6 @@ fn count(metrics: &ServiceMetrics, status: &JobStatus) {
             metrics.job_cancelled();
         }
         JobStatus::Rejected { .. } => metrics.job_rejected(),
-    }
-}
-
-fn sim_variant(e: &SimError) -> &'static str {
-    match e {
-        SimError::ConfigInvalid { .. } => "ConfigInvalid",
-        SimError::ProtocolViolation { .. } => "ProtocolViolation",
-        SimError::FaultUnrecoverable { .. } => "FaultUnrecoverable",
-        SimError::DeadlockDetected { .. } => "DeadlockDetected",
-        SimError::WatchdogStall { .. } => "WatchdogStall",
-        SimError::CycleCapExceeded { .. } => "CycleCapExceeded",
-        SimError::Cancelled { .. } => "Cancelled",
-        SimError::DeadlineExceeded { .. } => "DeadlineExceeded",
-        _ => "Unknown",
     }
 }
 

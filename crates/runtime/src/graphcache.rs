@@ -11,25 +11,30 @@
 //! * the cached CSR is **immutable** — every consumer holds a shared `Arc`
 //!   and the simulator never mutates its input graph.
 //!
-//! Construction is *single-flight*: the first caller of a spec inserts a
-//! `Building` placeholder and builds outside the lock; concurrent callers
-//! of the same spec block on a condvar and receive the published `Arc`
-//! instead of racing N redundant builds. Deterministic build failures are
-//! cached too (`Failed`), so a storm of identical malformed specs fails
-//! fast instead of re-deriving the same error.
+//! The cache is a [`FlightCache`]: the first caller of a spec builds it
+//! outside the lock while concurrent callers of the same spec wait for the
+//! published `Arc`. Deterministic build failures are published too, so a
+//! storm of identical malformed specs fails fast instead of re-deriving
+//! the same error. A build that panics publishes nothing: its flight is
+//! abandoned and the next caller of the spec builds anew.
 //!
 //! Eviction is LRU over **resident bytes** (each finished graph's actual
-//! CSR heap size) with a secondary bounded entry count, so one paper-scale
-//! graph cannot silently pin N× memory behind an entry-count-only policy.
-//! `Building` placeholders are never evicted — a waiter is parked on them.
+//! CSR heap size; a cached failure weighs nothing) with a secondary
+//! bounded entry count, so one paper-scale graph cannot silently pin N×
+//! memory behind an entry-count-only policy.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use scalagraph_conformance::GraphSpec;
 use scalagraph_graph::Csr;
 
-use crate::recover;
+use crate::flightcache::{Flight, FlightCache};
+
+/// The graph cache's default resident-byte budget, 2 GiB: it admits every
+/// dataset preset up to symmetrized LiveJournal/1 (about 1.18 GB by
+/// [`estimated_graph_bytes`]).
+pub const DEFAULT_GRAPH_CACHE_BYTES: u64 = 2 << 30;
 
 /// Estimated resident bytes of the CSR a [`GraphSpec`] builds, derived
 /// from the generator parameters alone (nothing is built): ~16 bytes of
@@ -50,12 +55,12 @@ pub fn estimated_graph_bytes(spec: &GraphSpec) -> u64 {
 pub struct GraphCacheStats {
     /// Graphs actually constructed (successful builds).
     pub builds: u64,
-    /// Requests served from a cached graph (including waiters that joined
-    /// an in-flight build).
+    /// Requests served from a cached graph or failure (including waiters
+    /// that joined an in-flight build).
     pub hits: u64,
     /// Requests that had to trigger a build.
     pub misses: u64,
-    /// Ready entries evicted by the LRU policy.
+    /// Entries evicted by the LRU policy, failed builds included.
     pub evictions: u64,
     /// Actual resident bytes of currently cached graphs (sum of each
     /// cached CSR's heap footprint).
@@ -64,32 +69,13 @@ pub struct GraphCacheStats {
     pub byte_budget: u64,
 }
 
-enum Entry {
-    /// A builder is constructing this graph right now; wait, don't build.
-    Building,
-    /// The finished graph, with an LRU stamp and its measured heap size.
-    Ready {
-        graph: Arc<Csr>,
-        last_used: u64,
-        bytes: u64,
-    },
-    /// The spec deterministically fails to build; cached so repeat
-    /// offenders fail fast.
-    Failed { message: String, last_used: u64 },
-}
-
-struct State {
-    entries: HashMap<GraphSpec, Entry>,
-    tick: u64,
-    stats: GraphCacheStats,
-}
+/// A spec's build: the graph, or the error every later fetch repeats.
+type Built = Result<Arc<Csr>, String>;
 
 /// A bounded, thread-safe, single-flight cache of immutable CSR graphs.
 pub struct GraphCache {
-    state: Mutex<State>,
-    published: Condvar,
-    capacity: usize,
-    byte_budget: u64,
+    flights: FlightCache<GraphSpec, Built>,
+    builds: AtomicU64,
 }
 
 /// What [`GraphCache::fetch`] resolved.
@@ -106,7 +92,7 @@ impl GraphCache {
     /// A cache holding at most `capacity` finished entries (minimum 1),
     /// with no resident-byte budget.
     pub fn new(capacity: usize) -> Self {
-        GraphCache::with_byte_budget(capacity, u64::MAX)
+        GraphCache::with_byte_budget(capacity, 0)
     }
 
     /// A cache bounded by both a finished-entry count and a resident-byte
@@ -117,18 +103,10 @@ impl GraphCache {
     /// budget, before fetching.
     pub fn with_byte_budget(capacity: usize, byte_budget: u64) -> Self {
         GraphCache {
-            state: Mutex::new(State {
-                entries: HashMap::new(),
-                tick: 0,
-                stats: GraphCacheStats::default(),
+            flights: FlightCache::with_byte_budget(capacity, byte_budget, |built| {
+                built.as_ref().map_or(0, |graph| graph.storage_bytes())
             }),
-            published: Condvar::new(),
-            capacity: capacity.max(1),
-            byte_budget: if byte_budget == 0 {
-                u64::MAX
-            } else {
-                byte_budget
-            },
+            builds: AtomicU64::new(0),
         }
     }
 
@@ -139,12 +117,12 @@ impl GraphCache {
 
     /// The configured resident-byte budget (`u64::MAX` when unbounded).
     pub fn byte_budget(&self) -> u64 {
-        self.byte_budget
+        self.flights.byte_budget()
     }
 
     /// Actual bytes currently held by finished graphs.
     pub fn resident_bytes(&self) -> u64 {
-        recover(self.state.lock()).stats.resident_bytes
+        self.flights.resident_bytes()
     }
 
     /// Resolves `spec` to its graph, building it at most once per cached
@@ -155,137 +133,49 @@ impl GraphCache {
     /// The build error of an unusable spec (propagated to every caller,
     /// including waiters of the failing flight).
     pub fn fetch(&self, spec: &GraphSpec) -> Result<Fetched, String> {
-        let mut state = recover(self.state.lock());
-        loop {
-            state.tick += 1;
-            let tick = state.tick;
-            match state.entries.get_mut(spec) {
-                Some(Entry::Ready {
-                    graph, last_used, ..
-                }) => {
-                    *last_used = tick;
-                    let graph = Arc::clone(graph);
-                    state.stats.hits += 1;
-                    return Ok(Fetched {
-                        graph,
-                        built: false,
-                    });
+        let (built, fresh) = match self.flights.begin(spec.clone()) {
+            Flight::Hit(built) => (built, false),
+            // A build that panics unwinds past `flight`, whose drop hands
+            // the spec to the next caller.
+            Flight::Miss(flight) => {
+                let built = spec.build().map(Arc::new);
+                if built.is_ok() {
+                    self.builds.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(Entry::Failed { message, last_used }) => {
-                    *last_used = tick;
-                    let message = message.clone();
-                    state.stats.hits += 1;
-                    return Err(message);
-                }
-                Some(Entry::Building) => {
-                    state = recover(self.published.wait(state));
-                }
-                None => {
-                    state.entries.insert(spec.clone(), Entry::Building);
-                    state.stats.misses += 1;
-                    break;
-                }
-            }
-        }
-        drop(state);
-
-        // Build outside the lock: concurrent fetches of *other* specs keep
-        // flowing, and waiters of this spec park on the condvar.
-        let result = spec.build();
-
-        let mut state = recover(self.state.lock());
-        state.tick += 1;
-        let tick = state.tick;
-        let outcome = match result {
-            Ok(csr) => {
-                let bytes = csr.storage_bytes();
-                let graph = Arc::new(csr);
-                state.stats.builds += 1;
-                state.stats.resident_bytes += bytes;
-                state.entries.insert(
-                    spec.clone(),
-                    Entry::Ready {
-                        graph: Arc::clone(&graph),
-                        last_used: tick,
-                        bytes,
-                    },
-                );
-                Ok(Fetched { graph, built: true })
-            }
-            Err(message) => {
-                state.entries.insert(
-                    spec.clone(),
-                    Entry::Failed {
-                        message: message.clone(),
-                        last_used: tick,
-                    },
-                );
-                Err(message)
+                (flight.publish(built), true)
             }
         };
-        self.evict_to_fit(&mut state, spec);
-        drop(state);
-        self.published.notify_all();
-        outcome
-    }
-
-    /// Evicts least-recently-used finished entries until the cache fits
-    /// both its entry capacity and its resident-byte budget. Never evicts
-    /// `Building` placeholders or `keep` (the entry just published, which
-    /// the caller is about to hand out) — so one graph larger than the
-    /// whole budget still serves its own fetch and is dropped on the next
-    /// publication.
-    fn evict_to_fit(&self, state: &mut State, keep: &GraphSpec) {
-        while state.entries.len() > self.capacity || state.stats.resident_bytes > self.byte_budget {
-            let victim = state
-                .entries
-                .iter()
-                .filter_map(|(k, e)| match e {
-                    Entry::Ready { last_used, .. } | Entry::Failed { last_used, .. }
-                        if k != keep =>
-                    {
-                        Some((*last_used, k.clone()))
-                    }
-                    _ => None,
-                })
-                .min_by_key(|(last_used, _)| *last_used);
-            match victim {
-                Some((_, key)) => {
-                    if let Some(Entry::Ready { bytes, .. }) = state.entries.remove(&key) {
-                        state.stats.evictions += 1;
-                        state.stats.resident_bytes =
-                            state.stats.resident_bytes.saturating_sub(bytes);
-                    }
-                }
-                None => break, // everything left is Building or `keep`
-            }
-        }
+        built.map(|graph| Fetched {
+            graph,
+            built: fresh,
+        })
     }
 
     /// Point-in-time counters (plus the configured byte budget, reported
     /// as 0 when unbounded).
     pub fn stats(&self) -> GraphCacheStats {
-        let mut stats = recover(self.state.lock()).stats;
-        stats.byte_budget = if self.byte_budget == u64::MAX {
-            0
-        } else {
-            self.byte_budget
-        };
-        stats
+        let flights = self.flights.stats();
+        GraphCacheStats {
+            builds: self.builds.load(Ordering::Relaxed),
+            hits: flights.hits,
+            misses: flights.misses,
+            evictions: flights.evictions,
+            resident_bytes: self.flights.resident_bytes(),
+            byte_budget: match self.flights.byte_budget() {
+                u64::MAX => 0,
+                budget => budget,
+            },
+        }
     }
 
     /// Finished entries currently cached.
     pub fn len(&self) -> usize {
-        recover(self.state.lock())
-            .entries
-            .values()
-            .filter(|e| !matches!(e, Entry::Building))
-            .count()
+        self.flights.len()
     }
 
     /// Whether the cache holds no finished entry.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.flights.is_empty()
     }
 }
 
@@ -456,6 +346,42 @@ mod tests {
         cache.fetch(&spec(1)).unwrap();
         cache.fetch(&spec(2)).unwrap();
         assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn a_panicking_build_releases_its_flight() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // 2^62 edges overflow the generator's edge buffer, which panics
+        // with "capacity overflow" before allocating anything.
+        let mut bomb = spec(1);
+        bomb.family = Family::Uniform {
+            vertices: 2,
+            edges: 1 << 62,
+            seed: 1,
+        };
+        let cache = Arc::new(GraphCache::new(8));
+        assert!(catch_unwind(AssertUnwindSafe(|| cache.fetch(&bomb))).is_err());
+        // The same spec from another thread builds anew (and panics again)
+        // instead of waiting for a build that will never publish.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (shared, again) = (Arc::clone(&cache), bomb.clone());
+        let second = std::thread::spawn(move || {
+            let fetched = catch_unwind(AssertUnwindSafe(|| shared.fetch(&again)));
+            let _ = tx.send(fetched.is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)),
+            Ok(true),
+            "the second fetch must not wait on the abandoned flight"
+        );
+        second.join().expect("the second fetch's thread");
+        assert!(
+            cache.fetch(&spec(2)).unwrap().built,
+            "other specs still build"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.misses, stats.hits), (1, 3, 0));
+        assert_eq!(cache.len(), 1, "nothing is cached for the panicking spec");
     }
 
     #[test]

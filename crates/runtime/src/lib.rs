@@ -13,8 +13,9 @@
 //! | admission control | [`queue`] | bounded, two-lane, typed [`Rejection`](job::Rejection) instead of unbounded growth |
 //! | deadlines & cancellation | [`executor`] + [`runner`] | wall-clock deadlines expire a [`CancelToken`](scalagraph::CancelToken) polled in the simulator hot loop |
 //! | byte budget | [`executor`] + [`graphcache`] | a job whose estimated graph exceeds the cache's byte budget fails `OverBudget` before anything is built |
-//! | panic isolation | [`executor`] | `catch_unwind` per job; a panicking job is one failed outcome |
-//! | shared graphs | [`graphcache`] | one [`GraphCache`] build per distinct spec, single-flight, LRU-bounded |
+//! | panic isolation | [`executor`] | one `catch_unwind` around the whole job, graph build included; a panicking job is one failed outcome |
+//! | shared graphs | [`graphcache`] | one [`GraphCache`] build per distinct spec, LRU-bounded |
+//! | single flight | [`flightcache`] | one [`FlightCache`] under the graph cache and the serve memo: one producer per key, and a producer that fails or panics hands the key to the next caller |
 //! | batches | [`batch`] | submit N jobs, collect N outcomes, check the ledger |
 //!
 //! The load-bearing invariant is the **ledger**: every submitted job lands
@@ -56,6 +57,7 @@
 
 pub mod batch;
 pub mod executor;
+pub mod flightcache;
 pub mod graphcache;
 pub mod job;
 pub mod queue;
@@ -63,7 +65,10 @@ pub mod runner;
 
 pub use batch::{BatchReport, BatchRuntime};
 pub use executor::{Executor, RuntimeConfig};
-pub use graphcache::{estimated_graph_bytes, Fetched, GraphCache, GraphCacheStats};
+pub use flightcache::{Flight, FlightCache, FlightGuard, FlightStats};
+pub use graphcache::{
+    estimated_graph_bytes, Fetched, GraphCache, GraphCacheStats, DEFAULT_GRAPH_CACHE_BYTES,
+};
 pub use job::{
     FailureReason, JobId, JobMetrics, JobOutcome, JobSpec, JobStatus, Priority, Rejection,
 };

@@ -8,7 +8,7 @@
 //!   --deadline-ms <ms>        default per-job deadline, 0=none [10000]
 //!   --max-body-bytes <n>      request body / line ceiling      [1048576]
 //!   --graph-cache <n>         graph cache capacity (specs)     [64]
-//!   --graph-cache-bytes <n>   graph cache byte budget, 0=off   [0]
+//!   --graph-cache-bytes <n>   graph cache byte budget, 0=off   [2147483648]
 //!   --memo-cap <n>            memo capacity (fingerprints)     [1024]
 //!   --summary-secs <n>        stderr metrics cadence, 0=off    [10]
 //! ```
@@ -98,7 +98,8 @@ fn main() {
         }
     };
     println!("scalagraph-serve listening on {}", server.local_addr());
+    let summary = server.summarizer();
     let counters = server.join();
-    eprintln!("[scalagraph-serve] final ledger\n{counters}");
+    eprintln!("[scalagraph-serve] final ledger\n{}", summary());
     exit(if counters.balanced() { 0 } else { 1 })
 }

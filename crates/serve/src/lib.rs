@@ -9,9 +9,9 @@
 //! |-------|--------|--------------|
 //! | transports | [`server`] + [`http`] | one port speaking line-delimited JSON *and* HTTP/1.1, sniffed per connection |
 //! | protocol | [`protocol`] | strict parsing with typed error responses — malformed input never drops a connection or panics the daemon |
-//! | memoization | [`memo`] | completed results replayed byte-for-byte for identical requests, single-flight, checked before admission |
+//! | memoization | [`memo`] | completed results replayed byte-for-byte for identical requests, checked before admission; the memo is the runtime's single-flight [`FlightCache`](scalagraph_runtime::FlightCache) |
 //! | execution | [`scalagraph_runtime::Executor`] | the runtime's worker pool behind its bounded two-lane admission queue |
-//! | graph sharing | [`scalagraph_runtime::GraphCache`] | one CSR build per distinct graph spec for the daemon's lifetime |
+//! | graph sharing | [`scalagraph_runtime::GraphCache`] | one CSR build per distinct graph spec for the daemon's lifetime, on the same `FlightCache`, within a 2 GiB byte budget by default |
 //!
 //! The runtime's ledger invariant
 //! (`submitted == completed + failed + cancelled + rejected`) holds for

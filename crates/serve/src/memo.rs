@@ -15,69 +15,32 @@
 //! token was observed on), so callers must drop their [`MemoGuard`] instead
 //! of publishing — the next identical request simply runs again.
 //!
-//! Execution is single-flight, like the graph cache: the first request for
-//! a fingerprint gets a [`MemoGuard`] and runs the simulation; concurrent
-//! identical requests park on a condvar and receive the published JSON. If
-//! the flight ends without a publishable result (failure, cancellation,
-//! panic), dropping the guard wakes the waiters and the next one becomes
-//! the new flight — nobody deadlocks on an abandoned entry.
+//! The memo is the runtime's [`FlightCache`], the same single-flight LRU
+//! cache the graph cache is built on: the first request for a key gets a
+//! [`MemoGuard`] and runs the simulation; concurrent identical requests
+//! wait and receive the published JSON. If the flight ends without a
+//! publishable result (failure, cancellation, panic), dropping the guard
+//! wakes the waiters and the next one becomes the new flight — nobody
+//! deadlocks on an abandoned entry.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-/// Counters describing the memo cache since construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Requests answered from a stored result (including waiters that
-    /// joined an in-flight run).
-    pub hits: u64,
-    /// Requests that had to run the simulation.
-    pub misses: u64,
-    /// Results published.
-    pub inserted: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
-    /// Flights that ended without publishing (failed / cancelled runs).
-    pub abandoned: u64,
-}
-
-enum Slot {
-    /// A flight is running this fingerprint right now; wait, don't run.
-    InFlight,
-    /// The stored result, with an LRU stamp.
-    Ready { json: Arc<String>, last_used: u64 },
-}
-
-struct State {
-    slots: HashMap<u64, Slot>,
-    tick: u64,
-    stats: MemoStats,
-}
+use scalagraph_runtime::{Flight, FlightCache, FlightGuard, FlightStats};
 
 /// A bounded, thread-safe, single-flight memo of completed result JSON,
-/// keyed by scenario fingerprint.
-pub struct MemoCache {
-    state: Mutex<State>,
-    published: Condvar,
-    capacity: usize,
-}
+/// keyed by [`memo_key`].
+pub type MemoCache = FlightCache<u64, Arc<String>>;
 
-/// What [`MemoCache::begin`] resolved for a fingerprint.
-pub enum Memo<'a> {
-    /// A stored (or just-published) result; replay it verbatim.
-    Hit(Arc<String>),
-    /// This caller owns the flight: run the simulation, then either
-    /// [`MemoGuard::publish`] a completed result or drop the guard.
-    Miss(MemoGuard<'a>),
-}
+/// What [`MemoCache::begin`] resolved for a key: a stored result to replay
+/// verbatim, or the right to run the simulation.
+pub type Memo<'a> = Flight<'a, u64, Arc<String>>;
 
-/// Exclusive right to run one fingerprint's simulation. Dropping the guard
-/// without publishing abandons the flight and wakes any waiters.
-pub struct MemoGuard<'a> {
-    cache: &'a MemoCache,
-    fingerprint: u64,
-    published: bool,
-}
+/// Exclusive right to run one key's simulation; publish only a
+/// **completed** result (see the module docs).
+pub type MemoGuard<'a> = FlightGuard<'a, u64, Arc<String>>;
+
+/// Counters describing the memo since construction.
+pub type MemoStats = FlightStats;
 
 /// The key the daemon memoizes a result under: `fingerprint` (the
 /// scenario's [`fingerprint`](scalagraph_conformance::Scenario::fingerprint),
@@ -88,153 +51,6 @@ pub fn memo_key(fingerprint: u64, name: &str) -> u64 {
     name.bytes().fold(fingerprint, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
     })
-}
-
-fn recover<'a>(
-    r: Result<MutexGuard<'a, State>, PoisonError<MutexGuard<'a, State>>>,
-) -> MutexGuard<'a, State> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-impl MemoCache {
-    /// A memo holding at most `capacity` results (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        MemoCache {
-            state: Mutex::new(State {
-                slots: HashMap::new(),
-                tick: 0,
-                stats: MemoStats::default(),
-            }),
-            published: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// A memo with the default capacity (1024 results).
-    pub fn with_default_capacity() -> Self {
-        MemoCache::new(1024)
-    }
-
-    /// Resolves `fingerprint` to a stored result or the right to produce
-    /// one. Blocks while another thread's flight for the same fingerprint
-    /// is in progress.
-    pub fn begin(&self, fingerprint: u64) -> Memo<'_> {
-        let mut state = recover(self.state.lock());
-        loop {
-            state.tick += 1;
-            let tick = state.tick;
-            match state.slots.get_mut(&fingerprint) {
-                Some(Slot::Ready { json, last_used }) => {
-                    *last_used = tick;
-                    let json = Arc::clone(json);
-                    state.stats.hits += 1;
-                    return Memo::Hit(json);
-                }
-                Some(Slot::InFlight) => {
-                    state = recover(self.published.wait(state));
-                }
-                None => {
-                    state.slots.insert(fingerprint, Slot::InFlight);
-                    state.stats.misses += 1;
-                    return Memo::Miss(MemoGuard {
-                        cache: self,
-                        fingerprint,
-                        published: false,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Point-in-time counters.
-    pub fn stats(&self) -> MemoStats {
-        recover(self.state.lock()).stats
-    }
-
-    /// Stored results currently cached (in-flight slots excluded).
-    pub fn len(&self) -> usize {
-        recover(self.state.lock())
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
-            .count()
-    }
-
-    /// Whether the memo holds no stored result.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn publish(&self, fingerprint: u64, json: Arc<String>) {
-        let mut state = recover(self.state.lock());
-        state.tick += 1;
-        let tick = state.tick;
-        state.slots.insert(
-            fingerprint,
-            Slot::Ready {
-                json,
-                last_used: tick,
-            },
-        );
-        state.stats.inserted += 1;
-        // LRU eviction; never evict an in-flight slot (a waiter is parked
-        // on it) or the entry just published.
-        while state.slots.len() > self.capacity {
-            let victim = state
-                .slots
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } if *k != fingerprint => Some((*last_used, *k)),
-                    _ => None,
-                })
-                .min_by_key(|(last_used, _)| *last_used);
-            match victim {
-                Some((_, key)) => {
-                    state.slots.remove(&key);
-                    state.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        drop(state);
-        self.published.notify_all();
-    }
-
-    fn abandon(&self, fingerprint: u64) {
-        let mut state = recover(self.state.lock());
-        if matches!(state.slots.get(&fingerprint), Some(Slot::InFlight)) {
-            state.slots.remove(&fingerprint);
-        }
-        state.stats.abandoned += 1;
-        drop(state);
-        self.published.notify_all();
-    }
-}
-
-impl MemoGuard<'_> {
-    /// The fingerprint this flight owns.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Publishes a **completed** run's serialized result and returns the
-    /// shared copy waiters and future hits will receive. Publishing
-    /// anything other than a completed, deterministic result breaks the
-    /// memo's soundness contract — see the module docs.
-    pub fn publish(mut self, json: String) -> Arc<String> {
-        let json = Arc::new(json);
-        self.published = true;
-        self.cache.publish(self.fingerprint, Arc::clone(&json));
-        json
-    }
-}
-
-impl Drop for MemoGuard<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.cache.abandon(self.fingerprint);
-        }
-    }
 }
 
 #[cfg(test)]

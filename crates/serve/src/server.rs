@@ -31,6 +31,7 @@ use scalagraph_conformance::json::{parse, Json};
 use scalagraph_conformance::Scenario;
 use scalagraph_runtime::{
     Executor, GraphCache, GraphCacheStats, JobSpec, JobStatus, Priority, RuntimeConfig,
+    DEFAULT_GRAPH_CACHE_BYTES,
 };
 use scalagraph_telemetry::{ServiceCounters, ServiceMetrics};
 
@@ -57,9 +58,9 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Graph cache capacity (distinct graph specs).
     pub graph_cache_capacity: usize,
-    /// Graph cache resident-byte budget; 0 disables the byte bound (the
-    /// entry-count capacity still applies). A job whose estimated graph
-    /// exceeds it is refused before anything is built.
+    /// Graph cache resident-byte budget, 2 GiB by default; 0 disables the
+    /// byte bound (the entry-count capacity still applies). A job whose
+    /// estimated graph exceeds it is refused before anything is built.
     pub graph_cache_bytes: u64,
     /// Memo capacity (distinct results).
     pub memo_capacity: usize,
@@ -76,7 +77,7 @@ impl Default for ServeConfig {
             default_deadline_ms: 10_000,
             max_body_bytes: 1 << 20,
             graph_cache_capacity: 64,
-            graph_cache_bytes: 0,
+            graph_cache_bytes: DEFAULT_GRAPH_CACHE_BYTES,
             memo_capacity: 1024,
             summary_every: None,
         }
@@ -103,14 +104,14 @@ pub fn render_metrics_text(
         ("panics_contained", counters.panics_contained),
         ("queue_depth", counters.queue_depth),
         ("queue_peak", counters.queue_peak),
-        ("graph_cache_hits", counters.graph_cache_hits),
-        ("graph_cache_misses", counters.graph_cache_misses),
+        ("graph_cache_hits", graphs.hits),
+        ("graph_cache_misses", graphs.misses),
         ("graph_cache_builds", graphs.builds),
         ("graph_cache_evictions", graphs.evictions),
         ("graph_cache_resident_bytes", graphs.resident_bytes),
         ("graph_cache_byte_budget", graphs.byte_budget),
-        ("memo_hits", counters.memo_hits),
-        ("memo_misses", counters.memo_misses),
+        ("memo_hits", memo.hits),
+        ("memo_misses", memo.misses),
         ("memo_inserted", memo.inserted),
         ("memo_evictions", memo.evictions),
         ("memo_abandoned", memo.abandoned),
@@ -179,6 +180,19 @@ impl Shared {
         )
     }
 
+    /// The stderr summary: the counters, then the caches' hits.
+    fn summary(&self) -> String {
+        let (graphs, memo) = (self.executor.graph_cache().stats(), self.memo.stats());
+        format!(
+            "{}\ncaches: graph {}/{} hit, memo {}/{} hit",
+            self.metrics.snapshot(),
+            graphs.hits,
+            graphs.hits + graphs.misses,
+            memo.hits,
+            memo.hits + memo.misses
+        )
+    }
+
     /// Handles one parsed request and returns the single-line response
     /// body. Blocking: a `run` request waits for its terminal reply.
     fn answer(&self, request: Request) -> String {
@@ -224,14 +238,12 @@ impl Shared {
         let flight = match self.memo.begin(memo_key(fingerprint, &scenario.name)) {
             Memo::Hit(result) => {
                 self.metrics.job_submitted();
-                self.metrics.memo_hit();
                 self.metrics.job_completed();
                 let wall_ms = arrived.elapsed().as_millis() as u64;
                 return Ok(ok_response(&result, true, wall_ms));
             }
             Memo::Miss(flight) => flight,
         };
-        self.metrics.memo_miss();
         let mut spec = JobSpec::new(scenario).with_priority(priority);
         spec.deadline = match deadline_ms {
             Some(0) => None,
@@ -605,7 +617,7 @@ impl Server {
                     elapsed += step;
                     if elapsed >= every {
                         elapsed = Duration::ZERO;
-                        eprintln!("[scalagraph-serve] {}", shared.metrics.snapshot());
+                        eprintln!("[scalagraph-serve] {}", shared.summary());
                     }
                 }
             })
@@ -626,9 +638,11 @@ impl Server {
         self.local_addr
     }
 
-    /// Shared metrics handle.
-    pub fn metrics(&self) -> Arc<ServiceMetrics> {
-        Arc::clone(&self.shared.metrics)
+    /// Renders the daemon's stderr summary (counters and cache hits) on
+    /// each call, also after [`Server::join`].
+    pub fn summarizer(&self) -> impl Fn() -> String {
+        let shared = Arc::clone(&self.shared);
+        move || shared.summary()
     }
 
     /// Whether a shutdown has been requested.
@@ -738,13 +752,14 @@ mod tests {
         let memo_hits = replies.iter().filter(|(_, hit)| *hit).count();
         assert_eq!(memo_hits, 7, "one flight, seven memo replays");
         assert_eq!(builds(&server), 1);
+        let memo = server.shared.memo.stats();
         server.stop();
         let counters = server.join();
         assert!(counters.balanced(), "{counters}");
         assert_eq!(counters.submitted, 8);
         assert_eq!(counters.completed, 8);
-        assert_eq!(counters.memo_hits, 7);
-        assert_eq!(counters.memo_misses, 1);
+        assert_eq!(memo.hits, 7);
+        assert_eq!(memo.misses, 1);
     }
 
     #[test]
@@ -777,11 +792,12 @@ mod tests {
         // All three runs resolved one shared base CSR from the cache; the
         // schedule is applied per attempt, never to the cached graph.
         assert_eq!(builds(&server), 1);
+        let memo = server.shared.memo.stats();
         server.stop();
         let counters = server.join();
         assert!(counters.balanced(), "{counters}");
-        assert_eq!(counters.memo_hits, 1);
-        assert_eq!(counters.memo_misses, 2);
+        assert_eq!(memo.hits, 1);
+        assert_eq!(memo.misses, 2);
     }
 
     #[test]
@@ -825,10 +841,11 @@ mod tests {
             response.contains("\"kind\":\"shutting_down\""),
             "{response}"
         );
+        let memo = server.shared.memo.stats();
         let counters = server.join();
         assert!(counters.balanced(), "{counters}");
         assert_eq!((counters.submitted, counters.rejected), (2, 1));
-        assert_eq!(counters.memo_hits, 0);
+        assert_eq!(memo.hits, 0);
     }
 
     #[test]

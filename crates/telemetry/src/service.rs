@@ -32,15 +32,12 @@ pub struct ServiceMetrics {
     queue_depth: AtomicU64,
     queue_peak: AtomicU64,
     workers_busy: AtomicU64,
-    // Serve-side counters: a long-lived daemon watches its wire traffic and
-    // its caches with the same metrics bag its executor already bumps.
+    // Serve-side counters: a long-lived daemon watches its wire traffic
+    // with the same metrics bag its executor already bumps. Cache hits are
+    // counted by the caches themselves.
     connections: AtomicU64,
     requests_ok: AtomicU64,
     requests_error: AtomicU64,
-    graph_cache_hits: AtomicU64,
-    graph_cache_misses: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
 }
@@ -85,14 +82,6 @@ impl ServiceMetrics {
         request_ok => requests_ok,
         /// A request was answered with a typed error response.
         request_error => requests_error,
-        /// A job's graph was served from the shared immutable graph cache.
-        graph_cache_hit => graph_cache_hits,
-        /// A job's graph had to be built (cache miss / first build).
-        graph_cache_miss => graph_cache_misses,
-        /// A request was answered from the scenario-memoization layer.
-        memo_hit => memo_hits,
-        /// A request missed the memoization layer and executed.
-        memo_miss => memo_misses,
     }
 
     /// Adds request bytes read off the wire.
@@ -156,10 +145,6 @@ impl ServiceMetrics {
             connections: self.connections.load(Ordering::Relaxed),
             requests_ok: self.requests_ok.load(Ordering::Relaxed),
             requests_error: self.requests_error.load(Ordering::Relaxed),
-            graph_cache_hits: self.graph_cache_hits.load(Ordering::Relaxed),
-            graph_cache_misses: self.graph_cache_misses.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
         }
@@ -195,14 +180,6 @@ pub struct ServiceCounters {
     pub requests_ok: u64,
     /// Requests answered with a typed error response.
     pub requests_error: u64,
-    /// Jobs whose graph came from the shared graph cache.
-    pub graph_cache_hits: u64,
-    /// Jobs whose graph had to be built.
-    pub graph_cache_misses: u64,
-    /// Requests answered from the memoization layer.
-    pub memo_hits: u64,
-    /// Requests that missed the memoization layer and executed.
-    pub memo_misses: u64,
     /// Request bytes read off the wire.
     pub bytes_in: u64,
     /// Response bytes written to the wire.
@@ -243,15 +220,10 @@ impl std::fmt::Display for ServiceCounters {
         if self.connections > 0 || self.requests_ok + self.requests_error > 0 {
             write!(
                 f,
-                "\nserve: {} conns, {} ok + {} error responses, graph cache {}/{} hit, \
-                 memo {}/{} hit, {} B in / {} B out",
+                "\nserve: {} conns, {} ok + {} error responses, {} B in / {} B out",
                 self.connections,
                 self.requests_ok,
                 self.requests_error,
-                self.graph_cache_hits,
-                self.graph_cache_hits + self.graph_cache_misses,
-                self.memo_hits,
-                self.memo_hits + self.memo_misses,
                 self.bytes_in,
                 self.bytes_out
             )?;
@@ -333,22 +305,16 @@ mod tests {
         m.request_ok();
         m.request_ok();
         m.request_error();
-        m.graph_cache_miss();
-        m.graph_cache_hit();
-        m.memo_miss();
-        m.memo_hit();
         m.add_bytes_in(120);
         m.add_bytes_out(480);
         let c = m.snapshot();
         assert_eq!(c.connections, 1);
         assert_eq!(c.requests_ok, 2);
         assert_eq!(c.requests_error, 1);
-        assert_eq!((c.graph_cache_hits, c.graph_cache_misses), (1, 1));
-        assert_eq!((c.memo_hits, c.memo_misses), (1, 1));
         assert_eq!((c.bytes_in, c.bytes_out), (120, 480));
         let line = format!("{c}");
         assert!(line.contains("serve: 1 conns"), "{line}");
-        assert!(line.contains("memo 1/2 hit"), "{line}");
+        assert!(line.contains("120 B in / 480 B out"), "{line}");
     }
 
     #[test]

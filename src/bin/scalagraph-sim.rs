@@ -40,7 +40,7 @@
 //!   --max-cycles <n>          per-job simulated-cycle budget    [none]
 //!   --graph-cache-bytes <n>   graph-cache byte budget, 0=none; a job
 //!                             whose estimated graph exceeds it fails
-//!                             over budget, unbuilt              [0]
+//!                             over budget, unbuilt     [2147483648]
 //!   --inject-panic <name>     panic the worker on this scenario (test hook)
 //!   --strict                  exit 1 unless every job completed
 //!
@@ -85,7 +85,9 @@ use scalagraph_suite::algo::Algorithm;
 use scalagraph_suite::baselines::{GraphDyns, GraphDynsConfig};
 use scalagraph_suite::conformance::{self, GraphSource, Scenario};
 use scalagraph_suite::graph::{io, packed, Csr, Dataset, EdgeList, PackedCsr};
-use scalagraph_suite::runtime::{BatchRuntime, GraphCache, JobSpec, JobStatus, RuntimeConfig};
+use scalagraph_suite::runtime::{
+    BatchRuntime, GraphCache, JobSpec, JobStatus, RuntimeConfig, DEFAULT_GRAPH_CACHE_BYTES,
+};
 use scalagraph_suite::scalagraph::{Mapping, ScalaGraphConfig, SimResult, Simulator};
 use scalagraph_suite::telemetry::Recorder;
 use std::collections::HashMap;
@@ -568,7 +570,7 @@ fn cmd_graph_info(rest: &[String]) -> ! {
 fn cmd_batch(rest: &[String]) -> ! {
     let mut config = RuntimeConfig::default();
     let mut strict = false;
-    let mut graph_cache_bytes = 0;
+    let mut graph_cache_bytes = DEFAULT_GRAPH_CACHE_BYTES;
     let mut inject_panic: Option<String> = None;
     let mut inputs: Vec<String> = Vec::new();
     let mut it = rest.iter();

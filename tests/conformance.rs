@@ -1,6 +1,7 @@
 //! Tier-1 conformance: every checked-in corpus scenario replays clean, the
-//! fuzzer is deterministic, and the shrinker minimizes a synthetic
-//! divergence down to a trivial graph.
+//! fuzzer is deterministic, the shrinker minimizes a synthetic divergence
+//! down to a trivial graph, and mutated scenario files either parse and
+//! round-trip or fail with a typed error.
 //!
 //! The corpus is the regression memory of the differential harness: every
 //! file in `corpus/` is replayed here on every declared engine/mode
@@ -9,7 +10,7 @@
 
 mod common;
 
-use common::corpus_files;
+use common::{corpus_files, int, SplitMix64};
 use scalagraph_suite::conformance::{
     fuzz, json, run_scenario, shrink, signature, AlgoSpec, ConfigSpec, Expectation, Family,
     GraphSource, GraphSpec, ModeMatrix, Outcome, Scenario,
@@ -264,4 +265,144 @@ fn shrinker_reduces_a_synthetic_bug_to_a_trivial_graph() {
     assert_eq!(back, out.scenario);
     let replayed = run_scenario(&back).unwrap();
     assert_eq!(replayed, out.report);
+}
+
+/// Container levels of `v`: 0 for a scalar, 1 for a flat array or object.
+fn depth(v: &json::Json) -> usize {
+    match v {
+        json::Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        json::Json::Obj(members) => 1 + members.iter().map(|(_, x)| depth(x)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// A member: the member and item indexes leading to its object, its own
+/// index, and whether its value is a number.
+type Member = (Vec<usize>, usize, bool);
+
+/// Every object member of `v`.
+fn members(v: &json::Json, path: &mut Vec<usize>, out: &mut Vec<Member>) {
+    let children: Vec<&json::Json> = match v {
+        json::Json::Obj(members) => {
+            out.extend(members.iter().enumerate().map(|(i, (_, x))| {
+                let number = matches!(x, json::Json::Int(_) | json::Json::Float(_));
+                (path.clone(), i, number)
+            }));
+            members.iter().map(|(_, x)| x).collect()
+        }
+        json::Json::Arr(items) => items.iter().collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        members(child, path, out);
+        path.pop();
+    }
+}
+
+/// The object members of the object at `path`.
+fn object_at<'a>(v: &'a mut json::Json, path: &[usize]) -> &'a mut Vec<(String, json::Json)> {
+    let target = path.iter().fold(v, |v, &i| match v {
+        json::Json::Obj(members) => &mut members[i].1,
+        json::Json::Arr(items) => &mut items[i],
+        _ => unreachable!("paths only lead through containers"),
+    });
+    match target {
+        json::Json::Obj(members) => members,
+        _ => unreachable!("paths end at objects"),
+    }
+}
+
+/// One seeded structural mutation of a scenario document: a member
+/// dropped, repeated or retyped, a number replaced by an extreme, or a
+/// value nested so the document reaches one level under or over the
+/// parser's bound.
+fn mutate_scenario(rng: &mut SplitMix64, doc: &mut json::Json) {
+    use json::Json;
+    let mut pool = Vec::new();
+    members(doc, &mut Vec::new(), &mut pool);
+    let kind = int(rng, 0..5);
+    if kind == 3 {
+        pool.retain(|&(_, _, number)| number);
+    }
+    if pool.is_empty() {
+        return;
+    }
+    let (path, i, _) = &pool[int(rng, 0..pool.len())];
+    let level = path.len() + 1;
+    let object = object_at(doc, path);
+    match kind {
+        0 => {
+            object.remove(*i);
+        }
+        1 => {
+            let repeat = object[*i].clone();
+            object.insert(*i + int(rng, 0..2), repeat);
+        }
+        2 => {
+            object[*i].1 = match int(rng, 0..6) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.chance(50)),
+                2 => Json::Str("7".into()),
+                3 => Json::Arr(vec![Json::Int(7)]),
+                4 => Json::Obj(vec![("kind".into(), Json::Str("bfs".into()))]),
+                _ => Json::Float(7.0),
+            }
+        }
+        3 => {
+            object[*i].1 = [
+                Json::Int(0),
+                Json::Int(u64::from(u32::MAX)),
+                Json::Int(1 << 32),
+                Json::Int(u64::MAX),
+                Json::Float(-1.0),
+                Json::Float(2.5),
+            ][int(rng, 0..6)]
+            .clone()
+        }
+        _ => {
+            let target = [json::MAX_DEPTH - 1, json::MAX_DEPTH + 1][int(rng, 0..2)];
+            let value = std::mem::replace(&mut object[*i].1, Json::Null);
+            let wraps = target.saturating_sub(level + depth(&value));
+            object[*i].1 = (0..wraps).fold(value, |v, _| Json::Arr(vec![v]));
+        }
+    }
+}
+
+/// Mutated corpus scenarios, one to three mutations each, either parse and
+/// round-trip canonically or fail with a typed error; a scenario that
+/// parsed is validated without a panic, and a document nested past the
+/// parser's bound never parses.
+#[test]
+fn mutated_scenario_files_round_trip_or_fail_typed() {
+    let corpus: Vec<json::Json> = corpus_files()
+        .iter()
+        .map(|(path, text)| json::parse(text).unwrap_or_else(|e| panic!("{path}: {e}")))
+        .collect();
+    common::check(1000, |rng| {
+        let mut doc = corpus[int(rng, 0..corpus.len())].clone();
+        for _ in 0..int(rng, 1..4) {
+            mutate_scenario(rng, &mut doc);
+        }
+        let text = if rng.chance(50) {
+            doc.pretty()
+        } else {
+            doc.compact()
+        };
+        match Scenario::from_json_str(&text) {
+            Ok(scenario) => {
+                assert!(depth(&doc) <= json::MAX_DEPTH, "{text}");
+                let canonical = scenario.to_json_string();
+                let back = Scenario::from_json_str(&canonical).expect("the canonical form parses");
+                assert_eq!(back, scenario, "{canonical}");
+                assert_eq!(
+                    back.to_json_string(),
+                    canonical,
+                    "the canonical text is stable"
+                );
+                let _ = scenario.validate();
+            }
+            Err(message) => assert!(!message.is_empty(), "{text}"),
+        }
+    });
 }

@@ -2,7 +2,8 @@
 //! property-based round-trips through the compressed format, corruption
 //! handling and a mutational fuzz — every malformed container must come back
 //! from the one reader as a typed [`GraphError`], never a panic, because
-//! packed files arrive from disk and the network, not from this process.
+//! packed files arrive from disk and the network, not from this process —
+//! and re-packing a path leaves the containers already open on it intact.
 
 mod common;
 
@@ -205,6 +206,37 @@ fn file_open_round_trips_and_rejects_damage() {
         PackedCsr::read_csr(&missing, shape_of(&g)),
         Err(GraphError::Io { .. })
     ));
+}
+
+/// Re-packing a path that another handle has open leaves that handle's
+/// graph intact: the writer renames a new file over the path instead of
+/// truncating and rewriting the mapped one.
+#[test]
+fn repacking_an_open_container_leaves_the_old_handle_intact() {
+    let ring = |n: u32| {
+        let edges: Vec<Edge> = (0..n).map(|s| Edge::new(s, (s + 1) % n)).collect();
+        Csr::from_edges(n as usize, &edges)
+    };
+    let (old, new) = (ring(4096), ring(64));
+    let dir = std::env::temp_dir();
+    let name = format!("scalagraph-it-repack-{}.sgpk", std::process::id());
+    let path = dir.join(&name);
+    packed::write_packed(&old, &path, 32).expect("write container");
+    let handle = PackedCsr::open(&path).expect("open container");
+    packed::write_packed(&new, &path, 32).expect("re-pack the same path");
+    assert_eq!(handle.to_csr().expect("the old handle decodes"), old);
+    drop(handle);
+    assert_eq!(
+        PackedCsr::read_csr(&path, shape_of(&new)).expect("read the new container"),
+        new
+    );
+    std::fs::remove_file(&path).expect("cleanup");
+    let leftovers = std::fs::read_dir(&dir)
+        .expect("list the temporary directory")
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&name))
+        .count();
+    assert_eq!(leftovers, 0, "no temporary sibling is left behind");
 }
 
 /// A header whose counts the payload cannot encode is refused before any

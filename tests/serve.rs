@@ -29,6 +29,11 @@
 //! 11. Oversized graph families neither wrap past `validate()` nor slip
 //!     under the graph cache's byte budget, and nothing is built for them.
 //! 12. `workers_busy` on `/metrics` counts the jobs the executor is running.
+//! 13. A graph build that panics is one contained `failed` outcome: a
+//!     repeat of it builds anew instead of waiting on the abandoned build,
+//!     and the daemon keeps serving and still joins.
+//! 14. A daemon on default settings refuses a graph past its default byte
+//!     budget before building anything.
 
 mod common;
 
@@ -408,10 +413,10 @@ fn a_jsonl_session_mixes_controls_runs_and_survives_garbage() {
         "memoized replay must be byte-identical"
     );
 
-    // Metrics over jsonl.
+    // Metrics over jsonl, counting the memo's one replay.
     let response = request("{\"control\":\"metrics\"}");
     assert!(
-        response.contains("scalagraph_serve_memo_hits"),
+        response.contains("scalagraph_serve_memo_hits 1\\n"),
         "{response}"
     );
 
@@ -426,7 +431,6 @@ fn a_jsonl_session_mixes_controls_runs_and_survives_garbage() {
     );
     assert_eq!(counters.submitted, 2, "two runs were admitted");
     assert_eq!(counters.completed, 2);
-    assert!(counters.memo_hits >= 1);
 }
 
 #[test]
@@ -776,4 +780,59 @@ fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
             }
         }
     });
+}
+
+/// The pagerank corpus scenario under `name`, with `edges` uniform edges.
+fn pagerank_with_edges(name: &str, edges: u64) -> String {
+    let (_, text) = common::corpus_files()
+        .into_iter()
+        .find(|(path, _)| path.ends_with("/converge-pagerank-dense.json"))
+        .expect("the pagerank corpus scenario");
+    text.replace("\"edges\": 900", &format!("\"edges\": {edges}"))
+        .replace("\"converge-pagerank-dense\"", &format!("\"{name}\""))
+}
+
+/// 2^62 edges: the estimate saturates to `u64::MAX`, and the generator
+/// panics with "capacity overflow" when asked to build them.
+const OVERFLOWING_EDGES: u64 = 1 << 62;
+
+#[test]
+fn a_panicking_graph_build_is_contained_and_cannot_wedge_the_daemon() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        graph_cache_bytes: 0,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    for name in ["overflow-1", "overflow-2"] {
+        let (status, body) = post_run(&addr, &pagerank_with_edges(name, OVERFLOWING_EDGES));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"status\":\"failed\""), "{body}");
+        assert!(body.contains("worker panicked"), "{body}");
+    }
+    let (status, body) = post_run(&addr, &pagerank_with_edges("converge-pagerank-dense", 900));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"completed\""), "{body}");
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(counters.panics_contained, 2, "{counters}");
+    assert_eq!((counters.failed, counters.completed), (2, 1), "{counters}");
+}
+
+#[test]
+fn the_default_byte_budget_refuses_an_overflowing_graph_unbuilt() {
+    let server = Server::start(ServeConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let (status, body) = post_run(&addr, &pagerank_with_edges("overflow", OVERFLOWING_EDGES));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"failed\""), "{body}");
+    assert!(body.contains("over budget"), "{body}");
+    assert_eq!(metric(&addr, "graph_cache_builds"), 0);
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(counters.panics_contained, 0, "{counters}");
 }
