@@ -9,11 +9,11 @@
 //! this after changing the scenario JSON schema so the corpus stays in the
 //! canonical byte-for-byte serialization.
 
-use scalagraph::fault::LinkDir;
+use scalagraph::fault::{Fault, FaultKind, LinkDir};
 use scalagraph::Mapping;
 use scalagraph_conformance::{
-    AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, GraphSource, GraphSpec,
-    MemorySpec, ModeMatrix, MutationSpec, Scenario,
+    AlgoSpec, ConfigSpec, Expectation, Family, GraphSource, GraphSpec, MemorySpec, ModeMatrix,
+    MutationSpec, Scenario,
 };
 
 fn unit_graph(family: Family) -> GraphSpec {
@@ -85,15 +85,12 @@ fn corpus() -> Vec<Scenario> {
                 ..ConfigSpec::small()
             },
             fault_seed: 1,
-            faults: vec![FaultSpec {
-                kind: FaultKindSpec::HbmStall {
-                    tile: 0,
-                    channel: 0,
-                    cycles: 0, // forever
-                },
-                from: 20,
-                until: 21,
-            }],
+            faults: vec![Fault::new(FaultKind::HbmStall {
+                tile: 0,
+                channel: 0,
+                cycles: u64::MAX, // forever
+            })
+            .window(20, 21)],
             modes: ModeMatrix {
                 fast_forward: true,
                 recording: true,
@@ -131,24 +128,18 @@ fn corpus() -> Vec<Scenario> {
             },
             fault_seed: 13,
             faults: vec![
-                FaultSpec {
-                    kind: FaultKindSpec::LinkDelay {
-                        node: 9,
-                        dir: LinkDir::East,
-                        cycles: 4,
-                    },
-                    from: 0,
-                    until: 5_000,
-                },
-                FaultSpec {
-                    kind: FaultKindSpec::HbmStall {
-                        tile: 1,
-                        channel: 1,
-                        cycles: 16,
-                    },
-                    from: 100,
-                    until: 400,
-                },
+                Fault::new(FaultKind::LinkDelay {
+                    node: 9,
+                    dir: LinkDir::East,
+                    cycles: 4,
+                })
+                .window(0, 5_000),
+                Fault::new(FaultKind::HbmStall {
+                    tile: 1,
+                    channel: 1,
+                    cycles: 16,
+                })
+                .window(100, 400),
             ],
             modes: ModeMatrix::full(),
             expect: Expectation::Converge,
@@ -228,15 +219,12 @@ fn corpus() -> Vec<Scenario> {
                 ..ConfigSpec::small()
             },
             fault_seed: 3,
-            faults: vec![FaultSpec {
-                kind: FaultKindSpec::HbmStall {
-                    tile: 0,
-                    channel: 1,
-                    cycles: 0, // forever
-                },
-                from: 40,
-                until: 41,
-            }],
+            faults: vec![Fault::new(FaultKind::HbmStall {
+                tile: 0,
+                channel: 1,
+                cycles: u64::MAX, // forever
+            })
+            .window(40, 41)],
             modes: ModeMatrix {
                 fast_forward: true,
                 recording: true,

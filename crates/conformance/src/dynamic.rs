@@ -22,7 +22,7 @@
 //! `batch[k].`, so a failing replay names the exact batch that broke.
 
 use crate::oracle::{engines, run_static_on, Mismatch, Outcome, Props, Report};
-use crate::scenario::{AlgoSpec, Expectation, MutationSpec, Scenario};
+use crate::scenario::{AlgoSpec, MutationSpec, Scenario};
 use scalagraph_algo::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp, WidestPath};
 use scalagraph_algo::dynamic::{delta_pagerank, repair_rooted, trace_pagerank, PageRankTrace};
 use scalagraph_algo::{Algorithm, ReferenceEngine};
@@ -181,30 +181,10 @@ fn csr_digest(g: &Csr) -> String {
     )
 }
 
-/// Runs a scenario that carries a mutation schedule. Called by
-/// [`run_scenario`](crate::oracle::run_scenario) after the scenario-level
-/// sanity checks.
-pub(crate) fn run_dynamic_scenario(s: &Scenario) -> Result<Report, String> {
-    let Some(spec) = s.mutations else {
-        return Err(format!(
-            "scenario `{}` reached the dynamic path without a mutation schedule",
-            s.name
-        ));
-    };
-    if spec.batches == 0 {
-        return Err(format!(
-            "scenario `{}` declares a mutation schedule with 0 batches",
-            s.name
-        ));
-    }
-    if matches!(s.expect, Expectation::Wedge { .. }) {
-        return Err(format!(
-            "scenario `{}` combines a mutation schedule with a wedge expectation; \
-             dynamic scenarios must expect convergence",
-            s.name
-        ));
-    }
-
+/// Runs a scenario's mutation schedule `spec`. Called by
+/// [`run_scenario`](crate::oracle::run_scenario) once the scenario has
+/// passed [`Scenario::validate`].
+pub(crate) fn run_dynamic_scenario(s: &Scenario, spec: MutationSpec) -> Result<Report, String> {
     let base = s.graph.build()?;
     let mut dynamic = DynamicCsr::new(base);
 
@@ -328,7 +308,7 @@ pub(crate) fn run_dynamic_scenario(s: &Scenario) -> Result<Report, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ConfigSpec, Family, GraphSource, GraphSpec, ModeMatrix};
+    use crate::scenario::{ConfigSpec, Expectation, Family, GraphSource, GraphSpec, ModeMatrix};
 
     fn dynamic_scenario(algo: AlgoSpec, spec: MutationSpec) -> Scenario {
         Scenario {

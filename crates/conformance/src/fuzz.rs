@@ -14,11 +14,11 @@
 
 use crate::oracle::{run_scenario, Report};
 use crate::scenario::{
-    AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, GraphSource, GraphSpec,
-    MemorySpec, ModeMatrix, MutationSpec, Scenario,
+    AlgoSpec, ConfigSpec, Expectation, Family, GraphSource, GraphSpec, MemorySpec, ModeMatrix,
+    MutationSpec, Scenario,
 };
 use crate::shrink::{shrink, ShrinkOutcome};
-use scalagraph::fault::LinkDir;
+use scalagraph::fault::{Fault, FaultKind, LinkDir};
 use scalagraph::Mapping;
 use scalagraph_graph::SplitMix64;
 
@@ -110,23 +110,19 @@ pub fn sample_scenario(rng: &mut SplitMix64, index: usize) -> Scenario {
         for _ in 0..rng.range(1, 2) {
             let from = rng.below(200);
             let kind = if rng.chance(60) {
-                FaultKindSpec::LinkDelay {
+                FaultKind::LinkDelay {
                     node: rng.below(pes as u64) as usize,
                     dir: *rng.pick(&[LinkDir::North, LinkDir::South, LinkDir::West, LinkDir::East]),
                     cycles: rng.range(1, 8),
                 }
             } else {
-                FaultKindSpec::HbmStall {
+                FaultKind::HbmStall {
                     tile: rng.below((pes / 32) as u64) as usize,
                     channel: rng.below(2) as usize,
                     cycles: rng.range(1, 32),
                 }
             };
-            faults.push(FaultSpec {
-                kind,
-                from,
-                until: from + rng.range(50, 500),
-            });
+            faults.push(Fault::new(kind).window(from, from + rng.range(50, 500)));
         }
     }
 
@@ -338,16 +334,13 @@ mod tests {
             let s = sample_scenario(&mut rng, i);
             let t = sample_scenario(&mut rng2, i);
             assert_eq!(s, t, "sampling must be deterministic");
-            // Well-formed: graph and config build, roots in range.
-            let g = s.graph.build().expect("graph builds");
-            s.config.build().expect("config builds");
-            if let AlgoSpec::Bfs { root }
-            | AlgoSpec::Sssp { root }
-            | AlgoSpec::WidestPath { root } = s.algo
-            {
-                assert!((root as usize) < g.num_vertices());
-            }
-            assert!(s.faults.iter().all(|f| f.is_result_preserving()));
+            // Well-formed: valid, and the graph builds.
+            s.validate().expect("sampled scenarios are valid");
+            s.graph.build().expect("graph builds");
+            assert!(s.faults.iter().all(|f| matches!(
+                f.kind,
+                FaultKind::LinkDelay { .. } | FaultKind::HbmStall { .. }
+            )));
             // Round-trips like any corpus scenario.
             let back = Scenario::from_json_str(&s.to_json_string()).unwrap();
             assert_eq!(back, s);

@@ -249,8 +249,9 @@ fn write_escaped(out: &mut String, s: &str) {
 /// stack and abort the process; no scenario comes near this depth.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parses one JSON document, rejecting trailing garbage and nesting deeper
-/// than [`MAX_DEPTH`].
+/// Parses one JSON document, rejecting trailing garbage, nesting deeper
+/// than [`MAX_DEPTH`], and an object that repeats a member name (which
+/// [`Json::get`] would otherwise resolve silently to the first).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
@@ -307,6 +308,16 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
                         *pos += 1;
+                        // Sorted, not pairwise: a wide object must not
+                        // cost quadratic time.
+                        let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                        keys.sort_unstable();
+                        if let Some(pair) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+                            return Err(format!(
+                                "object ending at byte {} repeats member `{}`",
+                                *pos, pair[0]
+                            ));
+                        }
                         return Ok(Json::Obj(members));
                     }
                     _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
@@ -612,6 +623,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad} parsed");
         }
+    }
+
+    #[test]
+    fn repeated_member_names_are_refused_at_any_depth() {
+        let err = parse(r#"{"name":"first","name":"second"}"#).unwrap_err();
+        assert!(err.contains("repeats member `name`"), "{err}");
+        assert!(parse(r#"[{"a":1},{"b":{"c":1,"d":2,"c":3}}]"#).is_err());
+        // The same name in sibling objects is no repetition.
+        assert!(parse(r#"[{"a":1},{"a":2,"b":{"a":3}}]"#).is_ok());
+        // A wide object is checked in one sort, not pairwise.
+        let wide: Vec<String> = (0..100_000).map(|i| format!("\"k{i}\":0")).collect();
+        assert!(parse(&format!("{{{}}}", wide.join(","))).is_ok());
+        let repeated = format!("{{{},\"k7\":1}}", wide.join(","));
+        assert!(parse(&repeated).unwrap_err().contains("`k7`"));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! - [`scenario`] — a serializable [`Scenario`](scenario::Scenario) pinning
 //!   graph generator + seed, algorithm, accelerator configuration, fault
-//!   schedule, and the engine/mode matrix; JSON round-trips bit-exactly so
-//!   scenarios can live in a checked-in `corpus/`.
+//!   schedule (the engine's own [`Fault`](scalagraph::fault::Fault)s), and
+//!   the engine/mode matrix; JSON round-trips bit-exactly so scenarios can
+//!   live in a checked-in `corpus/`, and
+//!   [`Scenario::validate`](scenario::Scenario::validate) is the one rule
+//!   set every front end checks before running one.
 //! - [`oracle`] — runs one scenario across every declared combination and
 //!   diffs final properties, iteration counts, traversed-edge totals, full
 //!   [`SimStats`](scalagraph::SimStats) and telemetry summaries, reporting
@@ -50,7 +53,7 @@ pub use fuzz::{fuzz, fuzz_dynamic, sample_scenario, FuzzFailure, FuzzReport};
 pub use oracle::{run_scenario, Mismatch, Observation, Outcome, Report};
 pub use scalagraph_graph::SplitMix64;
 pub use scenario::{
-    AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, GraphSource, GraphSpec,
-    MemorySpec, ModeMatrix, MutationSpec, Scenario,
+    AlgoSpec, ConfigSpec, Expectation, Family, GraphSource, GraphSpec, MemorySpec, ModeMatrix,
+    MutationSpec, Scenario,
 };
 pub use shrink::{shrink, signature, ShrinkOutcome, Signature};

@@ -235,10 +235,11 @@ impl Report {
 ///
 /// # Errors
 ///
-/// Returns a description when the scenario itself is malformed (graph or
-/// configuration cannot be built, algorithm root out of range). Engine
-/// failures are *observations*, not errors.
+/// Returns a description when the scenario fails
+/// [`Scenario::validate`], enables no comparison engine, or its graph
+/// cannot be built. Engine failures are *observations*, not errors.
 pub fn run_scenario(s: &Scenario) -> Result<Report, String> {
+    s.validate()?;
     if s.modes.is_empty() {
         return Err(format!(
             "scenario `{}` enables no comparison engines: the mode matrix is empty \
@@ -249,43 +250,22 @@ pub fn run_scenario(s: &Scenario) -> Result<Report, String> {
     // Dynamic scenarios run every batch through the same per-engine
     // machinery via `run_static_on`, with the incremental algorithms
     // differentially checked against each batch's full recompute.
-    if s.mutations.is_some() {
-        return crate::dynamic::run_dynamic_scenario(s);
+    if let Some(spec) = s.mutations {
+        return crate::dynamic::run_dynamic_scenario(s, spec);
     }
     let graph = s.graph.build()?;
     run_static_on(s, &graph)
 }
 
 /// Runs the per-engine comparison matrix for one (possibly mutated) graph
-/// snapshot. The caller has already performed the scenario-level sanity
-/// checks in [`run_scenario`].
+/// snapshot of a scenario [`run_scenario`] has validated.
 pub(crate) fn run_static_on(s: &Scenario, graph: &Csr) -> Result<Report, String> {
-    let n = graph.num_vertices() as u32;
-    let root_ok = |root: u32| {
-        if root < n {
-            Ok(())
-        } else {
-            Err(format!("root {root} out of range for {n} vertices"))
-        }
-    };
     match s.algo {
-        AlgoSpec::Bfs { root } => {
-            root_ok(root)?;
-            run_typed(s, graph, &Bfs::from_root(root), Props::Ints)
-        }
-        AlgoSpec::Sssp { root } => {
-            root_ok(root)?;
-            run_typed(s, graph, &Sssp::from_root(root), Props::Ints)
-        }
+        AlgoSpec::Bfs { root } => run_typed(s, graph, &Bfs::from_root(root), Props::Ints),
+        AlgoSpec::Sssp { root } => run_typed(s, graph, &Sssp::from_root(root), Props::Ints),
         AlgoSpec::Cc => run_typed(s, graph, &ConnectedComponents::new(), Props::Ints),
-        AlgoSpec::PageRank { iters } => {
-            if iters == 0 {
-                return Err("pagerank needs at least 1 iteration".into());
-            }
-            run_typed(s, graph, &PageRank::new(iters), Props::Floats)
-        }
+        AlgoSpec::PageRank { iters } => run_typed(s, graph, &PageRank::new(iters), Props::Floats),
         AlgoSpec::WidestPath { root } => {
-            root_ok(root)?;
             run_typed(s, graph, &WidestPath::from_root(root), Props::Ints)
         }
     }
@@ -296,9 +276,7 @@ where
     A: Algorithm,
     F: Fn(Vec<A::Prop>) -> Props,
 {
-    let mut cfg = s.config.build()?;
-    cfg.fault_plan = s.fault_plan();
-    cfg.validate().map_err(|e| e.to_string())?;
+    let cfg = s.run_config()?;
 
     let mut observations = Vec::new();
 

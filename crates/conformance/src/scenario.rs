@@ -7,15 +7,19 @@
 //! can therefore be checked into `corpus/` and replayed byte-for-byte with
 //! `scalagraph-sim replay`.
 //!
-//! JSON encoding notes: `u64::MAX` is not representable in JSON, so cycle
-//! fields that mean "forever" (`Fault::until_cycle`, `HbmStall::cycles`)
-//! encode it as `0` — a zero-length window or zero-length stall would be
-//! meaningless, so the encoding is unambiguous.
+//! Faults are the engine's own [`Fault`]s. JSON cannot carry `u64::MAX`,
+//! so the fault reader and writer alone encode "forever" (a fault's
+//! `until`, an HBM stall's `cycles`) as `0`: a zero-length window or stall
+//! would be meaningless, so the encoding is unambiguous.
+//!
+//! [`Scenario::validate`] is the one rule set that decides whether a
+//! scenario is runnable; every front end (oracle, runner, executor, serve
+//! daemon) calls it before doing any work.
 
 use crate::json::{obj, parse, Json};
 use scalagraph::fault::{Fault, FaultKind, FaultPlan, LinkDir};
 use scalagraph::{Mapping, MemoryPreset, ScalaGraphConfig};
-use scalagraph_graph::{generators, Csr, EdgeList, PackedCsr, PackedShape, VertexId};
+use scalagraph_graph::{generators, Csr, Edge, EdgeList, PackedCsr, PackedShape, VertexId};
 use scalagraph_mem::HbmConfig;
 
 /// The graph generator family plus its size/seed parameters.
@@ -146,7 +150,18 @@ impl GraphSpec {
             };
             return Self::load_packed(path, expect);
         }
-        let edges = match self.family {
+        // Reserve the edge storage (mirrored edges included) before
+        // generating: a graph this host cannot hold is refused here, where
+        // a failed allocation inside a generator would abort the process.
+        let want = self
+            .family
+            .edges()
+            .saturating_mul(if self.symmetrize { 2 } else { 1 });
+        let mut edges: Vec<Edge> = Vec::new();
+        edges
+            .try_reserve_exact(want)
+            .map_err(|e| format!("cannot hold a graph of {want} edges: {e}"))?;
+        edges.extend(match self.family {
             Family::Rmat {
                 vertices,
                 edges,
@@ -161,11 +176,8 @@ impl GraphSpec {
             Family::Star { vertices } => generators::star(vertices),
             Family::Grid { rows, cols } => generators::grid(rows, cols),
             Family::BinaryTree { vertices } => generators::binary_tree(vertices),
-        };
-        let mut list = EdgeList::new(v);
-        for e in edges {
-            list.push(e);
-        }
+        });
+        let mut list = EdgeList::from_vec(v, edges).map_err(|e| e.to_string())?;
         if self.symmetrize {
             list.symmetrize();
         }
@@ -276,13 +288,15 @@ impl GraphSpec {
                     .to_string(),
             },
         };
-        Ok(GraphSpec {
+        let spec = GraphSpec {
             family,
             symmetrize: v.opt_bool("symmetrize", false)?,
             max_weight: u32_member(v, "max_weight", Some(0))?,
             weight_seed: v.opt_u64("weight_seed", 0)?,
             source,
-        })
+        };
+        known_keys(v, "graph", &spec.to_json(), &[])?;
+        Ok(spec)
     }
 }
 
@@ -338,7 +352,7 @@ impl AlgoSpec {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(match v.req_str("kind")? {
+        let algo = match v.req_str("kind")? {
             "bfs" => AlgoSpec::Bfs {
                 root: u32_member(v, "root", None)?,
             },
@@ -353,7 +367,9 @@ impl AlgoSpec {
                 root: u32_member(v, "root", None)?,
             },
             other => return Err(format!("unknown algorithm `{other}`")),
-        })
+        };
+        known_keys(v, "algo", &algo.to_json(), &[])?;
+        Ok(algo)
     }
 }
 
@@ -411,7 +427,8 @@ impl ConfigSpec {
         }
     }
 
-    /// Builds the engine configuration (without a fault plan).
+    /// Builds the engine configuration, without a fault plan and not yet
+    /// validated: [`Scenario::run_config`] adds both.
     pub fn build(&self) -> Result<ScalaGraphConfig, String> {
         if self.pes == 0 || !self.pes.is_multiple_of(32) {
             return Err(format!(
@@ -441,7 +458,6 @@ impl ConfigSpec {
             }
         };
         cfg.watchdog_stall_cycles = self.watchdog_stall_cycles;
-        cfg.validate().map_err(|e| e.to_string())?;
         Ok(cfg)
     }
 
@@ -507,7 +523,7 @@ impl ConfigSpec {
             },
             other => return Err(format!("unknown memory preset `{other}`")),
         };
-        Ok(ConfigSpec {
+        let spec = ConfigSpec {
             pes: v.req_u64("pes")? as usize,
             mapping,
             aggregation_registers: v.req_u64("aggregation_registers")? as usize,
@@ -519,52 +535,12 @@ impl ConfigSpec {
                 "watchdog_stall_cycles",
                 scalagraph::config::DEFAULT_WATCHDOG_STALL_CYCLES,
             )?,
-        })
+        };
+        let written = spec.to_json();
+        known_keys(v, "config", &written, &[])?;
+        known_keys(mem, "memory", written.req("memory")?, &[])?;
+        Ok(spec)
     }
-}
-
-/// One scheduled fault, JSON-encodable (see the module docs for the
-/// `0 = forever` convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// What the fault does.
-    pub kind: FaultKindSpec,
-    /// First active cycle.
-    pub from: u64,
-    /// First inactive cycle; `0` means permanent.
-    pub until: u64,
-}
-
-/// JSON-encodable mirror of [`FaultKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum FaultKindSpec {
-    LinkDown {
-        node: usize,
-        dir: LinkDir,
-    },
-    LinkDrop {
-        node: usize,
-        dir: LinkDir,
-        one_in: u32,
-    },
-    LinkDelay {
-        node: usize,
-        dir: LinkDir,
-        cycles: u64,
-    },
-    /// `cycles == 0` pins the channel forever.
-    HbmStall {
-        tile: usize,
-        channel: usize,
-        cycles: u64,
-    },
-    CorruptPayload {
-        node: usize,
-        dir: LinkDir,
-        one_in: u32,
-        out_of_range: bool,
-    },
 }
 
 /// A `u32` member, required when `default` is `None`. A value past
@@ -596,141 +572,109 @@ fn dir_from_str(s: &str) -> Result<LinkDir, String> {
     }
 }
 
-impl FaultSpec {
-    /// The engine fault this spec encodes.
-    pub fn to_fault(&self) -> Fault {
-        let kind = match self.kind {
-            FaultKindSpec::LinkDown { node, dir } => FaultKind::LinkDown { node, dir },
-            FaultKindSpec::LinkDrop { node, dir, one_in } => {
-                FaultKind::LinkDrop { node, dir, one_in }
-            }
-            FaultKindSpec::LinkDelay { node, dir, cycles } => {
-                FaultKind::LinkDelay { node, dir, cycles }
-            }
-            FaultKindSpec::HbmStall {
-                tile,
-                channel,
-                cycles,
-            } => FaultKind::HbmStall {
-                tile,
-                channel,
-                cycles: if cycles == 0 { u64::MAX } else { cycles },
-            },
-            FaultKindSpec::CorruptPayload {
-                node,
-                dir,
-                one_in,
-                out_of_range,
-            } => FaultKind::CorruptPayload {
-                node,
-                dir,
-                one_in,
-                out_of_range,
-            },
-        };
-        Fault::new(kind).window(
-            self.from,
-            if self.until == 0 {
-                u64::MAX
-            } else {
-                self.until
-            },
-        )
+/// Refuses a member of object `v` that `written`, the canonical form of
+/// what was read from `v`, does not carry, unless `also` names it: a
+/// misspelt optional key must fail the parse, not fall back to its
+/// default.
+fn known_keys(v: &Json, what: &str, written: &Json, also: &[&str]) -> Result<(), String> {
+    let Json::Obj(members) = v else {
+        return Err(format!("{what} must be an object"));
+    };
+    match members
+        .iter()
+        .find(|(k, _)| written.get(k).is_none() && !also.contains(&k.as_str()))
+    {
+        Some((k, _)) => Err(format!("unknown {what} key `{k}`")),
+        None => Ok(()),
     }
+}
 
-    /// Whether the fault can change final results (drops or corruption).
-    /// Delays and stalls only perturb timing, which the engines must absorb
-    /// without changing any result.
-    pub fn is_result_preserving(&self) -> bool {
-        !matches!(
-            self.kind,
-            FaultKindSpec::LinkDrop { .. } | FaultKindSpec::CorruptPayload { .. }
-        )
-    }
-
-    fn to_json(self) -> Json {
-        let mut members: Vec<(&str, Json)> = Vec::new();
-        match self.kind {
-            FaultKindSpec::LinkDown { node, dir } => {
-                members.push(("kind", Json::Str("link_down".into())));
-                members.push(("node", Json::Int(node as u64)));
-                members.push(("dir", Json::Str(dir_to_str(dir).into())));
-            }
-            FaultKindSpec::LinkDrop { node, dir, one_in } => {
-                members.push(("kind", Json::Str("link_drop".into())));
-                members.push(("node", Json::Int(node as u64)));
-                members.push(("dir", Json::Str(dir_to_str(dir).into())));
-                members.push(("one_in", Json::Int(u64::from(one_in))));
-            }
-            FaultKindSpec::LinkDelay { node, dir, cycles } => {
-                members.push(("kind", Json::Str("link_delay".into())));
-                members.push(("node", Json::Int(node as u64)));
-                members.push(("dir", Json::Str(dir_to_str(dir).into())));
-                members.push(("cycles", Json::Int(cycles)));
-            }
-            FaultKindSpec::HbmStall {
-                tile,
-                channel,
-                cycles,
-            } => {
-                members.push(("kind", Json::Str("hbm_stall".into())));
-                members.push(("tile", Json::Int(tile as u64)));
-                members.push(("channel", Json::Int(channel as u64)));
-                members.push(("cycles", Json::Int(cycles)));
-            }
-            FaultKindSpec::CorruptPayload {
-                node,
-                dir,
-                one_in,
-                out_of_range,
-            } => {
-                members.push(("kind", Json::Str("corrupt_payload".into())));
-                members.push(("node", Json::Int(node as u64)));
-                members.push(("dir", Json::Str(dir_to_str(dir).into())));
-                members.push(("one_in", Json::Int(u64::from(one_in))));
-                members.push(("out_of_range", Json::Bool(out_of_range)));
-            }
+/// A fault's JSON form: its kind's members, then its window. `u64::MAX`
+/// (forever) is written as `0`, see the module docs.
+fn fault_to_json(f: &Fault) -> Json {
+    let forever = |n: u64| if n == u64::MAX { 0 } else { n };
+    let link = |kind: &str, node: usize, dir: LinkDir| {
+        vec![
+            ("kind", Json::Str(kind.into())),
+            ("node", Json::Int(node as u64)),
+            ("dir", Json::Str(dir_to_str(dir).into())),
+        ]
+    };
+    let mut members = match f.kind {
+        FaultKind::LinkDown { node, dir } => link("link_down", node, dir),
+        FaultKind::LinkDrop { node, dir, one_in } => {
+            let mut m = link("link_drop", node, dir);
+            m.push(("one_in", Json::Int(u64::from(one_in))));
+            m
         }
-        members.push(("from", Json::Int(self.from)));
-        members.push(("until", Json::Int(self.until)));
-        obj(members)
-    }
+        FaultKind::LinkDelay { node, dir, cycles } => {
+            let mut m = link("link_delay", node, dir);
+            m.push(("cycles", Json::Int(cycles)));
+            m
+        }
+        FaultKind::HbmStall {
+            tile,
+            channel,
+            cycles,
+        } => vec![
+            ("kind", Json::Str("hbm_stall".into())),
+            ("tile", Json::Int(tile as u64)),
+            ("channel", Json::Int(channel as u64)),
+            ("cycles", Json::Int(forever(cycles))),
+        ],
+        FaultKind::CorruptPayload {
+            node,
+            dir,
+            one_in,
+            out_of_range,
+        } => {
+            let mut m = link("corrupt_payload", node, dir);
+            m.push(("one_in", Json::Int(u64::from(one_in))));
+            m.push(("out_of_range", Json::Bool(out_of_range)));
+            m
+        }
+    };
+    members.push(("from", Json::Int(f.from_cycle)));
+    members.push(("until", Json::Int(forever(f.until_cycle))));
+    obj(members)
+}
 
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let kind = match v.req_str("kind")? {
-            "link_down" => FaultKindSpec::LinkDown {
-                node: v.req_u64("node")? as usize,
-                dir: dir_from_str(v.req_str("dir")?)?,
-            },
-            "link_drop" => FaultKindSpec::LinkDrop {
-                node: v.req_u64("node")? as usize,
-                dir: dir_from_str(v.req_str("dir")?)?,
-                one_in: u32_member(v, "one_in", None)?,
-            },
-            "link_delay" => FaultKindSpec::LinkDelay {
-                node: v.req_u64("node")? as usize,
-                dir: dir_from_str(v.req_str("dir")?)?,
-                cycles: v.req_u64("cycles")?,
-            },
-            "hbm_stall" => FaultKindSpec::HbmStall {
-                tile: v.req_u64("tile")? as usize,
-                channel: v.req_u64("channel")? as usize,
-                cycles: v.req_u64("cycles")?,
-            },
-            "corrupt_payload" => FaultKindSpec::CorruptPayload {
-                node: v.req_u64("node")? as usize,
-                dir: dir_from_str(v.req_str("dir")?)?,
-                one_in: u32_member(v, "one_in", None)?,
-                out_of_range: v.req_bool("out_of_range")?,
-            },
-            other => return Err(format!("unknown fault kind `{other}`")),
-        };
-        Ok(FaultSpec {
-            kind,
-            from: v.req_u64("from")?,
-            until: v.opt_u64("until", 0)?,
-        })
-    }
+/// Reads a fault written by [`fault_to_json`]; `0` reads as forever.
+fn fault_from_json(v: &Json) -> Result<Fault, String> {
+    let forever = |n: u64| if n == 0 { u64::MAX } else { n };
+    let node = || v.req_u64("node").map(|n| n as usize);
+    let dir = || v.req_str("dir").and_then(dir_from_str);
+    let kind = match v.req_str("kind")? {
+        "link_down" => FaultKind::LinkDown {
+            node: node()?,
+            dir: dir()?,
+        },
+        "link_drop" => FaultKind::LinkDrop {
+            node: node()?,
+            dir: dir()?,
+            one_in: u32_member(v, "one_in", None)?,
+        },
+        "link_delay" => FaultKind::LinkDelay {
+            node: node()?,
+            dir: dir()?,
+            cycles: v.req_u64("cycles")?,
+        },
+        "hbm_stall" => FaultKind::HbmStall {
+            tile: v.req_u64("tile")? as usize,
+            channel: v.req_u64("channel")? as usize,
+            cycles: forever(v.req_u64("cycles")?),
+        },
+        "corrupt_payload" => FaultKind::CorruptPayload {
+            node: node()?,
+            dir: dir()?,
+            one_in: u32_member(v, "one_in", None)?,
+            out_of_range: v.req_bool("out_of_range")?,
+        },
+        other => return Err(format!("unknown fault kind `{other}`")),
+    };
+    let fault = Fault::new(kind).window(v.req_u64("from")?, forever(v.opt_u64("until", 0)?));
+    known_keys(v, "fault", &fault_to_json(&fault), &[])?;
+    Ok(fault)
 }
 
 /// Which engine/mode/collector combinations the oracle compares, beyond the
@@ -794,12 +738,14 @@ impl ModeMatrix {
         // `event_driven` asked for a run on the event-driven core, which
         // is what `fast_forward` selects now.
         let event_driven = v.opt_bool("event_driven", false)?;
-        Ok(ModeMatrix {
+        let modes = ModeMatrix {
             fast_forward: v.opt_bool("fast_forward", true)? || event_driven,
             recording: v.opt_bool("recording", false)?,
             graphdyns: v.opt_bool("graphdyns", false)?,
             gunrock: v.opt_bool("gunrock", false)?,
-        })
+        };
+        known_keys(v, "modes", &modes.to_json(), &["event_driven"])?;
+        Ok(modes)
     }
 }
 
@@ -846,14 +792,16 @@ impl MutationSpec {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(MutationSpec {
+        let spec = MutationSpec {
             batches: u32_member(v, "batches", None)?,
             insert_edges: u32_member(v, "insert_edges", Some(0))?,
             remove_edges: u32_member(v, "remove_edges", Some(0))?,
             add_vertices: u32_member(v, "add_vertices", Some(0))?,
             isolate_vertices: u32_member(v, "isolate_vertices", Some(0))?,
             seed: v.opt_u64("seed", 0)?,
-        })
+        };
+        known_keys(v, "mutations", &spec.to_json(), &[])?;
+        Ok(spec)
     }
 }
 
@@ -882,13 +830,15 @@ impl Expectation {
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        match v.req_str("verdict")? {
-            "converge" => Ok(Expectation::Converge),
-            "wedge" => Ok(Expectation::Wedge {
+        let expect = match v.req_str("verdict")? {
+            "converge" => Expectation::Converge,
+            "wedge" => Expectation::Wedge {
                 suspect_contains: v.req_str("suspect_contains")?.to_string(),
-            }),
-            other => Err(format!("unknown verdict `{other}`")),
-        }
+            },
+            other => return Err(format!("unknown verdict `{other}`")),
+        };
+        known_keys(v, "expect", &expect.to_json(), &[])?;
+        Ok(expect)
     }
 }
 
@@ -906,7 +856,7 @@ pub struct Scenario {
     /// Seed of the fault injector's probabilistic stream.
     pub fault_seed: u64,
     /// Scheduled faults; empty means no fault plan at all.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<Fault>,
     /// Engine/mode matrix to compare.
     pub modes: ModeMatrix,
     /// Expected outcome.
@@ -930,14 +880,13 @@ pub struct Scenario {
 impl Scenario {
     /// Checks that the scenario is runnable without building its graph:
     /// the graph spec is non-degenerate, rooted algorithms stay inside the
-    /// vertex range, PageRank has at least one iteration, and the
-    /// accelerator configuration passes
-    /// [`ScalaGraphConfig::validate`](scalagraph::ScalaGraphConfig::validate).
+    /// vertex range, PageRank has at least one iteration, a mutation
+    /// schedule has a batch and expects convergence, and the
+    /// [`run_config`](Scenario::run_config) builds and validates.
     ///
-    /// Admission layers (the serve daemon, batch front ends) call this to
-    /// refuse unusable work with a typed error *before* spending queue
-    /// capacity on it; the runner re-derives the same checks when it
-    /// actually executes.
+    /// This is the one rule set: the oracle, the runner, the executor's
+    /// workers and the serve daemon all call it before any other work,
+    /// so a scenario none of them may run is refused the same way by all.
     ///
     /// # Errors
     ///
@@ -980,19 +929,29 @@ impl Scenario {
                 );
             }
         }
-        self.config.build().map(|_| ())
+        self.run_config().map(drop)
+    }
+
+    /// The engine configuration this scenario runs: the
+    /// [`ConfigSpec::build`], then the fault plan, then one
+    /// [`ScalaGraphConfig::validate`].
+    ///
+    /// # Errors
+    ///
+    /// The first configuration or fault-window problem found.
+    pub fn run_config(&self) -> Result<ScalaGraphConfig, String> {
+        let mut cfg = self.config.build()?;
+        cfg.fault_plan = self.fault_plan();
+        cfg.validate().map_err(|e| e.to_string())?;
+        Ok(cfg)
     }
 
     /// The fault plan this scenario attaches, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        if self.faults.is_empty() {
-            return None;
-        }
-        let mut plan = FaultPlan::seeded(self.fault_seed);
-        for f in &self.faults {
-            plan = plan.with(f.to_fault());
-        }
-        Some(plan)
+        (!self.faults.is_empty()).then(|| FaultPlan {
+            seed: self.fault_seed,
+            faults: self.faults.clone(),
+        })
     }
 
     /// Serializes to the canonical pretty-printed corpus form.
@@ -1017,8 +976,8 @@ impl Scenario {
     }
 
     /// Every top-level key [`Scenario::to_json`] can emit and
-    /// [`Scenario::from_json`] reads: the scenario schema's one key list,
-    /// which strict parsers check unknown fields against.
+    /// [`Scenario::from_json`] reads: the scenario schema's one key list.
+    /// The reader refuses any other key, as it does inside every member.
     pub const KEYS: [&'static str; 11] = [
         "name",
         "graph",
@@ -1043,7 +1002,7 @@ impl Scenario {
             ("fault_seed", Json::Int(self.fault_seed)),
             (
                 "faults",
-                Json::Arr(self.faults.iter().map(|f| f.to_json()).collect()),
+                Json::Arr(self.faults.iter().map(fault_to_json).collect()),
             ),
             ("modes", self.modes.to_json()),
             ("expect", self.expect.to_json()),
@@ -1069,13 +1028,14 @@ impl Scenario {
 
     /// Parses a scenario from a JSON document.
     pub fn from_json(v: &Json) -> Result<Self, String> {
+        known_keys(v, "scenario", &Json::Null, &Self::KEYS)?;
         let faults = match v.get("faults") {
             None => Vec::new(),
             Some(arr) => arr
                 .as_array()
                 .ok_or("key `faults` must be an array")?
                 .iter()
-                .map(FaultSpec::from_json)
+                .map(fault_from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         };
         let strict_frontier = match v.get("strict_frontier") {
@@ -1135,24 +1095,17 @@ mod tests {
             },
             fault_seed: 11,
             faults: vec![
-                FaultSpec {
-                    kind: FaultKindSpec::LinkDelay {
-                        node: 5,
-                        dir: LinkDir::South,
-                        cycles: 3,
-                    },
-                    from: 0,
-                    until: 0,
-                },
-                FaultSpec {
-                    kind: FaultKindSpec::HbmStall {
-                        tile: 0,
-                        channel: 2,
-                        cycles: 0,
-                    },
-                    from: 20,
-                    until: 21,
-                },
+                Fault::new(FaultKind::LinkDelay {
+                    node: 5,
+                    dir: LinkDir::South,
+                    cycles: 3,
+                }),
+                Fault::new(FaultKind::HbmStall {
+                    tile: 0,
+                    channel: 2,
+                    cycles: u64::MAX,
+                })
+                .window(20, 21),
             ],
             modes: ModeMatrix::full(),
             expect: Expectation::Wedge {
@@ -1237,11 +1190,7 @@ mod tests {
         }
         let with_algo = |algo| Scenario { algo, ..sample() };
         let with_fault = |kind| Scenario {
-            faults: vec![FaultSpec {
-                kind,
-                from: 0,
-                until: 0,
-            }],
+            faults: vec![Fault::new(kind)],
             ..sample()
         };
         let dynamic = Scenario {
@@ -1257,12 +1206,12 @@ mod tests {
             }),
             ..sample()
         };
-        let link_drop = with_fault(FaultKindSpec::LinkDrop {
+        let link_drop = with_fault(FaultKind::LinkDrop {
             node: 0,
             dir: LinkDir::South,
             one_in: 2,
         });
-        let corrupt = with_fault(FaultKindSpec::CorruptPayload {
+        let corrupt = with_fault(FaultKind::CorruptPayload {
             node: 0,
             dir: LinkDir::South,
             one_in: 2,
@@ -1372,17 +1321,21 @@ mod tests {
     }
 
     #[test]
-    fn forever_encoding_maps_to_u64_max() {
+    fn forever_is_written_as_zero_and_read_back_as_u64_max() {
         let s = sample();
-        let plan = s.fault_plan().unwrap();
+        let text = s.to_json_string();
+        let doc = parse(&text).unwrap();
+        let faults = doc.req("faults").unwrap().as_array().unwrap();
+        assert_eq!(faults[0].req_u64("until"), Ok(0), "a permanent window");
+        assert_eq!(faults[1].req_u64("cycles"), Ok(0), "a stall without end");
+        assert_eq!(faults[1].req_u64("until"), Ok(21));
+        let plan = Scenario::from_json_str(&text)
+            .unwrap()
+            .fault_plan()
+            .unwrap();
         assert_eq!(plan.seed, 11);
-        assert_eq!(plan.faults[0].until_cycle, u64::MAX, "until 0 = permanent");
-        match plan.faults[1].kind {
-            FaultKind::HbmStall { cycles, .. } => assert_eq!(cycles, u64::MAX),
-            ref other => panic!("wrong kind {other:?}"),
-        }
-        assert_eq!(plan.faults[1].from_cycle, 20);
-        assert_eq!(plan.faults[1].until_cycle, 21);
+        assert_eq!(plan.faults, s.faults);
+        assert_eq!(plan.faults[0].until_cycle, u64::MAX);
     }
 
     #[test]
@@ -1395,17 +1348,27 @@ mod tests {
     }
 
     #[test]
-    fn config_spec_builds_and_validates() {
-        let cfg = sample().config.build().unwrap();
+    fn run_config_builds_the_config_with_its_faults_and_validates_once() {
+        let s = sample();
+        let cfg = s.run_config().unwrap();
         assert_eq!(cfg.placement.num_pes(), 64);
         assert_eq!(cfg.spd_capacity_vertices, 32);
         assert!(!cfg.inter_phase_pipelining);
-        let mut bad = sample().config;
-        bad.pes = 48;
-        assert!(bad.build().is_err());
-        bad = sample().config;
-        bad.max_scheduled_vertices = 99;
-        assert!(bad.build().is_err());
+        assert_eq!(cfg.fault_plan, s.fault_plan());
+        let mut bad = s.clone();
+        bad.config.pes = 48;
+        assert!(bad.config.build().is_err());
+        bad = s.clone();
+        bad.config.max_scheduled_vertices = 99;
+        assert!(
+            bad.config.build().is_ok(),
+            "build leaves checks to validate"
+        );
+        assert!(bad.run_config().unwrap_err().contains("scheduler width"));
+        // An empty fault window is a scenario rule like any other.
+        bad = s;
+        bad.faults[1] = bad.faults[1].window(10, 5);
+        assert!(bad.run_config().unwrap_err().contains("[10, 5) is empty"));
     }
 
     #[test]
@@ -1471,6 +1434,72 @@ mod tests {
         let mut tiny = ok.clone();
         tiny.graph.family = Family::Path { vertices: 1 };
         assert!(tiny.validate().unwrap_err().contains("at least 2"));
+
+        let mut empty_window = ok.clone();
+        empty_window.faults[1] = empty_window.faults[1].window(10, 5);
+        assert!(empty_window.validate().unwrap_err().contains("is empty"));
+    }
+
+    #[test]
+    fn unknown_keys_inside_every_member_are_refused_by_name() {
+        let mut s = sample();
+        s.mutations = Some(MutationSpec {
+            batches: 1,
+            insert_edges: 1,
+            remove_edges: 0,
+            add_vertices: 0,
+            isolate_vertices: 0,
+            seed: 1,
+        });
+        let text = s.to_json().compact();
+        let cases = [
+            ("\"weight_seed\":", "graph"),
+            ("\"root\":", "algo"),
+            ("\"watchdog_stall_cycles\":", "config"),
+            ("\"latency_cycles\":", "memory"),
+            ("\"tile\":", "fault"),
+            ("\"gunrock\":", "modes"),
+            ("\"suspect_contains\":", "expect"),
+            ("\"isolate_vertices\":", "mutations"),
+            ("\"fault_seed\":", "scenario"),
+        ];
+        for (member, what) in cases {
+            assert!(text.contains(member), "{member}");
+            let typo = text.replacen(member, &format!("\"typo\":0,{member}"), 1);
+            let err = Scenario::from_json_str(&typo).unwrap_err();
+            assert_eq!(err, format!("unknown {what} key `typo`"), "{typo}");
+        }
+        // A misspelt optional key no longer falls back to its default.
+        let misspelt = text.replacen("watchdog_stall_cycles", "watchdog_stall_cycle", 1);
+        assert!(Scenario::from_json_str(&misspelt)
+            .unwrap_err()
+            .contains("unknown config key `watchdog_stall_cycle`"));
+        // A key of another variant is unknown to this one.
+        let cc = text.replacen("\"kind\":\"sssp\"", "\"kind\":\"cc\"", 1);
+        assert_eq!(
+            Scenario::from_json_str(&cc).unwrap_err(),
+            "unknown algo key `root`"
+        );
+        // The retired alias stays a known key.
+        let alias = text.replacen("\"gunrock\":", "\"event_driven\":true,\"gunrock\":", 1);
+        assert_eq!(Scenario::from_json_str(&alias).unwrap(), s);
+    }
+
+    #[test]
+    fn a_graph_too_large_to_hold_is_an_error_not_an_abort() {
+        let spec = GraphSpec {
+            family: Family::Uniform {
+                vertices: 64,
+                edges: 1 << 58,
+                seed: 1,
+            },
+            symmetrize: false,
+            max_weight: 0,
+            weight_seed: 0,
+            source: GraphSource::Generate,
+        };
+        let err = spec.build().unwrap_err();
+        assert!(err.contains("cannot hold"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Cycle-level on-chip interconnect simulators (mesh, crossbar, Benes).
 //!
-//! Implemented in the modules below; see crate docs in each. The mesh
-//! additionally supports injected link faults ([`LinkFault`]) for
-//! robustness testing.
+//! Implemented in the modules below; see crate docs in each.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -13,5 +11,5 @@ pub mod stats;
 
 pub use butterfly::{BflyPacket, Butterfly};
 pub use crossbar::{Crossbar, CrossbarKind};
-pub use mesh::{LinkFault, LinkLoad, Mesh, MeshConfig, Packet};
+pub use mesh::{Mesh, MeshConfig, Packet};
 pub use stats::NocStats;

@@ -7,7 +7,7 @@
 //! id+value pair, well within one link width).
 
 use crate::stats::NocStats;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A single-flit packet carrying an opaque payload to a destination node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,49 +129,12 @@ impl Router {
 /// }
 /// assert_eq!(mesh.pop_delivered(15).unwrap().payload, 1);
 /// ```
-/// An injected fault on one directed mesh link (fault-injection testing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkFault {
-    /// The link carries nothing: packets heading across it stay queued
-    /// upstream (zero credit).
-    Down,
-    /// The link silently discards one packet in `one_in` (`one_in <= 1`
-    /// drops every packet); survivors cross normally.
-    Lossy {
-        /// Drop one packet in this many.
-        one_in: u32,
-    },
-}
-
-/// Cumulative traffic of one directed mesh link, for utilization heatmaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkLoad {
-    /// Source router of the directed link.
-    pub from: usize,
-    /// Destination router.
-    pub to: usize,
-    /// Packets that crossed the link (including ones a lossy fault then
-    /// discarded — they still occupied the link).
-    pub traversals: u64,
-    /// Cycles the link wanted to carry a packet but could not (downstream
-    /// queue full, bubble reserved, or link downed).
-    pub blocked_cycles: u64,
-}
-
 #[derive(Debug, Clone)]
 pub struct Mesh {
     config: MeshConfig,
     routers: Vec<Router>,
     stats: NocStats,
     now: u64,
-    /// Injected faults keyed by directed link `(from_node, to_node)`.
-    link_faults: HashMap<(usize, usize), LinkFault>,
-    /// Xorshift state for lossy-link decisions (deterministic).
-    fault_rng: u64,
-    /// Cumulative traversals per directed link, `node * 4 + (dir - 1)`.
-    link_hops: Vec<u64>,
-    /// Cycles each directed link had a contender but granted nothing.
-    link_blocked: Vec<u64>,
 }
 
 impl Mesh {
@@ -187,50 +150,8 @@ impl Mesh {
             routers: (0..config.nodes()).map(|_| Router::new()).collect(),
             stats: NocStats::default(),
             now: 0,
-            link_faults: HashMap::new(),
-            fault_rng: 0x9e3779b97f4a7c15,
-            link_hops: vec![0; config.nodes() * 4],
-            link_blocked: vec![0; config.nodes() * 4],
             config,
         }
-    }
-
-    /// Installs (or with `None` clears) a fault on the directed link from
-    /// `from` to its neighbor `to`. Faulting a non-adjacent pair is allowed
-    /// but has no effect — no packet ever crosses such a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn set_link_fault(&mut self, from: usize, to: usize, fault: Option<LinkFault>) {
-        assert!(from < self.config.nodes(), "fault source out of range");
-        assert!(to < self.config.nodes(), "fault target out of range");
-        match fault {
-            Some(f) => {
-                self.link_faults.insert((from, to), f);
-            }
-            None => {
-                self.link_faults.remove(&(from, to));
-            }
-        }
-    }
-
-    /// Re-seeds the deterministic lossy-link stream.
-    pub fn seed_faults(&mut self, seed: u64) {
-        // Zero would freeze the xorshift stream.
-        self.fault_rng = seed | 1;
-    }
-
-    fn fault_hits(&mut self, one_in: u32) -> bool {
-        if one_in <= 1 {
-            return true;
-        }
-        let mut x = self.fault_rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.fault_rng = x;
-        x.is_multiple_of(one_in as u64)
     }
 
     /// The mesh configuration.
@@ -426,11 +347,7 @@ impl Mesh {
                             1
                         };
                         let (n, port) = self.neighbor(node, dir);
-                        if matches!(self.link_faults.get(&(node, n)), Some(LinkFault::Down)) {
-                            // A downed link grants nothing; the contender
-                            // counts as blocked below.
-                            false
-                        } else if free[n][port] >= needed {
+                        if free[n][port] >= needed {
                             free[n][port] -= 1;
                             true
                         } else {
@@ -445,9 +362,6 @@ impl Mesh {
                 }
                 if contenders > 1 || (contenders == 1 && !granted) {
                     self.stats.conflict_cycles += (contenders - usize::from(granted)) as u64;
-                }
-                if dir != Dir::Eject && contenders > 0 && !granted {
-                    self.link_blocked[node * 4 + di - 1] += 1;
                 }
             }
         }
@@ -467,16 +381,6 @@ impl Mesh {
                 }
                 _ => {
                     let (n, in_port) = self.neighbor(node, dir);
-                    self.link_hops[node * 4 + dir_index(dir) - 1] += 1;
-                    if !self.link_faults.is_empty() {
-                        if let Some(&LinkFault::Lossy { one_in }) = self.link_faults.get(&(node, n))
-                        {
-                            if self.fault_hits(one_in) {
-                                self.stats.packets_dropped += 1;
-                                continue;
-                            }
-                        }
-                    }
                     self.routers[n].inputs[in_port].push_back(pkt);
                 }
             }
@@ -507,34 +411,6 @@ impl Mesh {
     /// Cumulative statistics.
     pub fn stats(&self) -> NocStats {
         self.stats
-    }
-
-    /// Cumulative per-link traffic, one entry per directed link that ever
-    /// carried or refused a packet, in node order.
-    pub fn link_loads(&self) -> Vec<LinkLoad> {
-        let dirs = [Dir::North, Dir::South, Dir::West, Dir::East];
-        let mut loads = Vec::new();
-        for node in 0..self.config.nodes() {
-            for (k, &dir) in dirs.iter().enumerate() {
-                let (traversals, blocked) = (
-                    self.link_hops[node * 4 + k],
-                    self.link_blocked[node * 4 + k],
-                );
-                if traversals == 0 && blocked == 0 {
-                    continue;
-                }
-                // Only query the neighbor for links that saw traffic: edge
-                // nodes of a non-wrapped mesh have no neighbor in every
-                // direction, and such links can never be used or blocked.
-                loads.push(LinkLoad {
-                    from: node,
-                    to: self.neighbor(node, dir).0,
-                    traversals,
-                    blocked_cycles: blocked,
-                });
-            }
-        }
-        loads
     }
 
     /// Hop distance between two nodes (plus one ejection hop): Manhattan
@@ -823,119 +699,6 @@ mod tests {
             torus_sum * 100 < mesh_sum * 85,
             "torus {torus_sum} mesh {mesh_sum}"
         );
-    }
-
-    #[test]
-    fn down_link_blocks_until_cleared() {
-        let mut m = Mesh::new(MeshConfig::new(1, 2));
-        m.set_link_fault(0, 1, Some(LinkFault::Down));
-        m.try_inject(
-            0,
-            Packet {
-                dst: 1,
-                payload: 7,
-                inject_cycle: 0,
-            },
-        );
-        for _ in 0..50 {
-            m.step();
-        }
-        assert!(
-            m.pop_delivered(1).is_none(),
-            "downed link must carry nothing"
-        );
-        assert!(!m.in_flight_empty(), "packet stays queued upstream");
-        assert!(m.stats().conflict_cycles > 0);
-        m.set_link_fault(0, 1, None);
-        let p = run_until_delivered(&mut m, 1, 10).unwrap();
-        assert_eq!(p.payload, 7);
-    }
-
-    #[test]
-    fn lossy_link_drops_deterministically() {
-        let mut m = Mesh::new(MeshConfig::new(1, 2));
-        m.set_link_fault(0, 1, Some(LinkFault::Lossy { one_in: 1 }));
-        m.try_inject(
-            0,
-            Packet {
-                dst: 1,
-                payload: 1,
-                inject_cycle: 0,
-            },
-        );
-        for _ in 0..20 {
-            m.step();
-        }
-        assert!(m.pop_delivered(1).is_none());
-        assert_eq!(m.stats().packets_dropped, 1);
-        assert!(m.in_flight_empty(), "the drop consumed the packet");
-        // Faults only touch their own link: the reverse direction works.
-        m.try_inject(
-            1,
-            Packet {
-                dst: 0,
-                payload: 2,
-                inject_cycle: 0,
-            },
-        );
-        let p = run_until_delivered(&mut m, 0, 10).unwrap();
-        assert_eq!(p.payload, 2);
-        assert_eq!(m.stats().packets_dropped, 1);
-    }
-
-    #[test]
-    fn link_loads_track_traffic_and_blockage() {
-        let mut m = Mesh::new(MeshConfig::new(1, 3));
-        // 0 -> 2 crosses links 0->1 and 1->2 exactly once each.
-        m.try_inject(
-            0,
-            Packet {
-                dst: 2,
-                payload: 1,
-                inject_cycle: 0,
-            },
-        );
-        for _ in 0..10 {
-            m.step();
-        }
-        let loads = m.link_loads();
-        assert_eq!(loads.len(), 2);
-        assert!(loads.contains(&LinkLoad {
-            from: 0,
-            to: 1,
-            traversals: 1,
-            blocked_cycles: 0
-        }));
-        assert!(loads.contains(&LinkLoad {
-            from: 1,
-            to: 2,
-            traversals: 1,
-            blocked_cycles: 0
-        }));
-        let total: u64 = loads.iter().map(|l| l.traversals).sum();
-        // Every hop except the final ejection crossed a link.
-        assert_eq!(total, m.stats().flit_hops - 1);
-
-        // A downed link accrues blocked cycles instead of traversals.
-        let mut m = Mesh::new(MeshConfig::new(1, 2));
-        m.set_link_fault(0, 1, Some(LinkFault::Down));
-        m.try_inject(
-            0,
-            Packet {
-                dst: 1,
-                payload: 2,
-                inject_cycle: 0,
-            },
-        );
-        for _ in 0..8 {
-            m.step();
-        }
-        let loads = m.link_loads();
-        assert_eq!(loads.len(), 1);
-        assert_eq!(loads[0].from, 0);
-        assert_eq!(loads[0].to, 1);
-        assert_eq!(loads[0].traversals, 0);
-        assert_eq!(loads[0].blocked_cycles, 8);
     }
 
     #[test]

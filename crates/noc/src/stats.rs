@@ -18,8 +18,6 @@ pub struct NocStats {
     /// Cycles in which a head-of-queue packet lost arbitration or was
     /// blocked by back-pressure (a routing conflict in the paper's terms).
     pub conflict_cycles: u64,
-    /// Packets discarded by an injected lossy-link fault.
-    pub packets_dropped: u64,
     /// Cycles simulated.
     pub cycles: u64,
 }

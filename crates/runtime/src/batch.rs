@@ -439,4 +439,46 @@ mod tests {
             report.outcomes[0]
         );
     }
+
+    #[test]
+    fn invalid_scenarios_are_refused_before_their_graph_is_built() {
+        let mut bad_root = healthy("bad-root");
+        bad_root.algo = AlgoSpec::Bfs { root: 10_000 };
+        let mut empty_window = wedge("empty-window");
+        empty_window.faults[0] = empty_window.faults[0].window(10, 5);
+        let runtime = BatchRuntime::new(RuntimeConfig::default());
+        let report = runtime.run(vec![JobSpec::new(bad_root), JobSpec::new(empty_window)]);
+        assert!(report.balanced(), "{}", report.render());
+        assert_eq!(report.counters.failed, 2, "{}", report.render());
+        for outcome in &report.outcomes {
+            assert!(
+                outcome.to_string().contains("malformed scenario"),
+                "{outcome}"
+            );
+        }
+        assert_eq!(runtime.graph_cache().stats().builds, 0);
+    }
+
+    #[test]
+    fn a_graph_too_large_to_hold_fails_malformed_without_a_budget() {
+        let mut huge = healthy("huge");
+        huge.graph.family = Family::Uniform {
+            vertices: 64,
+            edges: 1 << 58,
+            seed: 1,
+        };
+        let runtime = BatchRuntime::with_graph_cache(
+            RuntimeConfig::default(),
+            Arc::new(GraphCache::with_byte_budget(8, 0)),
+        );
+        let report = runtime.run(vec![JobSpec::new(huge)]);
+        assert!(report.balanced(), "{}", report.render());
+        assert!(
+            report.outcomes[0]
+                .to_string()
+                .contains("malformed scenario: cannot hold"),
+            "{}",
+            report.outcomes[0]
+        );
+    }
 }

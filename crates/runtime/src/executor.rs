@@ -9,10 +9,13 @@
 //!   with a typed [`Rejection`], answered inline by `submit`;
 //! * a supervisor thread expires per-job wall-clock deadlines into the
 //!   simulator's cooperative [`CancelToken`];
-//! * before fetching a graph, a job whose
-//!   [`estimated_graph_bytes`] exceed the graph cache's byte budget is
-//!   refused as [`FailureReason::OverBudget`]: a typed refusal, never a
-//!   smaller graph than the one asked for;
+//! * a worker takes each job through drain, validate, budget, fetch: a
+//!   job whose scenario fails
+//!   [`Scenario::validate`](scalagraph_conformance::Scenario::validate) is
+//!   refused as [`FailureReason::Malformed`], and one whose
+//!   [`estimated_graph_bytes`] exceed the graph cache's byte budget as
+//!   [`FailureReason::OverBudget`], both before any graph is built — a
+//!   typed refusal, never a smaller graph than the one asked for;
 //! * graphs come from the shared [`GraphCache`], one build per spec;
 //! * each job runs under one `catch_unwind`, graph build included, so a
 //!   panicking job is one `Failed(Panicked)` outcome and its worker keeps
@@ -257,6 +260,9 @@ impl Pool {
         // any work is spent.
         if self.draining.load(Ordering::Acquire) {
             return JobStatus::Cancelled { at_cycle: None };
+        }
+        if let Err(message) = spec.scenario.validate() {
+            return failed(FailureReason::Malformed { message });
         }
         let budget = self.graphs.byte_budget();
         let estimated = estimated_graph_bytes(&spec.scenario.graph);

@@ -349,39 +349,26 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_build_releases_its_flight() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        // 2^62 edges overflow the generator's edge buffer, which panics
-        // with "capacity overflow" before allocating anything.
-        let mut bomb = spec(1);
-        bomb.family = Family::Uniform {
+    fn an_unholdable_build_is_a_cached_typed_error() {
+        // 2^62 edges cannot be reserved: the build fails typed, before any
+        // generator runs, and the failure is cached like any result.
+        let mut huge = spec(1);
+        huge.family = Family::Uniform {
             vertices: 2,
             edges: 1 << 62,
             seed: 1,
         };
-        let cache = Arc::new(GraphCache::new(8));
-        assert!(catch_unwind(AssertUnwindSafe(|| cache.fetch(&bomb))).is_err());
-        // The same spec from another thread builds anew (and panics again)
-        // instead of waiting for a build that will never publish.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (shared, again) = (Arc::clone(&cache), bomb.clone());
-        let second = std::thread::spawn(move || {
-            let fetched = catch_unwind(AssertUnwindSafe(|| shared.fetch(&again)));
-            let _ = tx.send(fetched.is_err());
-        });
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(10)),
-            Ok(true),
-            "the second fetch must not wait on the abandoned flight"
-        );
-        second.join().expect("the second fetch's thread");
+        let cache = GraphCache::new(8);
+        let Err(err) = cache.fetch(&huge) else {
+            panic!("the build fails");
+        };
+        assert!(err.contains("cannot hold"), "{err}");
+        assert_eq!(cache.fetch(&huge).err(), Some(err), "served from the cache");
+        assert_eq!(cache.stats().builds, 0);
         assert!(
             cache.fetch(&spec(2)).unwrap().built,
             "other specs still build"
         );
-        let stats = cache.stats();
-        assert_eq!((stats.builds, stats.misses, stats.hits), (1, 3, 0));
-        assert_eq!(cache.len(), 1, "nothing is cached for the panicking spec");
     }
 
     #[test]

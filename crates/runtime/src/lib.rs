@@ -73,7 +73,7 @@ pub use job::{
     FailureReason, JobId, JobMetrics, JobOutcome, JobSpec, JobStatus, Priority, Rejection,
 };
 pub use queue::AdmissionQueue;
-pub use runner::{run_attempt, run_attempt_on, AttemptError, AttemptOverrides};
+pub use runner::{run_attempt_on, AttemptError, AttemptOverrides};
 
 use std::sync::{LockResult, MutexGuard};
 
@@ -85,9 +85,8 @@ fn recover<T>(lock: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use scalagraph_conformance::scenario::{
-        AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, ModeMatrix,
-    };
+    use scalagraph::fault::{Fault, FaultKind};
+    use scalagraph_conformance::scenario::{AlgoSpec, ConfigSpec, Expectation, Family, ModeMatrix};
     use scalagraph_conformance::{GraphSource, GraphSpec, Scenario};
 
     /// A small scenario that converges in milliseconds.
@@ -129,15 +128,12 @@ pub(crate) mod test_support {
         };
         s.config.watchdog_stall_cycles = 0;
         s.modes.fast_forward = false;
-        s.faults = vec![FaultSpec {
-            kind: FaultKindSpec::HbmStall {
-                tile: 0,
-                channel: 0,
-                cycles: 0, // pins the channel forever once applied
-            },
-            from: 20,
-            until: 21,
-        }];
+        s.faults = vec![Fault::new(FaultKind::HbmStall {
+            tile: 0,
+            channel: 0,
+            cycles: u64::MAX, // pins the channel forever once applied
+        })
+        .window(20, 21)];
         s.fault_seed = 1;
         s.expect = Expectation::Wedge {
             suspect_contains: String::new(),

@@ -1,8 +1,8 @@
 //! One attempt of one scenario under runtime control.
 //!
 //! The runner is the bridge between the executor and the simulator: it
-//! builds the scenario exactly the way the conformance oracle does (same
-//! graph construction, same config assembly, same root checks), then runs
+//! checks and builds the scenario exactly the way the conformance oracle
+//! does ([`Scenario::validate`], then [`Scenario::run_config`]), then runs
 //! the ScalaGraph engine *cancellably* — threading the worker's
 //! [`CancelToken`] and any configured cycle ceiling into the hot loop.
 
@@ -11,7 +11,7 @@ use scalagraph_algo::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp, Wide
 use scalagraph_algo::Algorithm;
 use scalagraph_conformance::materialize_batch;
 use scalagraph_conformance::scenario::AlgoSpec;
-use scalagraph_conformance::Scenario;
+use scalagraph_conformance::{MutationSpec, Scenario};
 use scalagraph_graph::mutate::DynamicCsr;
 use scalagraph_graph::Csr;
 
@@ -29,49 +29,34 @@ pub struct AttemptOverrides {
 /// Why an attempt did not complete.
 #[derive(Debug)]
 pub enum AttemptError {
-    /// The scenario itself is unusable (bad graph spec, out-of-range
-    /// root, invalid config).
+    /// The scenario itself is unusable: it fails [`Scenario::validate`],
+    /// or its graph or mutation schedule cannot be built.
     Malformed(String),
     /// The simulation surfaced a typed error — including cooperative
     /// `Cancelled` / `DeadlineExceeded` terminations.
     Sim(SimError),
 }
 
-/// Runs one attempt of `scenario`, polling `token` every simulated cycle.
-///
-/// Builds the scenario's graph itself; callers that share graphs across
-/// jobs should resolve the graph through a
-/// [`GraphCache`](crate::GraphCache) and call [`run_attempt_on`] instead.
+/// Runs one attempt of `scenario` on `graph`, polling `token` every
+/// simulated cycle. The scenario is validated first, so a malformed one is
+/// refused before any work. The graph must be the one `scenario.graph`
+/// builds — the caller owns that invariant (a
+/// [`GraphCache`](crate::GraphCache) keyed by `GraphSpec` provides it by
+/// construction). The simulator never mutates its input graph, so one
+/// immutable CSR can back any number of concurrent attempts.
 ///
 /// # Errors
 ///
 /// [`AttemptError::Malformed`] for unusable scenarios,
 /// [`AttemptError::Sim`] for every in-simulation termination (faults,
 /// wedges, cancellation, deadlines).
-pub fn run_attempt(
-    scenario: &Scenario,
-    overrides: AttemptOverrides,
-    token: &CancelToken,
-) -> Result<JobMetrics, AttemptError> {
-    let graph = scenario.graph.build().map_err(AttemptError::Malformed)?;
-    run_attempt_on(scenario, &graph, overrides, token)
-}
-
-/// [`run_attempt`] against a prebuilt (typically cached, shared) graph.
-/// The graph must be the one `scenario.graph` builds — the caller owns that
-/// invariant (a [`GraphCache`](crate::GraphCache) keyed by `GraphSpec`
-/// provides it by construction). The simulator never mutates its input
-/// graph, so one immutable CSR can back any number of concurrent attempts.
-///
-/// # Errors
-///
-/// Same contract as [`run_attempt`].
 pub fn run_attempt_on(
     scenario: &Scenario,
     graph: &Csr,
     overrides: AttemptOverrides,
     token: &CancelToken,
 ) -> Result<JobMetrics, AttemptError> {
+    scenario.validate().map_err(AttemptError::Malformed)?;
     // A mutation schedule runs the simulation against the final mutated
     // snapshot. The cached base graph stays shared and immutable: the
     // schedule is replayed onto a private copy per attempt, while the
@@ -79,29 +64,17 @@ pub fn run_attempt_on(
     // memoization distinct across schedules sharing one base graph.
     let mutated;
     let graph = match scenario.mutations {
-        Some(_) => {
-            mutated = mutated_snapshot(scenario, graph).map_err(AttemptError::Malformed)?;
+        Some(spec) => {
+            mutated = mutated_snapshot(scenario, spec, graph).map_err(AttemptError::Malformed)?;
             &mutated
         }
         None => graph,
     };
-    let n = graph.num_vertices() as u32;
-    let root_ok = |root: u32| {
-        if root < n {
-            Ok(())
-        } else {
-            Err(AttemptError::Malformed(format!(
-                "root {root} out of range for {n} vertices"
-            )))
-        }
-    };
     match scenario.algo {
         AlgoSpec::Bfs { root } => {
-            root_ok(root)?;
             run_typed(scenario, graph, &Bfs::from_root(root), overrides, token)
         }
         AlgoSpec::Sssp { root } => {
-            root_ok(root)?;
             run_typed(scenario, graph, &Sssp::from_root(root), overrides, token)
         }
         AlgoSpec::Cc => run_typed(
@@ -112,38 +85,24 @@ pub fn run_attempt_on(
             token,
         ),
         AlgoSpec::PageRank { iters } => {
-            if iters == 0 {
-                return Err(AttemptError::Malformed(
-                    "pagerank needs at least 1 iteration".into(),
-                ));
-            }
             run_typed(scenario, graph, &PageRank::new(iters), overrides, token)
         }
-        AlgoSpec::WidestPath { root } => {
-            root_ok(root)?;
-            run_typed(
-                scenario,
-                graph,
-                &WidestPath::from_root(root),
-                overrides,
-                token,
-            )
-        }
+        AlgoSpec::WidestPath { root } => run_typed(
+            scenario,
+            graph,
+            &WidestPath::from_root(root),
+            overrides,
+            token,
+        ),
     }
 }
 
-/// Replays the scenario's full mutation schedule onto a copy of `base`
-/// and returns the final canonical snapshot. Batches are materialized from
-/// the seeded [`MutationSpec`](scalagraph_conformance::MutationSpec)
-/// exactly the way the conformance dynamic oracle does, so runtime jobs
-/// and oracle replays agree on the graph every schedule produces.
-fn mutated_snapshot(scenario: &Scenario, base: &Csr) -> Result<Csr, String> {
-    let Some(spec) = scenario.mutations else {
-        return Ok(base.clone());
-    };
-    if spec.batches == 0 {
-        return Err("mutation schedule needs at least 1 batch".into());
-    }
+/// Replays the scenario's full mutation schedule `spec` onto a copy of
+/// `base` and returns the final canonical snapshot. Batches are
+/// materialized from the seeded [`MutationSpec`] exactly the way the
+/// conformance dynamic oracle does, so runtime jobs and oracle replays
+/// agree on the graph every schedule produces.
+fn mutated_snapshot(scenario: &Scenario, spec: MutationSpec, base: &Csr) -> Result<Csr, String> {
     let mut dynamic = DynamicCsr::new(base.clone());
     for batch_index in 1..=spec.batches {
         let batch = materialize_batch(
@@ -166,8 +125,7 @@ fn run_typed<A: Algorithm>(
     overrides: AttemptOverrides,
     token: &CancelToken,
 ) -> Result<JobMetrics, AttemptError> {
-    let mut cfg = scenario.config.build().map_err(AttemptError::Malformed)?;
-    cfg.fault_plan = scenario.fault_plan();
+    let mut cfg = scenario.run_config().map_err(AttemptError::Malformed)?;
     cfg.fast_forward = scenario.modes.fast_forward;
     if let Some(limit) = overrides.cycle_limit {
         cfg.cycle_limit = Some(cfg.cycle_limit.map_or(limit, |own| own.min(limit)));
@@ -188,6 +146,15 @@ mod tests {
 
     fn scenario() -> Scenario {
         crate::test_support::healthy("runner-test")
+    }
+
+    fn run_attempt(
+        s: &Scenario,
+        overrides: AttemptOverrides,
+        token: &CancelToken,
+    ) -> Result<JobMetrics, AttemptError> {
+        let graph = s.graph.build().map_err(AttemptError::Malformed)?;
+        run_attempt_on(s, &graph, overrides, token)
     }
 
     #[test]
@@ -223,6 +190,17 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_fault_window_is_malformed_not_a_sim_error() {
+        let mut s = crate::test_support::wedge("empty-window");
+        s.faults[0] = s.faults[0].window(10, 5);
+        let token = CancelToken::new();
+        match run_attempt(&s, AttemptOverrides::default(), &token) {
+            Err(AttemptError::Malformed(msg)) => assert!(msg.contains("is empty"), "{msg}"),
+            other => panic!("expected malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn cycle_limit_override_surfaces_deadline_exceeded() {
         let token = CancelToken::new();
         let overrides = AttemptOverrides {
@@ -251,7 +229,6 @@ mod tests {
 
     #[test]
     fn a_mutation_schedule_runs_on_the_mutated_snapshot() {
-        use scalagraph_conformance::MutationSpec;
         let mut s = scenario();
         s.mutations = Some(MutationSpec {
             batches: 3,
@@ -287,7 +264,6 @@ mod tests {
 
     #[test]
     fn schedules_share_a_cached_base_graph_but_not_a_fingerprint() {
-        use scalagraph_conformance::MutationSpec;
         let spec = |seed: u64| {
             let mut s = scenario();
             s.mutations = Some(MutationSpec {
@@ -322,7 +298,6 @@ mod tests {
 
     #[test]
     fn an_empty_mutation_schedule_is_malformed() {
-        use scalagraph_conformance::MutationSpec;
         let mut s = scenario();
         s.mutations = Some(MutationSpec {
             batches: 0,

@@ -194,24 +194,24 @@ impl Shared {
     }
 
     /// Handles one parsed request and returns the single-line response
-    /// body. Blocking: a `run` request waits for its terminal reply.
-    fn answer(&self, request: Request) -> String {
+    /// body, or the typed refusal. Blocking: a `run` request waits for its
+    /// terminal reply.
+    fn answer(&self, request: Request) -> Result<String, ErrorReply> {
         match request {
-            Request::Control(Control::Ping) => control_response("pong", None),
-            Request::Control(Control::Metrics) => {
-                control_response("metrics", Some(("text", Json::Str(self.metrics_text()))))
-            }
+            Request::Control(Control::Ping) => Ok(control_response("pong", None)),
+            Request::Control(Control::Metrics) => Ok(control_response(
+                "metrics",
+                Some(("text", Json::Str(self.metrics_text()))),
+            )),
             Request::Control(Control::Shutdown) => {
                 self.request_stop();
-                control_response("shutdown", None)
+                Ok(control_response("shutdown", None))
             }
             Request::Run {
                 scenario,
                 priority,
                 deadline_ms,
-            } => self
-                .run(*scenario, priority, deadline_ms)
-                .unwrap_or_else(|refusal| refusal.to_response()),
+            } => self.run(*scenario, priority, deadline_ms),
         }
     }
 
@@ -269,11 +269,17 @@ impl Shared {
         Ok(ok_response(&result, false, outcome.wall_ms))
     }
 
-    fn count_response(&self, body: &str) {
-        if body.starts_with("{\"ok\":true") {
-            self.metrics.request_ok();
-        } else {
-            self.metrics.request_error();
+    /// Counts one answered request, then renders its body.
+    fn respond(&self, answer: Result<String, ErrorReply>) -> String {
+        match answer {
+            Ok(body) => {
+                self.metrics.request_ok();
+                body
+            }
+            Err(refusal) => {
+                self.metrics.request_error();
+                refusal.to_response()
+            }
         }
     }
 }
@@ -347,9 +353,8 @@ fn read_line(reader: &mut ConnReader<'_>, pending: &mut Vec<u8>, cap: usize) -> 
 /// One jsonl session: every line in, one response line out.
 fn serve_jsonl(shared: &Shared, mut stream: TcpStream, mut pending: Vec<u8>) {
     use std::io::Write as _;
-    let write_line = |stream: &mut TcpStream, body: &str| -> bool {
-        shared.count_response(body);
-        let framed = format!("{body}\n");
+    let write_line = |stream: &mut TcpStream, answer: Result<String, ErrorReply>| -> bool {
+        let framed = format!("{}\n", shared.respond(answer));
         shared.metrics.add_bytes_out(framed.len() as u64);
         stream.write_all(framed.as_bytes()).is_ok() && stream.flush().is_ok()
     };
@@ -362,8 +367,10 @@ fn serve_jsonl(shared: &Shared, mut stream: TcpStream, mut pending: Vec<u8>) {
             LineRead::End => return,
             LineRead::Oversized => {
                 // Framing is lost past an oversized line: answer, then close.
-                let body = ErrorReply::oversized(shared.max_body_bytes).to_response();
-                let _ = write_line(&mut stream, &body);
+                let _ = write_line(
+                    &mut stream,
+                    Err(ErrorReply::oversized(shared.max_body_bytes)),
+                );
                 return;
             }
             LineRead::Line(raw) => {
@@ -371,20 +378,10 @@ fn serve_jsonl(shared: &Shared, mut stream: TcpStream, mut pending: Vec<u8>) {
                     continue;
                 }
                 shared.metrics.add_bytes_in(raw.len() as u64);
-                let text = String::from_utf8_lossy(&raw).into_owned();
-                let response = match parse_jsonl_request(&text) {
-                    Ok(request) => {
-                        let is_shutdown = matches!(request, Request::Control(Control::Shutdown));
-                        let body = shared.answer(request);
-                        let ok = write_line(&mut stream, &body);
-                        if is_shutdown || !ok {
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(refusal) => refusal.to_response(),
-                };
-                if !write_line(&mut stream, &response) {
+                let request = parse_jsonl_request(&String::from_utf8_lossy(&raw));
+                let is_shutdown = matches!(request, Ok(Request::Control(Control::Shutdown)));
+                let answer = request.and_then(|request| shared.answer(request));
+                if !write_line(&mut stream, answer) || is_shutdown {
                     return;
                 }
             }
@@ -398,92 +395,61 @@ fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
     let request = match http::read_request(&pending, &mut reader, shared.max_body_bytes) {
         Ok(request) => request,
         Err(http::HttpError::Oversized { unread }) => {
-            let refusal = ErrorReply::oversized(shared.max_body_bytes);
-            respond_http(shared, &mut stream, &refusal.to_response(), Some(&refusal));
+            respond_http(
+                shared,
+                &mut stream,
+                Err(ErrorReply::oversized(shared.max_body_bytes)),
+            );
             http::drain(&mut stream, unread);
             return;
         }
         Err(http::HttpError::Malformed(message)) => {
-            let refusal = ErrorReply::bad_request(message);
-            respond_http(shared, &mut stream, &refusal.to_response(), Some(&refusal));
+            respond_http(shared, &mut stream, Err(ErrorReply::bad_request(message)));
             return;
         }
         Err(http::HttpError::Io(_)) => return,
     };
     shared.metrics.add_bytes_in(request.body.len() as u64);
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/run") => {
-            let body = match parse(&request.body)
-                .map_err(ErrorReply::malformed_json)
-                .and_then(|v| parse_scenario_strict(&v))
-            {
-                Ok(scenario) => shared.answer(Request::Run {
+    let answer = match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/run") => parse(&request.body)
+            .map_err(ErrorReply::malformed_json)
+            .and_then(|v| parse_scenario_strict(&v))
+            .and_then(|scenario| {
+                shared.answer(Request::Run {
                     scenario: Box::new(scenario),
                     priority: Priority::Normal,
                     deadline_ms: None,
-                }),
-                Err(refusal) => refusal.to_response(),
-            };
-            respond_http(shared, &mut stream, &body, None);
-        }
+                })
+            }),
         ("GET", "/metrics") => {
             let text = shared.metrics_text();
-            shared.count_response("{\"ok\":true");
+            shared.metrics.request_ok();
             let written =
                 http::write_response(&mut stream, 200, "OK", "text/plain; charset=utf-8", &text);
             if let Ok(n) = written {
                 shared.metrics.add_bytes_out(n);
             }
+            return;
         }
-        ("POST", "/shutdown") => {
-            let body = shared.answer(Request::Control(Control::Shutdown));
-            respond_http(shared, &mut stream, &body, None);
-        }
+        ("POST", "/shutdown") => shared.answer(Request::Control(Control::Shutdown)),
         (method, path @ ("/run" | "/metrics" | "/shutdown")) => {
-            let refusal = ErrorReply::method_not_allowed(method, path);
-            respond_http(shared, &mut stream, &refusal.to_response(), Some(&refusal));
+            Err(ErrorReply::method_not_allowed(method, path))
         }
-        (_, path) => {
-            let refusal = ErrorReply::not_found(path);
-            respond_http(shared, &mut stream, &refusal.to_response(), Some(&refusal));
-        }
-    }
-}
-
-/// Writes a JSON body with the right status line and counts it.
-fn respond_http(shared: &Shared, stream: &mut TcpStream, body: &str, refusal: Option<&ErrorReply>) {
-    shared.count_response(body);
-    let (status, reason) = match refusal {
-        Some(refusal) => refusal.http_status(),
-        None => {
-            if body.starts_with("{\"ok\":true") {
-                (200, "OK")
-            } else {
-                // A run that was refused downstream (queue full, shutdown)
-                // carries its own kind; recover the status from the body.
-                status_from_body(body)
-            }
-        }
+        (_, path) => Err(ErrorReply::not_found(path)),
     };
-    if let Ok(n) = http::write_response(stream, status, reason, "application/json", body) {
-        shared.metrics.add_bytes_out(n);
-    }
+    respond_http(shared, &mut stream, answer);
 }
 
-fn status_from_body(body: &str) -> (u16, &'static str) {
-    match parse(body)
-        .ok()
-        .and_then(|v| {
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(|k| k.as_str().map(str::to_string))
-        })
-        .as_deref()
-    {
-        Some("queue_full") => (429, "Too Many Requests"),
-        Some("shutting_down") => (503, "Service Unavailable"),
-        Some("internal") | None => (500, "Internal Server Error"),
-        Some(_) => (400, "Bad Request"),
+/// Counts an answer and writes it with the status line its outcome maps
+/// to: 200, or the refusal's own [`ErrorReply::http_status`].
+fn respond_http(shared: &Shared, stream: &mut TcpStream, answer: Result<String, ErrorReply>) {
+    let (status, reason) = match &answer {
+        Ok(_) => (200, "OK"),
+        Err(refusal) => refusal.http_status(),
+    };
+    let body = shared.respond(answer);
+    if let Ok(n) = http::write_response(stream, status, reason, "application/json", &body) {
+        shared.metrics.add_bytes_out(n);
     }
 }
 
@@ -716,11 +682,13 @@ mod tests {
     /// One run request through the daemon's answer path: the result
     /// bytes, and whether the memo replayed them.
     fn run(shared: &Shared, scenario: Scenario, deadline_ms: Option<u64>) -> (String, bool) {
-        let response = shared.answer(Request::Run {
-            scenario: Box::new(scenario),
-            priority: Priority::Normal,
-            deadline_ms,
-        });
+        let response = shared
+            .answer(Request::Run {
+                scenario: Box::new(scenario),
+                priority: Priority::Normal,
+                deadline_ms,
+            })
+            .unwrap_or_else(|refusal| panic!("refused: {refusal:?}"));
         let result = extract_result(&response)
             .unwrap_or_else(|| panic!("not a result: {response}"))
             .to_string();
@@ -832,15 +800,12 @@ mod tests {
         let (result, _) = run(&server.shared, healthy_scenario("late"), None);
         assert!(result.contains("\"status\":\"completed\""), "{result}");
         server.stop();
-        let response = server.shared.answer(Request::Run {
+        let refusal = server.shared.answer(Request::Run {
             scenario: Box::new(healthy_scenario("late")),
             priority: Priority::Normal,
             deadline_ms: None,
         });
-        assert!(
-            response.contains("\"kind\":\"shutting_down\""),
-            "{response}"
-        );
+        assert_eq!(refusal, Err(ErrorReply::shutting_down()));
         let memo = server.shared.memo.stats();
         let counters = server.join();
         assert!(counters.balanced(), "{counters}");

@@ -61,10 +61,8 @@
 //!   --watchdog <cycles>             stall watchdog threshold, 0 disables [25000]
 //!   --threads <n>                   worker threads for parallel sweeps
 //!                                   (sets SCALAGRAPH_THREADS) [all cores]
-//!   --fast-forward                  step only units with work, skip
-//!                                   quiescent cycles in bulk [on]
 //!   --no-fast-forward               dense reference: step every unit on
-//!                                   every cycle
+//!                                   every cycle (results are identical)
 //!   --baseline                      also run the GraphDynS-128 baseline
 //!   --metrics-window <cycles>       telemetry sampling window [1000]
 //!   --trace-out <path>              write a Chrome trace-event JSON
@@ -95,7 +93,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["no-pipeline", "baseline", "fast-forward", "no-fast-forward"];
+const SWITCHES: &[&str] = &["no-pipeline", "baseline", "no-fast-forward"];
 /// Flags that take a value.
 const OPTIONS: &[&str] = &[
     "algo",
@@ -154,11 +152,18 @@ fn parse_args() -> HashMap<String, String> {
     map
 }
 
+/// The value of `--flag`, or `default` when absent; a value that does not
+/// parse is a usage error, never a silent fallback to the default.
+fn number<T: std::str::FromStr>(args: &HashMap<String, String>, flag: &str, default: T) -> T {
+    args.get(flag).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_and_exit(&format!("--{flag} needs a number, got `{v}`")))
+    })
+}
+
 fn load_graph(args: &HashMap<String, String>, weighted: bool, symmetric: bool) -> Csr {
-    let seed: u64 = args.get("seed").map_or(42, |s| s.parse().unwrap_or(42));
-    let scale: u64 = args
-        .get("scale")
-        .map_or(2048, |s| s.parse().unwrap_or(2048));
+    let seed: u64 = number(args, "seed", 42);
+    let scale: u64 = number(args, "scale", 2048);
     let mut list: EdgeList = if let Some(path) = args.get("csr") {
         let g = PackedCsr::open(path)
             .and_then(|p| p.to_csr())
@@ -180,7 +185,9 @@ fn load_graph(args: &HashMap<String, String>, weighted: bool, symmetric: bool) -
             .find(|d| d.spec().abbrev.eq_ignore_ascii_case(name))
             .copied()
             .unwrap_or_else(|| usage_and_exit(&format!("unknown dataset `{name}`")));
-        dataset.edge_list(scale, seed)
+        dataset
+            .try_edge_list(scale, seed)
+            .unwrap_or_else(|e| usage_and_exit(&format!("--scale {scale}: {e}")))
     };
     if symmetric {
         list.symmetrize();
@@ -192,7 +199,12 @@ fn load_graph(args: &HashMap<String, String>, weighted: bool, symmetric: bool) -
 }
 
 fn build_config(args: &HashMap<String, String>) -> ScalaGraphConfig {
-    let pes: usize = args.get("pes").map_or(512, |s| s.parse().unwrap_or(512));
+    let pes: usize = number(args, "pes", 512);
+    if pes == 0 || !pes.is_multiple_of(32) {
+        usage_and_exit(&format!(
+            "--pes must be a positive multiple of 32, got {pes}"
+        ));
+    }
     let mut cfg = ScalaGraphConfig::with_pes(pes);
     if let Some(m) = args.get("mapping") {
         cfg.mapping = match m.to_ascii_lowercase().as_str() {
@@ -202,22 +214,14 @@ fn build_config(args: &HashMap<String, String>) -> ScalaGraphConfig {
             other => usage_and_exit(&format!("unknown mapping `{other}`")),
         };
     }
-    if let Some(a) = args.get("agg") {
-        cfg.aggregation_registers = a.parse().unwrap_or(16);
-    }
-    if let Some(s) = args.get("sched") {
-        cfg.max_scheduled_vertices = s.parse().unwrap_or(16);
-    }
+    cfg.aggregation_registers = number(args, "agg", cfg.aggregation_registers);
+    cfg.max_scheduled_vertices = number(args, "sched", cfg.max_scheduled_vertices);
     if args.contains_key("no-pipeline") {
         cfg.inter_phase_pipelining = false;
     }
-    if let Some(w) = args.get("watchdog") {
-        cfg.watchdog_stall_cycles = w.parse().unwrap_or_else(|_| {
-            usage_and_exit(&format!("--watchdog needs a cycle count, got `{w}`"))
-        });
-    }
-    // Fast-forward is on by default; results are bit-identical either way,
-    // so --no-fast-forward exists for A/B timing, not correctness.
+    cfg.watchdog_stall_cycles = number(args, "watchdog", cfg.watchdog_stall_cycles);
+    // Results are bit-identical either way, so --no-fast-forward exists for
+    // A/B timing, not correctness.
     cfg.fast_forward = !args.contains_key("no-fast-forward");
     cfg
 }
@@ -262,11 +266,7 @@ fn telemetry_opts(args: &HashMap<String, String>) -> Option<TelemetryOpts> {
     if !wanted {
         return None;
     }
-    let window = args.get("metrics-window").map_or(1000, |s| {
-        s.parse().unwrap_or_else(|_| {
-            usage_and_exit(&format!("--metrics-window needs a cycle count, got `{s}`"))
-        })
-    });
+    let window = number(args, "metrics-window", 1000);
     if window == 0 {
         usage_and_exit("--metrics-window must be at least 1 cycle");
     }
@@ -298,8 +298,12 @@ fn write_exports(opts: &TelemetryOpts, rec: &Recorder) {
     });
 }
 
-fn run_all<A: Algorithm>(algo: &A, graph: &Csr, args: &HashMap<String, String>) {
-    let cfg = build_config(args);
+fn run_all<A: Algorithm>(
+    algo: &A,
+    graph: &Csr,
+    cfg: ScalaGraphConfig,
+    args: &HashMap<String, String>,
+) {
     let clock = cfg.effective_clock_mhz();
     let pes = cfg.placement.num_pes();
     let tel = telemetry_opts(args);
@@ -729,9 +733,6 @@ fn main() {
         _ => {}
     }
     let args = parse_args();
-    if args.contains_key("fast-forward") && args.contains_key("no-fast-forward") {
-        usage_and_exit("--fast-forward and --no-fast-forward are mutually exclusive");
-    }
     if let Some(t) = args.get("threads") {
         match t.parse::<usize>() {
             Ok(n) if n > 0 => std::env::set_var("SCALAGRAPH_THREADS", n.to_string()),
@@ -739,7 +740,14 @@ fn main() {
         }
     }
     let algo_name = args.get("algo").map(String::as_str).unwrap_or("bfs");
-    let iters: usize = args.get("iters").map_or(5, |s| s.parse().unwrap_or(5));
+    let iters: usize = number(&args, "iters", 5);
+    // Every flag is read, and the configuration checked, before any graph
+    // is generated or loaded.
+    let cfg = build_config(&args);
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}");
+        exit(1)
+    }
 
     match algo_name.to_ascii_lowercase().as_str() {
         "bfs" => {
@@ -750,7 +758,7 @@ fn main() {
                 graph.num_vertices(),
                 graph.num_edges()
             );
-            run_all(&Bfs::from_root(root), &graph, &args);
+            run_all(&Bfs::from_root(root), &graph, cfg, &args);
         }
         "sssp" => {
             let graph = load_graph(&args, true, false);
@@ -760,7 +768,7 @@ fn main() {
                 graph.num_vertices(),
                 graph.num_edges()
             );
-            run_all(&Sssp::from_root(root), &graph, &args);
+            run_all(&Sssp::from_root(root), &graph, cfg, &args);
         }
         "cc" => {
             let graph = load_graph(&args, false, true);
@@ -769,7 +777,7 @@ fn main() {
                 graph.num_vertices(),
                 graph.num_edges()
             );
-            run_all(&ConnectedComponents::new(), &graph, &args);
+            run_all(&ConnectedComponents::new(), &graph, cfg, &args);
         }
         "pagerank" | "pr" => {
             let graph = load_graph(&args, false, false);
@@ -778,7 +786,7 @@ fn main() {
                 graph.num_vertices(),
                 graph.num_edges()
             );
-            run_all(&PageRank::new(iters), &graph, &args);
+            run_all(&PageRank::new(iters), &graph, cfg, &args);
         }
         other => usage_and_exit(&format!("unknown algorithm `{other}`")),
     }

@@ -29,11 +29,14 @@
 //! 11. Oversized graph families neither wrap past `validate()` nor slip
 //!     under the graph cache's byte budget, and nothing is built for them.
 //! 12. `workers_busy` on `/metrics` counts the jobs the executor is running.
-//! 13. A graph build that panics is one contained `failed` outcome: a
-//!     repeat of it builds anew instead of waiting on the abandoned build,
-//!     and the daemon keeps serving and still joins.
+//! 13. A graph too large to hold is one typed `failed` outcome, not an
+//!     abort or a panic, and the daemon keeps serving and still joins.
 //! 14. A daemon on default settings refuses a graph past its default byte
 //!     budget before building anything.
+//! 15. A repeated member name, an unknown key inside a scenario member and
+//!     an empty fault window are each refused with a typed 400 before a
+//!     job is submitted.
+//! 16. A run the shutdown drains from the queue answers 503.
 
 mod common;
 
@@ -43,9 +46,10 @@ use std::time::Duration;
 
 use scalagraph_suite::conformance::json;
 use scalagraph_suite::conformance::scenario::{
-    AlgoSpec, ConfigSpec, Expectation, Family, FaultKindSpec, FaultSpec, ModeMatrix,
+    AlgoSpec, ConfigSpec, Expectation, Family, ModeMatrix,
 };
 use scalagraph_suite::conformance::{GraphSource, GraphSpec, Scenario};
+use scalagraph_suite::scalagraph::fault::{Fault, FaultKind};
 use scalagraph_suite::serve::http::{read_request, HttpError};
 use scalagraph_suite::serve::protocol::{
     extract_result, parse_jsonl_request, parse_scenario_strict,
@@ -79,6 +83,27 @@ fn healthy(name: &str) -> Scenario {
         synthetic_bug: false,
         mutations: None,
     }
+}
+
+/// A scenario that can only end by a deadline or a cancellation: the
+/// watchdog is off and an HBM channel is pinned forever.
+fn wedge(name: &str) -> Scenario {
+    let mut wedge = healthy(name);
+    wedge.graph.family = Family::Uniform {
+        vertices: 400,
+        edges: 3000,
+        seed: 4,
+    };
+    wedge.config.watchdog_stall_cycles = 0;
+    wedge.modes.fast_forward = false;
+    wedge.faults = vec![Fault::new(FaultKind::HbmStall {
+        tile: 0,
+        channel: 0,
+        cycles: u64::MAX,
+    })
+    .window(20, 21)];
+    wedge.fault_seed = 1;
+    wedge
 }
 
 fn start_server() -> Server {
@@ -565,28 +590,10 @@ fn workers_busy_counts_the_running_job() {
     assert_eq!(metric(&addr, "workers_busy"), 0);
 
     // A wedge with the watchdog off runs until its deadline.
-    let mut wedge = healthy("serve-busy-wedge");
-    wedge.graph.family = Family::Uniform {
-        vertices: 400,
-        edges: 3000,
-        seed: 4,
-    };
-    wedge.config.watchdog_stall_cycles = 0;
-    wedge.modes.fast_forward = false;
-    wedge.faults = vec![FaultSpec {
-        kind: FaultKindSpec::HbmStall {
-            tile: 0,
-            channel: 0,
-            cycles: 0,
-        },
-        from: 20,
-        until: 21,
-    }];
-    wedge.fault_seed = 1;
     let (tx, rx) = std::sync::mpsc::channel();
     let client = {
         let addr = addr.clone();
-        let body = wedge.to_json_string();
+        let body = wedge("serve-busy-wedge").to_json_string();
         std::thread::spawn(move || {
             let _ = tx.send(post_run(&addr, &body));
         })
@@ -792,12 +799,12 @@ fn pagerank_with_edges(name: &str, edges: u64) -> String {
         .replace("\"converge-pagerank-dense\"", &format!("\"{name}\""))
 }
 
-/// 2^62 edges: the estimate saturates to `u64::MAX`, and the generator
-/// panics with "capacity overflow" when asked to build them.
+/// 2^62 edges: the estimate saturates to `u64::MAX`, and the build cannot
+/// reserve storage for them.
 const OVERFLOWING_EDGES: u64 = 1 << 62;
 
 #[test]
-fn a_panicking_graph_build_is_contained_and_cannot_wedge_the_daemon() {
+fn an_unholdable_graph_build_fails_typed_and_cannot_wedge_the_daemon() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -810,7 +817,7 @@ fn a_panicking_graph_build_is_contained_and_cannot_wedge_the_daemon() {
         let (status, body) = post_run(&addr, &pagerank_with_edges(name, OVERFLOWING_EDGES));
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"status\":\"failed\""), "{body}");
-        assert!(body.contains("worker panicked"), "{body}");
+        assert!(body.contains("malformed scenario: cannot hold"), "{body}");
     }
     let (status, body) = post_run(&addr, &pagerank_with_edges("converge-pagerank-dense", 900));
     assert_eq!(status, 200, "{body}");
@@ -818,8 +825,125 @@ fn a_panicking_graph_build_is_contained_and_cannot_wedge_the_daemon() {
     server.stop();
     let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
-    assert_eq!(counters.panics_contained, 2, "{counters}");
+    assert_eq!(counters.panics_contained, 0, "{counters}");
     assert_eq!((counters.failed, counters.completed), (2, 1), "{counters}");
+}
+
+#[test]
+fn a_repeated_member_name_is_malformed_json() {
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    let text = healthy("first").to_json().compact();
+    for repeated in [
+        text.replacen(
+            "\"name\":\"first\"",
+            "\"name\":\"first\",\"name\":\"second\"",
+            1,
+        ),
+        text.replacen("\"pes\":32", "\"pes\":32,\"pes\":64", 1),
+    ] {
+        let (status, body) = post_run(&addr, &repeated);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("\"kind\":\"malformed_json\""), "{body}");
+    }
+    assert_eq!(metric(&addr, "jobs_submitted"), 0);
+    server.stop();
+    assert!(join_within_10s(server).balanced());
+}
+
+#[test]
+fn an_unknown_key_inside_a_scenario_member_is_a_bad_request() {
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    let mut faulty = wedge("nested-keys");
+    faulty.expect = Expectation::Converge;
+    let text = faulty.to_json().compact();
+    // One member of each nested object, preceded by a misspelt key.
+    for member in [
+        "\"family\":",
+        "\"kind\":\"bfs\"",
+        "\"pes\":",
+        "\"preset\":",
+        "\"tile\":",
+        "\"recording\":",
+        "\"verdict\":",
+    ] {
+        assert!(text.contains(member), "{member}");
+        let typo = text.replacen(member, &format!("\"tpyo\":1,{member}"), 1);
+        let (status, body) = post_run(&addr, &typo);
+        assert_eq!(status, 400, "{member}: {body}");
+        assert!(body.contains("\"kind\":\"bad_request\""), "{body}");
+        assert!(body.contains("key `tpyo`"), "{body}");
+    }
+    // The misspelt watchdog key is refused rather than run on the default.
+    let misspelt = text.replacen("watchdog_stall_cycles", "watchdog_stall_cycle", 1);
+    let (status, body) = post_run(&addr, &misspelt);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("unknown config key `watchdog_stall_cycle`"),
+        "{body}"
+    );
+    // A top-level key keeps its own kind.
+    let top = text.replacen('{', "{\"tpyo\":1,", 1);
+    let (status, body) = post_run(&addr, &top);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\":\"unknown_field\""), "{body}");
+    assert_eq!(metric(&addr, "jobs_submitted"), 0);
+    server.stop();
+    assert!(join_within_10s(server).balanced());
+}
+
+#[test]
+fn an_empty_fault_window_is_an_invalid_scenario() {
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    let mut empty = wedge("empty-window");
+    empty.faults[0] = empty.faults[0].window(10, 5);
+    let (status, body) = post_run(&addr, &empty.to_json_string());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\":\"invalid_scenario\""), "{body}");
+    assert!(body.contains("[10, 5) is empty"), "{body}");
+    assert_eq!(metric(&addr, "jobs_submitted"), 0);
+    server.stop();
+    assert!(join_within_10s(server).balanced());
+}
+
+#[test]
+fn a_run_drained_by_shutdown_answers_503() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        default_deadline_ms: 0,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let spawn_run = |body: String| {
+        let addr = addr.clone();
+        std::thread::spawn(move || post_run(&addr, &body))
+    };
+    let wait_for = |name: &str, value: u64| {
+        let waited = std::time::Instant::now();
+        while metric(&addr, name) != value {
+            assert!(waited.elapsed() < Duration::from_secs(10), "{name}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    // The wedge holds the only worker; the next run waits in the queue.
+    let running = spawn_run(wedge("drain-wedge").to_json_string());
+    wait_for("workers_busy", 1);
+    let queued = spawn_run(healthy("drain-queued").to_json_string());
+    wait_for("queue_depth", 1);
+    server.stop();
+    let counters = join_within_10s(server);
+    let (status, body) = queued.join().expect("queued client");
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("\"kind\":\"shutting_down\""), "{body}");
+    let (status, body) = running.join().expect("running client");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"cancelled\""), "{body}");
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(counters.requests_error, 1, "{counters}");
 }
 
 #[test]
