@@ -17,19 +17,23 @@
 //!    regenerating the same graph from its spec (serial generation + CSR
 //!    build), measured in one run.
 //!
-//! All regression gates are *ratios* (gen speedup, pack ratio, cold-open
-//! speedup), so a slower or faster host does not trip them.
+//! All regression gates on timings are *ratios* (gen speedup, pack ratio,
+//! cold-open speedup), so a slower or faster host does not trip them. The
+//! gen speedup also depends on how many threads the parallel legs use
+//! ([`default_threads`], set by `SCALAGRAPH_THREADS`), so the report
+//! records that count and a run on another count fails by name.
 //!
 //! ```text
 //! bench_datasets [--out <path>] [--check <path>]
 //!   --out <path>     where to write the JSON        [BENCH_datasets.json]
-//!   --check <path>   gate against a previous report: exit 1 if the
-//!                    worst pack ratio exceeds 1.10x the report's, or the
+//!   --check <path>   gate against a previous report: exit 1 if the thread
+//!                    count differs from the report's, the worst pack
+//!                    ratio exceeds 1.10x the report's, or the
 //!                    gen/cold-open speedups fall below half of its values
 //! ```
 
 use scalagraph_bench::{Checker, Gate, Rule};
-use scalagraph_graph::{packed, Csr, Dataset, PackedCsr, PackedShape};
+use scalagraph_graph::{default_threads, packed, Csr, Dataset, PackedCsr, PackedShape};
 use std::time::Instant;
 
 const SEED: u64 = 42;
@@ -232,13 +236,14 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"presets\": [\n{presets}\n  ],\n  \
+        "{{\n  \"threads\": {threads},\n  \"presets\": [\n{presets}\n  ],\n  \
          \"largest_preset\": \"{lp}\",\n  \
          \"largest_gen_speedup\": {lgs},\n  \
          \"worst_pack_ratio\": {wpr},\n  \
          \"cold_open\": {{ \"preset\": \"{lp}\", \"regen_s\": {rg:.3}, \
          \"read_csr_ms\": {rc:.1} }},\n  \
          \"cold_open_speedup\": {cos}\n}}\n",
+        threads = default_threads(),
         presets = preset_lines.join(",\n"),
         lp = largest.label,
         lgs = largest.gen_speedup,
@@ -247,8 +252,10 @@ fn main() {
         rc = cold.read_csr_ms,
         cos = cold.speedup,
     );
-    // Every gate is a ratio, so host speed cancels out of the comparison.
+    // Every timing gate is a ratio, so host speed cancels out of the
+    // comparison; the speedups hold only at the baseline's thread count.
     let gates = [
+        Gate::at("threads", Rule::Equal),
         Gate::at("worst_pack_ratio", Rule::AtMost(1.10)),
         Gate::at("largest_gen_speedup", Rule::AtLeast(0.5)),
         Gate::at("cold_open_speedup", Rule::AtLeast(0.5)),

@@ -7,7 +7,7 @@
 //! carry seeds and cycle counts that must survive a round trip without the
 //! precision loss an `f64`-only representation would introduce.
 
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,119 +129,99 @@ impl Json {
     /// the canonical on-disk form of corpus files.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
+        // Writing to a `String` cannot fail.
+        let _ = self.write_pretty(&mut out);
         out
     }
 
-    /// Serializes on a single line with no whitespace — the wire form used
-    /// by line-delimited protocols, where a document must not contain a
-    /// literal newline. Parses back to the same value as [`Json::pretty`].
+    /// Writes [`Json::pretty`]'s bytes to any `fmt::Write` sink, without
+    /// building the string.
+    ///
+    /// # Errors
+    ///
+    /// The sink's error.
+    pub fn write_pretty(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        self.write(out, Some(0))?;
+        out.write_char('\n')
+    }
+
+    /// Serializes on a single line with no whitespace — the form of
+    /// responses and bench reports, free of a literal newline. Parses back
+    /// to the same value as [`Json::pretty`].
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        // Writing to a `String` cannot fail.
+        let _ = self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Writes the value pretty-printed `indent` levels deep, or compact
+    /// when `indent` is `None`.
+    fn write(&self, out: &mut impl fmt::Write, indent: Option<usize>) -> fmt::Result {
+        let inner = indent.map(|depth| depth + 1);
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Float(x) => {
-                let _ = write!(out, "{x}");
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => write!(out, "{n}"),
+            Json::Float(x) => write!(out, "{x}"),
             Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) if items.is_empty() => out.write_str("[]"),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write_compact(out);
+                    break_line(out, inner)?;
+                    item.write(out, inner)?;
                 }
-                out.push(']');
+                break_line(out, indent)?;
+                out.write_char(']')
             }
+            Json::Obj(members) if members.is_empty() => out.write_str("{}"),
             Json::Obj(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
+                    break_line(out, inner)?;
+                    write_escaped(out, k)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(out, inner)?;
                 }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Float(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
+                break_line(out, indent)?;
+                out.write_char('}')
             }
         }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// A newline indented `depth` levels, or nothing in compact output.
+fn break_line(out: &mut impl fmt::Write, depth: Option<usize>) -> fmt::Result {
+    match depth {
+        Some(depth) => {
+            out.write_char('\n')?;
+            (0..depth).try_for_each(|_| out.write_str("  "))
+        }
+        None => Ok(()),
+    }
+}
+
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once

@@ -960,19 +960,16 @@ impl Scenario {
     }
 
     /// A stable 64-bit signature of the scenario's *behavior*: FNV-1a over
-    /// the canonical JSON with the (purely cosmetic) name cleared. Two
-    /// scenarios with the same fingerprint run the same graph, algorithm,
-    /// configuration, and fault schedule, so they produce the same result
-    /// whatever their names.
+    /// the canonical JSON with the (purely cosmetic) name written empty.
+    /// Two scenarios with the same fingerprint run the same graph,
+    /// algorithm, configuration, and fault schedule, so they produce the
+    /// same result whatever their names. The bytes are hashed as the
+    /// writer produces them; no string is built.
     pub fn fingerprint(&self) -> u64 {
-        let mut anonymous = self.clone();
-        anonymous.name.clear();
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in anonymous.to_json_string().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+        // Hashing cannot fail.
+        let _ = self.to_json_named("").write_pretty(&mut hash);
+        hash.0
     }
 
     /// Every top-level key [`Scenario::to_json`] can emit and
@@ -994,8 +991,13 @@ impl Scenario {
 
     /// The JSON document for this scenario.
     pub fn to_json(&self) -> Json {
+        self.to_json_named(&self.name)
+    }
+
+    /// The JSON document for this scenario under `name`.
+    fn to_json_named(&self, name: &str) -> Json {
         let mut members = vec![
-            ("name", Json::Str(self.name.clone())),
+            ("name", Json::Str(name.to_string())),
             ("graph", self.graph.to_json()),
             ("algo", self.algo.to_json()),
             ("config", self.config.to_json()),
@@ -1058,6 +1060,19 @@ impl Scenario {
                 Some(m) => Some(MutationSpec::from_json(m)?),
             },
         })
+    }
+}
+
+/// FNV-1a over the bytes written to it: the fingerprint's hash, fed by
+/// the JSON writer.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for byte in s.bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
     }
 }
 

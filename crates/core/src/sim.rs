@@ -398,28 +398,12 @@ impl<'a, A: Algorithm> Simulator<'a, A> {
         &mut self,
         token: &CancelToken,
     ) -> Result<SimResult<A::Prop>, SimError> {
-        self.try_run_controlled(&mut NullCollector, token)
-    }
-
-    /// [`Simulator::try_run_cancellable`] with a telemetry [`Collector`]
-    /// attached: the full-control entry point the batch runtime uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SimError`] describing why the machine could not
-    /// complete the run. The collector still receives its final flush and
-    /// `on_run_end` on cancellation, so partial traces export cleanly.
-    pub fn try_run_controlled<C: Collector>(
-        &mut self,
-        collector: &mut C,
-        token: &CancelToken,
-    ) -> Result<SimResult<A::Prop>, SimError> {
         Engine::new(
             self.algo,
             self.graph,
             &self.config,
             &self.device,
-            collector,
+            &mut NullCollector,
             Some(token),
         )
         .try_run()

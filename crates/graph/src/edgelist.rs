@@ -168,11 +168,6 @@ impl EdgeList {
         self.edges.extend(rev);
         self.sort_and_dedup();
     }
-
-    /// Consumes the list and returns the underlying vector.
-    pub fn into_vec(self) -> Vec<Edge> {
-        self.edges
-    }
 }
 
 impl Extend<Edge> for EdgeList {

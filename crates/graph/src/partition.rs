@@ -6,7 +6,7 @@
 //! contiguous destination-vertex interval: within one slice, every update
 //! targets a vertex whose temporary property is resident on-chip.
 
-use crate::{Csr, Edge, GraphError, VertexId};
+use crate::{GraphError, VertexId};
 
 /// A half-open interval `[start, end)` of vertex ids forming one slice's
 /// resident destination set.
@@ -92,38 +92,9 @@ impl Partitioner {
     }
 }
 
-/// A destination-sliced view of a graph: the sub-CSR containing exactly the
-/// edges whose destination lies in `interval`, plus bookkeeping for off-chip
-/// traffic accounting (each slice keeps "an independent CSR storage",
-/// Section IV-A's discussion of DOM generalizes to slicing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSlice {
-    /// Destination interval resident on-chip for this slice.
-    pub interval: VertexInterval,
-    /// Sub-CSR with only the slice's edges; vertex id space is unchanged.
-    pub graph: Csr,
-}
-
-/// Slices `graph` by destination interval, producing one [`GraphSlice`] per
-/// interval. The union of all slices' edges is exactly the original edge
-/// set.
-pub fn slice_by_destination(graph: &Csr, intervals: &[VertexInterval]) -> Vec<GraphSlice> {
-    intervals
-        .iter()
-        .map(|&interval| {
-            let edges: Vec<Edge> = graph.edges().filter(|e| interval.contains(e.dst)).collect();
-            GraphSlice {
-                interval,
-                graph: Csr::from_edges(graph.num_vertices(), &edges),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
 
     #[test]
     fn partitioner_rejects_zero_capacity() {
@@ -167,21 +138,6 @@ mod tests {
     fn empty_graph_yields_no_intervals() {
         let p = Partitioner::new(4).unwrap();
         assert!(p.intervals(0).is_empty());
-    }
-
-    #[test]
-    fn slices_partition_the_edge_set() {
-        let edges = generators::uniform(50, 400, 5);
-        let g = Csr::from_edges(50, &edges);
-        let p = Partitioner::new(13).unwrap();
-        let slices = slice_by_destination(&g, &p.intervals(50));
-        let total: usize = slices.iter().map(|s| s.graph.num_edges()).sum();
-        assert_eq!(total, g.num_edges());
-        for s in &slices {
-            for e in s.graph.edges() {
-                assert!(s.interval.contains(e.dst));
-            }
-        }
     }
 
     #[test]

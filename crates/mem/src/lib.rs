@@ -109,12 +109,6 @@ impl HbmConfig {
         Self::from_bandwidth(230.0e9, 16, clock_hz)
     }
 
-    /// A representative DDR4-2400 channel: 19.2 GB/s, one channel
-    /// (Section II-B's comparison point).
-    pub fn ddr4(clock_hz: f64) -> Self {
-        Self::from_bandwidth(19.2e9, 1, clock_hz)
-    }
-
     /// An idealized memory with effectively unlimited bandwidth, used by the
     /// >1,024-PE scalability study (Section V-E: "a cycle-accurate simulator
     /// > ... with sufficient off-chip bandwidth").
@@ -645,8 +639,6 @@ mod tests {
         assert_eq!(u280.channels, 32);
         assert!((u280.total_bytes_per_cycle() - 1840.0).abs() < 1.0);
         assert_eq!(u280.latency_cycles, 32);
-        let ddr = HbmConfig::ddr4(250e6);
-        assert!((ddr.total_bytes_per_cycle() - 76.8).abs() < 0.1);
         let unl = HbmConfig::unlimited(32);
         assert!(unl.total_bytes_per_cycle() > 1e10);
     }

@@ -92,11 +92,6 @@ impl Butterfly {
         self.ports
     }
 
-    /// Number of switch stages (`log2(ports)`).
-    pub fn num_stages(&self) -> usize {
-        self.stages
-    }
-
     /// Current cycle.
     pub fn now(&self) -> u64 {
         self.now

@@ -97,16 +97,6 @@ impl Crossbar {
         }
     }
 
-    /// Number of input ports.
-    pub fn num_inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Number of output ports.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs
-    }
-
     /// The crossbar flavor.
     pub fn kind(&self) -> CrossbarKind {
         self.kind

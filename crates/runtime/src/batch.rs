@@ -135,7 +135,7 @@ impl BatchRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{FailureReason, JobMetrics, Priority, Rejection};
+    use crate::job::{FailureReason, JobMetrics, Rejection};
     use crate::test_support::{healthy, wedge};
     use scalagraph_conformance::scenario::{AlgoSpec, Family};
     use std::time::Duration;
@@ -209,12 +209,13 @@ mod tests {
     fn a_wedged_job_is_deadline_killed_while_others_complete() {
         let specs = vec![
             JobSpec::new(healthy("ok-1")),
-            JobSpec::new(wedge("wedged")).with_deadline(Duration::from_millis(120)),
+            JobSpec::new(wedge("wedged")),
             JobSpec::new(healthy("ok-2")),
         ];
         let report = run_with(
             RuntimeConfig {
                 workers: 3,
+                default_deadline: Some(Duration::from_millis(500)),
                 ..RuntimeConfig::default()
             },
             specs,
@@ -319,7 +320,7 @@ mod tests {
 
     #[test]
     fn a_global_deadline_cancels_running_and_queued_work() {
-        // One worker grinds a wedge with no per-job deadline; the rest sit
+        // One worker grinds a wedge with no deadline; the rest sit
         // in the queue. The global deadline must cancel the runner and
         // drain the queue into cancelled outcomes.
         let mut specs = vec![JobSpec::new(wedge("runner"))];
@@ -352,27 +353,6 @@ mod tests {
                 "{queued}"
             );
         }
-    }
-
-    #[test]
-    fn high_priority_jobs_jump_the_queue() {
-        // Ordering itself is covered by the queue unit tests; here a
-        // high-priority job in a one-worker batch completes like the rest
-        // and the ledger balances.
-        let specs = vec![
-            JobSpec::new(healthy("first")),
-            JobSpec::new(healthy("normal")),
-            JobSpec::new(healthy("urgent")).with_priority(Priority::High),
-        ];
-        let report = run_with(
-            RuntimeConfig {
-                workers: 1,
-                ..RuntimeConfig::default()
-            },
-            specs,
-        );
-        assert!(report.balanced(), "{}", report.render());
-        assert_eq!(report.counters.completed, 3);
     }
 
     #[test]

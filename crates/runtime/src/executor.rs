@@ -5,10 +5,10 @@
 //! [`Executor::shutdown`]; callers [`submit`](Executor::submit) jobs and
 //! receive each job's one [`JobOutcome`] on the channel they passed in.
 //!
-//! * admission control refuses what the bounded two-lane queue cannot hold
+//! * admission control refuses what the bounded FIFO queue cannot hold
 //!   with a typed [`Rejection`], answered inline by `submit`;
-//! * a supervisor thread expires per-job wall-clock deadlines into the
-//!   simulator's cooperative [`CancelToken`];
+//! * a supervisor thread expires the configured per-job wall-clock
+//!   deadline into the simulator's cooperative [`CancelToken`];
 //! * a worker takes each job through drain, validate, budget, fetch: a
 //!   job whose scenario fails
 //!   [`Scenario::validate`](scalagraph_conformance::Scenario::validate) is
@@ -53,9 +53,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(2);
 pub struct RuntimeConfig {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Admission queue capacity across both lanes.
+    /// Admission queue capacity.
     pub queue_capacity: usize,
-    /// Wall-clock deadline applied to jobs that don't carry their own.
+    /// Wall-clock deadline of every job's simulation; `None` for none.
     pub default_deadline: Option<Duration>,
     /// Wall-clock ceiling on a whole [`BatchRuntime::run`](crate::BatchRuntime::run):
     /// when it expires, the batch stops waiting and shuts the executor
@@ -89,7 +89,6 @@ struct Queued {
 /// Supervisor-visible state of a job a worker is running.
 struct Active {
     started: Instant,
-    deadline: Option<Duration>,
     token: CancelToken,
 }
 
@@ -147,12 +146,13 @@ impl Executor {
         let supervisor = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
+                let deadline = pool.config.default_deadline;
                 while !pool.joined.load(Ordering::Acquire) {
                     let draining = pool.draining.load(Ordering::Acquire);
                     for job in recover(pool.active.lock()).values() {
                         if draining {
                             job.token.cancel();
-                        } else if job.deadline.is_some_and(|d| job.started.elapsed() >= d) {
+                        } else if deadline.is_some_and(|d| job.started.elapsed() >= d) {
                             job.token.expire();
                         }
                     }
@@ -191,7 +191,6 @@ impl Executor {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let metrics = &self.pool.metrics;
         metrics.job_submitted();
-        let priority = spec.priority;
         let job = Queued {
             id,
             spec,
@@ -202,13 +201,10 @@ impl Executor {
         // pops it decrements at once, and entering after the push would
         // let the depth underflow under a fast consumer.
         metrics.queue_entered();
-        self.pool
-            .queue
-            .try_push(job, priority)
-            .inspect_err(|&rejection| {
-                metrics.queue_left();
-                count(metrics, &JobStatus::Rejected { rejection });
-            })?;
+        self.pool.queue.try_push(job).inspect_err(|&rejection| {
+            metrics.queue_left();
+            count(metrics, &JobStatus::Rejected { rejection });
+        })?;
         Ok(id)
     }
 
@@ -295,7 +291,6 @@ impl Pool {
             id,
             Active {
                 started: Instant::now(),
-                deadline: spec.deadline.or(self.config.default_deadline),
                 token: token.clone(),
             },
         );
@@ -345,7 +340,6 @@ fn count(metrics: &ServiceMetrics, status: &JobStatus) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Priority;
     use crate::test_support::{healthy, wedge};
     use std::sync::mpsc::{channel, Receiver};
 
@@ -450,11 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn ids_count_submissions_and_lanes_share_the_pool() {
+    fn ids_count_submissions_in_call_order() {
         let (executor, _) = start(RuntimeConfig::default());
         let (tx, rx) = channel();
         let first = executor.submit(JobSpec::new(healthy("a")), tx.clone());
-        let second = executor.submit(JobSpec::new(healthy("b")).with_priority(Priority::High), tx);
+        let second = executor.submit(JobSpec::new(healthy("b")), tx);
         assert_eq!((first, second), (Ok(0), Ok(1)));
         let mut names: Vec<(JobId, String)> = rx.iter().take(2).map(|o| (o.job, o.name)).collect();
         names.sort();

@@ -1,13 +1,10 @@
 //! Job vocabulary: what enters the runtime and what comes out.
 //!
-//! A [`JobSpec`] wraps one conformance [`Scenario`] with scheduling
-//! metadata (priority lane, per-job wall-clock deadline). Every submitted
-//! job produces exactly one [`JobOutcome`] whose [`JobStatus`] lands in
+//! A [`JobSpec`] wraps one conformance [`Scenario`]. Every submitted job
+//! produces exactly one [`JobOutcome`] whose [`JobStatus`] lands in
 //! exactly one ledger bucket — completed, failed, cancelled, or rejected —
 //! so `submitted == completed + failed + cancelled + rejected` always
 //! balances.
-
-use std::time::Duration;
 
 use scalagraph_conformance::Scenario;
 
@@ -16,26 +13,11 @@ use scalagraph_conformance::Scenario;
 /// positionally.
 pub type JobId = usize;
 
-/// Admission lane. High-priority jobs are popped before normal ones but
-/// share the same bounded capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// FIFO behind any high-priority work.
-    #[default]
-    Normal,
-    /// Popped ahead of the normal lane (FIFO within the lane).
-    High,
-}
-
 /// One unit of work for the executor.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The scenario to simulate.
     pub scenario: Scenario,
-    /// Admission lane.
-    pub priority: Priority,
-    /// Per-job wall-clock deadline; `None` uses the runtime default.
-    pub deadline: Option<Duration>,
     /// Test-only hook: the worker panics instead of running the scenario,
     /// exercising panic isolation end to end.
     #[doc(hidden)]
@@ -43,26 +25,12 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A normal-priority job with the runtime's default deadline.
+    /// A job for `scenario`, under the runtime's deadline.
     pub fn new(scenario: Scenario) -> Self {
         JobSpec {
             scenario,
-            priority: Priority::Normal,
-            deadline: None,
             inject_panic: false,
         }
-    }
-
-    /// Sets the admission lane.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets a per-job wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 }
 

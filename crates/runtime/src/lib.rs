@@ -10,8 +10,8 @@
 //!
 //! | layer | module | guarantee |
 //! |-------|--------|-----------|
-//! | admission control | [`queue`] | bounded, two-lane, typed [`Rejection`](job::Rejection) instead of unbounded growth |
-//! | deadlines & cancellation | [`executor`] + [`runner`] | wall-clock deadlines expire a [`CancelToken`](scalagraph::CancelToken) polled in the simulator hot loop |
+//! | admission control | [`queue`] | one bounded FIFO, typed [`Rejection`](job::Rejection) instead of unbounded growth |
+//! | deadlines & cancellation | [`executor`] + [`runner`] | the configured wall-clock deadline expires a [`CancelToken`](scalagraph::CancelToken) polled in the simulator hot loop |
 //! | byte budget | [`executor`] + [`graphcache`] | a job whose estimated graph exceeds the cache's byte budget fails `OverBudget` before anything is built |
 //! | panic isolation | [`executor`] | one `catch_unwind` around the whole job, graph build included; a panicking job is one failed outcome |
 //! | shared graphs | [`graphcache`] | one [`GraphCache`] build per distinct spec, LRU-bounded |
@@ -69,9 +69,7 @@ pub use flightcache::{Flight, FlightCache, FlightGuard, FlightStats};
 pub use graphcache::{
     estimated_graph_bytes, Fetched, GraphCache, GraphCacheStats, DEFAULT_GRAPH_CACHE_BYTES,
 };
-pub use job::{
-    FailureReason, JobId, JobMetrics, JobOutcome, JobSpec, JobStatus, Priority, Rejection,
-};
+pub use job::{FailureReason, JobId, JobMetrics, JobOutcome, JobSpec, JobStatus, Rejection};
 pub use queue::AdmissionQueue;
 pub use runner::{run_attempt_on, AttemptError, AttemptOverrides};
 

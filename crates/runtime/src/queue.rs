@@ -1,43 +1,35 @@
-//! Bounded two-lane admission queue.
+//! Bounded FIFO admission queue.
 //!
 //! Admission control is the first resilience layer: a batch of 10,000
 //! scenarios must not balloon resident memory or hide an overload — excess
 //! work is *refused*, visibly, with a typed [`Rejection`]. The queue is a
-//! mutex-and-condvar structure (std only): two FIFO lanes sharing one
-//! capacity, blocking consumers, and a close signal that drains cleanly.
+//! mutex-and-condvar structure (std only): one bounded FIFO, blocking
+//! consumers, and a close signal that drains cleanly.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use crate::job::{Priority, Rejection};
+use crate::job::Rejection;
 use crate::recover;
 
-struct Lanes<T> {
-    high: VecDeque<T>,
-    normal: VecDeque<T>,
+struct Fifo<T> {
+    items: VecDeque<T>,
     closed: bool,
 }
 
-impl<T> Lanes<T> {
-    fn len(&self) -> usize {
-        self.high.len() + self.normal.len()
-    }
-}
-
-/// A bounded MPMC queue with a high-priority lane and explicit rejection.
+/// A bounded MPMC FIFO with explicit rejection.
 pub struct AdmissionQueue<T> {
-    lanes: Mutex<Lanes<T>>,
+    fifo: Mutex<Fifo<T>>,
     capacity: usize,
     available: Condvar,
 }
 
 impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `capacity` items across both lanes.
+    /// A queue admitting at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
-            lanes: Mutex::new(Lanes {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
+            fifo: Mutex::new(Fifo {
+                items: VecDeque::new(),
                 closed: false,
             }),
             capacity,
@@ -47,41 +39,34 @@ impl<T> AdmissionQueue<T> {
 
     /// Attempts to admit an item. Never blocks: a full queue or a closed
     /// runtime answers with a typed [`Rejection`] instead.
-    pub fn try_push(&self, item: T, priority: Priority) -> Result<(), Rejection> {
-        let mut lanes = recover(self.lanes.lock());
-        if lanes.closed {
+    pub fn try_push(&self, item: T) -> Result<(), Rejection> {
+        let mut fifo = recover(self.fifo.lock());
+        if fifo.closed {
             return Err(Rejection::ShuttingDown);
         }
-        if lanes.len() >= self.capacity {
+        if fifo.items.len() >= self.capacity {
             return Err(Rejection::QueueFull {
                 capacity: self.capacity,
             });
         }
-        match priority {
-            Priority::High => lanes.high.push_back(item),
-            Priority::Normal => lanes.normal.push_back(item),
-        }
-        drop(lanes);
+        fifo.items.push_back(item);
+        drop(fifo);
         self.available.notify_one();
         Ok(())
     }
 
-    /// Blocks until an item is available (high lane first) or the queue is
-    /// closed *and* drained, which yields `None` — the consumer's signal to
-    /// exit.
+    /// Blocks until an item is available or the queue is closed *and*
+    /// drained, which yields `None` — the consumer's signal to exit.
     pub fn pop(&self) -> Option<T> {
-        let mut lanes = recover(self.lanes.lock());
+        let mut fifo = recover(self.fifo.lock());
         loop {
-            if let Some(item) = lanes.high.pop_front() {
+            if let Some(item) = fifo.items.pop_front() {
                 return Some(item);
             }
-            if let Some(item) = lanes.normal.pop_front() {
-                return Some(item);
-            }
-            if lanes.closed {
+            if fifo.closed {
                 return None;
             }
-            lanes = recover(self.available.wait(lanes));
+            fifo = recover(self.available.wait(fifo));
         }
     }
 
@@ -89,7 +74,7 @@ impl<T> AdmissionQueue<T> {
     /// [`Rejection::ShuttingDown`], and consumers drain what remains then
     /// see `None`.
     pub fn close(&self) {
-        recover(self.lanes.lock()).closed = true;
+        recover(self.fifo.lock()).closed = true;
         self.available.notify_all();
     }
 
@@ -97,18 +82,17 @@ impl<T> AdmissionQueue<T> {
     /// Used by the executor's shutdown to turn queued work into cancelled
     /// outcomes without running it.
     pub fn drain(&self) -> Vec<T> {
-        let mut lanes = recover(self.lanes.lock());
-        lanes.closed = true;
-        let mut drained: Vec<T> = lanes.high.drain(..).collect();
-        drained.extend(lanes.normal.drain(..));
-        drop(lanes);
+        let mut fifo = recover(self.fifo.lock());
+        fifo.closed = true;
+        let drained = fifo.items.drain(..).collect();
+        drop(fifo);
         self.available.notify_all();
         drained
     }
 
-    /// Items currently queued (both lanes).
+    /// Items currently queued.
     pub fn len(&self) -> usize {
-        recover(self.lanes.lock()).len()
+        recover(self.fifo.lock()).items.len()
     }
 
     /// Whether nothing is queued.
@@ -122,52 +106,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_within_a_lane() {
+    fn fifo_order() {
         let q = AdmissionQueue::new(8);
-        q.try_push(1, Priority::Normal).unwrap();
-        q.try_push(2, Priority::Normal).unwrap();
-        q.try_push(3, Priority::Normal).unwrap();
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        q.try_push(3).unwrap();
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
     }
 
     #[test]
-    fn high_lane_preempts_normal_lane() {
-        let q = AdmissionQueue::new(8);
-        q.try_push("n1", Priority::Normal).unwrap();
-        q.try_push("h1", Priority::High).unwrap();
-        q.try_push("n2", Priority::Normal).unwrap();
-        q.try_push("h2", Priority::High).unwrap();
-        assert_eq!(q.pop(), Some("h1"));
-        assert_eq!(q.pop(), Some("h2"));
-        assert_eq!(q.pop(), Some("n1"));
-        assert_eq!(q.pop(), Some("n2"));
-    }
-
-    #[test]
     fn overflow_is_rejected_with_the_capacity() {
         let q = AdmissionQueue::new(2);
-        q.try_push(1, Priority::Normal).unwrap();
-        q.try_push(2, Priority::High).unwrap();
-        assert_eq!(
-            q.try_push(3, Priority::Normal),
-            Err(Rejection::QueueFull { capacity: 2 })
-        );
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert_eq!(q.try_push(3), Err(Rejection::QueueFull { capacity: 2 }));
         // Draining one slot readmits.
-        assert_eq!(q.pop(), Some(2));
-        assert!(q.try_push(3, Priority::Normal).is_ok());
+        assert_eq!(q.pop(), Some(1));
+        assert!(q.try_push(3).is_ok());
     }
 
     #[test]
     fn close_rejects_pushes_and_drains_consumers() {
         let q = AdmissionQueue::new(4);
-        q.try_push(1, Priority::Normal).unwrap();
+        q.try_push(1).unwrap();
         q.close();
-        assert_eq!(
-            q.try_push(2, Priority::Normal),
-            Err(Rejection::ShuttingDown)
-        );
+        assert_eq!(q.try_push(2), Err(Rejection::ShuttingDown));
         assert_eq!(q.pop(), Some(1), "closing still drains queued work");
         assert_eq!(q.pop(), None, "drained + closed = consumer exit signal");
     }
@@ -175,9 +140,9 @@ mod tests {
     #[test]
     fn drain_returns_everything_in_pop_order() {
         let q = AdmissionQueue::new(8);
-        q.try_push("n", Priority::Normal).unwrap();
-        q.try_push("h", Priority::High).unwrap();
-        assert_eq!(q.drain(), vec!["h", "n"]);
+        q.try_push("a").unwrap();
+        q.try_push("b").unwrap();
+        assert_eq!(q.drain(), vec!["a", "b"]);
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
     }
@@ -191,7 +156,7 @@ mod tests {
                 let second = q.pop();
                 (first, second)
             });
-            q.try_push(42, Priority::Normal).unwrap();
+            q.try_push(42).unwrap();
             // Give the consumer a chance to block on the second pop, then
             // close; it must wake and observe None.
             std::thread::sleep(std::time::Duration::from_millis(10));

@@ -5,25 +5,19 @@
 //!   --addr <host:port>        bind address                     [127.0.0.1:7451]
 //!   --workers <n>             simulation worker threads        [4]
 //!   --queue-cap <n>           admission queue capacity         [256]
-//!   --deadline-ms <ms>        default per-job deadline, 0=none [10000]
-//!   --max-body-bytes <n>      request body / line ceiling      [1048576]
+//!   --deadline-ms <ms>        per-job deadline, 0=none         [10000]
+//!   --max-body-bytes <n>      request body ceiling             [1048576]
 //!   --graph-cache <n>         graph cache capacity (specs)     [64]
 //!   --graph-cache-bytes <n>   graph cache byte budget, 0=off   [2147483648]
 //!   --memo-cap <n>            memo capacity (fingerprints)     [1024]
 //!   --summary-secs <n>        stderr metrics cadence, 0=off    [10]
 //! ```
 //!
-//! One port speaks two protocols, sniffed per connection:
+//! The port speaks HTTP/1.1, one request per connection: `POST /run` with
+//! a bare scenario body, `GET /metrics` (text), `POST /shutdown`.
 //!
-//! * **jsonl** — each line is `{"run": {scenario}, "priority"?: "high",
-//!   "deadline_ms"?: n}` or `{"control": "ping"|"metrics"|"shutdown"}`;
-//!   each response is one line of JSON.
-//! * **HTTP/1.1** — `POST /run` with a bare scenario body, `GET /metrics`
-//!   (text), `POST /shutdown`.
-//!
-//! The daemon exits after a graceful drain triggered by a `shutdown`
-//! request on either transport; its exit code reports the final ledger
-//! (0 balanced, 1 unbalanced).
+//! The daemon exits after a graceful drain triggered by `POST /shutdown`;
+//! its exit code reports the final ledger (0 balanced, 1 unbalanced).
 
 use std::process::exit;
 use std::time::Duration;

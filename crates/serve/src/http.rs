@@ -1,10 +1,13 @@
-//! Minimal HTTP/1.1: just enough for `POST /run`, `GET /metrics`, and
-//! `POST /shutdown` over `std::net` — no external dependency, no keep-alive
-//! (every response closes the connection), no chunked encoding.
+//! Minimal HTTP/1.1, the daemon's one transport: just enough for
+//! `POST /run`, `GET /metrics`, and `POST /shutdown` over `std::net` — no
+//! external dependency, no keep-alive (every response closes the
+//! connection), no chunked encoding.
 //!
-//! Parsing is defensive the same way the jsonl transport is: an oversized
-//! or malformed request becomes a *typed* error the server answers before
-//! closing, never a silent drop or a panic.
+//! Parsing is defensive: an oversized or malformed request becomes a
+//! *typed* error the server answers before closing, never a silent drop or
+//! a panic. The request line is checked as soon as it arrives, so a client
+//! speaking some other protocol is refused at once instead of waiting for a
+//! head that never ends.
 
 use std::io::{Read, Write};
 
@@ -32,67 +35,33 @@ pub enum HttpError {
         /// the error response before the peer reads it.
         unread: usize,
     },
-    /// The peer closed or the socket failed mid-request.
+    /// The peer closed before sending a byte, or the socket failed
+    /// mid-request.
     Io(std::io::Error),
 }
 
-/// Reads one full request from `head_and_rest` (the bytes already buffered
-/// by the protocol sniffer, typically the first line) plus the stream.
+/// Longest request head (request line and headers) read before refusing.
+const HEAD_CAP: usize = 16 * 1024;
+
+/// Reads one full request from `stream`. A first line that is not an HTTP
+/// request line (`METHOD TARGET HTTP/1.x`) is refused as soon as it
+/// arrives.
 ///
 /// # Errors
 ///
 /// [`HttpError`] describing the refusal; the caller still owes the peer a
 /// typed HTTP error response for the non-IO variants.
-pub fn read_request(
-    already: &[u8],
-    stream: &mut impl Read,
-    max_body: usize,
-) -> Result<HttpRequest, HttpError> {
-    // Accumulate the head (request line + headers) until CRLFCRLF.
-    let head_cap = 16 * 1024;
-    let mut buf: Vec<u8> = already.to_vec();
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > head_cap {
-            return Err(HttpError::Malformed("request head exceeds 16 KiB".into()));
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
-            return Err(HttpError::Malformed(
-                "connection closed before the end of the request head".into(),
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
+pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<HttpRequest, HttpError> {
+    let mut buf: Vec<u8> = Vec::new();
+    let line_end = read_head_until(stream, &mut buf, |buf| buf.iter().position(|&b| b == b'\n'))?;
+    let (method, path) = request_line(&buf[..line_end])?;
+    let head_end = read_head_until(stream, &mut buf, |buf| {
+        buf.windows(4).position(|w| w == b"\r\n\r\n")
+    })?;
 
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.split("\r\n");
-    let request_line = lines
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request".into()))?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("missing method".into()))?
-        .to_string();
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("missing request target".into()))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("missing HTTP version".into()))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let path = target.split('?').next().unwrap_or(target).to_string();
-
     let mut content_length: Option<usize> = None;
-    for line in lines {
+    for line in head.split("\r\n").skip(1) {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
                 let declared = value
@@ -139,8 +108,53 @@ pub fn read_request(
     Ok(HttpRequest { method, path, body })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Reads from `stream` into `buf` until `found` locates its mark in `buf`,
+/// and returns the mark's position. Refuses a head past [`HEAD_CAP`].
+fn read_head_until(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    found: impl Fn(&[u8]) -> Option<usize>,
+) -> Result<usize, HttpError> {
+    loop {
+        if let Some(pos) = found(buf) {
+            return Ok(pos);
+        }
+        if buf.len() > HEAD_CAP {
+            return Err(HttpError::Malformed("request head exceeds 16 KiB".into()));
+        }
+        let mut chunk = [0u8; 1024];
+        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
+        if n == 0 {
+            return Err(if buf.is_empty() {
+                HttpError::Io(std::io::ErrorKind::UnexpectedEof.into())
+            } else {
+                HttpError::Malformed("connection closed before the end of the request head".into())
+            });
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// The method and path (query string stripped) of a request line,
+/// `METHOD TARGET HTTP/1.x`.
+fn request_line(line: &[u8]) -> Result<(String, String), HttpError> {
+    let line = String::from_utf8_lossy(line);
+    let mut parts = line.split_whitespace();
+    let mut next = |missing: &str| {
+        parts
+            .next()
+            .ok_or_else(|| HttpError::Malformed(format!("missing {missing}")))
+    };
+    let method = next("method")?.to_string();
+    let target = next("request target")?;
+    let version = next("HTTP version")?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::Malformed(format!(
+            "unsupported version {version}"
+        )));
+    }
+    let path = target.split('?').next().unwrap_or(target).to_string();
+    Ok((method, path))
 }
 
 /// Reads and discards up to `unread` body bytes, bounded by a retry budget
@@ -196,7 +210,7 @@ mod tests {
 
     fn request(raw: &str, max_body: usize) -> Result<HttpRequest, HttpError> {
         let mut rest = raw.as_bytes();
-        read_request(&[], &mut rest, max_body)
+        read_request(&mut rest, max_body)
     }
 
     #[test]
@@ -256,14 +270,41 @@ mod tests {
     }
 
     #[test]
-    fn sniffed_prefix_bytes_are_part_of_the_request() {
-        // The server sniffs the transport by reading some bytes first;
-        // they must be prepended, not lost.
-        let raw = "POST /run HTTP/1.1\r\nContent-Length: 2\r\n\r\nok";
-        let (first, rest) = raw.as_bytes().split_at(10);
-        let mut rest_reader = rest;
-        let req = read_request(first, &mut rest_reader, 1024).expect("parses");
-        assert_eq!(req.body, "ok");
+    fn a_first_line_that_is_not_a_request_line_is_refused_before_reading_on() {
+        /// Hands out one line, then fails the test if read again.
+        struct OneLine(&'static [u8]);
+        impl Read for OneLine {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                assert!(!self.0.is_empty(), "read past the first line");
+                let n = buf.len().min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        for line in [
+            &b"{\"control\":\"ping\"}\n"[..],
+            b"POST /run\r\n",
+            b"GET /metrics HTTP/2\r\n",
+        ] {
+            assert!(
+                matches!(
+                    read_request(&mut OneLine(line), 1024),
+                    Err(HttpError::Malformed(_))
+                ),
+                "{}",
+                String::from_utf8_lossy(line)
+            );
+        }
+    }
+
+    #[test]
+    fn a_peer_that_closes_without_a_byte_is_an_io_end() {
+        assert!(matches!(request("", 1024), Err(HttpError::Io(_))));
+        assert!(matches!(
+            request("GET /metrics HTTP/1.1\r\n", 1024),
+            Err(HttpError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! | layer | module | what it adds |
 //! |-------|--------|--------------|
-//! | transports | [`server`] + [`http`] | one port speaking line-delimited JSON *and* HTTP/1.1, sniffed per connection |
-//! | protocol | [`protocol`] | strict parsing with typed error responses — malformed input never drops a connection or panics the daemon |
+//! | transport | [`server`] + [`http`] | one port speaking HTTP/1.1, one request per connection; a first line that is not an HTTP request line is refused at once |
+//! | protocol | [`protocol`] | strict scenario parsing with typed error responses — malformed input never drops a connection or panics the daemon |
 //! | memoization | [`memo`] | completed results replayed byte-for-byte for identical requests, checked before admission; the memo is the runtime's single-flight [`FlightCache`](scalagraph_runtime::FlightCache) |
-//! | execution | [`scalagraph_runtime::Executor`] | the runtime's worker pool behind its bounded two-lane admission queue |
+//! | execution | [`scalagraph_runtime::Executor`] | the runtime's worker pool behind its bounded FIFO admission queue |
 //! | graph sharing | [`scalagraph_runtime::GraphCache`] | one CSR build per distinct graph spec for the daemon's lifetime, on the same `FlightCache`, within a 2 GiB byte budget by default |
 //!
 //! The runtime's ledger invariant
@@ -31,11 +31,12 @@ pub mod protocol;
 pub mod server;
 
 pub use memo::{memo_key, Memo, MemoCache, MemoGuard, MemoStats};
-pub use protocol::{Control, ErrorReply, Request};
+pub use protocol::ErrorReply;
 pub use server::{render_metrics_text, ServeConfig, Server};
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    use scalagraph::fault::{Fault, FaultKind};
     use scalagraph_conformance::scenario::{AlgoSpec, ConfigSpec, Expectation, Family, ModeMatrix};
     use scalagraph_conformance::{GraphSource, GraphSpec, Scenario};
 
@@ -65,5 +66,27 @@ pub(crate) mod test_support {
             synthetic_bug: false,
             mutations: None,
         }
+    }
+
+    /// A scenario that can never converge: the watchdog is off and an HBM
+    /// channel is pinned forever, so only a deadline or a cancellation can
+    /// end it.
+    pub fn wedge_scenario(name: &str) -> Scenario {
+        let mut s = healthy_scenario(name);
+        s.graph.family = Family::Uniform {
+            vertices: 400,
+            edges: 3000,
+            seed: 4,
+        };
+        s.config.watchdog_stall_cycles = 0;
+        s.modes.fast_forward = false;
+        s.faults = vec![Fault::new(FaultKind::HbmStall {
+            tile: 0,
+            channel: 0,
+            cycles: u64::MAX,
+        })
+        .window(20, 21)];
+        s.fault_seed = 1;
+        s
     }
 }

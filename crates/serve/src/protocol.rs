@@ -1,10 +1,10 @@
-//! Wire protocol: requests in, typed responses out.
+//! Wire protocol: scenarios in, typed responses out.
 //!
-//! Both transports (line-delimited JSON and HTTP) speak the same
-//! vocabulary. A *request* is either a scenario to run or a control verb;
-//! a *response* is a single-line JSON object that always says whether it
-//! is `ok` and, when it is not, carries a typed error — malformed input
-//! never drops a connection silently and never panics the server.
+//! The body of `POST /run` is a bare scenario, parsed strictly by
+//! [`parse_scenario_strict`]. Every JSON response is one object that
+//! always says whether it is `ok` and, when it is not, carries a typed
+//! [`ErrorReply`] whose kind picks the HTTP status — malformed input never
+//! drops a connection silently and never panics the server.
 //!
 //! The success response splices the memoized result JSON **verbatim**:
 //!
@@ -16,12 +16,9 @@
 //! construction — the serialized form is what the memo stores, not a
 //! re-rendering of a parsed structure.
 
-use scalagraph_conformance::json::{obj, parse, Json};
+use scalagraph_conformance::json::{obj, Json};
 use scalagraph_conformance::Scenario;
-use scalagraph_runtime::{JobMetrics, JobStatus, Priority, Rejection};
-
-/// Envelope keys the jsonl transport accepts.
-const ENVELOPE_KEYS: [&str; 4] = ["run", "control", "priority", "deadline_ms"];
+use scalagraph_runtime::{JobMetrics, JobStatus, Rejection};
 
 /// A typed refusal. `kind` is a stable machine-readable label; `message`
 /// says what was wrong with *this* request.
@@ -50,11 +47,11 @@ impl ErrorReply {
         }
     }
 
-    /// The request carried a key the protocol does not define.
-    pub fn unknown_field(key: &str, context: &str) -> Self {
+    /// The scenario carried a top-level key the schema does not define.
+    pub fn unknown_field(key: &str) -> Self {
         ErrorReply {
             kind: "unknown_field",
-            message: format!("unknown {context} key `{key}`"),
+            message: format!("unknown scenario key `{key}`"),
         }
     }
 
@@ -155,35 +152,6 @@ impl From<Rejection> for ErrorReply {
     }
 }
 
-/// A control verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Liveness probe; answers `{"ok":true,"control":"pong"}`.
-    Ping,
-    /// Answers the metrics text rendering inside a JSON string.
-    Metrics,
-    /// Starts a graceful drain: queued jobs cancel, in-flight jobs are
-    /// cooperatively cancelled, the listener closes.
-    Shutdown,
-}
-
-/// One parsed request.
-#[derive(Debug)]
-pub enum Request {
-    /// Run a scenario.
-    Run {
-        /// The (validated) scenario.
-        scenario: Box<Scenario>,
-        /// Admission lane.
-        priority: Priority,
-        /// Per-job wall-clock deadline in milliseconds; `None` uses the
-        /// server default, `Some(0)` means no deadline.
-        deadline_ms: Option<u64>,
-    },
-    /// A control verb.
-    Control(Control),
-}
-
 /// Parses a scenario object, refusing unknown top-level keys and
 /// scenarios that fail [`Scenario::validate`].
 ///
@@ -197,79 +165,12 @@ pub fn parse_scenario_strict(v: &Json) -> Result<Scenario, ErrorReply> {
     };
     for (key, _) in members {
         if !Scenario::KEYS.contains(&key.as_str()) {
-            return Err(ErrorReply::unknown_field(key, "scenario"));
+            return Err(ErrorReply::unknown_field(key));
         }
     }
     let scenario = Scenario::from_json(v).map_err(ErrorReply::bad_request)?;
     scenario.validate().map_err(ErrorReply::invalid_scenario)?;
     Ok(scenario)
-}
-
-/// Parses one jsonl request line: either
-/// `{"run": {...scenario...}, "priority"?: "high"|"normal", "deadline_ms"?: n}`
-/// or `{"control": "ping"|"metrics"|"shutdown"}`.
-///
-/// # Errors
-///
-/// A typed [`ErrorReply`] for every way the line can be wrong.
-pub fn parse_jsonl_request(line: &str) -> Result<Request, ErrorReply> {
-    let v = parse(line).map_err(ErrorReply::malformed_json)?;
-    let members = match &v {
-        Json::Obj(members) => members,
-        _ => return Err(ErrorReply::bad_request("request must be a JSON object")),
-    };
-    for (key, _) in members {
-        if !ENVELOPE_KEYS.contains(&key.as_str()) {
-            return Err(ErrorReply::unknown_field(key, "request"));
-        }
-    }
-    match (v.get("run"), v.get("control")) {
-        (Some(_), Some(_)) => Err(ErrorReply::bad_request(
-            "request carries both `run` and `control`",
-        )),
-        (None, None) => Err(ErrorReply::bad_request(
-            "request needs a `run` scenario or a `control` verb",
-        )),
-        (None, Some(c)) => {
-            let verb = c
-                .as_str()
-                .ok_or_else(|| ErrorReply::bad_request("`control` must be a string"))?;
-            match verb {
-                "ping" => Ok(Request::Control(Control::Ping)),
-                "metrics" => Ok(Request::Control(Control::Metrics)),
-                "shutdown" => Ok(Request::Control(Control::Shutdown)),
-                other => Err(ErrorReply::bad_request(format!(
-                    "unknown control verb `{other}`"
-                ))),
-            }
-        }
-        (Some(run), None) => {
-            let scenario = parse_scenario_strict(run)?;
-            let priority = match v.get("priority") {
-                None => Priority::Normal,
-                Some(p) => match p.as_str() {
-                    Some("normal") => Priority::Normal,
-                    Some("high") => Priority::High,
-                    _ => {
-                        return Err(ErrorReply::bad_request(
-                            "`priority` must be \"normal\" or \"high\"",
-                        ))
-                    }
-                },
-            };
-            let deadline_ms = match v.get("deadline_ms") {
-                None => None,
-                Some(d) => Some(d.as_u64().ok_or_else(|| {
-                    ErrorReply::bad_request("`deadline_ms` must be a non-negative integer")
-                })?),
-            };
-            Ok(Request::Run {
-                scenario: Box::new(scenario),
-                priority,
-                deadline_ms,
-            })
-        }
-    }
 }
 
 /// The deterministic `result` object for a terminal job status, serialized
@@ -315,21 +216,11 @@ pub fn ok_response(result: &str, memo_hit: bool, wall_ms: u64) -> String {
     format!("{{\"ok\":true,\"memo_hit\":{memo_hit},\"wall_ms\":{wall_ms},\"result\":{result}}}")
 }
 
-/// A control acknowledgement: `{"ok":true,"control":"<word>"}` with an
-/// optional extra payload member.
-pub fn control_response(word: &str, extra: Option<(&str, Json)>) -> String {
-    let mut members = vec![
-        ("ok", Json::Bool(true)),
-        ("control", Json::Str(word.to_string())),
-    ];
-    if let Some((key, value)) = extra {
-        members.push((key, value));
-    }
-    obj(members).compact()
-}
+/// The acknowledgement of `POST /shutdown`.
+pub const SHUTDOWN_ACK: &str = "{\"ok\":true,\"control\":\"shutdown\"}";
 
 /// Extracts the verbatim `result` object bytes from an [`ok_response`]
-/// line. Used by tests and the load generator to compare results
+/// body. Used by tests and the load generator to compare results
 /// byte-for-byte without re-serializing.
 pub fn extract_result(response: &str) -> Option<&str> {
     response
@@ -340,6 +231,7 @@ pub fn extract_result(response: &str) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalagraph_conformance::json::parse;
     use scalagraph_runtime::FailureReason;
 
     fn scenario_json() -> String {
@@ -348,46 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn a_run_envelope_parses_with_priority_and_deadline() {
-        let line = format!(
-            "{{\"run\":{},\"priority\":\"high\",\"deadline_ms\":250}}",
-            scenario_json()
-        );
-        match parse_jsonl_request(&line) {
-            Ok(Request::Run {
-                scenario,
-                priority,
-                deadline_ms,
-            }) => {
-                assert_eq!(scenario.name, "proto-test");
-                assert_eq!(priority, Priority::High);
-                assert_eq!(deadline_ms, Some(250));
-            }
-            other => panic!("expected run, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn every_malformed_shape_maps_to_a_typed_error() {
-        let cases = [
-            ("{not json", "malformed_json"),
-            ("[1,2,3]", "bad_request"),
-            ("{\"control\":\"reboot\"}", "bad_request"),
-            ("{\"bogus\":1}", "unknown_field"),
-            ("{}", "bad_request"),
-        ];
-        for (line, kind) in cases {
-            let err = parse_jsonl_request(line).unwrap_err();
-            assert_eq!(err.kind, kind, "line {line:?} -> {err:?}");
-        }
-    }
-
-    #[test]
     fn unknown_scenario_fields_are_refused_not_ignored() {
         let mut body = scenario_json();
         body.insert_str(body.len() - 1, ",\"turbo\":true");
-        let line = format!("{{\"run\":{body}}}");
-        let err = parse_jsonl_request(&line).unwrap_err();
+        let err = parse_scenario_strict(&parse(&body).unwrap()).unwrap_err();
         assert_eq!(err.kind, "unknown_field");
         assert!(err.message.contains("turbo"), "{}", err.message);
     }
@@ -396,8 +252,7 @@ mod tests {
     fn invalid_scenarios_fail_validation_with_the_defect_named() {
         let mut s = crate::test_support::healthy_scenario("bad-root");
         s.algo = scalagraph_conformance::scenario::AlgoSpec::Bfs { root: 9_999 };
-        let line = format!("{{\"run\":{}}}", s.to_json().compact());
-        let err = parse_jsonl_request(&line).unwrap_err();
+        let err = parse_scenario_strict(&s.to_json()).unwrap_err();
         assert_eq!(err.kind, "invalid_scenario");
         assert!(err.message.contains("out of range"), "{}", err.message);
     }

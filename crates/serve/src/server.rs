@@ -1,23 +1,19 @@
 //! The daemon: a TCP listener and a result memo in front of the runtime's
 //! [`Executor`].
 //!
-//! One port speaks both transports. The first bytes of a connection are
-//! sniffed: an HTTP method verb (`POST `, `GET `, ...) selects the
-//! one-request HTTP/1.1 handler; anything else (in practice a `{`) selects
-//! the line-delimited JSON session, where each line is one request and each
-//! response is one line. Every connection gets a thread — connection counts
-//! here are bounded by the admission queue behind them, not by the
-//! listener.
+//! The port speaks HTTP/1.1 only ([`http`]): every connection gets a
+//! thread and carries one request. Runs are bounded by the admission queue
+//! behind them; a connection still waiting for its request holds its
+//! thread until the peer closes or the daemon stops.
 //!
-//! Shutdown is cooperative and total: a `shutdown` control request (either
-//! transport) or [`Server::stop`] flips one flag and wakes the accept
-//! thread, which blocks in `accept()`, with a connection of its own; run
-//! requests are refused from then on, memo hits included; the accept loop
-//! closes, the executor drains its queue into typed refusals and cancels
-//! in-flight simulations through their
-//! [`CancelToken`](scalagraph::CancelToken)s, connection threads flush
-//! their last responses, and [`Server::join`] returns the final counters —
-//! whose ledger must balance, exactly as in the batch runtime.
+//! Shutdown is cooperative and total: `POST /shutdown` or [`Server::stop`]
+//! flips one flag and wakes the accept thread, which blocks in `accept()`,
+//! with a connection of its own; run requests are refused from then on,
+//! memo hits included; the accept loop closes, the executor drains its
+//! queue into typed refusals and cancels in-flight simulations through
+//! their [`CancelToken`](scalagraph::CancelToken)s, connection threads
+//! flush their last responses, and [`Server::join`] returns the final
+//! counters — whose ledger must balance, exactly as in the batch runtime.
 
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -27,20 +23,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use scalagraph_conformance::json::{parse, Json};
+use scalagraph_conformance::json::parse;
 use scalagraph_conformance::Scenario;
 use scalagraph_runtime::{
-    Executor, GraphCache, GraphCacheStats, JobSpec, JobStatus, Priority, RuntimeConfig,
+    Executor, GraphCache, GraphCacheStats, JobSpec, JobStatus, RuntimeConfig,
     DEFAULT_GRAPH_CACHE_BYTES,
 };
 use scalagraph_telemetry::{ServiceCounters, ServiceMetrics};
 
 use crate::http;
 use crate::memo::{memo_key, Memo, MemoCache, MemoStats};
-use crate::protocol::{
-    control_response, ok_response, parse_jsonl_request, parse_scenario_strict, result_json,
-    Control, ErrorReply, Request,
-};
+use crate::protocol::{ok_response, parse_scenario_strict, result_json, ErrorReply, SHUTDOWN_ACK};
 
 /// Daemon knobs.
 #[derive(Debug, Clone)]
@@ -51,10 +44,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue capacity.
     pub queue_capacity: usize,
-    /// Default per-job wall-clock deadline in milliseconds (applied when a
-    /// request carries none); 0 disables the default.
+    /// Wall-clock deadline of every run's simulation in milliseconds, the
+    /// executor's [`RuntimeConfig::default_deadline`]; 0 for none.
     pub default_deadline_ms: u64,
-    /// Request body / line ceiling in bytes.
+    /// Request body ceiling in bytes.
     pub max_body_bytes: usize,
     /// Graph cache capacity (distinct graph specs).
     pub graph_cache_capacity: usize,
@@ -84,8 +77,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// The metrics text rendering served by `GET /metrics` and the `metrics`
-/// control verb: one `name value` pair per line, stable names.
+/// The metrics text rendering served by `GET /metrics`: one `name value`
+/// pair per line, stable names.
 pub fn render_metrics_text(
     counters: &ServiceCounters,
     graphs: &GraphCacheStats,
@@ -142,8 +135,6 @@ struct Shared {
     metrics: Arc<ServiceMetrics>,
     memo: MemoCache,
     executor: Executor,
-    /// Deadline of a run request that names none.
-    default_deadline: Option<Duration>,
     stop: AtomicBool,
     /// Where a wake-up connection reaches the listener.
     wake_addr: SocketAddr,
@@ -163,13 +154,6 @@ impl Shared {
     /// has exited.
     fn wake_listener(&self) {
         let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
-    }
-
-    fn reader<'a>(&'a self, stream: &'a TcpStream) -> ConnReader<'a> {
-        ConnReader {
-            stream,
-            stop: &self.stop,
-        }
     }
 
     fn metrics_text(&self) -> String {
@@ -193,39 +177,12 @@ impl Shared {
         )
     }
 
-    /// Handles one parsed request and returns the single-line response
-    /// body, or the typed refusal. Blocking: a `run` request waits for its
-    /// terminal reply.
-    fn answer(&self, request: Request) -> Result<String, ErrorReply> {
-        match request {
-            Request::Control(Control::Ping) => Ok(control_response("pong", None)),
-            Request::Control(Control::Metrics) => Ok(control_response(
-                "metrics",
-                Some(("text", Json::Str(self.metrics_text()))),
-            )),
-            Request::Control(Control::Shutdown) => {
-                self.request_stop();
-                Ok(control_response("shutdown", None))
-            }
-            Request::Run {
-                scenario,
-                priority,
-                deadline_ms,
-            } => self.run(*scenario, priority, deadline_ms),
-        }
-    }
-
     /// Runs one scenario to its response body. The memo answers first, so
     /// a completed identical request (same behaviour, same name) is
     /// replayed without passing admission; a replay still counts as one
     /// submitted and one completed job. Once the daemon is stopping every
     /// run is refused, memo hits included.
-    fn run(
-        &self,
-        scenario: Scenario,
-        priority: Priority,
-        deadline_ms: Option<u64>,
-    ) -> Result<String, ErrorReply> {
+    fn run(&self, scenario: Scenario) -> Result<String, ErrorReply> {
         let arrived = Instant::now();
         if self.stop.load(Ordering::Acquire) {
             self.metrics.job_submitted();
@@ -244,14 +201,8 @@ impl Shared {
             }
             Memo::Miss(flight) => flight,
         };
-        let mut spec = JobSpec::new(scenario).with_priority(priority);
-        spec.deadline = match deadline_ms {
-            Some(0) => None,
-            Some(ms) => Some(Duration::from_millis(ms)),
-            None => self.default_deadline,
-        };
         let (tx, rx) = channel();
-        self.executor.submit(spec, tx)?;
+        self.executor.submit(JobSpec::new(scenario), tx)?;
         // Contained panics still reply, so a lost reply is a runtime bug,
         // answered as a typed error rather than a dropped connection.
         let outcome = rx
@@ -267,20 +218,6 @@ impl Shared {
             _ => Arc::new(rendered),
         };
         Ok(ok_response(&result, false, outcome.wall_ms))
-    }
-
-    /// Counts one answered request, then renders its body.
-    fn respond(&self, answer: Result<String, ErrorReply>) -> String {
-        match answer {
-            Ok(body) => {
-                self.metrics.request_ok();
-                body
-            }
-            Err(refusal) => {
-                self.metrics.request_error();
-                refusal.to_response()
-            }
-        }
     }
 }
 
@@ -307,95 +244,18 @@ impl Read for ConnReader<'_> {
     }
 }
 
-enum LineRead {
-    Line(Vec<u8>),
-    /// The peer closed, the socket failed, or the daemon is stopping.
-    End,
-    Oversized,
-}
-
-/// Reads one `\n`-terminated line, refusing lines over `cap` bytes.
-/// `pending` carries bytes already read (sniffing, previous line
-/// overshoot) across calls.
-fn read_line(reader: &mut ConnReader<'_>, pending: &mut Vec<u8>, cap: usize) -> LineRead {
-    loop {
-        if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = pending.drain(..=pos).collect();
-            line.pop(); // the newline
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return LineRead::Line(line);
-        }
-        if pending.len() > cap {
-            return LineRead::Oversized;
-        }
-        // A session ends at a stop even while its peer keeps sending.
-        if reader.stop.load(Ordering::Acquire) {
-            return LineRead::End;
-        }
-        let mut chunk = [0u8; 4096];
-        match reader.read(&mut chunk) {
-            Ok(0) => {
-                return if pending.iter().any(|b| !b.is_ascii_whitespace()) {
-                    // A final unterminated line still counts as a request.
-                    LineRead::Line(std::mem::take(pending))
-                } else {
-                    LineRead::End
-                };
-            }
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(_) => return LineRead::End,
-        }
-    }
-}
-
-/// One jsonl session: every line in, one response line out.
-fn serve_jsonl(shared: &Shared, mut stream: TcpStream, mut pending: Vec<u8>) {
-    use std::io::Write as _;
-    let write_line = |stream: &mut TcpStream, answer: Result<String, ErrorReply>| -> bool {
-        let framed = format!("{}\n", shared.respond(answer));
-        shared.metrics.add_bytes_out(framed.len() as u64);
-        stream.write_all(framed.as_bytes()).is_ok() && stream.flush().is_ok()
+/// One HTTP exchange: read, route, answer, close.
+fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_nodelay(true);
+    let mut reader = ConnReader {
+        stream: &stream,
+        stop: &shared.stop,
     };
-    loop {
-        match read_line(
-            &mut shared.reader(&stream),
-            &mut pending,
-            shared.max_body_bytes,
-        ) {
-            LineRead::End => return,
-            LineRead::Oversized => {
-                // Framing is lost past an oversized line: answer, then close.
-                let _ = write_line(
-                    &mut stream,
-                    Err(ErrorReply::oversized(shared.max_body_bytes)),
-                );
-                return;
-            }
-            LineRead::Line(raw) => {
-                if raw.iter().all(|b| b.is_ascii_whitespace()) {
-                    continue;
-                }
-                shared.metrics.add_bytes_in(raw.len() as u64);
-                let request = parse_jsonl_request(&String::from_utf8_lossy(&raw));
-                let is_shutdown = matches!(request, Ok(Request::Control(Control::Shutdown)));
-                let answer = request.and_then(|request| shared.answer(request));
-                if !write_line(&mut stream, answer) || is_shutdown {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// One HTTP exchange: route, answer, close.
-fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
-    let mut reader = shared.reader(&stream);
-    let request = match http::read_request(&pending, &mut reader, shared.max_body_bytes) {
+    let request = match http::read_request(&mut reader, shared.max_body_bytes) {
         Ok(request) => request,
         Err(http::HttpError::Oversized { unread }) => {
-            respond_http(
+            respond(
                 shared,
                 &mut stream,
                 Err(ErrorReply::oversized(shared.max_body_bytes)),
@@ -404,7 +264,7 @@ fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
             return;
         }
         Err(http::HttpError::Malformed(message)) => {
-            respond_http(shared, &mut stream, Err(ErrorReply::bad_request(message)));
+            respond(shared, &mut stream, Err(ErrorReply::bad_request(message)));
             return;
         }
         Err(http::HttpError::Io(_)) => return,
@@ -414,13 +274,7 @@ fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
         ("POST", "/run") => parse(&request.body)
             .map_err(ErrorReply::malformed_json)
             .and_then(|v| parse_scenario_strict(&v))
-            .and_then(|scenario| {
-                shared.answer(Request::Run {
-                    scenario: Box::new(scenario),
-                    priority: Priority::Normal,
-                    deadline_ms: None,
-                })
-            }),
+            .and_then(|scenario| shared.run(scenario)),
         ("GET", "/metrics") => {
             let text = shared.metrics_text();
             shared.metrics.request_ok();
@@ -431,61 +285,39 @@ fn serve_http(shared: &Shared, mut stream: TcpStream, pending: Vec<u8>) {
             }
             return;
         }
-        ("POST", "/shutdown") => shared.answer(Request::Control(Control::Shutdown)),
+        ("POST", "/shutdown") => {
+            shared.request_stop();
+            Ok(SHUTDOWN_ACK.to_string())
+        }
         (method, path @ ("/run" | "/metrics" | "/shutdown")) => {
             Err(ErrorReply::method_not_allowed(method, path))
         }
         (_, path) => Err(ErrorReply::not_found(path)),
     };
-    respond_http(shared, &mut stream, answer);
+    respond(shared, &mut stream, answer);
 }
 
 /// Counts an answer and writes it with the status line its outcome maps
 /// to: 200, or the refusal's own [`ErrorReply::http_status`].
-fn respond_http(shared: &Shared, stream: &mut TcpStream, answer: Result<String, ErrorReply>) {
-    let (status, reason) = match &answer {
-        Ok(_) => (200, "OK"),
-        Err(refusal) => refusal.http_status(),
+fn respond(shared: &Shared, stream: &mut TcpStream, answer: Result<String, ErrorReply>) {
+    let (status, reason, body) = match answer {
+        Ok(body) => {
+            shared.metrics.request_ok();
+            (200, "OK", body)
+        }
+        Err(refusal) => {
+            shared.metrics.request_error();
+            let (status, reason) = refusal.http_status();
+            (status, reason, refusal.to_response())
+        }
     };
-    let body = shared.respond(answer);
     if let Ok(n) = http::write_response(stream, status, reason, "application/json", &body) {
         shared.metrics.add_bytes_out(n);
     }
 }
 
-/// Sniffs the transport and dispatches the connection.
-fn serve_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    // Read until the first bytes disambiguate the transport.
-    let mut pending: Vec<u8> = Vec::new();
-    while pending.len() < 8 && !pending.contains(&b'\n') {
-        let mut chunk = [0u8; 1024];
-        match shared.reader(&stream).read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(_) => return,
-        }
-    }
-    let is_http = [
-        &b"GET "[..],
-        b"POST ",
-        b"PUT ",
-        b"HEAD ",
-        b"DELETE ",
-        b"PATCH ",
-    ]
-    .iter()
-    .any(|verb| pending.starts_with(verb));
-    if is_http {
-        serve_http(shared, stream, pending);
-    } else if !pending.is_empty() {
-        serve_jsonl(shared, stream, pending);
-    }
-}
-
-/// A running daemon. Start with [`Server::start`], end with a `shutdown`
-/// request or [`Server::stop`], then [`Server::join`].
+/// A running daemon. Start with [`Server::start`], end with
+/// `POST /shutdown` or [`Server::stop`], then [`Server::join`].
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -511,6 +343,8 @@ impl Server {
             RuntimeConfig {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
+                default_deadline: (config.default_deadline_ms > 0)
+                    .then(|| Duration::from_millis(config.default_deadline_ms)),
                 ..RuntimeConfig::default()
             },
             Arc::clone(&metrics),
@@ -523,8 +357,6 @@ impl Server {
             metrics,
             memo: MemoCache::new(config.memo_capacity),
             executor,
-            default_deadline: (config.default_deadline_ms > 0)
-                .then(|| Duration::from_millis(config.default_deadline_ms)),
             stop: AtomicBool::new(false),
             wake_addr: wake_addr(local_addr),
             max_body_bytes: config.max_body_bytes,
@@ -616,8 +448,7 @@ impl Server {
         self.shared.stop.load(Ordering::Acquire)
     }
 
-    /// Requests a graceful shutdown (same effect as a `shutdown` control
-    /// request over either transport).
+    /// Requests a graceful shutdown (same effect as `POST /shutdown`).
     pub fn stop(&self) {
         self.shared.request_stop();
     }
@@ -668,8 +499,7 @@ fn wake_addr(mut local: SocketAddr) -> SocketAddr {
 mod tests {
     use super::*;
     use crate::protocol::extract_result;
-    use crate::test_support::healthy_scenario;
-    use scalagraph_conformance::scenario::Family;
+    use crate::test_support::{healthy_scenario, wedge_scenario};
 
     fn start(workers: usize) -> Server {
         Server::start(ServeConfig {
@@ -679,15 +509,11 @@ mod tests {
         .expect("bind an ephemeral port")
     }
 
-    /// One run request through the daemon's answer path: the result
-    /// bytes, and whether the memo replayed them.
-    fn run(shared: &Shared, scenario: Scenario, deadline_ms: Option<u64>) -> (String, bool) {
+    /// One run request through the daemon's run path: the result bytes,
+    /// and whether the memo replayed them.
+    fn run(shared: &Shared, scenario: Scenario) -> (String, bool) {
         let response = shared
-            .answer(Request::Run {
-                scenario: Box::new(scenario),
-                priority: Priority::Normal,
-                deadline_ms,
-            })
+            .run(scenario)
             .unwrap_or_else(|refusal| panic!("refused: {refusal:?}"));
         let result = extract_result(&response)
             .unwrap_or_else(|| panic!("not a result: {response}"))
@@ -708,7 +534,7 @@ mod tests {
         let shared = &*server.shared;
         let replies: Vec<(String, bool)> = std::thread::scope(|scope| {
             let clients: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| run(shared, healthy_scenario("same"), None)))
+                .map(|_| scope.spawn(|| run(shared, healthy_scenario("same"))))
                 .collect();
             clients
                 .into_iter()
@@ -747,14 +573,14 @@ mod tests {
         };
         let server = start(4);
         // Identical scenario + schedule: second run replays the memo.
-        let (first, hit_first) = run(&server.shared, with_schedule(11), None);
-        let (replay, hit_replay) = run(&server.shared, with_schedule(11), None);
+        let (first, hit_first) = run(&server.shared, with_schedule(11));
+        let (replay, hit_replay) = run(&server.shared, with_schedule(11));
         assert!(!hit_first);
         assert!(hit_replay, "identical schedule must memo-hit");
         assert_eq!(first, replay, "replayed bytes are identical");
         // Same base graph, different schedule: distinct fingerprint, so a
         // fresh flight — a stale replay here would be unsound.
-        let (other, hit_other) = run(&server.shared, with_schedule(12), None);
+        let (other, hit_other) = run(&server.shared, with_schedule(12));
         assert!(!hit_other, "a different schedule must not memo-hit");
         assert_ne!(first, other, "different schedule, different result");
         // All three runs resolved one shared base CSR from the cache; the
@@ -770,41 +596,42 @@ mod tests {
 
     #[test]
     fn a_deadline_kill_is_not_memoized_but_a_completion_is() {
-        let server = start(2);
-        let mut s = healthy_scenario("dl");
-        s.graph.family = Family::Uniform {
-            vertices: 2048,
-            edges: 16_384,
-            seed: 5,
-        };
-        // First: an impossible 1 ms deadline, which usually kills the run.
-        let (first, first_hit) = run(&server.shared, s.clone(), Some(1));
-        assert!(!first_hit);
-        // Timing decides whether the tiny deadline actually fired; either
-        // way the second, undeadlined run must simulate (no memo of a
-        // killed result) unless the first genuinely completed.
-        let (second, second_hit) = run(&server.shared, s, Some(0));
-        assert!(second.contains("\"status\":\"completed\""), "{second}");
-        if first.contains("\"status\":\"completed\"") {
-            assert!(second_hit, "a completed first run memoizes");
-        } else {
-            assert!(!second_hit, "a killed first run must not memoize");
+        // The wedge can never converge, so the deadline kills it every time.
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            default_deadline_ms: 200,
+            ..ServeConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        for _ in 0..2 {
+            let (killed, hit) = run(&server.shared, wedge_scenario("dl-wedge"));
+            assert!(
+                killed.contains("\"status\":\"deadline-exceeded\""),
+                "{killed}"
+            );
+            assert!(!hit, "a killed run must not memoize");
         }
+        let (first, first_hit) = run(&server.shared, healthy_scenario("dl-healthy"));
+        let (second, second_hit) = run(&server.shared, healthy_scenario("dl-healthy"));
+        assert!(first.contains("\"status\":\"completed\""), "{first}");
+        assert!(!first_hit);
+        assert!(second_hit, "a completed run memoizes");
+        assert_eq!(first, second);
+        let memo = server.shared.memo.stats();
         server.stop();
-        assert!(server.join().balanced());
+        let counters = server.join();
+        assert!(counters.balanced(), "{counters}");
+        assert_eq!(counters.deadline_kills, 2, "{counters}");
+        assert_eq!((memo.hits, memo.misses, memo.inserted), (1, 3, 1));
     }
 
     #[test]
     fn a_stopping_daemon_refuses_runs_even_when_the_memo_would_hit() {
         let server = start(1);
-        let (result, _) = run(&server.shared, healthy_scenario("late"), None);
+        let (result, _) = run(&server.shared, healthy_scenario("late"));
         assert!(result.contains("\"status\":\"completed\""), "{result}");
         server.stop();
-        let refusal = server.shared.answer(Request::Run {
-            scenario: Box::new(healthy_scenario("late")),
-            priority: Priority::Normal,
-            deadline_ms: None,
-        });
+        let refusal = server.shared.run(healthy_scenario("late"));
         assert_eq!(refusal, Err(ErrorReply::shutting_down()));
         let memo = server.shared.memo.stats();
         let counters = server.join();

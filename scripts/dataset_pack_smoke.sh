@@ -12,8 +12,9 @@
 #      the generated graph.
 #   4. Pack PK at scale 512 and run `scalagraph-sim --csr` on the file; its
 #      stdout must be byte-identical to the run on `--graph PK --scale 512`.
-#   5. Re-measure the dataset benchmarks and gate against the checked-in
-#      BENCH_datasets.json (pack ratio >10% worse, or gen/cold-open
+#   5. Re-measure the dataset benchmarks with one generation thread, the
+#      count BENCH_datasets.json records, and gate against that file
+#      (another thread count, pack ratio >10% worse, or gen/cold-open
 #      speedups below half their recorded values, fail the job).
 #
 # Usage: scripts/dataset_pack_smoke.sh [--skip-bench]
@@ -51,8 +52,8 @@ cmp "$WORK/generated.txt" "$WORK/from-file.txt"
 
 if [ "$SKIP_BENCH" = 0 ]; then
   echo "== bench: regression gates vs checked-in BENCH_datasets.json =="
-  cargo run --offline --locked --release -p scalagraph-bench --bin bench_datasets -- \
-    --out BENCH_datasets.ci.json --check BENCH_datasets.json
+  SCALAGRAPH_THREADS=1 cargo run --offline --locked --release -p scalagraph-bench \
+    --bin bench_datasets -- --out BENCH_datasets.ci.json --check BENCH_datasets.json
 fi
 
 echo "dataset-pack smoke: OK"

@@ -1,7 +1,8 @@
 //! Tier-1 conformance: every checked-in corpus scenario replays clean, the
 //! fuzzer is deterministic, the shrinker minimizes a synthetic divergence
 //! down to a trivial graph, and mutated scenario files either parse and
-//! round-trip or fail with a typed error.
+//! round-trip or fail with a typed error. Every fingerprint equals the
+//! clone-and-print definition it replaced.
 //!
 //! The corpus is the regression memory of the differential harness: every
 //! file in `corpus/` is replayed here on every declared engine/mode
@@ -179,6 +180,41 @@ fn event_driven_corpus_wedge_fires_identically_across_modes() {
 /// The bench harnesses' `--check` reads its baseline through `json::parse`,
 /// so every checked-in report must parse, or CI's gate fails before it
 /// measures anything. (`*.ci.json` are local, unversioned CI outputs.)
+/// The fingerprint as first defined: FNV-1a over the pretty-printed JSON
+/// of a clone whose name is cleared.
+fn reference_fingerprint(scenario: &Scenario) -> u64 {
+    let mut anonymous = scenario.clone();
+    anonymous.name.clear();
+    anonymous
+        .to_json_string()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+#[test]
+fn fingerprints_equal_the_clone_and_print_definition() {
+    for (path, text) in corpus_files() {
+        let scenario = Scenario::from_json_str(&text).expect("corpus scenario parses");
+        assert_eq!(
+            scenario.fingerprint(),
+            reference_fingerprint(&scenario),
+            "{path}"
+        );
+    }
+    let mut rng = SplitMix64::new(0xf1_9e4);
+    for index in 0..1000 {
+        let scenario = fuzz::sample_scenario(&mut rng, index);
+        assert_eq!(
+            scenario.fingerprint(),
+            reference_fingerprint(&scenario),
+            "sample {index}: {}",
+            scenario.to_json_string()
+        );
+    }
+}
+
 #[test]
 fn checked_in_bench_reports_parse() {
     let root = env!("CARGO_MANIFEST_DIR");

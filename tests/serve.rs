@@ -7,9 +7,9 @@
 //!    `validate()`-rejected scenarios all come back as typed protocol
 //!    errors with the right HTTP status — never a dropped connection or a
 //!    daemon panic — and the daemon keeps serving afterwards.
-//! 3. A single jsonl session can mix control verbs and runs, survive a
-//!    malformed line, and end with a `shutdown` that leaves the final
-//!    service ledger balanced.
+//! 3. A replayed run is a memo hit that `/metrics` counts, and a
+//!    `POST /shutdown` leaves a balanced ledger that counts every client
+//!    connection and not the stop's wake-up connection.
 //! 4. A body nested deeper than the JSON parser's bound is a typed
 //!    `malformed_json` refusal, not a stack overflow that aborts the
 //!    daemon.
@@ -19,11 +19,12 @@
 //! 7. A client that pauses longer than the daemon's read timeout inside
 //!    its request still gets its reply.
 //! 8. Every stop path wakes the blocking accept loop: `join` returns
-//!    within 10 s of a `shutdown` verb or [`Server::stop`], for a listener
+//!    within 10 s of `POST /shutdown` or [`Server::stop`], for a listener
 //!    bound to loopback or to every interface, and the wake-up connection
 //!    is not counted.
-//! 9. Mutated corpus scenarios, framed as HTTP requests and as jsonl lines,
-//!    get `Ok` or a typed error from both wire parsers, never a panic.
+//! 9. Mutated corpus scenarios, framed as HTTP requests and read in short
+//!    pieces, get `Ok` or a typed error from the wire parser, never a
+//!    panic.
 //! 10. A memo hit answers with its own request's name: two scenarios that
 //!     differ only in name get their own result bytes.
 //! 11. Oversized graph families neither wrap past `validate()` nor slip
@@ -37,12 +38,15 @@
 //!     an empty fault window are each refused with a typed 400 before a
 //!     job is submitted.
 //! 16. A run the shutdown drains from the queue answers 503.
+//! 17. A first line that is not an HTTP request line, from a client that
+//!     keeps its connection open, is answered `400 bad_request` at once,
+//!     and the daemon keeps serving.
 
 mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use scalagraph_suite::conformance::json;
 use scalagraph_suite::conformance::scenario::{
@@ -51,10 +55,8 @@ use scalagraph_suite::conformance::scenario::{
 use scalagraph_suite::conformance::{GraphSource, GraphSpec, Scenario};
 use scalagraph_suite::scalagraph::fault::{Fault, FaultKind};
 use scalagraph_suite::serve::http::{read_request, HttpError};
-use scalagraph_suite::serve::protocol::{
-    extract_result, parse_jsonl_request, parse_scenario_strict,
-};
-use scalagraph_suite::serve::{ErrorReply, Request, ServeConfig, Server};
+use scalagraph_suite::serve::protocol::{extract_result, parse_scenario_strict};
+use scalagraph_suite::serve::{ErrorReply, ServeConfig, Server};
 use scalagraph_suite::telemetry::ServiceCounters;
 
 use common::{int, SplitMix64};
@@ -380,57 +382,18 @@ fn a_scenario_with_the_retired_event_driven_key_is_served_as_its_migrated_form()
 }
 
 #[test]
-fn a_jsonl_session_mixes_controls_runs_and_survives_garbage() {
+fn a_replayed_run_shows_on_metrics_and_post_shutdown_closes_the_ledger() {
     let server = start_server();
     let addr = server.local_addr().to_string();
 
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("read timeout");
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut request = |line: &str| -> String {
-        use std::io::BufRead as _;
-        stream.write_all(line.as_bytes()).expect("write line");
-        stream.write_all(b"\n").expect("write newline");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("read response");
-        assert!(
-            response.ends_with('\n'),
-            "responses are newline-framed: {response:?}"
-        );
-        response.trim_end().to_string()
-    };
-
-    assert_eq!(
-        request("{\"control\":\"ping\"}"),
-        "{\"ok\":true,\"control\":\"pong\"}"
-    );
-
-    // A malformed line gets a typed error and the session continues.
-    let response = request("{broken");
-    assert!(
-        response.contains("\"kind\":\"malformed_json\""),
-        "{response}"
-    );
-
-    // An envelope-level unknown key is refused, strictly.
-    let response = request("{\"run\":{},\"priority\":\"high\",\"turbo\":true}");
-    assert!(
-        response.contains("\"kind\":\"unknown_field\""),
-        "{response}"
-    );
-    assert!(response.contains("turbo"), "{response}");
-
-    // Two identical runs on the same session: the second is a memo hit.
-    let scenario = healthy("serve-e2e-jsonl")
-        .to_json_string()
-        .replace('\n', " ");
-    let envelope = format!("{{\"run\":{scenario}}}");
-    let first = request(&envelope);
+    // Two identical runs: the second is a memo hit with the same bytes.
+    let body = healthy("serve-e2e-replay").to_json_string();
+    let (status, first) = post_run(&addr, &body);
+    assert_eq!(status, 200, "{first}");
     assert!(first.contains("\"memo_hit\":false"), "{first}");
     assert!(first.contains("\"status\":\"completed\""), "{first}");
-    let second = request(&envelope);
+    let (status, second) = post_run(&addr, &body);
+    assert_eq!(status, 200, "{second}");
     assert!(second.contains("\"memo_hit\":true"), "{second}");
     assert_eq!(
         extract_result(&first).expect("first result"),
@@ -438,24 +401,60 @@ fn a_jsonl_session_mixes_controls_runs_and_survives_garbage() {
         "memoized replay must be byte-identical"
     );
 
-    // Metrics over jsonl, counting the memo's one replay.
-    let response = request("{\"control\":\"metrics\"}");
-    assert!(
-        response.contains("scalagraph_serve_memo_hits 1\\n"),
-        "{response}"
-    );
+    // Metrics, counting the memo's one replay.
+    let (status, text) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("scalagraph_serve_memo_hits 1\n"), "{text}");
 
     // Shutdown: acknowledged, then the daemon drains and the ledger closes.
-    let response = request("{\"control\":\"shutdown\"}");
-    assert!(response.contains("\"control\":\"shutdown\""), "{response}");
+    let (status, response) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200, "{response}");
+    assert_eq!(response, "{\"ok\":true,\"control\":\"shutdown\"}");
     let counters = join_within_10s(server);
     assert!(counters.balanced(), "final ledger unbalanced: {counters}");
     assert_eq!(
-        counters.connections, 1,
-        "the wake-up connection is not counted"
+        counters.connections, 4,
+        "two runs, one scrape and one shutdown; the wake-up connection is not counted"
     );
     assert_eq!(counters.submitted, 2, "two runs were admitted");
     assert_eq!(counters.completed, 2);
+}
+
+#[test]
+fn a_first_line_that_is_not_an_http_request_line_is_refused_at_once() {
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+
+    // A client of a line protocol: it sends one line, then waits for an
+    // answer with its connection open.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let sent = Instant::now();
+    stream
+        .write_all(b"{\"control\":\"ping\"}\n")
+        .expect("write line");
+    // Ends at the daemon's close, or with an error after 5 s of silence;
+    // what arrived before either stays in `raw`.
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw:?}");
+    assert!(raw.contains("\"kind\":\"bad_request\""), "{raw}");
+    assert!(
+        sent.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        sent.elapsed()
+    );
+
+    let (status, body) = post_run(&addr, &healthy("serve-e2e-after-line").to_json_string());
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"completed\""), "{body}");
+    server.stop();
+    let counters = join_within_10s(server);
+    assert!(counters.balanced(), "final ledger unbalanced: {counters}");
+    assert_eq!(counters.requests_error, 1, "{counters}");
 }
 
 #[test]
@@ -598,7 +597,7 @@ fn workers_busy_counts_the_running_job() {
             let _ = tx.send(post_run(&addr, &body));
         })
     };
-    let waited = std::time::Instant::now();
+    let waited = Instant::now();
     while metric(&addr, "workers_busy") == 0 {
         assert!(
             waited.elapsed() < Duration::from_secs(10),
@@ -627,23 +626,14 @@ fn http_frame(body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-fn jsonl_frame(scenario: &str) -> Vec<u8> {
-    format!(
-        "{{\"run\":{},\"priority\":\"high\"}}",
-        scenario.replace('\n', " ")
-    )
-    .into_bytes()
-}
-
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 /// One seeded mutation: a byte flip, a digit rewritten (which keeps the
 /// JSON well formed, so the scenario's own checks see it), a truncation, a
-/// splice from `donor`, or (for HTTP) a repeated or bogus
-/// `Content-Length` header.
-fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, donor: &[u8], is_http: bool) {
+/// splice from `donor`, or a repeated or bogus `Content-Length` header.
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, donor: &[u8]) {
     let at = |rng: &mut SplitMix64, len: usize| int(rng, 0..len + 1);
     let value = |rng: &mut SplitMix64| match int(rng, 0..3) {
         0 => ["-1", "+12", " 7 ", "1e3", "0x10", "", "x"][int(rng, 0..7)].to_string(),
@@ -653,7 +643,7 @@ fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, donor: &[u8], is_http: bool
     let digits: Vec<usize> = (0..bytes.len())
         .filter(|&i| bytes[i].is_ascii_digit())
         .collect();
-    match int(rng, 0..if is_http { 6 } else { 4 }) {
+    match int(rng, 0..6) {
         0 if !bytes.is_empty() => {
             let i = int(rng, 0..bytes.len());
             bytes[i] ^= int(rng, 1u8..255);
@@ -725,28 +715,22 @@ fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
         .into_iter()
         .map(|(_, text)| text)
         .collect();
-    let frames: Vec<(Vec<u8>, Vec<u8>)> = texts
-        .iter()
-        .map(|t| (http_frame(t), jsonl_frame(t)))
-        .collect();
+    let frames: Vec<Vec<u8>> = texts.iter().map(|t| http_frame(t)).collect();
     common::check(1000, |rng| {
         let seed = int(rng, 0..frames.len());
-        let (http_seed, jsonl_seed) = &frames[seed];
-        let (http_donor, jsonl_donor) = &frames[int(rng, 0..frames.len())];
+        let donor = &frames[int(rng, 0..frames.len())];
         let mutations = int(rng, 0..4);
-
-        // HTTP, through the sniffer's split and a socket's short reads.
-        let mut bytes = http_seed.clone();
+        let mut bytes = frames[seed].clone();
         for _ in 0..mutations {
-            mutate(rng, &mut bytes, http_donor, true);
+            mutate(rng, &mut bytes, donor);
         }
         let max_body = [64, 1024, 1 << 20][int(rng, 0..3)];
-        let (already, rest) = bytes.split_at(int(rng, 0..bytes.len() + 1));
+        // A socket's short reads.
         let mut reader = Pieces {
-            rest,
+            rest: &bytes,
             piece: int(rng, 1..2048),
         };
-        match read_request(already, &mut reader, max_body) {
+        match read_request(&mut reader, max_body) {
             Ok(request) => {
                 assert!(request.body.len() <= max_body);
                 if mutations == 0 {
@@ -770,20 +754,12 @@ fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
             Err(HttpError::Oversized { .. }) => {
                 assert!(mutations > 0 || max_body < texts[seed].len());
             }
-            Err(HttpError::Io(e)) => panic!("an in-memory reader cannot fail: {e}"),
-        }
-
-        // jsonl, decoded as the session decodes a line.
-        let mut line = jsonl_seed.clone();
-        for _ in 0..mutations {
-            mutate(rng, &mut line, jsonl_donor, false);
-        }
-        match parse_jsonl_request(&String::from_utf8_lossy(&line)) {
-            Ok(Request::Run { scenario, .. }) => assert_round_trips(&scenario),
-            Ok(Request::Control(_)) => {}
-            Err(refusal) => {
-                assert!(mutations > 0, "an intact line is served");
-                assert_typed(&refusal);
+            Err(HttpError::Io(e)) => {
+                // The peer closed before sending a byte.
+                assert!(
+                    bytes.is_empty(),
+                    "an in-memory reader fails only empty: {e}"
+                );
             }
         }
     });
@@ -923,7 +899,7 @@ fn a_run_drained_by_shutdown_answers_503() {
         std::thread::spawn(move || post_run(&addr, &body))
     };
     let wait_for = |name: &str, value: u64| {
-        let waited = std::time::Instant::now();
+        let waited = Instant::now();
         while metric(&addr, name) != value {
             assert!(waited.elapsed() < Duration::from_secs(10), "{name}");
             std::thread::sleep(Duration::from_millis(5));
