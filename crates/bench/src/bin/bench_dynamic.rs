@@ -4,12 +4,15 @@
 //! churn levels (measured largest first) and, per batch, times two legs in
 //! strict alternation, keeping the min-of-N of each:
 //!
-//! * **incremental** — [`DynamicCsr::apply`] splices the batch into both
-//!   CSR views, then `repair_rooted` (BFS) / `delta_pagerank` reprocesses
-//!   only the affected region;
-//! * **recompute** — from-scratch rebuild of both views from the mutated
-//!   edge set plus a full reference run (BFS) / full trace (PageRank) —
-//!   the static ingestion pipeline a mutation would otherwise rerun.
+//! * **incremental** — [`DynamicCsr::apply`] splices the batch into the
+//!   canonical CSR (the laid-out view is derived only when read), then
+//!   `repair_rooted` (BFS) / `delta_pagerank` reprocesses only the
+//!   affected region;
+//! * **recompute** — from-scratch rebuild of the canonical CSR from the
+//!   mutated edge set (`rebuild_canonical`) plus a full reference run
+//!   (BFS) / full trace (PageRank) — the static ingestion pipeline a
+//!   mutation would otherwise rerun. Each leg builds the one CSR the
+//!   engines read.
 //!
 //! Both legs are asserted bit-identical before any timing is trusted.
 //! This host's wall clock drifts heavily, so the report and its gates are
@@ -149,10 +152,10 @@ fn bfs_course(preset: &Preset, reps: u32) -> Vec<BatchTiming> {
             },
             || {
                 let t = Instant::now();
-                let (canonical, laidout) = advanced.rebuild_reference();
+                let canonical = advanced.rebuild_canonical();
                 let run = reference.run(&bfs, &canonical);
                 let dt = t.elapsed().as_secs_f64();
-                assert!(run.properties.len() == laidout.num_vertices());
+                assert!(run.properties.len() == canonical.num_vertices());
                 dt
             },
         );
@@ -204,10 +207,10 @@ fn pagerank_course(preset: &Preset, reps: u32) -> Vec<BatchTiming> {
             },
             || {
                 let t = Instant::now();
-                let (canonical, laidout) = advanced.rebuild_reference();
+                let canonical = advanced.rebuild_canonical();
                 let full = trace_pagerank(&pr, &canonical);
                 let dt = t.elapsed().as_secs_f64();
-                assert!(full.final_ranks().len() == laidout.num_vertices());
+                assert!(full.final_ranks().len() == canonical.num_vertices());
                 dt
             },
         );

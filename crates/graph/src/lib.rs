@@ -14,8 +14,8 @@
 //! * [`io`] — SNAP-style text edge lists, for running the real datasets
 //!   where available.
 //! * [`mutate`] — batched graph mutations ([`mutate::MutationBatch`]) applied
-//!   against CSR storage incrementally, keeping the Section IV-C degree-aware
-//!   laid-out view valid by re-shuffling only touched vertices.
+//!   against CSR storage incrementally, rebuilding only touched vertices;
+//!   the Section IV-C degree-aware laid-out view is derived on demand.
 //! * [`datasets`] — presets matching the paper's evaluation datasets
 //!   (Table I / Table III) at a configurable down-scaling factor, generated
 //!   chunk-parallel with bit-identical serial/parallel output.

@@ -4,27 +4,27 @@
 //! paper sizes the accelerator for is *churning* (GraphDynS, the dynamic
 //! baseline we diff against, is named for it). This module provides the
 //! host-side substrate for that churn: a [`MutationBatch`] of edge/vertex
-//! inserts and deletes applied against CSR storage *incrementally*, keeping
-//! both views consistent:
+//! inserts and deletes applied against CSR storage *incrementally*. A batch
+//! rebuilds only the adjacency lists it touched and copies every untouched
+//! run wholesale, so its cost follows the churn, not the graph size.
 //!
-//! * the **canonical** CSR — per-vertex adjacency in insertion order
-//!   (surviving original edges first, in their original order, then the
-//!   batch's inserts in op order), which is what the engines consume; and
-//! * the **laid-out** CSR — the canonical graph after the Section IV-C
-//!   degree-aware K-FIFO re-layout, maintained by re-shuffling *only the
-//!   vertices a batch touched*. The re-layout is a pure per-vertex function
-//!   of the canonical adjacency order, so untouched vertices' laid-out
-//!   slices are copied verbatim and the result is bit-identical to a
-//!   from-scratch [`degree_aware_relayout`](crate::relayout) rebuild.
+//! [`DynamicCsr`] materializes one CSR, the **canonical** one: per-vertex
+//! adjacency in insertion order (surviving original edges first, in their
+//! original order, then the batch's inserts in op order), which is what
+//! the engines consume. The Section IV-C degree-aware **laid-out** view is
+//! derived from it on demand by [`DynamicCsr::laidout`] and dropped by the
+//! next batch. The simulator never reads it: `DeviceGraph::prepare` lays
+//! out each tile's partition itself.
 //!
 //! Degree classes (`⌈log2(degree + 1)⌉`, the bucket the degree-aware
-//! scheduler sorts by) are maintained alongside; [`MutationStats`] reports
-//! how many touched vertices actually changed class, which is the
-//! re-bucketing work a hardware implementation would enqueue.
+//! scheduler sorts by) are maintained alongside. [`MutationStats`] reports
+//! how many touched vertices actually changed class, the re-bucketing work
+//! a hardware implementation would enqueue, and how many edges its
+//! re-layout would re-shuffle.
 
 use crate::{Csr, Edge, GraphError, VertexId, Weight, EDGES_PER_LINE};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// One mutation operation. Operations inside a batch apply sequentially, so
 /// a `RemoveEdge` sees the effect of every earlier op in the same batch
@@ -120,8 +120,9 @@ pub struct MutationStats {
     pub vertices_added: usize,
     /// Vertices isolated.
     pub vertices_isolated: usize,
-    /// Edges pushed through the incremental K-FIFO re-shuffle (the
-    /// re-layout cost of the batch; untouched vertices cost nothing).
+    /// Edges of the vertices the batch touched, appended ones included:
+    /// what a hardware re-layout would push through the K-FIFO re-shuffle,
+    /// since an untouched vertex keeps its laid-out slice.
     pub relayout_edges: usize,
 }
 
@@ -155,7 +156,8 @@ pub fn degree_class(degree: usize) -> u8 {
 }
 
 /// A CSR graph that accepts [`MutationBatch`]es, maintaining the canonical
-/// adjacency and its degree-aware laid-out view incrementally.
+/// adjacency incrementally and deriving its degree-aware laid-out view when
+/// it is read.
 ///
 /// # Example
 ///
@@ -175,15 +177,17 @@ pub fn degree_class(degree: usize) -> u8 {
 #[derive(Debug, Clone)]
 pub struct DynamicCsr {
     canonical: Csr,
-    laidout: Csr,
+    /// The laid-out view of `canonical`, filled by the first
+    /// [`laidout`](Self::laidout) read since the last batch.
+    laidout: OnceLock<Csr>,
     lanes: usize,
     classes: Vec<u8>,
     nonzero_weights: usize,
 }
 
 impl DynamicCsr {
-    /// Wraps a canonical CSR, building the laid-out view at the paper's
-    /// 16-lane (64-byte line) width.
+    /// Wraps a canonical CSR, with the laid-out view at the paper's 16-lane
+    /// (64-byte line) width.
     pub fn new(canonical: Csr) -> Self {
         Self::with_lanes(canonical, EDGES_PER_LINE)
     }
@@ -196,8 +200,6 @@ impl DynamicCsr {
     /// Panics if `lanes == 0`.
     pub fn with_lanes(canonical: Csr, lanes: usize) -> Self {
         assert!(lanes > 0, "lane count must be positive");
-        let mut laidout = canonical.clone();
-        crate::relayout::degree_aware_relayout(&mut laidout, lanes, |d| (d as usize) % lanes);
         let classes = canonical
             .vertices()
             .map(|v| degree_class(canonical.out_degree(v)))
@@ -207,7 +209,7 @@ impl DynamicCsr {
             .count();
         DynamicCsr {
             canonical,
-            laidout,
+            laidout: OnceLock::new(),
             lanes,
             classes,
             nonzero_weights,
@@ -219,9 +221,17 @@ impl DynamicCsr {
         &self.canonical
     }
 
-    /// The degree-aware laid-out view (Section IV-C ordering).
+    /// Unwraps the canonical CSR.
+    pub fn into_canonical(self) -> Csr {
+        self.canonical
+    }
+
+    /// The degree-aware laid-out view (Section IV-C ordering). The first
+    /// read since construction or the last batch lays out the whole
+    /// canonical CSR; later reads return that copy.
     pub fn laidout(&self) -> &Csr {
-        &self.laidout
+        self.laidout
+            .get_or_init(|| lay_out(&self.canonical, self.lanes))
     }
 
     /// Lane count of the laid-out view.
@@ -393,27 +403,20 @@ impl DynamicCsr {
             .unwrap_or(0);
         let weighted = self.nonzero_weights > 0;
 
-        // Splice both views: runs of untouched vertices copy their old flat
-        // slices wholesale (one memcpy per run per view — the splice cost
-        // is driven by the touched set, not by per-edge pushes); touched
-        // vertices take the overlay list (canonical) and its per-vertex
-        // K-FIFO shuffle (laid-out).
+        // Splice: runs of untouched vertices copy their old flat slices
+        // wholesale (one memcpy per run, so the cost is driven by the
+        // touched set, not by per-edge pushes); touched vertices take their
+        // overlay list.
         let old_edges = self.canonical.num_edges();
         let grown = old_edges + delta.stats.edges_inserted;
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
         let mut c_nbr: Vec<VertexId> = Vec::with_capacity(grown);
         let mut c_w: Vec<Weight> = Vec::with_capacity(if weighted { grown } else { 0 });
-        let mut l_nbr: Vec<VertexId> = Vec::with_capacity(grown);
-        let mut l_w: Vec<Weight> = Vec::with_capacity(if weighted { grown } else { 0 });
         {
-            // Both views share the offset array: the re-layout permutes
-            // within each vertex's slice only.
             let old_off = self.canonical.offsets();
             let c_old = self.canonical.neighbor_array();
-            let l_old = self.laidout.neighbor_array();
             let c_old_w = self.canonical.weight_array();
-            let l_old_w = self.laidout.weight_array();
             let mut touched = overlay.iter().peekable();
             let mut v: u32 = 0;
             while (v as usize) < n {
@@ -424,12 +427,6 @@ impl DynamicCsr {
                             c_nbr.push(d);
                             if weighted {
                                 c_w.push(w);
-                            }
-                        }
-                        for (d, w) in shuffle_vertex(list, self.lanes) {
-                            l_nbr.push(d);
-                            if weighted {
-                                l_w.push(w);
                             }
                         }
                         offsets.push(c_nbr.len() as u64);
@@ -449,17 +446,12 @@ impl DynamicCsr {
                             // Deletes can shift later slices backwards.
                             let shift = c_nbr.len() as i64 - lo as i64;
                             c_nbr.extend_from_slice(&c_old[lo..hi]);
-                            l_nbr.extend_from_slice(&l_old[lo..hi]);
                             if weighted {
-                                // A previously unweighted view stores
+                                // A previously unweighted graph stores
                                 // implicit zeros.
                                 match c_old_w {
                                     Some(w) => c_w.extend_from_slice(&w[lo..hi]),
                                     None => c_w.resize(c_w.len() + (hi - lo), 0),
-                                }
-                                match l_old_w {
-                                    Some(w) => l_w.extend_from_slice(&w[lo..hi]),
-                                    None => l_w.resize(l_w.len() + (hi - lo), 0),
                                 }
                             }
                             for u in v..old_end {
@@ -475,11 +467,8 @@ impl DynamicCsr {
             }
         }
 
-        let build = |nbr: Vec<VertexId>, w: Vec<Weight>| {
-            Csr::from_raw_parts(offsets.clone(), nbr, weighted.then_some(w))
-        };
-        self.canonical = build(c_nbr, c_w)?;
-        self.laidout = build(l_nbr, l_w)?;
+        self.canonical = Csr::from_raw_parts(offsets, c_nbr, weighted.then_some(c_w))?;
+        self.laidout = OnceLock::new();
 
         // Degree classes: recompute touched + appended, count class flips.
         self.classes.resize(n, 0);
@@ -493,59 +482,38 @@ impl DynamicCsr {
         Ok(delta)
     }
 
-    /// From-scratch rebuild of both views from the current canonical edge
-    /// set: the golden reference the incremental path is tested against.
-    /// Returns `(canonical, laidout)`.
-    pub fn rebuild_reference(&self) -> (Csr, Csr) {
+    /// From-scratch rebuild of the canonical CSR from its own edge set: the
+    /// golden reference the incremental splice is tested against.
+    pub fn rebuild_canonical(&self) -> Csr {
         let edges: Vec<Edge> = self.canonical.edges().collect();
-        let canonical = Csr::from_edges(self.canonical.num_vertices(), &edges);
-        let mut laidout = canonical.clone();
-        let lanes = self.lanes;
-        crate::relayout::degree_aware_relayout(&mut laidout, lanes, |d| (d as usize) % lanes);
+        Csr::from_edges(self.canonical.num_vertices(), &edges)
+    }
+
+    /// [`rebuild_canonical`](Self::rebuild_canonical) and that CSR laid
+    /// out: `(canonical, laidout)`.
+    pub fn rebuild_reference(&self) -> (Csr, Csr) {
+        let canonical = self.rebuild_canonical();
+        let laidout = lay_out(&canonical, self.lanes);
         (canonical, laidout)
     }
 }
 
-/// The Section IV-C K-FIFO round-robin shuffle for one vertex's adjacency
-/// list, with the `dst % lanes` lane map. Mirrors
-/// [`degree_aware_relayout`](crate::relayout::degree_aware_relayout), which
-/// processes vertices independently — this is what makes the incremental
-/// re-layout exact: a vertex's laid-out slice depends only on its own
-/// canonical list.
-fn shuffle_vertex(list: &[(VertexId, Weight)], lanes: usize) -> Vec<(VertexId, Weight)> {
-    let mut fifos: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-    for (i, &(d, _)) in list.iter().enumerate() {
-        fifos[(d as usize) % lanes].push_back(i);
-    }
-    let mut out = Vec::with_capacity(list.len());
-    while out.len() < list.len() {
-        for lane in 0..lanes {
-            if out.len() >= list.len() {
-                break;
-            }
-            let idx = fifos[lane].pop_front().or_else(|| {
-                (0..lanes)
-                    .map(|d| (lane + d) % lanes)
-                    .find_map(|l| fifos[l].pop_front())
-            });
-            if let Some(idx) = idx {
-                out.push(list[idx]);
-            }
-        }
-    }
-    out
+/// `canonical` after the Section IV-C K-FIFO re-layout with the
+/// `dst % lanes` lane map.
+fn lay_out(canonical: &Csr, lanes: usize) -> Csr {
+    let mut laidout = canonical.clone();
+    crate::relayout::degree_aware_relayout(&mut laidout, lanes, |d| (d as usize) % lanes);
+    laidout
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relayout::degree_aware_relayout;
     use crate::{generators, Csr};
 
-    fn assert_views_match_rebuild(g: &DynamicCsr) {
-        let (canonical, laidout) = g.rebuild_reference();
+    fn assert_matches_rebuild(g: &DynamicCsr) {
+        let canonical = g.rebuild_canonical();
         assert_eq!(&canonical, g.canonical(), "canonical diverged");
-        assert_eq!(&laidout, g.laidout(), "laid-out view diverged");
         for v in canonical.vertices() {
             assert_eq!(
                 g.degree_class_of(v),
@@ -574,7 +542,7 @@ mod tests {
         let delta = g.apply(&MutationBatch::new()).unwrap();
         assert_eq!(g.canonical(), &before);
         assert_eq!(delta.stats, MutationStats::default());
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -588,7 +556,7 @@ mod tests {
         assert_eq!(g.canonical().neighbors(3), &[4]);
         assert_eq!(delta.stats.touched_vertices, 1);
         assert_eq!(delta.stats.relayout_edges, 4);
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -610,7 +578,7 @@ mod tests {
             delta.removed,
             vec![Edge::weighted(0, 1, 7), Edge::weighted(0, 1, 9)]
         );
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -624,7 +592,7 @@ mod tests {
         assert_eq!(g.canonical().edge_weights(0).unwrap(), &[6, 8]);
         assert_eq!(delta.removed, vec![Edge::weighted(0, 1, 5)]);
         assert_eq!(delta.inserted, vec![Edge::weighted(0, 1, 8)]);
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -637,7 +605,7 @@ mod tests {
         assert_eq!(g.canonical(), &base);
         assert_eq!(delta.inserted.len(), 1);
         assert_eq!(delta.removed.len(), 1);
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -653,7 +621,7 @@ mod tests {
         assert_eq!(g.canonical().neighbors(2), &[0]);
         assert_eq!(g.canonical().neighbors(1), &[2]);
         assert_eq!(delta.stats.vertices_added, 1);
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -676,7 +644,7 @@ mod tests {
         assert_eq!(g.canonical().out_degree(2), 0);
         assert_eq!(delta.stats.vertices_isolated, 1);
         assert_eq!(delta.stats.edges_removed, 3);
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -691,7 +659,7 @@ mod tests {
             GraphError::VertexOutOfRange { vertex: 9, .. }
         ));
         assert_eq!(g.canonical(), &base);
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -706,13 +674,13 @@ mod tests {
             !g.canonical().is_weighted(),
             "all weights zero -> unweighted"
         );
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
         // And back: inserting a weighted edge restores the array.
         let mut b = MutationBatch::new();
         b.insert_edge(Edge::weighted(2, 0, 9));
         g.apply(&b).unwrap();
         assert!(g.canonical().is_weighted());
-        assert_views_match_rebuild(&g);
+        assert_matches_rebuild(&g);
     }
 
     #[test]
@@ -746,28 +714,20 @@ mod tests {
                 b.isolate_vertex((next() % n) as u32);
             }
             g.apply(&b).unwrap();
-            assert_views_match_rebuild(&g);
+            assert_matches_rebuild(&g);
         }
     }
 
     #[test]
-    fn shuffle_vertex_matches_whole_graph_relayout() {
-        for lanes in [1usize, 3, 8, 16] {
-            let edges = generators::uniform(30, 240, 5);
-            let g = Csr::from_edges(30, &edges);
-            let mut full = g.clone();
-            degree_aware_relayout(&mut full, lanes, |d| (d as usize) % lanes);
-            for v in g.vertices() {
-                let list: Vec<(VertexId, Weight)> = g
-                    .edge_range(v)
-                    .map(|i| (g.neighbor_at(i), g.weight_at(i)))
-                    .collect();
-                let shuffled: Vec<VertexId> = shuffle_vertex(&list, lanes)
-                    .into_iter()
-                    .map(|(d, _)| d)
-                    .collect();
-                assert_eq!(shuffled, full.neighbors(v), "vertex {v}, lanes {lanes}");
-            }
-        }
+    fn the_view_is_laid_out_on_first_read_and_dropped_by_a_batch() {
+        let mut g = DynamicCsr::new(Csr::from_edges(8, &generators::path(8)));
+        assert!(g.laidout.get().is_none(), "new lays nothing out");
+        g.laidout();
+        assert!(g.laidout.get().is_some());
+        let mut b = MutationBatch::new();
+        b.insert_edge(Edge::new(0, 7));
+        g.apply(&b).unwrap();
+        assert!(g.laidout.get().is_none(), "a batch drops the view");
+        assert_matches_rebuild(&g);
     }
 }

@@ -98,7 +98,8 @@ pub fn run_attempt_on(
 }
 
 /// Replays the scenario's full mutation schedule `spec` onto a copy of
-/// `base` and returns the final canonical snapshot. Batches are
+/// `base` and returns the final canonical snapshot, moved out of the
+/// `DynamicCsr` with neither a copy nor a re-layout. Batches are
 /// materialized from the seeded [`MutationSpec`] exactly the way the
 /// conformance dynamic oracle does, so runtime jobs and oracle replays
 /// agree on the graph every schedule produces.
@@ -115,7 +116,7 @@ fn mutated_snapshot(scenario: &Scenario, spec: MutationSpec, base: &Csr) -> Resu
             .apply(&batch)
             .map_err(|e| format!("mutation batch {batch_index}: {e}"))?;
     }
-    Ok(dynamic.canonical().clone())
+    Ok(dynamic.into_canonical())
 }
 
 fn run_typed<A: Algorithm>(

@@ -157,26 +157,17 @@ fn request_line(line: &[u8]) -> Result<(String, String), HttpError> {
     Ok((method, path))
 }
 
-/// Reads and discards up to `unread` body bytes, bounded by a retry budget
-/// on read timeouts so a stalled peer cannot pin the handler.
+/// Reads and discards up to `unread` body bytes, ending at the peer's
+/// close or the first read error: how long a stalled or trickling peer
+/// holds the handler is bounded by `stream` itself (the daemon's reader
+/// fails at the request deadline).
 pub fn drain(stream: &mut impl Read, mut unread: usize) {
-    let mut timeouts = 0u32;
     let mut chunk = [0u8; 64 * 1024];
     while unread > 0 {
         let want = unread.min(chunk.len());
         match stream.read(&mut chunk[..want]) {
-            Ok(0) => return,
+            Ok(0) | Err(_) => return,
             Ok(n) => unread -= n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                timeouts += 1;
-                if timeouts > 100 {
-                    return;
-                }
-            }
-            Err(_) => return,
         }
     }
 }

@@ -3,8 +3,11 @@
 //!
 //! The port speaks HTTP/1.1 only ([`http`]): every connection gets a
 //! thread and carries one request. Runs are bounded by the admission queue
-//! behind them; a connection still waiting for its request holds its
-//! thread until the peer closes or the daemon stops.
+//! behind them; a connection still sending its request holds its thread
+//! until the request arrives, the peer closes or the daemon stops, but for
+//! no more than 10 s from accept (`REQUEST_DEADLINE`): past that, the
+//! connection is closed unanswered. The same deadline ends the drain of a
+//! body refused as too large.
 //!
 //! Shutdown is cooperative and total: `POST /shutdown` or [`Server::stop`]
 //! flips one flag and wakes the accept thread, which blocks in `accept()`,
@@ -125,8 +128,10 @@ pub fn render_metrics_text(
 }
 
 /// How long a connection read blocks before its handler re-checks the stop
-/// flag.
+/// flag and the request deadline.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// How long a connection may take, from accept, to send its whole request.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// How long a wake-up connect may take, and how long [`Server::join`] waits
 /// for the accept thread before waking it again.
 const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
@@ -222,16 +227,25 @@ impl Shared {
 }
 
 /// A connection's read side. A read waits out any number of
-/// [`READ_TIMEOUT`]s while the daemon runs, so a slow peer is waited for;
-/// once the daemon is stopping, a timeout ends the read with its error.
+/// [`READ_TIMEOUT`]s while the daemon runs, so a slow peer is waited for,
+/// but not past the deadline: from then on every read fails with
+/// `TimedOut`. Once the daemon is stopping, a timeout ends the read with
+/// its error.
 struct ConnReader<'a> {
     stream: &'a TcpStream,
     stop: &'a AtomicBool,
+    deadline: Instant,
 }
 
 impl Read for ConnReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         loop {
+            if Instant::now() >= self.deadline {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "request deadline passed",
+                ));
+            }
             match self.stream.read(buf) {
                 Err(e)
                     if matches!(
@@ -244,27 +258,30 @@ impl Read for ConnReader<'_> {
     }
 }
 
-/// One HTTP exchange: read, route, answer, close.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+/// One HTTP exchange: read, route, answer, close. Every read ends by
+/// `deadline`, the drain after a 413 included: a request not read by then
+/// fails as an I/O error, and the connection closes unanswered.
+fn serve_connection(shared: &Shared, stream: TcpStream, deadline: Instant) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut reader = ConnReader {
         stream: &stream,
         stop: &shared.stop,
+        deadline,
     };
     let request = match http::read_request(&mut reader, shared.max_body_bytes) {
         Ok(request) => request,
         Err(http::HttpError::Oversized { unread }) => {
             respond(
                 shared,
-                &mut stream,
+                &stream,
                 Err(ErrorReply::oversized(shared.max_body_bytes)),
             );
-            http::drain(&mut stream, unread);
+            http::drain(&mut reader, unread);
             return;
         }
         Err(http::HttpError::Malformed(message)) => {
-            respond(shared, &mut stream, Err(ErrorReply::bad_request(message)));
+            respond(shared, &stream, Err(ErrorReply::bad_request(message)));
             return;
         }
         Err(http::HttpError::Io(_)) => return,
@@ -279,7 +296,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             let text = shared.metrics_text();
             shared.metrics.request_ok();
             let written =
-                http::write_response(&mut stream, 200, "OK", "text/plain; charset=utf-8", &text);
+                http::write_response(&mut &stream, 200, "OK", "text/plain; charset=utf-8", &text);
             if let Ok(n) = written {
                 shared.metrics.add_bytes_out(n);
             }
@@ -294,12 +311,12 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         }
         (_, path) => Err(ErrorReply::not_found(path)),
     };
-    respond(shared, &mut stream, answer);
+    respond(shared, &stream, answer);
 }
 
 /// Counts an answer and writes it with the status line its outcome maps
 /// to: 200, or the refusal's own [`ErrorReply::http_status`].
-fn respond(shared: &Shared, stream: &mut TcpStream, answer: Result<String, ErrorReply>) {
+fn respond(shared: &Shared, mut stream: &TcpStream, answer: Result<String, ErrorReply>) {
     let (status, reason, body) = match answer {
         Ok(body) => {
             shared.metrics.request_ok();
@@ -311,7 +328,7 @@ fn respond(shared: &Shared, stream: &mut TcpStream, answer: Result<String, Error
             (status, reason, refusal.to_response())
         }
     };
-    if let Ok(n) = http::write_response(stream, status, reason, "application/json", &body) {
+    if let Ok(n) = http::write_response(&mut stream, status, reason, "application/json", &body) {
         shared.metrics.add_bytes_out(n);
     }
 }
@@ -378,9 +395,11 @@ impl Server {
                 }
                 match accepted {
                     Ok((stream, _)) => {
+                        let deadline = Instant::now() + REQUEST_DEADLINE;
                         shared.metrics.conn_opened();
                         let shared = Arc::clone(&shared);
-                        let handle = std::thread::spawn(move || serve_connection(&shared, stream));
+                        let handle =
+                            std::thread::spawn(move || serve_connection(&shared, stream, deadline));
                         if let Ok(mut conns) = connections.lock() {
                             conns.push(handle);
                             // Opportunistically reap finished handlers so a
@@ -638,6 +657,89 @@ mod tests {
         assert!(counters.balanced(), "{counters}");
         assert_eq!((counters.submitted, counters.rejected), (2, 1));
         assert_eq!(memo.hits, 0);
+    }
+
+    #[test]
+    fn a_request_not_sent_by_its_deadline_fails_as_io_while_the_daemon_runs() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("connect over loopback");
+        let (conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(READ_TIMEOUT))
+            .expect("set the read timeout");
+        let within = Duration::from_millis(300);
+        let (tx, rx) = channel();
+        let reader = std::thread::spawn(move || {
+            let stop = AtomicBool::new(false);
+            let started = Instant::now();
+            let mut reader = ConnReader {
+                stream: &conn,
+                stop: &stop,
+                deadline: started + within,
+            };
+            let read = match http::read_request(&mut reader, 1024) {
+                Err(http::HttpError::Io(e)) => Ok(e.kind()),
+                other => Err(format!("{other:?}")),
+            };
+            let _ = tx.send((read, started.elapsed()));
+        });
+        // The client stays connected and silent throughout.
+        let (read, took) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the read ends at its deadline, not when the client closes");
+        reader.join().expect("the reader thread");
+        assert_eq!(read, Ok(std::io::ErrorKind::TimedOut));
+        assert!(took >= within, "ended after {took:?}");
+        drop(client);
+    }
+
+    #[test]
+    fn a_client_that_trickles_an_oversized_body_is_cut_off_at_the_deadline() {
+        use std::io::Write;
+        let server = start(1);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("connect over loopback");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set the read timeout");
+        let (conn, _) = listener.accept().expect("accept");
+        client
+            .write_all(b"POST /run HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n")
+            .expect("send the head");
+        let within = Duration::from_millis(500);
+        let (tx, rx) = channel();
+        let shared = Arc::clone(&server.shared);
+        let handler = std::thread::spawn(move || {
+            let started = Instant::now();
+            serve_connection(&shared, conn, started + within);
+            let _ = tx.send(started.elapsed());
+        });
+        let mut status = [0u8; 12];
+        client
+            .read_exact(&mut status)
+            .expect("read the status line");
+        assert_eq!(&status, b"HTTP/1.1 413");
+        // A byte every 20 ms: no read of the drain ever times out, so only
+        // the deadline can end it.
+        let trickling = Instant::now();
+        let took = loop {
+            match rx.recv_timeout(Duration::from_millis(20)) {
+                Ok(took) => break took,
+                Err(RecvTimeoutError::Timeout) => {
+                    assert!(
+                        trickling.elapsed() < Duration::from_secs(5),
+                        "the drain outlived its deadline"
+                    );
+                    let _ = client.write(b"x");
+                }
+                Err(RecvTimeoutError::Disconnected) => panic!("the handler panicked"),
+            }
+        };
+        handler.join().expect("the handler thread");
+        assert!(took >= within, "ended after {took:?}");
+        server.stop();
+        server.join();
     }
 
     #[test]

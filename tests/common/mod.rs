@@ -2,9 +2,13 @@
 //! corpus they and the end-to-end tests start from.
 //!
 //! Each case draws its inputs from its own [`SplitMix64`] stream, so a run
-//! is a pure function of the case count, on any host. A failing case
-//! prints its index and seed before the failure propagates, and
-//! `replay(seed, property)` reruns exactly that case.
+//! is a pure function of the case count and the runner seed, on any host.
+//! A failing case prints its index and seed before the failure propagates,
+//! and `replay(seed, property)` reruns exactly that case.
+//!
+//! [`check`] runs a given count from the fixed [`RUNNER_SEED`];
+//! [`sweep`], the `#[ignore]`d long fuzz sweeps' runner, runs
+//! [`SWEEP_CASES`] from the runner seed in `SCALAGRAPH_FUZZ_SEED`.
 
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
@@ -17,15 +21,39 @@ pub use scalagraph_suite::graph::SplitMix64;
 /// Seed of the stream the per-case seeds are drawn from.
 const RUNNER_SEED: u64 = 0x5ca1_ab1e_c0de_5eed;
 
+/// Case count of a [`sweep`].
+const SWEEP_CASES: u64 = 1_000_000;
+
 /// Runs `property` on `cases` seeded cases.
 pub fn check(cases: u64, property: impl Fn(&mut SplitMix64)) {
-    let mut seeds = SplitMix64::new(RUNNER_SEED);
+    run(cases, RUNNER_SEED, property);
+}
+
+/// Runs `property` on [`SWEEP_CASES`] cases drawn from runner seed
+/// `SCALAGRAPH_FUZZ_SEED` (decimal; [`check`]'s seed when unset).
+///
+/// # Panics
+///
+/// If the variable is set but is not a decimal `u64`.
+pub fn sweep(property: impl Fn(&mut SplitMix64)) {
+    let runner = match std::env::var("SCALAGRAPH_FUZZ_SEED") {
+        Ok(text) => text
+            .parse()
+            .unwrap_or_else(|_| panic!("SCALAGRAPH_FUZZ_SEED={text:?} is not a decimal u64")),
+        Err(_) => RUNNER_SEED,
+    };
+    eprintln!("sweep: {SWEEP_CASES} cases from runner seed {runner}");
+    run(SWEEP_CASES, runner, property);
+}
+
+fn run(cases: u64, runner: u64, property: impl Fn(&mut SplitMix64)) {
+    let mut seeds = SplitMix64::new(runner);
     for case in 0..cases {
         let seed = seeds.next_u64();
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| replay(seed, &property))) {
             eprintln!(
-                "property failed on case {case} of {cases}; rerun it alone with \
-                 `common::replay({seed:#x}, property)`"
+                "property failed on case {case} of {cases} (runner seed {runner}); rerun it \
+                 alone with `common::replay({seed:#x}, property)`"
             );
             resume_unwind(payload);
         }

@@ -405,17 +405,17 @@ fn mutate_scenario(rng: &mut SplitMix64, doc: &mut json::Json) {
     }
 }
 
-/// Mutated corpus scenarios, one to three mutations each, either parse and
-/// round-trip canonically or fail with a typed error; a scenario that
-/// parsed is validated without a panic, and a document nested past the
-/// parser's bound never parses.
-#[test]
-fn mutated_scenario_files_round_trip_or_fail_typed() {
+/// The scenario fuzz: mutated corpus scenarios, one to three mutations
+/// each, either parse and round-trip canonically or fail with a typed
+/// error; a scenario that parsed is validated without a panic, and a
+/// document nested past the parser's bound never parses. `run` is the case
+/// runner the property goes through.
+fn scenario_fuzz(run: impl FnOnce(&dyn Fn(&mut SplitMix64))) {
     let corpus: Vec<json::Json> = corpus_files()
         .iter()
         .map(|(path, text)| json::parse(text).unwrap_or_else(|e| panic!("{path}: {e}")))
         .collect();
-    common::check(1000, |rng| {
+    run(&|rng| {
         let mut doc = corpus[int(rng, 0..corpus.len())].clone();
         for _ in 0..int(rng, 1..4) {
             mutate_scenario(rng, &mut doc);
@@ -441,4 +441,16 @@ fn mutated_scenario_files_round_trip_or_fail_typed() {
             Err(message) => assert!(!message.is_empty(), "{text}"),
         }
     });
+}
+
+#[test]
+fn mutated_scenario_files_round_trip_or_fail_typed() {
+    scenario_fuzz(|property| common::check(1000, property));
+}
+
+/// The scenario fuzz at the case count and seed of `common::sweep`.
+#[test]
+#[ignore = "long sweep; tier-1 runs 1,000 cases"]
+fn mutated_scenario_files_long_sweep() {
+    scenario_fuzz(|property| common::sweep(property));
 }

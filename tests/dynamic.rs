@@ -6,7 +6,10 @@
 //!    every batch both [`DynamicCsr`] views — canonical and degree-aware
 //!    laid-out — must equal a CSR rebuilt from scratch from the shadow
 //!    (offsets, neighbor order, weights, and the Section IV-C lane
-//!    permutation), including empty batches and delete-then-reinsert.
+//!    permutation, which the shadow computes with a K-FIFO shuffle of its
+//!    own), including empty batches and delete-then-reinsert. A seeded
+//!    schedule pins every `MutationStats` field, and a cloned graph must
+//!    never serve a stale laid-out view.
 //! 2. **Results** (fuzz): `fuzz_dynamic` scenarios run the full dynamic
 //!    oracle — incremental BFS/SSSP/delta-PageRank vs full recompute after
 //!    every batch, on every declared engine/mode — and must all pass. A
@@ -15,10 +18,12 @@
 
 mod common;
 
+use std::collections::VecDeque;
+
 use common::{check, int, vec};
-use scalagraph_suite::conformance::fuzz_dynamic;
+use scalagraph_suite::conformance::{fuzz_dynamic, materialize_batch, MutationSpec};
 use scalagraph_suite::graph::mutate::{DynamicCsr, MutationBatch};
-use scalagraph_suite::graph::{relayout, Csr, Edge};
+use scalagraph_suite::graph::{generators, Csr, Edge};
 
 /// Concrete mutation op mirrored into both the [`MutationBatch`] under test
 /// and the shadow model.
@@ -85,10 +90,29 @@ impl Shadow {
         Csr::from_raw_parts(offsets, neighbors, weights).expect("shadow CSR is well formed")
     }
 
+    /// The Section IV-C K-FIFO shuffle done on the lists themselves, with
+    /// no code shared with `relayout`: a vertex's edges queue in FIFO
+    /// `dst % lanes`, then drain round-robin from lane 0, an empty FIFO's
+    /// slot taken by the next non-empty one.
     fn laidout(&self, lanes: usize) -> Csr {
-        let mut g = self.canonical();
-        relayout::degree_aware_relayout(&mut g, lanes, |d| (d as usize) % lanes);
-        g
+        let adj = self
+            .adj
+            .iter()
+            .map(|list| {
+                let mut fifos = vec![VecDeque::new(); lanes];
+                for &(d, w) in list {
+                    fifos[d as usize % lanes].push_back((d, w));
+                }
+                let mut out = Vec::with_capacity(list.len());
+                while out.len() < list.len() {
+                    for lane in 0..lanes.min(list.len() - out.len()) {
+                        out.extend((lane..lane + lanes).find_map(|l| fifos[l % lanes].pop_front()));
+                    }
+                }
+                out
+            })
+            .collect();
+        Shadow { adj }.canonical()
     }
 }
 
@@ -249,4 +273,74 @@ fn fuzz_dynamic_acceptance_sweep() {
     let report = fuzz_dynamic(200, 7);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.passed, 200, "failures: {:?}", report.failures);
+}
+
+/// A 1%-churn schedule drawn by the materializer the runtime and the
+/// benchmark use: inserts, removals, an appended and an isolated vertex
+/// per batch, weighted inserts.
+const SCHEDULE: MutationSpec = MutationSpec {
+    batches: 6,
+    insert_edges: 24,
+    remove_edges: 24,
+    add_vertices: 1,
+    isolate_vertices: 1,
+    seed: 0x5eed_c4a2,
+};
+
+fn schedule_base() -> DynamicCsr {
+    DynamicCsr::new(Csr::from_edges(
+        300,
+        &generators::power_law(300, 2400, 0.8, 17),
+    ))
+}
+
+/// Every `MutationStats` field of each batch, as `[touched, rebucketed,
+/// inserted, removed, added, isolated, relayout_edges]`. The last is the
+/// benchmark's `graph.relayout_edges`; the pin holds its meaning.
+#[test]
+fn mutation_stats_over_a_seeded_schedule_are_pinned() {
+    const PINNED: [[usize; 7]; 6] = [
+        [48, 16, 24, 73, 1, 1, 742],
+        [63, 23, 24, 91, 1, 1, 861],
+        [50, 13, 24, 37, 1, 1, 812],
+        [43, 12, 24, 39, 1, 1, 654],
+        [47, 16, 24, 34, 1, 1, 583],
+        [45, 16, 24, 49, 1, 1, 717],
+    ];
+    let mut g = schedule_base();
+    let got: Vec<[usize; 7]> = (1..=SCHEDULE.batches)
+        .map(|k| {
+            let batch = materialize_batch(&SCHEDULE, 9, g.canonical(), k);
+            let s = g.apply(&batch).expect("in-range ops apply").stats;
+            [
+                s.touched_vertices,
+                s.rebucketed_vertices,
+                s.edges_inserted,
+                s.edges_removed,
+                s.vertices_added,
+                s.vertices_isolated,
+                s.relayout_edges,
+            ]
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+}
+
+/// A view read before a clone travels with the clone, and a batch on the
+/// clone must not leave either graph serving a stale one: each view is
+/// its own canonical CSR laid out.
+#[test]
+fn a_clone_and_a_batch_never_serve_a_stale_laid_out_view() {
+    let g = schedule_base();
+    let before = g.laidout().clone();
+    let mut h = g.clone();
+    let batch = materialize_batch(&SCHEDULE, 9, h.canonical(), 1);
+    h.apply(&batch).expect("in-range ops apply");
+    for (name, graph) in [("original", &g), ("clone", &h)] {
+        let (canonical, laidout) = graph.rebuild_reference();
+        assert_eq!(graph.canonical(), &canonical, "{name}");
+        assert_eq!(graph.laidout(), &laidout, "{name}");
+    }
+    assert_eq!(g.laidout(), &before);
+    assert_ne!(h.laidout(), &before, "the batch changed the clone's view");
 }

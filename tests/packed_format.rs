@@ -373,25 +373,34 @@ fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, donor: &[u8], index_words: 
 /// the damage gets past the checksum to the header, index and block
 /// checks. The one reader answers every case with a graph or a typed
 /// error, never a panic, and an undamaged container with its source graph.
+fn container_fuzz(rng: &mut SplitMix64) {
+    let g = arb_graph(rng, 40, 200);
+    let block = int(rng, 1u32..48);
+    let donor = packed::pack_to_vec(&arb_graph(rng, 40, 200), int(rng, 1u32..48));
+    let index_words = 2 * (g.num_vertices().div_ceil(block as usize) + 1);
+    let mut bytes = packed::pack_to_vec(&g, block);
+    let mutations = int(rng, 0..5);
+    for _ in 0..mutations {
+        mutate(rng, &mut bytes, &donor, index_words);
+    }
+    if bytes.len() >= 56 && rng.chance(80) {
+        reseal(&mut bytes);
+    }
+    match PackedCsr::csr_from_bytes(bytes, shape_of(&g)) {
+        Ok(back) if mutations == 0 => assert_eq!(back, g),
+        Ok(back) => assert_eq!(back.num_vertices(), g.num_vertices()),
+        Err(e) => assert!(mutations > 0, "an undamaged container is refused: {e}"),
+    }
+}
+
 #[test]
 fn mutated_containers_decode_or_fail_typed() {
-    check(1000, |rng| {
-        let g = arb_graph(rng, 40, 200);
-        let block = int(rng, 1u32..48);
-        let donor = packed::pack_to_vec(&arb_graph(rng, 40, 200), int(rng, 1u32..48));
-        let index_words = 2 * (g.num_vertices().div_ceil(block as usize) + 1);
-        let mut bytes = packed::pack_to_vec(&g, block);
-        let mutations = int(rng, 0..5);
-        for _ in 0..mutations {
-            mutate(rng, &mut bytes, &donor, index_words);
-        }
-        if bytes.len() >= 56 && rng.chance(80) {
-            reseal(&mut bytes);
-        }
-        match PackedCsr::csr_from_bytes(bytes, shape_of(&g)) {
-            Ok(back) if mutations == 0 => assert_eq!(back, g),
-            Ok(back) => assert_eq!(back.num_vertices(), g.num_vertices()),
-            Err(e) => assert!(mutations > 0, "an undamaged container is refused: {e}"),
-        }
-    });
+    check(1000, container_fuzz);
+}
+
+/// The `.sgpk` fuzz at the case count and seed of `common::sweep`.
+#[test]
+#[ignore = "long sweep; tier-1 runs 1,000 cases"]
+fn mutated_containers_long_sweep() {
+    common::sweep(container_fuzz);
 }

@@ -709,14 +709,16 @@ fn assert_round_trips(scenario: &Scenario) {
     assert_eq!(&reparsed, scenario, "{canonical}");
 }
 
-#[test]
-fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
+/// The wire fuzz: corpus requests, damaged by up to three mutations and
+/// read in short pieces, get a request or a typed refusal, never a panic.
+/// `run` is the case runner the property goes through.
+fn wire_fuzz(run: impl FnOnce(&dyn Fn(&mut SplitMix64))) {
     let texts: Vec<String> = common::corpus_files()
         .into_iter()
         .map(|(_, text)| text)
         .collect();
     let frames: Vec<Vec<u8>> = texts.iter().map(|t| http_frame(t)).collect();
-    common::check(1000, |rng| {
+    run(&|rng| {
         let seed = int(rng, 0..frames.len());
         let donor = &frames[int(rng, 0..frames.len())];
         let mutations = int(rng, 0..4);
@@ -763,6 +765,18 @@ fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
             }
         }
     });
+}
+
+#[test]
+fn mutated_wire_input_gets_a_typed_answer_and_never_a_panic() {
+    wire_fuzz(|property| common::check(1000, property));
+}
+
+/// The wire fuzz at the case count and seed of `common::sweep`.
+#[test]
+#[ignore = "long sweep; tier-1 runs 1,000 cases"]
+fn mutated_wire_input_long_sweep() {
+    wire_fuzz(|property| common::sweep(property));
 }
 
 /// The pagerank corpus scenario under `name`, with `edges` uniform edges.
