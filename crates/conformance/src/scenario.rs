@@ -881,7 +881,8 @@ impl Scenario {
     /// Checks that the scenario is runnable without building its graph:
     /// the graph spec is non-degenerate, rooted algorithms stay inside the
     /// vertex range, PageRank has at least one iteration, a mutation
-    /// schedule has a batch and expects convergence, and the
+    /// schedule has a batch, keeps every vertex id a `VertexId` and expects
+    /// convergence, and the
     /// [`run_config`](Scenario::run_config) builds and validates.
     ///
     /// This is the one rule set: the oracle, the runner, the executor's
@@ -920,6 +921,15 @@ impl Scenario {
         if let Some(m) = &self.mutations {
             if m.batches == 0 {
                 return Err("mutation schedule needs at least 1 batch".into());
+            }
+            let grown = (vertices as u64)
+                .saturating_add(u64::from(m.batches).saturating_mul(u64::from(m.add_vertices)));
+            if grown > u64::from(VertexId::MAX) {
+                return Err(format!(
+                    "mutation schedule grows the graph by batches x add_vertices to {grown} \
+                     vertices, more than vertex ids can number ({})",
+                    VertexId::MAX
+                ));
             }
             if matches!(self.expect, Expectation::Wedge { .. }) {
                 return Err(
@@ -1539,6 +1549,42 @@ mod tests {
         let mut at_the_limit = ok;
         at_the_limit.graph.family = Family::Path { vertices: ids };
         at_the_limit.validate().expect("every vertex has an id");
+    }
+
+    #[test]
+    fn validate_refuses_a_schedule_that_outgrows_vertex_ids() {
+        let mut ok = sample();
+        ok.config.watchdog_stall_cycles = 25_000;
+        ok.algo = AlgoSpec::Cc;
+        ok.expect = Expectation::Converge;
+        // 64 base vertices; 3 batches of `adds` vertex adds each.
+        let schedule = |adds: u32| MutationSpec {
+            batches: 3,
+            insert_edges: 0,
+            remove_edges: 0,
+            add_vertices: adds,
+            isolate_vertices: 0,
+            seed: 1,
+        };
+        let room = (VertexId::MAX - 64) / 3;
+        let mut at_the_limit = ok.clone();
+        at_the_limit.mutations = Some(schedule(room));
+        at_the_limit
+            .validate()
+            .expect("every grown vertex has an id");
+        let mut one_batch_too_many = ok.clone();
+        one_batch_too_many.mutations = Some(schedule(room + 1));
+        assert!(one_batch_too_many
+            .validate()
+            .unwrap_err()
+            .contains("mutation schedule grows the graph"));
+        // u32::MAX batches of u32::MAX adds must not wrap to a small count.
+        let mut huge = ok;
+        huge.mutations = Some(MutationSpec {
+            batches: u32::MAX,
+            ..schedule(u32::MAX)
+        });
+        assert!(huge.validate().unwrap_err().contains("vertex ids"));
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! baseline we diff against, is named for it). This module provides the
 //! host-side substrate for that churn: a [`MutationBatch`] of edge/vertex
 //! inserts and deletes applied against CSR storage *incrementally*. A batch
-//! rebuilds only the adjacency lists it touched and copies every untouched
-//! run wholesale, so its cost follows the churn, not the graph size.
+//! copies each adjacency list it touches once, on first touch, and finds it
+//! again through a dense per-vertex index, so an edge op costs O(1) beyond
+//! its own list (an isolation still scans the graph for in-edges). The
+//! splice then writes the touched lists in vertex order and copies every
+//! untouched run wholesale, so its edge traffic follows the churn, not the
+//! graph size.
 //!
 //! [`DynamicCsr`] materializes one CSR, the **canonical** one: per-vertex
 //! adjacency in insertion order (surviving original edges first, in their
@@ -23,7 +27,6 @@
 //! re-layout would re-shuffle.
 
 use crate::{Csr, Edge, GraphError, VertexId, Weight, EDGES_PER_LINE};
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// One mutation operation. Operations inside a batch apply sequentially, so
@@ -129,8 +132,9 @@ pub struct MutationStats {
 /// What a batch did, in terms the incremental algorithms consume.
 ///
 /// `inserted`/`removed` list concrete edge *copies* with the weight each
-/// carried, in no particular order. An edge inserted and removed by the same
-/// batch appears in both lists.
+/// carried, in op order (an isolation records its vertex's out-edges, then
+/// its in-edges by ascending source). An edge inserted and removed by the
+/// same batch appears in both lists.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MutationDelta {
     /// Edge copies added by the batch.
@@ -265,9 +269,6 @@ impl DynamicCsr {
     pub fn apply(&mut self, batch: &MutationBatch) -> Result<MutationDelta, GraphError> {
         let old_n = self.canonical.num_vertices();
         let mut n = old_n;
-        // Per-source overlay of touched adjacency lists, materialized lazily
-        // from the canonical CSR. BTreeMap keeps diagnostics deterministic.
-        let mut overlay: BTreeMap<u32, Vec<(VertexId, Weight)>> = BTreeMap::new();
         let mut delta = MutationDelta {
             old_num_vertices: old_n,
             ..MutationDelta::default()
@@ -285,38 +286,26 @@ impl DynamicCsr {
             }
         };
         // Validate up front so the builder below cannot observe a
-        // half-applied batch.
-        {
-            let mut probe = old_n;
-            for op in batch.ops() {
-                match *op {
-                    Mutation::AddVertex => probe += 1,
-                    Mutation::InsertEdge(e) => {
-                        check(e.src, probe)?;
-                        check(e.dst, probe)?;
-                    }
-                    Mutation::RemoveEdge { src, dst } => {
-                        check(src, probe)?;
-                        check(dst, probe)?;
-                    }
-                    Mutation::IsolateVertex(v) => check(v, probe)?,
+        // half-applied batch. The probe ends at the batch's final vertex
+        // count, which sizes the overlay's index.
+        let mut probe = old_n;
+        for op in batch.ops() {
+            match *op {
+                Mutation::AddVertex => probe += 1,
+                Mutation::InsertEdge(e) => {
+                    check(e.src, probe)?;
+                    check(e.dst, probe)?;
                 }
+                Mutation::RemoveEdge { src, dst } => {
+                    check(src, probe)?;
+                    check(dst, probe)?;
+                }
+                Mutation::IsolateVertex(v) => check(v, probe)?,
             }
         }
 
         let canonical = &self.canonical;
-        let list_of = |overlay: &mut BTreeMap<u32, Vec<(VertexId, Weight)>>, v: VertexId| {
-            overlay.entry(v).or_insert_with(|| {
-                if (v as usize) < old_n {
-                    canonical
-                        .edge_range(v)
-                        .map(|i| (canonical.neighbor_at(i), canonical.weight_at(i)))
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            });
-        };
+        let mut overlay = Overlay::new(probe);
 
         for op in batch.ops() {
             match *op {
@@ -325,10 +314,7 @@ impl DynamicCsr {
                     delta.stats.vertices_added += 1;
                 }
                 Mutation::InsertEdge(e) => {
-                    list_of(&mut overlay, e.src);
-                    if let Some(list) = overlay.get_mut(&e.src) {
-                        list.push((e.dst, e.weight));
-                    }
+                    overlay.list(canonical, e.src).push((e.dst, e.weight));
                     if e.weight != 0 {
                         nz_delta += 1;
                     }
@@ -336,59 +322,24 @@ impl DynamicCsr {
                     delta.stats.edges_inserted += 1;
                 }
                 Mutation::RemoveEdge { src, dst } => {
-                    list_of(&mut overlay, src);
-                    if let Some(list) = overlay.get_mut(&src) {
-                        list.retain(|&(d, w)| {
-                            if d == dst {
-                                if w != 0 {
-                                    nz_delta -= 1;
-                                }
-                                delta.removed.push(Edge::weighted(src, dst, w));
-                                delta.stats.edges_removed += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
+                    let list = overlay.list(canonical, src);
+                    remove_edges(list, src, |d| d == dst, &mut delta, &mut nz_delta);
                 }
                 Mutation::IsolateVertex(v) => {
                     // Out-edges of v.
-                    list_of(&mut overlay, v);
-                    if let Some(list) = overlay.get_mut(&v) {
-                        for &(d, w) in list.iter() {
-                            if w != 0 {
-                                nz_delta -= 1;
-                            }
-                            delta.removed.push(Edge::weighted(v, d, w));
-                            delta.stats.edges_removed += 1;
-                        }
-                        list.clear();
-                    }
+                    let list = overlay.list(canonical, v);
+                    remove_edges(list, v, |_| true, &mut delta, &mut nz_delta);
                     // In-edges u -> v; scans the whole (overlaid) graph,
                     // which is why isolation costs O(V + E) while pure edge
                     // batches cost only their touched vertices.
-                    let in_sources: Vec<u32> = (0..n as u32)
-                        .filter(|&u| match overlay.get(&u) {
+                    for u in 0..n as u32 {
+                        let has_edge = match overlay.get(u) {
                             Some(list) => list.iter().any(|&(d, _)| d == v),
                             None => (u as usize) < old_n && canonical.neighbors(u).contains(&v),
-                        })
-                        .collect();
-                    for u in in_sources {
-                        list_of(&mut overlay, u);
-                        if let Some(list) = overlay.get_mut(&u) {
-                            list.retain(|&(d, w)| {
-                                if d == v {
-                                    if w != 0 {
-                                        nz_delta -= 1;
-                                    }
-                                    delta.removed.push(Edge::weighted(u, v, w));
-                                    delta.stats.edges_removed += 1;
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
+                        };
+                        if has_edge {
+                            let list = overlay.list(canonical, u);
+                            remove_edges(list, u, |d| d == v, &mut delta, &mut nz_delta);
                         }
                     }
                     delta.stats.vertices_isolated += 1;
@@ -396,7 +347,8 @@ impl DynamicCsr {
             }
         }
 
-        delta.stats.touched_vertices = overlay.keys().filter(|&&v| (v as usize) < old_n).count();
+        let touched = overlay.into_sorted();
+        delta.stats.touched_vertices = touched.partition_point(|&(v, _)| (v as usize) < old_n);
         self.nonzero_weights = self
             .nonzero_weights
             .checked_add_signed(nz_delta)
@@ -417,11 +369,11 @@ impl DynamicCsr {
             let old_off = self.canonical.offsets();
             let c_old = self.canonical.neighbor_array();
             let c_old_w = self.canonical.weight_array();
-            let mut touched = overlay.iter().peekable();
+            let mut touched = touched.iter().peekable();
             let mut v: u32 = 0;
             while (v as usize) < n {
                 match touched.peek() {
-                    Some(&(&tv, list)) if tv == v => {
+                    Some(&&(tv, ref list)) if tv == v => {
                         delta.stats.relayout_edges += list.len();
                         for &(d, w) in list {
                             c_nbr.push(d);
@@ -436,7 +388,7 @@ impl DynamicCsr {
                     peeked => {
                         // Untouched run [v, run_end): old vertices copy
                         // wholesale, appended ones are empty.
-                        let run_end = peeked.map_or(n as u32, |&(&tv, _)| tv);
+                        let run_end = peeked.map_or(n as u32, |&&(tv, _)| tv);
                         let old_end = run_end.min(old_n as u32);
                         if v < old_end {
                             let (lo, hi) = (
@@ -472,7 +424,7 @@ impl DynamicCsr {
 
         // Degree classes: recompute touched + appended, count class flips.
         self.classes.resize(n, 0);
-        for (&v, list) in &overlay {
+        for &(v, ref list) in &touched {
             let class = degree_class(list.len());
             if (v as usize) < old_n && self.classes[v as usize] != class {
                 delta.stats.rebucketed_vertices += 1;
@@ -504,6 +456,88 @@ fn lay_out(canonical: &Csr, lanes: usize) -> Csr {
     let mut laidout = canonical.clone();
     crate::relayout::degree_aware_relayout(&mut laidout, lanes, |d| (d as usize) % lanes);
     laidout
+}
+
+/// The adjacency lists one batch touched, each copied from the canonical
+/// CSR on its first touch (an appended vertex's starts empty), in
+/// first-touch order. `slot[v]` indexes `v`'s list, so an op finds it in
+/// O(1).
+struct Overlay {
+    slot: Vec<u32>,
+    touched: Vec<VertexId>,
+    lists: Vec<Vec<(VertexId, Weight)>>,
+}
+
+impl Overlay {
+    /// `slot` of a vertex the batch has not touched. A batch cannot touch
+    /// `u32::MAX` lists: that many would hold 96 GiB of empty `Vec`s.
+    const UNTOUCHED: u32 = u32::MAX;
+
+    /// An overlay over a batch whose final vertex count is `num_vertices`.
+    fn new(num_vertices: usize) -> Self {
+        Overlay {
+            slot: vec![Self::UNTOUCHED; num_vertices],
+            touched: Vec::new(),
+            lists: Vec::new(),
+        }
+    }
+
+    /// `v`'s list, if the batch touched `v`.
+    fn get(&self, v: VertexId) -> Option<&Vec<(VertexId, Weight)>> {
+        match self.slot[v as usize] {
+            Self::UNTOUCHED => None,
+            i => Some(&self.lists[i as usize]),
+        }
+    }
+
+    /// The touched vertices with their lists, in id order.
+    fn into_sorted(self) -> Vec<(VertexId, Vec<(VertexId, Weight)>)> {
+        let mut touched: Vec<_> = self.touched.into_iter().zip(self.lists).collect();
+        touched.sort_unstable_by_key(|&(v, _)| v);
+        touched
+    }
+
+    /// `v`'s list, copied from `canonical` on the first touch.
+    fn list(&mut self, canonical: &Csr, v: VertexId) -> &mut Vec<(VertexId, Weight)> {
+        let mut i = self.slot[v as usize];
+        if i == Self::UNTOUCHED {
+            i = self.lists.len() as u32;
+            self.slot[v as usize] = i;
+            self.touched.push(v);
+            self.lists.push(if (v as usize) < canonical.num_vertices() {
+                canonical
+                    .edge_range(v)
+                    .map(|e| (canonical.neighbor_at(e), canonical.weight_at(e)))
+                    .collect()
+            } else {
+                Vec::new()
+            });
+        }
+        &mut self.lists[i as usize]
+    }
+}
+
+/// Removes the edges of `src`'s adjacency `list` whose destination `hit`
+/// selects, recording each copy in `delta` in list order and each nonzero
+/// weight in `nz_delta`.
+fn remove_edges(
+    list: &mut Vec<(VertexId, Weight)>,
+    src: VertexId,
+    hit: impl Fn(VertexId) -> bool,
+    delta: &mut MutationDelta,
+    nz_delta: &mut isize,
+) {
+    list.retain(|&(d, w)| {
+        if !hit(d) {
+            return true;
+        }
+        if w != 0 {
+            *nz_delta -= 1;
+        }
+        delta.removed.push(Edge::weighted(src, d, w));
+        delta.stats.edges_removed += 1;
+        false
+    });
 }
 
 #[cfg(test)]
@@ -645,6 +679,80 @@ mod tests {
         assert_eq!(delta.stats.vertices_isolated, 1);
         assert_eq!(delta.stats.edges_removed, 3);
         assert_matches_rebuild(&g);
+    }
+
+    #[test]
+    fn one_batch_appends_wires_unwires_and_isolates() {
+        let base = Csr::from_edges(
+            5,
+            &[
+                Edge::weighted(0, 1, 2),
+                Edge::weighted(1, 2, 3),
+                Edge::weighted(2, 0, 4),
+                Edge::weighted(3, 1, 5),
+                Edge::weighted(1, 3, 6),
+                Edge::weighted(4, 1, 7),
+            ],
+        );
+        let mut g = DynamicCsr::new(base);
+        let mut b = MutationBatch::new();
+        b.add_vertex()
+            .add_vertex()
+            .insert_edge(Edge::weighted(5, 1, 8))
+            .insert_edge(Edge::weighted(0, 5, 9))
+            .insert_edge(Edge::weighted(6, 5, 1))
+            .insert_edge(Edge::weighted(5, 6, 2))
+            .insert_edge(Edge::weighted(3, 6, 3))
+            .remove_edge(0, 5)
+            .isolate_vertex(6)
+            .isolate_vertex(1)
+            .insert_edge(Edge::weighted(1, 6, 4));
+        let delta = g.apply(&b).unwrap();
+        assert_matches_rebuild(&g);
+        assert_eq!(g.canonical().neighbors(1), &[6]);
+        assert_eq!(g.canonical().neighbors(2), &[0]);
+        assert_eq!(g.canonical().out_degree(5) + g.canonical().out_degree(6), 0);
+        // Both lists in op order: each isolation removes the out-edges
+        // first, then the in-edges by ascending source.
+        let e = Edge::weighted;
+        assert_eq!(
+            delta.inserted,
+            [
+                e(5, 1, 8),
+                e(0, 5, 9),
+                e(6, 5, 1),
+                e(5, 6, 2),
+                e(3, 6, 3),
+                e(1, 6, 4)
+            ]
+        );
+        assert_eq!(
+            delta.removed,
+            [
+                e(0, 5, 9),
+                e(6, 5, 1),
+                e(3, 6, 3),
+                e(5, 6, 2),
+                e(1, 2, 3),
+                e(1, 3, 6),
+                e(0, 1, 2),
+                e(3, 1, 5),
+                e(4, 1, 7),
+                e(5, 1, 8),
+            ]
+        );
+        assert_eq!(
+            delta.stats,
+            MutationStats {
+                touched_vertices: 4,
+                rebucketed_vertices: 4,
+                edges_inserted: 6,
+                edges_removed: 10,
+                vertices_added: 2,
+                vertices_isolated: 2,
+                relayout_edges: 1,
+            }
+        );
     }
 
     #[test]

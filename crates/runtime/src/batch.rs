@@ -138,6 +138,7 @@ mod tests {
     use crate::job::{FailureReason, JobMetrics, Rejection};
     use crate::test_support::{healthy, wedge};
     use scalagraph_conformance::scenario::{AlgoSpec, Family};
+    use scalagraph_conformance::MutationSpec;
     use std::time::Duration;
 
     fn run_with(cfg: RuntimeConfig, specs: Vec<JobSpec>) -> BatchReport {
@@ -297,6 +298,53 @@ mod tests {
             runtime.graph_cache().stats().builds,
             1,
             "only the small graph"
+        );
+    }
+
+    #[test]
+    fn a_mutation_schedule_counts_toward_the_byte_budget() {
+        // Base graph 64 x 16 + 256 x 8 = 3,072 B; the schedule grows it by
+        // 4 x 2,000 edges and materializes 4,003-op batches.
+        let mut scheduled = healthy("scheduled");
+        scheduled.graph.family = Family::Uniform {
+            vertices: 64,
+            edges: 256,
+            seed: 8,
+        };
+        scheduled.mutations = Some(MutationSpec {
+            batches: 4,
+            insert_edges: 2_000,
+            remove_edges: 2_000,
+            add_vertices: 1,
+            isolate_vertices: 2,
+            seed: 1,
+        });
+        let runtime = BatchRuntime::with_graph_cache(
+            RuntimeConfig {
+                workers: 1,
+                ..RuntimeConfig::default()
+            },
+            Arc::new(GraphCache::with_byte_budget(8, 30_000)),
+        );
+        let report = runtime.run(vec![
+            JobSpec::new(scheduled),
+            JobSpec::new(healthy("small")),
+        ]);
+        assert!(report.balanced(), "{}", report.render());
+        assert_eq!(
+            report.outcomes[0].status,
+            JobStatus::Failed {
+                reason: FailureReason::OverBudget {
+                    estimated: (64 + 4) * 16 + (256 + 4 * 2_000) * 8 + 4_003 * 16,
+                    budget: 30_000,
+                }
+            }
+        );
+        assert_eq!(report.counters.completed, 1, "{}", report.render());
+        assert_eq!(
+            runtime.graph_cache().stats().builds,
+            1,
+            "only the static graph"
         );
     }
 

@@ -13,7 +13,8 @@
 //!   job whose scenario fails
 //!   [`Scenario::validate`](scalagraph_conformance::Scenario::validate) is
 //!   refused as [`FailureReason::Malformed`], and one whose
-//!   [`estimated_graph_bytes`] exceed the graph cache's byte budget as
+//!   [`estimated_scenario_bytes`] (its graph, grown by the whole mutation
+//!   schedule if it has one) exceed the graph cache's byte budget as
 //!   [`FailureReason::OverBudget`], both before any graph is built — a
 //!   typed refusal, never a smaller graph than the one asked for;
 //! * graphs come from the shared [`GraphCache`], one build per spec;
@@ -38,7 +39,7 @@ use std::time::{Duration, Instant};
 use scalagraph::{CancelToken, SimError};
 use scalagraph_telemetry::ServiceMetrics;
 
-use crate::graphcache::{estimated_graph_bytes, GraphCache};
+use crate::graphcache::{estimated_scenario_bytes, GraphCache};
 use crate::job::{FailureReason, JobId, JobOutcome, JobSpec, JobStatus, Rejection};
 use crate::queue::AdmissionQueue;
 use crate::recover;
@@ -261,7 +262,7 @@ impl Pool {
             return failed(FailureReason::Malformed { message });
         }
         let budget = self.graphs.byte_budget();
-        let estimated = estimated_graph_bytes(&spec.scenario.graph);
+        let estimated = estimated_scenario_bytes(&spec.scenario);
         if estimated > budget {
             return failed(FailureReason::OverBudget { estimated, budget });
         }

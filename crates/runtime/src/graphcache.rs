@@ -26,7 +26,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use scalagraph_conformance::GraphSpec;
+use scalagraph_conformance::{GraphSpec, Scenario};
+use scalagraph_graph::mutate::Mutation;
 use scalagraph_graph::Csr;
 
 use crate::flightcache::{Flight, FlightCache};
@@ -43,11 +44,49 @@ pub const DEFAULT_GRAPH_CACHE_BYTES: u64 = 2 << 30;
 /// symmetrizes. Saturates at `u64::MAX` rather than wrapping, so no size
 /// can pass for a small one.
 pub fn estimated_graph_bytes(spec: &GraphSpec) -> u64 {
-    let vertices = spec.family.vertices() as u64;
     let directed = (spec.family.edges() as u64).saturating_mul(if spec.symmetrize { 2 } else { 1 });
+    csr_bytes(spec.family.vertices() as u64, directed)
+}
+
+/// Estimated bytes of the largest graph a scenario runs on, from its
+/// parameters alone. Without a mutation schedule this is
+/// [`estimated_graph_bytes`]. With one, it is the largest graph the
+/// schedule can reach (the base graph plus every batch's vertex adds and
+/// edge inserts, none of its removals) plus one materialized batch.
+///
+/// This is one graph's resident size, not the job's peak: the replay
+/// works on a copy of the cached base graph, and each batch's apply holds
+/// the old and the new CSR at once, so a replay briefly holds about twice
+/// this estimate beside the cached base. Saturates like
+/// [`estimated_graph_bytes`].
+pub fn estimated_scenario_bytes(scenario: &Scenario) -> u64 {
+    let base = estimated_graph_bytes(&scenario.graph);
+    let Some(m) = scenario.mutations else {
+        return base;
+    };
+    let batches = u64::from(m.batches);
+    let growth = csr_bytes(
+        batches.saturating_mul(u64::from(m.add_vertices)),
+        batches.saturating_mul(u64::from(m.insert_edges)),
+    );
+    let ops = [
+        m.add_vertices,
+        m.remove_edges,
+        m.isolate_vertices,
+        m.insert_edges,
+    ]
+    .into_iter()
+    .fold(0u64, |sum, count| sum.saturating_add(u64::from(count)));
+    base.saturating_add(growth)
+        .saturating_add(ops.saturating_mul(size_of::<Mutation>() as u64))
+}
+
+/// ~16 bytes per vertex and 8 per directed edge; see
+/// [`estimated_graph_bytes`].
+fn csr_bytes(vertices: u64, directed_edges: u64) -> u64 {
     vertices
         .saturating_mul(16)
-        .saturating_add(directed.saturating_mul(8))
+        .saturating_add(directed_edges.saturating_mul(8))
 }
 
 /// Counters describing the cache's behaviour since construction.
@@ -99,8 +138,8 @@ impl GraphCache {
     /// budget: eviction runs until both constraints hold (the entry just
     /// published is never evicted, so a single over-budget graph still
     /// serves its own fetch). A `byte_budget` of 0 means no budget. The
-    /// executor refuses any job whose [`estimated_graph_bytes`] exceed the
-    /// budget, before fetching.
+    /// executor refuses any job whose [`estimated_scenario_bytes`] exceed
+    /// the budget, before fetching.
     pub fn with_byte_budget(capacity: usize, byte_budget: u64) -> Self {
         GraphCache {
             flights: FlightCache::with_byte_budget(capacity, byte_budget, |built| {
@@ -183,7 +222,7 @@ impl GraphCache {
 mod tests {
     use super::*;
     use scalagraph_conformance::scenario::Family;
-    use scalagraph_conformance::GraphSource;
+    use scalagraph_conformance::{GraphSource, MutationSpec};
 
     fn spec(seed: u64) -> GraphSpec {
         GraphSpec {
@@ -369,6 +408,40 @@ mod tests {
             cache.fetch(&spec(2)).unwrap().built,
             "other specs still build"
         );
+    }
+
+    #[test]
+    fn a_schedule_estimates_its_largest_graph_plus_one_batch() {
+        let mut s = crate::test_support::healthy("schedule");
+        assert_eq!(
+            estimated_scenario_bytes(&s),
+            estimated_graph_bytes(&s.graph)
+        );
+        // The corpus's two dynamic scenarios, under the batch soak's
+        // 20,000-byte budget.
+        let corpus = |name: &str| {
+            let path = format!("{}/../../corpus/{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(path).expect("corpus file reads");
+            Scenario::from_json_str(&text).expect("corpus file parses")
+        };
+        let bfs = corpus("dynamic-churn-bfs-repair");
+        assert_eq!(
+            estimated_scenario_bytes(&bfs),
+            (256 + 4 * 2) * 16 + (1024 + 4 * 24) * 8 + (2 + 24 + 1 + 24) * 16
+        );
+        assert_eq!(estimated_scenario_bytes(&bfs), 14_000);
+        let pagerank = corpus("dynamic-delta-pagerank-divergence");
+        assert_eq!(estimated_scenario_bytes(&pagerank), 6_832);
+        // Counts whose products wrap a u64 estimate as the largest size.
+        s.mutations = Some(MutationSpec {
+            batches: u32::MAX,
+            insert_edges: u32::MAX,
+            remove_edges: u32::MAX,
+            add_vertices: u32::MAX,
+            isolate_vertices: u32::MAX,
+            seed: 1,
+        });
+        assert_eq!(estimated_scenario_bytes(&s), u64::MAX);
     }
 
     #[test]

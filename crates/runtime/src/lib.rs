@@ -67,7 +67,8 @@ pub use batch::{BatchReport, BatchRuntime};
 pub use executor::{Executor, RuntimeConfig};
 pub use flightcache::{Flight, FlightCache, FlightGuard, FlightStats};
 pub use graphcache::{
-    estimated_graph_bytes, Fetched, GraphCache, GraphCacheStats, DEFAULT_GRAPH_CACHE_BYTES,
+    estimated_graph_bytes, estimated_scenario_bytes, Fetched, GraphCache, GraphCacheStats,
+    DEFAULT_GRAPH_CACHE_BYTES,
 };
 pub use job::{FailureReason, JobId, JobMetrics, JobOutcome, JobSpec, JobStatus, Rejection};
 pub use queue::AdmissionQueue;

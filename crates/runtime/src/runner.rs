@@ -6,7 +6,7 @@
 //! the ScalaGraph engine *cancellably* — threading the worker's
 //! [`CancelToken`] and any configured cycle ceiling into the hot loop.
 
-use scalagraph::{CancelToken, SimError, Simulator};
+use scalagraph::{CancelSignal, CancelToken, SimError, Simulator};
 use scalagraph_algo::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp, WidestPath};
 use scalagraph_algo::Algorithm;
 use scalagraph_conformance::materialize_batch;
@@ -65,7 +65,7 @@ pub fn run_attempt_on(
     let mutated;
     let graph = match scenario.mutations {
         Some(spec) => {
-            mutated = mutated_snapshot(scenario, spec, graph).map_err(AttemptError::Malformed)?;
+            mutated = mutated_snapshot(scenario, spec, graph, token)?;
             &mutated
         }
         None => graph,
@@ -103,9 +103,26 @@ pub fn run_attempt_on(
 /// materialized from the seeded [`MutationSpec`] exactly the way the
 /// conformance dynamic oracle does, so runtime jobs and oracle replays
 /// agree on the graph every schedule produces.
-fn mutated_snapshot(scenario: &Scenario, spec: MutationSpec, base: &Csr) -> Result<Csr, String> {
+///
+/// `token` is checked before every batch, so a deadline or a shutdown
+/// ends a long replay with the simulator's `Cancelled` or
+/// `DeadlineExceeded` at cycle 0 (nothing was simulated). One batch's own
+/// materialize and apply still run to their end.
+fn mutated_snapshot(
+    scenario: &Scenario,
+    spec: MutationSpec,
+    base: &Csr,
+    token: &CancelToken,
+) -> Result<Csr, AttemptError> {
     let mut dynamic = DynamicCsr::new(base.clone());
     for batch_index in 1..=spec.batches {
+        if let Some(signal) = token.signal() {
+            let partial = Box::default();
+            return Err(AttemptError::Sim(match signal {
+                CancelSignal::Cancelled => SimError::Cancelled { cycle: 0, partial },
+                CancelSignal::DeadlineExpired => SimError::DeadlineExceeded { cycle: 0, partial },
+            }));
+        }
         let batch = materialize_batch(
             &spec,
             scenario.graph.max_weight,
@@ -114,7 +131,7 @@ fn mutated_snapshot(scenario: &Scenario, spec: MutationSpec, base: &Csr) -> Resu
         );
         dynamic
             .apply(&batch)
-            .map_err(|e| format!("mutation batch {batch_index}: {e}"))?;
+            .map_err(|e| AttemptError::Malformed(format!("mutation batch {batch_index}: {e}")))?;
     }
     Ok(dynamic.into_canonical())
 }
@@ -261,6 +278,38 @@ mod tests {
             metrics.traversed_edges, static_metrics.traversed_edges,
             "mutated snapshot must change the traversal workload"
         );
+    }
+
+    #[test]
+    fn a_signalled_token_ends_the_replay_before_anything_is_simulated() {
+        let mut s = scenario();
+        s.mutations = Some(MutationSpec {
+            batches: 50,
+            insert_edges: 8,
+            remove_edges: 8,
+            add_vertices: 1,
+            isolate_vertices: 1,
+            seed: 99,
+        });
+        // The simulator observes a signal on its first stepped cycle at the
+        // earliest, so cycle 0 means the replay stopped first.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        match run_attempt(&s, AttemptOverrides::default(), &cancelled) {
+            Err(AttemptError::Sim(SimError::Cancelled { cycle: 0, partial })) => {
+                assert_eq!(*partial, Default::default());
+            }
+            other => panic!("expected a cancelled replay, got {other:?}"),
+        }
+        let expired = CancelToken::new();
+        expired.expire();
+        assert!(matches!(
+            run_attempt(&s, AttemptOverrides::default(), &expired),
+            Err(AttemptError::Sim(SimError::DeadlineExceeded {
+                cycle: 0,
+                ..
+            }))
+        ));
     }
 
     #[test]
