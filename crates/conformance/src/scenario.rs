@@ -1528,6 +1528,29 @@ mod tests {
     }
 
     #[test]
+    fn validate_refuses_pe_queues_past_the_engine_bound_by_key() {
+        let mut ok = sample();
+        ok.config.watchdog_stall_cycles = 25_000;
+        ok.algo = AlgoSpec::Cc;
+        ok.validate().expect("sound scenario validates");
+        let mut regs = ok.clone();
+        regs.config.aggregation_registers = 1 << 40;
+        let err = regs.validate().unwrap_err();
+        assert!(
+            err.contains("`aggregation_registers` 1099511627776"),
+            "{err}"
+        );
+        let mut pes = ok.clone();
+        pes.config.pes = 1 << 30;
+        let err = pes.validate().unwrap_err();
+        assert!(err.contains("`pes` 1073741824"), "{err}");
+        // Figure 21's largest machine still validates.
+        let mut fig21 = ok;
+        fig21.config.pes = 4096;
+        fig21.validate().expect("4,096 PEs validate");
+    }
+
+    #[test]
     fn validate_refuses_more_vertices_than_ids_without_wrapping() {
         let mut ok = sample();
         ok.config.watchdog_stall_cycles = 25_000;

@@ -4,6 +4,7 @@ use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::mapping::Mapping;
 use crate::placement::Placement;
+use crate::ports::NUM_DIRS;
 use crate::sim::CYCLE_SAFETY_CAP;
 use scalagraph_hwmodel::{max_frequency_mhz, InterconnectKind, OPERATING_CLOCK_MHZ};
 use scalagraph_mem::HbmConfig;
@@ -12,6 +13,15 @@ use scalagraph_mem::HbmConfig;
 /// (HBM round trips are tens of cycles, fetch stalls are counted as
 /// progress), far below the global cycle cap.
 pub const DEFAULT_WATCHDOG_STALL_CYCLES: u64 = 25_000;
+
+/// Most PE-queue slots a configuration may hold: `pes × (5 ×
+/// (aggregation_registers + router_queue_capacity) + gu_queue_capacity)`,
+/// the router ports plus the GU input queue of every PE. The engine
+/// allocates all of them when a run starts. The largest machine an
+/// experiment builds, Figure 21's 4,096 PEs at the default capacities,
+/// needs 557,056; this bound is about four times that, and at most about
+/// 50 MB of queue state.
+pub const MAX_QUEUE_SLOTS: usize = 1 << 21;
 
 /// Off-chip memory preset for a configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,6 +227,9 @@ impl ScalaGraphConfig {
         if self.router_queue_capacity == 0 {
             return Err(SimError::config("router queue must be non-empty"));
         }
+        if self.queue_slots().is_none_or(|s| s > MAX_QUEUE_SLOTS) {
+            return Err(SimError::config(self.queue_bound_message()));
+        }
         if self.link_width == 0 {
             return Err(SimError::config("link width must be positive"));
         }
@@ -279,6 +292,57 @@ impl ScalaGraphConfig {
             }
         }
         Ok(())
+    }
+}
+
+impl ScalaGraphConfig {
+    /// PE-queue slots per PE: five router ports of registers plus router
+    /// queue, and the GU input queue.
+    fn queue_slots_per_pe(&self) -> Option<usize> {
+        self.aggregation_registers
+            .checked_add(self.router_queue_capacity)?
+            .checked_mul(NUM_DIRS)?
+            .checked_add(self.gu_queue_capacity)
+    }
+
+    /// PE-queue slots of the whole machine; `None` past `usize`.
+    fn queue_slots(&self) -> Option<usize> {
+        self.queue_slots_per_pe()?
+            .checked_mul(self.placement.num_pes())
+    }
+
+    /// Why the PE queues exceed [`MAX_QUEUE_SLOTS`], naming the field to
+    /// lower: the PE count when the default capacities would not fit at
+    /// this size either, else the capacity that weighs most.
+    fn queue_bound_message(&self) -> String {
+        let pes = self.placement.num_pes();
+        let defaults = Self::with_pes(32).queue_slots_per_pe().unwrap_or(0);
+        let (field, value) = if pes.saturating_mul(defaults) > MAX_QUEUE_SLOTS {
+            ("pes", pes)
+        } else {
+            [
+                (
+                    "aggregation_registers",
+                    self.aggregation_registers,
+                    NUM_DIRS,
+                ),
+                (
+                    "router_queue_capacity",
+                    self.router_queue_capacity,
+                    NUM_DIRS,
+                ),
+                ("gu_queue_capacity", self.gu_queue_capacity, 1),
+            ]
+            .into_iter()
+            .max_by_key(|&(_, value, weight)| value.saturating_mul(weight))
+            .map_or(("pes", pes), |(field, value, _)| (field, value))
+        };
+        format!(
+            "`{field}` {value} takes the PE queues past the engine's bound of \
+             {MAX_QUEUE_SLOTS} slots: {pes} PEs x (5 x ({} registers + {} router queue) \
+             + {} GU queue)",
+            self.aggregation_registers, self.router_queue_capacity, self.gu_queue_capacity
+        )
     }
 }
 
@@ -367,6 +431,39 @@ mod tests {
                 "case {i} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn validate_bounds_the_pe_queue_state() {
+        let field = |c: &ScalaGraphConfig| match c.validate() {
+            Err(SimError::ConfigInvalid { detail }) => detail,
+            other => panic!("expected ConfigInvalid, got {other:?}"),
+        };
+        // Figure 21's largest machine, at the default capacities.
+        let fig21 = ScalaGraphConfig::with_pes(4096);
+        assert_eq!(fig21.queue_slots(), Some(557_056));
+        assert!(fig21.validate().is_ok());
+        // 32 PEs x (5 x (13,096 + 8) + 16) is exactly the bound.
+        let mut at_bound = ScalaGraphConfig::with_pes(32);
+        at_bound.aggregation_registers = 13_096;
+        assert_eq!(at_bound.queue_slots(), Some(MAX_QUEUE_SLOTS));
+        assert!(at_bound.validate().is_ok());
+        at_bound.aggregation_registers += 1;
+        assert!(field(&at_bound).starts_with("`aggregation_registers` 13097"));
+
+        let mut regs = ScalaGraphConfig::with_pes(32);
+        regs.aggregation_registers = 1 << 40;
+        assert!(field(&regs).starts_with("`aggregation_registers` 1099511627776"));
+        let mut pes = ScalaGraphConfig::with_pes(1 << 30);
+        assert!(field(&pes).starts_with("`pes` 1073741824"));
+        pes = ScalaGraphConfig::with_pes(1 << 14);
+        assert!(field(&pes).starts_with("`pes` 16384"), "{}", field(&pes));
+        let mut wrap = ScalaGraphConfig::with_pes(32);
+        wrap.router_queue_capacity = usize::MAX;
+        assert!(field(&wrap).starts_with("`router_queue_capacity`"));
+        wrap = ScalaGraphConfig::with_pes(32);
+        wrap.gu_queue_capacity = usize::MAX;
+        assert!(field(&wrap).starts_with("`gu_queue_capacity`"));
     }
 
     #[test]

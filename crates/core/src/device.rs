@@ -12,7 +12,7 @@
 use crate::config::ScalaGraphConfig;
 use crate::mapping::Mapping;
 use scalagraph_graph::relayout::degree_aware_relayout;
-use scalagraph_graph::{Csr, Edge, Partitioner, VertexId, VertexInterval};
+use scalagraph_graph::{Csr, Partitioner, VertexId, VertexInterval};
 
 /// The graph as laid out in device memory for a given configuration.
 #[derive(Debug, Clone)]
@@ -51,37 +51,49 @@ impl DeviceGraph {
             partitioner.intervals(graph.num_vertices())
         };
 
+        // Split the edges into (slice, tile) CSRs by counting: part
+        // `slice * tiles + tile`, read off two per-vertex tables so an edge
+        // costs two lookups.
         let tiles = placement.tiles;
-        // Bucket edges into (slice, tile).
-        let mut buckets: Vec<Vec<Vec<Edge>>> = vec![vec![Vec::new(); tiles]; intervals.len()];
-        let slice_of = |dst: VertexId| -> usize {
-            // Intervals are sorted and contiguous; binary search by end.
-            intervals.partition_point(|iv| iv.end <= dst)
-        };
-        for e in graph.edges() {
-            let tile = if by_destination {
-                placement.tile_of(e.dst)
-            } else {
-                placement.tile_of(e.src)
-            };
-            buckets[slice_of(e.dst)][tile].push(e);
+        let n = graph.num_vertices();
+        let mut dst_part = vec![0usize; n];
+        for (slice, iv) in intervals.iter().enumerate() {
+            for v in iv.start..iv.end {
+                let tile = if by_destination {
+                    placement.tile_of(v)
+                } else {
+                    0
+                };
+                dst_part[v as usize] = slice * tiles + tile;
+            }
         }
+        let src_tile: Vec<usize> = if by_destination {
+            Vec::new()
+        } else {
+            (0..n as VertexId).map(|v| placement.tile_of(v)).collect()
+        };
+        let mut parts = graph.split_edges(intervals.len() * tiles, |src, dst| {
+            let part = dst_part[dst as usize];
+            if by_destination {
+                part
+            } else {
+                part + src_tile[src as usize]
+            }
+        });
 
         let mut lane_aligned_edges = 0usize;
-        let mut slice_tiles = Vec::with_capacity(intervals.len());
-        for per_tile in buckets {
-            let mut row = Vec::with_capacity(tiles);
-            for edges in per_tile {
-                let mut csr = Csr::from_edges(graph.num_vertices(), &edges);
-                if config.mapping == Mapping::RowOriented {
-                    let stats =
-                        degree_aware_relayout(&mut csr, placement.cols, |v| placement.lane_of(v));
-                    lane_aligned_edges += stats.lane_aligned;
-                }
-                row.push(csr);
+        if config.mapping == Mapping::RowOriented {
+            let lane: Vec<usize> = (0..n as VertexId).map(|v| placement.lane_of(v)).collect();
+            for csr in &mut parts {
+                let stats = degree_aware_relayout(csr, placement.cols, |v| lane[v as usize]);
+                lane_aligned_edges += stats.lane_aligned;
             }
-            slice_tiles.push(row);
         }
+        let mut parts = parts.into_iter();
+        let slice_tiles = intervals
+            .iter()
+            .map(|_| parts.by_ref().take(tiles).collect())
+            .collect();
 
         DeviceGraph {
             slice_tiles,
@@ -132,7 +144,8 @@ impl DeviceGraph {
 mod tests {
     use super::*;
     use crate::config::ScalaGraphConfig;
-    use scalagraph_graph::generators;
+    use scalagraph_graph::{generators, Edge, EdgeList};
+    use std::collections::VecDeque;
 
     fn small_config() -> ScalaGraphConfig {
         let mut c = ScalaGraphConfig::with_pes(32);
@@ -237,5 +250,142 @@ mod tests {
             }
         }
         assert_eq!(seen, 49);
+    }
+
+    /// The K-FIFO re-layout as it was first written: one `VecDeque` per
+    /// lane, and a scan of every lane for each stolen edge. Returns the
+    /// laid-out CSR and its lane-aligned edge count.
+    fn kfifo_relayout(
+        graph: &Csr,
+        lanes: usize,
+        lane_of: impl Fn(VertexId) -> usize,
+    ) -> (Csr, usize) {
+        let mut perm = Vec::with_capacity(graph.num_edges());
+        let mut fifos: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
+        let mut aligned = 0;
+        for v in graph.vertices() {
+            let range = graph.edge_range(v);
+            for idx in range.clone() {
+                fifos[lane_of(graph.neighbor_at(idx))].push_back(idx);
+            }
+            let mut emitted = 0;
+            while emitted < range.len() {
+                for lane in 0..lanes {
+                    if emitted >= range.len() {
+                        break;
+                    }
+                    let idx = match fifos[lane].pop_front() {
+                        Some(idx) => {
+                            aligned += 1;
+                            idx
+                        }
+                        None => (0..lanes)
+                            .map(|d| (lane + d) % lanes)
+                            .find_map(|l| fifos[l].pop_front())
+                            .expect("edges remain"),
+                    };
+                    perm.push(idx);
+                    emitted += 1;
+                }
+            }
+        }
+        let neighbors = perm.iter().map(|&i| graph.neighbor_at(i)).collect();
+        let weights = graph
+            .weight_array()
+            .map(|w| perm.iter().map(|&i| w[i]).collect());
+        let csr = Csr::from_raw_parts(graph.offsets().to_vec(), neighbors, weights)
+            .expect("a permutation within each vertex keeps the CSR well formed");
+        (csr, aligned)
+    }
+
+    /// `prepare` as it was first written: bucket the edges by (slice, tile)
+    /// in CSR order, build each bucket with `Csr::from_edges`, then lay it
+    /// out with the K-FIFO re-layout under the row-oriented mapping.
+    fn reference_prepare(graph: &Csr, config: &ScalaGraphConfig) -> (Vec<Vec<Csr>>, f64) {
+        let p = config.placement;
+        let n = graph.num_vertices();
+        let intervals = Partitioner::new(config.spd_capacity_vertices)
+            .expect("positive capacity")
+            .intervals(n);
+        let mut buckets = vec![vec![Vec::new(); p.tiles]; intervals.len()];
+        for e in graph.edges() {
+            let slice = intervals.partition_point(|iv| iv.end <= e.dst);
+            let tile = match config.mapping {
+                Mapping::SourceOriented => p.tile_of(e.src),
+                _ => p.tile_of(e.dst),
+            };
+            buckets[slice][tile].push(e);
+        }
+        let mut aligned = 0;
+        let csrs = buckets
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|edges| {
+                        let csr = Csr::from_edges(n, edges);
+                        if config.mapping != Mapping::RowOriented {
+                            return csr;
+                        }
+                        let (laid, a) = kfifo_relayout(&csr, p.cols, |v| p.lane_of(v));
+                        aligned += a;
+                        laid
+                    })
+                    .collect()
+            })
+            .collect();
+        let alignment = if config.mapping == Mapping::RowOriented {
+            aligned as f64 / graph.num_edges() as f64
+        } else {
+            1.0
+        };
+        (csrs, alignment)
+    }
+
+    #[test]
+    fn prepare_equals_the_bucketed_kfifo_layout() {
+        let n = 3_000;
+        let edges = generators::power_law(n, 40_000, 0.9, 11);
+        let unweighted = Csr::from_edges(n, &edges);
+        for pes in [32, 512, 1024, 4096] {
+            let base = ScalaGraphConfig::with_pes(pes);
+            assert_eq!(base.placement.cols, pes / 32);
+            // Weighted, with every edge into tile 0 weighing 0: under the
+            // destination-keyed mappings tile 0 stores no weights at all.
+            let mut list = EdgeList::new(n);
+            for e in &edges {
+                let w = if base.placement.tile_of(e.dst) == 0 {
+                    0
+                } else {
+                    1 + e.dst % 7
+                };
+                list.push(Edge::weighted(e.src, e.dst, w));
+            }
+            let weighted = Csr::from_edge_list(&list);
+            for graph in [&unweighted, &weighted] {
+                for mapping in Mapping::ALL {
+                    for spd in [1_000_000, 1_100] {
+                        let mut cfg = base.clone();
+                        cfg.mapping = mapping;
+                        cfg.spd_capacity_vertices = spd;
+                        let d = DeviceGraph::prepare(graph, &cfg);
+                        let (want, alignment) = reference_prepare(graph, &cfg);
+                        let what = format!("{pes} PEs, {mapping}, SPD {spd}");
+                        assert_eq!(d.num_slices(), want.len(), "{what}");
+                        assert_eq!(d.num_slices(), if spd < n { 3 } else { 1 }, "{what}");
+                        for (s, row) in want.iter().enumerate() {
+                            for (t, csr) in row.iter().enumerate() {
+                                assert!(d.tile_csr(s, t) == csr, "{what}: slice {s} tile {t}");
+                            }
+                        }
+                        assert_eq!(d.lane_alignment(), alignment, "{what}");
+                    }
+                }
+                if graph.is_weighted() {
+                    let d = DeviceGraph::prepare(graph, &base);
+                    assert!(!d.tile_csr(0, 0).is_weighted(), "{pes} PEs");
+                    assert!(d.tile_csr(0, 1).is_weighted(), "{pes} PEs");
+                }
+            }
+        }
     }
 }

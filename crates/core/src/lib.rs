@@ -49,6 +49,7 @@ pub mod error;
 pub mod fault;
 pub mod mapping;
 pub mod placement;
+mod ports;
 pub mod sim;
 pub mod slab;
 pub mod stats;

@@ -31,7 +31,6 @@
 //! as the dense reference: every bit is set on every cycle and no cycle is
 //! skipped, so comparing the two checks that the bitmaps never miss work.
 
-use crate::aggregate::{AggregationBuffer, PendingUpdate};
 use crate::cancel::{CancelSignal, CancelToken};
 use crate::config::ScalaGraphConfig;
 use crate::device::DeviceGraph;
@@ -41,6 +40,9 @@ use crate::error::{
 use crate::fault::{FaultInjector, FlitAction};
 use crate::mapping::Mapping;
 use crate::placement::Placement;
+use crate::ports::{
+    Flit, PortSlab, RingSlab, EAST, EJECT, MESH_DIRS, NORTH, NUM_DIRS, SOUTH, WEST,
+};
 use crate::slab::TagSlab;
 use crate::stats::{SimResult, SimStats};
 use scalagraph_algo::{Algorithm, EdgeCtx};
@@ -60,6 +62,9 @@ use std::ops::Range;
 /// values beyond it.
 pub const CYCLE_SAFETY_CAP: u64 = 2_000_000_000;
 
+// A flit stamps its injection cycle in 32 bits.
+const _: () = assert!(CYCLE_SAFETY_CAP <= u32::MAX as u64);
+
 /// An edge workload travelling from dispatcher to GU.
 #[derive(Debug, Clone, Copy)]
 struct EdgeWork<P> {
@@ -70,28 +75,6 @@ struct EdgeWork<P> {
     weight: u32,
     src_degree: u32,
     src_prop: P,
-}
-
-/// A partially-reduced vertex update in flight: value, earliest injection
-/// cycle (for latency accounting) and the routing header — the home PE of
-/// the update's destination, so no router re-derives it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Flit<P> {
-    value: P,
-    inject: u64,
-    home: u32,
-}
-
-impl<P: Copy> Flit<P> {
-    /// Folds two flits for the same destination (hence the same home).
-    #[inline]
-    fn merge(a: Self, b: Self, reduce: impl Fn(P, P) -> P) -> Self {
-        Flit {
-            value: reduce(a.value, b.value),
-            inject: a.inject.min(b.inject),
-            home: a.home,
-        }
-    }
 }
 
 /// Where one PE sits in the global mesh, tabulated once per run so that
@@ -109,6 +92,31 @@ struct NodeGeo {
     row_in_tile: u32,
 }
 
+/// `a % d` for one fixed divisor by two multiplications instead of a
+/// division (Lemire's direct remainder), exact for every 32-bit `a` and
+/// positive `d`: the dispatcher hashes the destination of every edge.
+#[derive(Debug, Clone, Copy)]
+struct FastMod {
+    m: u64,
+    d: u32,
+}
+
+impl FastMod {
+    fn new(d: u32) -> Self {
+        debug_assert!(d > 0, "a remainder needs a positive divisor");
+        FastMod {
+            m: (u64::MAX / u64::from(d)).wrapping_add(1),
+            d,
+        }
+    }
+
+    #[inline]
+    fn rem(self, a: u32) -> u32 {
+        let low = self.m.wrapping_mul(u64::from(a));
+        ((u128::from(low) * u128::from(self.d)) >> 64) as u32
+    }
+}
+
 fn geometry(p: Placement) -> Vec<NodeGeo> {
     (0..p.num_pes())
         .map(|node| {
@@ -123,14 +131,6 @@ fn geometry(p: Placement) -> Vec<NodeGeo> {
         })
         .collect()
 }
-
-/// Output directions of a routing unit. `EJECT` feeds the local SPD.
-const EJECT: usize = 0;
-const NORTH: usize = 1;
-const SOUTH: usize = 2;
-const WEST: usize = 3;
-const EAST: usize = 4;
-const NUM_DIRS: usize = 5;
 
 /// An active vertex queued in a tile's frontend.
 #[derive(Debug, Clone, Copy)]
@@ -230,14 +230,6 @@ impl<P: Copy> TileFrontend<P> {
         self.next_write_tag += 1;
         WRITE_TAG_BIT | self.next_write_tag
     }
-}
-
-/// One PE's per-cycle state: GU input queue, router output buffers (one
-/// per direction, inline), apply queue.
-struct Node<P> {
-    gu_queue: VecDeque<EdgeWork<P>>,
-    out: [AggregationBuffer<Flit<P>>; NUM_DIRS],
-    apply_queue: VecDeque<VertexId>,
 }
 
 /// Phase of the global machine.
@@ -432,10 +424,9 @@ pub fn try_run_on<A: Algorithm>(
 
 /// Per-cycle scratch buffers the engine reuses across cycles instead of
 /// reallocating: dispatch lane ownership and source budgets, and routing
-/// free space and decided moves. Taken out of the engine with `mem::take`
-/// for the duration of a step stage and put back after, so the buffers
-/// never fight the borrow checker and never hit the allocator in steady
-/// state.
+/// free space. Taken out of the engine with `mem::take` for the duration
+/// of a step stage and put back after, so the buffers never fight the
+/// borrow checker and never hit the allocator in steady state.
 #[derive(Default)]
 struct Scratch {
     /// Which segment owns each PE lane this dispatch cycle.
@@ -445,23 +436,30 @@ struct Scratch {
     /// Routing: free buffer slots per node, as they stood before the
     /// routing pass.
     route_free: RouteFree,
-    /// Routing: decided (destination node, destination buffer) moves.
-    route_moves: Vec<(usize, usize)>,
 }
 
-/// Free slots of one node's five router buffers this routing pass,
-/// valid when `epoch` matches the pass.
+/// A flit a routing pass drained, and the port it lands in once every
+/// router has decided.
+#[derive(Clone, Copy)]
+struct Move<P> {
+    to_port: usize,
+    dst: VertexId,
+    flit: Flit<P>,
+}
+
+/// Free slots of one node's five router ports this routing pass, valid
+/// when `epoch` matches the pass.
 #[derive(Clone, Copy, Default)]
 struct FreeSlots {
     epoch: u64,
-    free: [usize; NUM_DIRS],
+    free: [u32; NUM_DIRS],
 }
 
-/// The free space every router decision reserves from: each node's buffer
+/// The free space every router decision reserves from: each node's port
 /// space as it stood before the routing pass drained or filled anything.
-/// A node's entry is filled on first use, which is always early enough: a
-/// router fills its own entry before it drains, and moves land only after
-/// every router has decided.
+/// A node's entry is read off the slab's lengths on first use, which is
+/// always early enough: a router fills its own entry before it drains,
+/// and moves land only after every router has decided.
 #[derive(Default)]
 struct RouteFree {
     nodes: Vec<FreeSlots>,
@@ -469,20 +467,15 @@ struct RouteFree {
 }
 
 impl RouteFree {
-    /// The pass-start free slots of `node`, whose buffers are `out`, with
-    /// `cap` slots per buffer.
+    /// The pass-start free slots of `node`'s ports.
     #[inline]
-    fn of<P: Copy>(
-        &mut self,
-        node: usize,
-        out: &[AggregationBuffer<P>; NUM_DIRS],
-        cap: usize,
-    ) -> &mut [usize; NUM_DIRS] {
+    fn of<P: Copy>(&mut self, node: usize, ports: &PortSlab<P>) -> &mut [u32; NUM_DIRS] {
         let slots = &mut self.nodes[node];
         if slots.epoch != self.epoch {
             slots.epoch = self.epoch;
-            for (f, b) in slots.free.iter_mut().zip(out) {
-                *f = cap.saturating_sub(b.len());
+            let cap = ports.capacity() as u32;
+            for (f, &len) in slots.free.iter_mut().zip(ports.lens(node)) {
+                *f = cap.saturating_sub(len);
             }
         }
         &mut slots.free
@@ -629,7 +622,8 @@ struct DelayedFlit<P> {
     release: u64,
     node: usize,
     dir: usize,
-    update: PendingUpdate<Flit<P>>,
+    dst: VertexId,
+    flit: Flit<P>,
 }
 
 /// Monotonic counters the watchdog samples: any change between cycles is
@@ -709,9 +703,16 @@ struct Engine<'a, A: Algorithm, C: Collector> {
     touched_list: Vec<VertexId>,
 
     tiles: Vec<TileFrontend<A::Prop>>,
-    nodes: Vec<Node<A::Prop>>,
+    /// Router output ports of every PE.
+    ports: PortSlab<A::Prop>,
+    /// GU input queue of every PE.
+    gu_queues: RingSlab<EdgeWork<A::Prop>>,
+    /// Apply queue of every PE (unbounded).
+    apply_queues: Vec<VecDeque<VertexId>>,
     /// Mesh coordinates of every PE.
     geo: Vec<NodeGeo>,
+    /// The vertex-to-PE hash [`Placement::home_pe`], `v % num_pes`.
+    home: FastMod,
 
     stats: SimStats,
     now: u64,
@@ -741,9 +742,8 @@ struct Engine<'a, A: Algorithm, C: Collector> {
     /// actives: the active-list write-back/read-back round trip that
     /// inter-phase pipelining exists to hide (Figure 13).
     fetch_stall: u64,
-    /// Staging area for updates crossing a link this cycle (reused
-    /// allocation).
-    staged: Vec<PendingUpdate<Flit<A::Prop>>>,
+    /// Updates crossing a link this cycle (reused allocation).
+    moves: Vec<Move<A::Prop>>,
     /// Reused per-cycle scratch buffers for dispatch and routing, so the
     /// steady-state hot loop allocates nothing.
     scratch: Scratch,
@@ -774,13 +774,8 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     ) -> Self {
         let n = graph.num_vertices();
         let placement = cfg.placement;
-        let nodes = (0..placement.num_pes())
-            .map(|_| Node {
-                gu_queue: VecDeque::new(),
-                out: std::array::from_fn(|_| AggregationBuffer::new(cfg.aggregation_registers)),
-                apply_queue: VecDeque::new(),
-            })
-            .collect();
+        let pes = placement.num_pes();
+        let fill = algo.reduce_identity();
         let tiles = (0..placement.tiles)
             .map(|_| TileFrontend::new(Hbm::new(cfg.tile_memory()), placement.rows_per_tile))
             .collect();
@@ -800,8 +795,28 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             touched: vec![false; n],
             touched_list: Vec::new(),
             tiles,
-            nodes,
+            ports: PortSlab::new(
+                pes,
+                cfg.aggregation_registers,
+                cfg.router_queue_capacity,
+                fill,
+            ),
+            gu_queues: RingSlab::new(
+                pes,
+                cfg.gu_queue_capacity,
+                EdgeWork {
+                    src: 0,
+                    dst: 0,
+                    home: 0,
+                    weight: 0,
+                    src_degree: 0,
+                    src_prop: fill,
+                },
+            ),
+            apply_queues: vec![VecDeque::new(); pes],
             geo: geometry(placement),
+            // `validate` bounds the PE count by 32 bits.
+            home: FastMod::new(pes as u32),
             stats: SimStats {
                 slices: dev.num_slices() as u64,
                 inter_phase_used: pipelined,
@@ -820,15 +835,15 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             frontier_sizes: Vec::new(),
             apply_inflight: 0,
             fetch_stall: 0,
-            staged: Vec::new(),
+            moves: Vec::new(),
             scratch: Scratch {
                 route_free: RouteFree {
-                    nodes: vec![FreeSlots::default(); placement.num_pes()],
+                    nodes: vec![FreeSlots::default(); pes],
                     epoch: 0,
                 },
                 ..Scratch::default()
             },
-            gu_busy_per_node: vec![0; placement.num_pes()],
+            gu_busy_per_node: vec![0; pes],
             dispatched_per_row: vec![0; placement.tiles * placement.rows_per_tile],
             injector: cfg.fault_plan.clone().and_then(FaultInjector::new),
             delayed: Vec::new(),
@@ -1043,12 +1058,14 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             let mut depth = 0u64;
             for node in t * ppt..(t + 1) * ppt {
                 gu += self.gu_busy_per_node[node];
-                let n = &self.nodes[node];
-                depth += n.gu_queue.len() as u64;
-                for buf in &n.out {
-                    depth += buf.len() as u64;
-                    merges += buf.merges();
-                }
+                depth += self.gu_queues.len(node) as u64;
+                depth += self
+                    .ports
+                    .lens(node)
+                    .iter()
+                    .map(|&l| u64::from(l))
+                    .sum::<u64>();
+                merges += self.ports.merges(node);
             }
             let dispatched: u64 = (t * p.rows_per_tile..(t + 1) * p.rows_per_tile)
                 .map(|r| self.dispatched_per_row[r])
@@ -1157,10 +1174,8 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         // Empty masks prove the pipeline units idle.
         debug_assert!(
             self.apply_inflight == 0
-                && self
-                    .nodes
-                    .iter()
-                    .all(|n| n.gu_queue.is_empty() && n.out.iter().all(AggregationBuffer::is_empty))
+                && self.gu_queues.all_empty()
+                && self.ports.all_empty()
                 && self
                     .tiles
                     .iter()
@@ -1301,20 +1316,16 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             }
         }
         let mut busy_nodes = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            let mut out_depths = [0usize; NUM_DIRS];
-            for (d, buf) in n.out.iter().enumerate() {
-                out_depths[d] = buf.len();
-            }
-            if !n.gu_queue.is_empty()
-                || !n.apply_queue.is_empty()
-                || out_depths.iter().any(|&d| d > 0)
-            {
+        for (i, apply) in self.apply_queues.iter().enumerate() {
+            let out_depths: [usize; NUM_DIRS] =
+                std::array::from_fn(|d| self.ports.len(i * NUM_DIRS + d));
+            let gu_queue = self.gu_queues.len(i);
+            if gu_queue > 0 || !apply.is_empty() || out_depths.iter().any(|&d| d > 0) {
                 busy_nodes.push(NodeSnapshot {
                     node: i,
-                    gu_queue: n.gu_queue.len(),
+                    gu_queue,
                     out_depths,
-                    apply_queue: n.apply_queue.len(),
+                    apply_queue: apply.len(),
                 });
             }
         }
@@ -1369,7 +1380,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         }
         let mut worst: Option<(usize, usize, usize)> = None; // (depth, node, dir)
         for n in nodes {
-            for dir in [NORTH, SOUTH, WEST, EAST] {
+            for dir in MESH_DIRS {
                 let depth = n.out_depths[dir];
                 if depth > 0 && worst.is_none_or(|(d, _, _)| depth > d) {
                     worst = Some((depth, n.node, dir));
@@ -1434,11 +1445,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             stats.offchip_bytes_written += m.bytes_written;
             stats.offchip_reads += m.reads;
         }
-        for node in &self.nodes {
-            for buf in &node.out {
-                stats.agg_merges += buf.merges();
-            }
-        }
+        stats.agg_merges += self.ports.total_merges();
         stats.cycles = self.now;
         stats.pe_cycle_budget = self.now * self.cfg.placement.num_pes() as u64;
         stats
@@ -1488,7 +1495,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// it would be a no-op.
     fn step(&mut self) -> Result<(), SimError> {
         self.now += 1;
-        if !self.scatter_machine_empty() || self.scatter_input_open {
+        if self.scatter_input_open || !self.scatter_machine_empty() {
             self.stats.scatter_cycles += 1;
         }
         if self.phase == Phase::Apply {
@@ -1508,7 +1515,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         if !self.delayed.is_empty() {
             self.step_delayed();
         }
-        visited += self.step_routing()?;
+        visited += self.step_routing();
         visited += self.step_gu();
         visited += self.step_spd()?;
         if self.phase == Phase::Apply {
@@ -1768,6 +1775,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         // count once.
         srcs_used.clear();
         let mut scanned = 0usize;
+        let mut dispatched = 0u64;
         while edges_left > 0 && scanned < scan_window {
             let Some(mut seg) = self.tiles[t].row_queues[row].pop_front() else {
                 break;
@@ -1784,31 +1792,33 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             }
             let csr = self.dev.tile_csr(self.slice, t);
             let seg_id = scanned as u16;
-            let src_home = placement.home_pe(seg.src);
+            let src_home = self.home.rem(seg.src) as usize;
             while edges_left > 0 && !seg.edges.is_empty() {
                 let idx = seg.edges.start;
                 let dst = csr.neighbor_at(idx);
-                let home = placement.home_pe(dst);
+                let home = self.home.rem(dst) as usize;
                 let (target, lane) = self.target_lane(src_home, home);
                 if (lane_owner[lane] != u16::MAX && lane_owner[lane] != seg_id)
-                    || self.nodes[target].gu_queue.len() >= self.cfg.gu_queue_capacity
+                    || self.gu_queues.is_full(target)
                 {
                     break;
                 }
-                self.nodes[target].gu_queue.push_back(EdgeWork {
-                    src: seg.src,
-                    dst,
-                    home: home as u32,
-                    weight: csr.weight_at(idx),
-                    src_degree: seg.src_degree,
-                    src_prop: seg.prop,
-                });
+                self.gu_queues.push_back(
+                    target,
+                    EdgeWork {
+                        src: seg.src,
+                        dst,
+                        home: home as u32,
+                        weight: csr.weight_at(idx),
+                        src_degree: seg.src_degree,
+                        src_prop: seg.prop,
+                    },
+                );
                 self.ev.gu.set(target);
                 lane_owner[lane] = seg_id;
                 edges_left -= 1;
                 seg.edges.start += 1;
-                self.dispatched_per_row[t * placement.rows_per_tile + row] += 1;
-                self.stats.traversed_edges += 1;
+                dispatched += 1;
             }
             if !seg.edges.is_empty() {
                 // Rotate so the next scan reaches fresh segments
@@ -1816,6 +1826,8 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 self.tiles[t].row_queues[row].push_back(seg);
             }
         }
+        self.dispatched_per_row[t * placement.rows_per_tile + row] += dispatched;
+        self.stats.traversed_edges += dispatched;
         !self.tiles[t].row_queues[row].is_empty()
     }
 
@@ -1854,8 +1866,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// Returns whether the queue still holds work afterwards.
     fn gu_node(&mut self, node: usize) -> bool {
         let algo = self.algo;
-        let cap = self.cfg.router_queue_capacity;
-        let Some(work) = self.nodes[node].gu_queue.front().copied() else {
+        let Some(work) = self.gu_queues.front(node) else {
             return false;
         };
         let ctx = EdgeCtx {
@@ -1867,16 +1878,18 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         let dir = route_dir(&self.geo, node, work.home as usize);
         let flit = Flit {
             value,
-            inject: self.now,
+            // Every cycle is below CYCLE_SAFETY_CAP, which fits in 32 bits.
+            inject: self.now as u32,
             home: work.home,
         };
-        let accepted = self.nodes[node].out[dir]
-            .try_push(work.dst, flit, cap, |a, b| {
-                Flit::merge(a, b, |x, y| algo.reduce(x, y))
+        let accepted = self
+            .ports
+            .try_push(node * NUM_DIRS + dir, work.dst, flit, |x, y| {
+                algo.reduce(x, y)
             })
             .is_some();
         if accepted {
-            self.nodes[node].gu_queue.pop_front();
+            self.gu_queues.pop_front(node);
             self.stats.gu_busy_cycles += 1;
             self.gu_busy_per_node[node] += 1;
             self.stats.updates_produced += 1;
@@ -1893,7 +1906,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             // activity bit is already set; the GU retries next cycle.
             self.stats.noc_conflicts += 1;
         }
-        !self.nodes[node].gu_queue.is_empty()
+        self.gu_queues.len(node) > 0
     }
 
     fn step_gu(&mut self) -> usize {
@@ -1911,7 +1924,6 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// traffic. A flit refused by a full buffer stays parked and retries.
     fn step_delayed(&mut self) {
         let algo = self.algo;
-        let cap = self.cfg.router_queue_capacity;
         let mut i = 0;
         while i < self.delayed.len() {
             if self.delayed[i].release > self.now {
@@ -1921,12 +1933,11 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             let d = &self.delayed[i];
             let (d_node, d_dir) = (d.node, d.dir);
             let to = neighbor(self.cfg, d.node, d.dir);
-            let to_dir = route_dir(&self.geo, to, d.update.value.home as usize);
-            let update = d.update;
-            let accepted = self.nodes[to].out[to_dir]
-                .try_push(update.dst, update.value, cap, |a, b| {
-                    Flit::merge(a, b, |x, y| algo.reduce(x, y))
-                })
+            let to_dir = route_dir(&self.geo, to, d.flit.home as usize);
+            let (dst, flit) = (d.dst, d.flit);
+            let accepted = self
+                .ports
+                .try_push(to * NUM_DIRS + to_dir, dst, flit, |x, y| algo.reduce(x, y))
                 .is_some();
             if accepted {
                 self.stats.noc_hops += 1;
@@ -1961,22 +1972,25 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// Decides this cycle's moves out of one router: up to `link_width`
     /// updates per link — links are 64-byte buses carrying several 8-byte
     /// updates. Reservations come out of `free` (the pass-start free space
-    /// shared by all routers this cycle); drained flits stage in
-    /// `self.staged` keyed by `moves` order. Returns whether any of the
-    /// router's four mesh buffers still holds flits.
+    /// shared by all routers this cycle); drained flits stage in `moves`.
+    /// Returns whether any of the router's four mesh buffers still holds
+    /// flits.
     fn route_decide_node(
         &mut self,
         node: usize,
         free: &mut RouteFree,
-        moves: &mut Vec<(usize, usize)>,
-    ) -> Result<bool, SimError> {
+        moves: &mut Vec<Move<A::Prop>>,
+    ) -> bool {
         let width = self.cfg.link_width;
-        let cap = self.cfg.aggregation_registers + self.cfg.router_queue_capacity;
         let faults_armed = self.injector.is_some();
         // Record this router's free space before it drains, for routers
         // later in the pass that reserve into it.
-        free.of(node, &self.nodes[node].out, cap);
-        for dir in [NORTH, SOUTH, WEST, EAST] {
+        free.of(node, &self.ports);
+        for dir in MESH_DIRS {
+            let port = node * NUM_DIRS + dir;
+            if self.ports.len(port) == 0 {
+                continue;
+            }
             if faults_armed
                 && self
                     .injector
@@ -1984,38 +1998,30 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                     .is_some_and(|inj| inj.link_blocked(self.now, node, dir))
             {
                 // A downed link: zero credit, full back-pressure.
-                if !self.nodes[node].out[dir].is_empty() {
-                    self.stats.noc_conflicts += 1;
-                    if C::ENABLED {
-                        self.col.link_backpressure(node, dir);
-                    }
+                self.stats.noc_conflicts += 1;
+                if C::ENABLED {
+                    self.col.link_backpressure(node, dir);
                 }
                 continue;
             }
-            let mut granted = 0usize;
-            // All updates sharing this link this cycle head the same
-            // way physically; per-update destination buffers may
-            // differ, so reserve per update.
-            while granted < width {
-                let Some(update) = self.nodes[node].out[dir].peek_next() else {
+            // The port holds a flit, so its link has a far end.
+            let to = neighbor(self.cfg, node, dir);
+            let to_free = free.of(to, &self.ports);
+            // The link takes the port's oldest updates in order; they
+            // leave the port together once the link is decided. Nothing
+            // lands in any port before every router has decided.
+            let mut taken = 0;
+            while taken < width {
+                let Some((mut dst, mut flit)) = self.ports.peek_at(port, taken) else {
                     break;
                 };
-                // peek_next is stable only until we drain, so resolve
-                // the route for the head, reserve, and mark the move;
-                // actual drains happen in order below.
-                let home = update.value.home as usize;
                 if faults_armed {
                     let action = self
                         .injector
                         .as_mut()
                         .and_then(|inj| inj.flit_action(self.now, node, dir));
                     if let Some(action) = action {
-                        let Some(mut update) = self.nodes[node].out[dir].drain_one() else {
-                            return Err(SimError::protocol(
-                                "peeked update vanished during faulty-link drain",
-                                self.now,
-                            ));
-                        };
+                        taken += 1;
                         match action {
                             FlitAction::Drop => {
                                 self.stats.flits_dropped += 1;
@@ -2034,16 +2040,14 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                                     release: self.now + cycles.max(1),
                                     node,
                                     dir,
-                                    update,
+                                    dst,
+                                    flit,
                                 });
                             }
                             FlitAction::Corrupt { out_of_range } => {
-                                update.dst = Self::corrupt_dst(
-                                    update.dst,
-                                    self.graph.num_vertices(),
-                                    out_of_range,
-                                );
-                                update.value.home = self.cfg.placement.home_pe(update.dst) as u32;
+                                dst =
+                                    Self::corrupt_dst(dst, self.graph.num_vertices(), out_of_range);
+                                flit.home = self.cfg.placement.home_pe(dst) as u32;
                                 self.stats.updates_corrupted += 1;
                                 if C::ENABLED {
                                     self.col.instant(
@@ -2059,17 +2063,16 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                                     release: self.now,
                                     node,
                                     dir,
-                                    update,
+                                    dst,
+                                    flit,
                                 });
                             }
                         }
-                        granted += 1;
                         continue;
                     }
                 }
-                let to = neighbor(self.cfg, node, dir);
-                let to_dir = route_dir(&self.geo, to, home);
-                let slots = &mut free.of(to, &self.nodes[to].out, cap)[to_dir];
+                let to_dir = route_dir(&self.geo, to, flit.home as usize);
+                let slots = &mut to_free[to_dir];
                 if *slots == 0 {
                     self.stats.noc_conflicts += 1;
                     if C::ENABLED {
@@ -2078,48 +2081,38 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                     break;
                 }
                 *slots -= 1;
-                // Drain immediately into a staging list so the next
-                // peek sees the following update.
-                let Some(update) = self.nodes[node].out[dir].drain_one() else {
-                    return Err(SimError::protocol(
-                        "peeked update vanished during routing drain",
-                        self.now,
-                    ));
-                };
+                taken += 1;
                 self.stats.noc_hops += 1;
                 if C::ENABLED {
                     self.col.link_traversal(node, dir, 1);
                 }
-                moves.push((to, to_dir));
-                // Stash the flit out-of-band keyed by move order.
-                self.staged.push(update);
-                granted += 1;
+                moves.push(Move {
+                    to_port: to * NUM_DIRS + to_dir,
+                    dst,
+                    flit,
+                });
             }
+            self.ports.drain_front(port, taken);
         }
-        let out = &self.nodes[node].out;
-        Ok([NORTH, SOUTH, WEST, EAST]
-            .iter()
-            .any(|&d| !out[d].is_empty()))
+        self.ports.mesh_busy(node)
     }
 
     /// Lands the decided moves in their reserved destination slots and
     /// schedules the receiving units.
-    fn route_apply_moves(&mut self, moves: &[(usize, usize)]) {
+    fn route_apply_moves(&mut self, moves: &[Move<A::Prop>]) {
         let algo = self.algo;
-        let cap = self.cfg.router_queue_capacity;
-        for (i, &(to, to_dir)) in moves.iter().enumerate() {
-            let update = self.staged[i];
-            let res = self.nodes[to].out[to_dir].try_push(update.dst, update.value, cap, |a, b| {
-                Flit::merge(a, b, |x, y| algo.reduce(x, y))
-            });
+        for m in moves {
+            let res = self
+                .ports
+                .try_push(m.to_port, m.dst, m.flit, |x, y| algo.reduce(x, y));
             debug_assert!(res.is_some(), "reserved slot must accept");
-            if to_dir == EJECT {
+            let to = m.to_port / NUM_DIRS;
+            if m.to_port % NUM_DIRS == EJECT {
                 self.ev.spd.set(to);
             } else {
                 self.ev.route.set(to);
             }
         }
-        self.staged.clear();
     }
 
     /// Routing: only routers whose activity bit is set may move flits.
@@ -2128,33 +2121,18 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// buffers empty, and the decided moves land last — setting the bits
     /// of the routers and scratchpads they reach. Returns the number of
     /// routers visited.
-    fn step_routing(&mut self) -> Result<usize, SimError> {
+    fn step_routing(&mut self) -> usize {
         let mut free = std::mem::take(&mut self.scratch.route_free);
         free.epoch += 1;
-        let mut moves = std::mem::take(&mut self.scratch.route_moves);
+        let mut moves = std::mem::take(&mut self.moves);
         moves.clear();
         let mut mask = std::mem::take(&mut self.ev.route);
-        let mut result = Ok(());
-        let visited = mask.retain(|node| {
-            if result.is_err() {
-                // The engine is unwinding; freeze the remaining bits.
-                return true;
-            }
-            match self.route_decide_node(node, &mut free, &mut moves) {
-                Ok(busy) => busy,
-                Err(e) => {
-                    result = Err(e);
-                    true
-                }
-            }
-        });
+        let visited = mask.retain(|node| self.route_decide_node(node, &mut free, &mut moves));
         self.ev.route = mask;
-        if result.is_ok() {
-            self.route_apply_moves(&moves);
-        }
+        self.route_apply_moves(&moves);
         self.scratch.route_free = free;
-        self.scratch.route_moves = moves;
-        result.map(|()| visited)
+        self.moves = moves;
+        visited
     }
 
     // ----- scratchpads ---------------------------------------------------
@@ -2162,10 +2140,11 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// One scratchpad-reduce cycle for one node: accepts the ejected
     /// update if any. Returns whether more ejected updates are waiting.
     fn spd_node(&mut self, node: usize) -> Result<bool, SimError> {
-        let Some(update) = self.nodes[node].out[EJECT].drain_one() else {
+        let port = node * NUM_DIRS + EJECT;
+        let Some((dst, flit)) = self.ports.pop(port) else {
             return Ok(false);
         };
-        let v = update.dst as usize;
+        let v = dst as usize;
         if v >= self.temp.len() {
             // Only an injected corruption can manufacture an id outside
             // the vertex array; the scratchpad has nowhere to put it.
@@ -2177,20 +2156,20 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 cycle: self.now,
             });
         }
-        debug_assert_eq!(self.cfg.placement.home_pe(update.dst), node);
-        self.temp[v] = self.algo.reduce(self.temp[v], update.value.value);
+        debug_assert_eq!(self.cfg.placement.home_pe(dst), node);
+        self.temp[v] = self.algo.reduce(self.temp[v], flit.value);
         if !self.touched[v] {
             self.touched[v] = true;
-            self.touched_list.push(update.dst);
+            self.touched_list.push(dst);
         }
+        let latency = self.now.saturating_sub(u64::from(flit.inject));
         self.stats.updates_delivered += 1;
-        self.stats.routing_latency_sum += self.now.saturating_sub(update.value.inject);
+        self.stats.routing_latency_sum += latency;
         self.stats.routing_latency_count += 1;
         if C::ENABLED {
-            self.col
-                .routing_latency(self.now.saturating_sub(update.value.inject));
+            self.col.routing_latency(latency);
         }
-        Ok(!self.nodes[node].out[EJECT].is_empty())
+        Ok(self.ports.len(port) > 0)
     }
 
     fn step_spd(&mut self) -> Result<usize, SimError> {
@@ -2219,7 +2198,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// any. Returns whether more applies are queued.
     fn apply_node(&mut self, node: usize) -> bool {
         let k = self.cfg.placement.num_pes() as u64;
-        let Some(v) = self.nodes[node].apply_queue.pop_front() else {
+        let Some(v) = self.apply_queues[node].pop_front() else {
             return false;
         };
         self.apply_inflight -= 1;
@@ -2247,7 +2226,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             }
             self.next_active.push(av);
         }
-        !self.nodes[node].apply_queue.is_empty()
+        !self.apply_queues[node].is_empty()
     }
 
     fn step_apply(&mut self) -> usize {
@@ -2267,7 +2246,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             let placement = self.cfg.placement;
             for v in iv.start..iv.end {
                 let node = placement.home_pe(v);
-                self.nodes[node].apply_queue.push_back(v);
+                self.apply_queues[node].push_back(v);
                 self.ev.apply.set(node);
                 self.apply_inflight += 1;
             }
@@ -2276,7 +2255,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             let placement = self.cfg.placement;
             for v in list {
                 let node = placement.home_pe(v);
-                self.nodes[node].apply_queue.push_back(v);
+                self.apply_queues[node].push_back(v);
                 self.ev.apply.set(node);
                 self.apply_inflight += 1;
             }
@@ -2292,11 +2271,9 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
 
     fn scatter_machine_empty(&self) -> bool {
         self.delayed.is_empty()
+            && self.gu_queues.all_empty()
+            && self.ports.all_empty()
             && self.tiles.iter().all(TileFrontend::is_drained)
-            && self
-                .nodes
-                .iter()
-                .all(|n| n.gu_queue.is_empty() && n.out.iter().all(AggregationBuffer::is_empty))
     }
 
     fn apply_machine_empty(&self) -> bool {
@@ -2410,22 +2387,19 @@ fn neighbor(cfg: &ScalaGraphConfig, node: usize, dir: usize) -> usize {
     }
 }
 
+/// XY routing directions, indexed by `3 * c + r` where `c` orders the
+/// target's column against the router's and `r` its row: 0 when equal, 1
+/// when the target is west (north), 2 when it is east (south).
+const XY_ROUTE: [usize; 9] = [EJECT, NORTH, SOUTH, WEST, WEST, WEST, EAST, EAST, EAST];
+
 /// XY routing decision from `node` towards `home` (column first, then
-/// row), read off the geometry table.
+/// row), read off the geometry table without a branch.
 #[inline]
 fn route_dir(geo: &[NodeGeo], node: usize, home: usize) -> usize {
     let (at, to) = (geo[node], geo[home]);
-    if to.col > at.col {
-        EAST
-    } else if to.col < at.col {
-        WEST
-    } else if to.row > at.row {
-        SOUTH
-    } else if to.row < at.row {
-        NORTH
-    } else {
-        EJECT
-    }
+    let c = usize::from(to.col < at.col) + 2 * usize::from(to.col > at.col);
+    let r = usize::from(to.row < at.row) + 2 * usize::from(to.row > at.row);
+    XY_ROUTE[3 * c + r]
 }
 
 #[cfg(test)]
@@ -2927,6 +2901,33 @@ mod tests {
             busy > 0.0 && busy < 1.0,
             "busy fraction {busy} out of range"
         );
+    }
+
+    #[test]
+    fn fast_mod_equals_the_remainder() {
+        let mut rng = scalagraph_graph::SplitMix64::new(7);
+        for d in [
+            1u32,
+            2,
+            3,
+            5,
+            32,
+            96,
+            512,
+            4096,
+            1 << 31,
+            u32::MAX - 1,
+            u32::MAX,
+        ] {
+            let f = FastMod::new(d);
+            for a in [0, 1, d - 1, d, d.wrapping_add(1), u32::MAX - 1, u32::MAX] {
+                assert_eq!(f.rem(a), a % d, "{a} % {d}");
+            }
+            for _ in 0..10_000 {
+                let a = rng.next_u64() as u32;
+                assert_eq!(f.rem(a), a % d, "{a} % {d}");
+            }
+        }
     }
 
     #[test]

@@ -264,23 +264,82 @@ impl Csr {
         (self.offsets.len() as u64) * 8 + (self.neighbors.len() as u64) * EDGE_BYTES as u64
     }
 
-    /// Replaces the adjacency order of each vertex with the permutation
-    /// produced by the degree-aware re-layout. `perm` maps new flat edge
-    /// index -> old flat edge index and must be a permutation that keeps
-    /// every edge within its source vertex's range.
+    /// Replaces the edge arrays with a reordering that keeps every edge
+    /// within its source vertex's range (the degree-aware re-layout's
+    /// output), weights reordered alongside when the graph has them.
+    pub(crate) fn replace_edge_order(
+        &mut self,
+        neighbors: Vec<VertexId>,
+        weights: Option<Vec<Weight>>,
+    ) {
+        debug_assert_eq!(neighbors.len(), self.neighbors.len());
+        debug_assert_eq!(weights.is_some(), self.weights.is_some());
+        self.neighbors = neighbors;
+        self.weights = weights;
+    }
+
+    /// Splits the edges into `parts` CSRs over the same vertex range: edge
+    /// `(s, d)` goes to part `part_of(s, d)`, and every part keeps each
+    /// vertex's edges in their order here. The result equals collecting
+    /// each part's edges in CSR order and building it with
+    /// [`Csr::from_edges`], weights included: a part whose edges all weigh
+    /// 0 stores no weights. Two counting passes: O(parts · V + E).
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if `perm` is not a within-vertex permutation.
-    pub(crate) fn apply_edge_permutation(&mut self, perm: &[usize]) {
-        debug_assert_eq!(perm.len(), self.neighbors.len());
-        let new_neighbors: Vec<VertexId> = perm.iter().map(|&old| self.neighbors[old]).collect();
-        let new_weights = self
-            .weights
-            .as_ref()
-            .map(|w| perm.iter().map(|&old| w[old]).collect());
-        self.neighbors = new_neighbors;
-        self.weights = new_weights;
+    /// Panics if `part_of` returns a part `>= parts`.
+    pub fn split_edges<F>(&self, parts: usize, part_of: F) -> Vec<Csr>
+    where
+        F: Fn(VertexId, VertexId) -> usize,
+    {
+        let n = self.num_vertices();
+        let mut offsets = vec![vec![0u64; n + 1]; parts];
+        let mut weighted = vec![false; parts];
+        for v in 0..n {
+            let src = v as VertexId;
+            for idx in self.edge_range(src) {
+                let p = part_of(src, self.neighbors[idx]);
+                offsets[p][v + 1] += 1;
+                weighted[p] |= self.weight_at(idx) != 0;
+            }
+        }
+        for part in &mut offsets {
+            for v in 1..=n {
+                part[v] += part[v - 1];
+            }
+        }
+        let mut neighbors: Vec<Vec<VertexId>> =
+            offsets.iter().map(|o| vec![0; o[n] as usize]).collect();
+        let mut weights: Vec<Option<Vec<Weight>>> = offsets
+            .iter()
+            .zip(&weighted)
+            .map(|(o, &w)| w.then(|| vec![0; o[n] as usize]))
+            .collect();
+        // Vertices are visited in order, so a part's next free slot is
+        // always the next slot of the vertex being placed.
+        let mut next = vec![0usize; parts];
+        for v in 0..n {
+            let src = v as VertexId;
+            for idx in self.edge_range(src) {
+                let dst = self.neighbors[idx];
+                let p = part_of(src, dst);
+                neighbors[p][next[p]] = dst;
+                if let Some(w) = &mut weights[p] {
+                    w[next[p]] = self.weight_at(idx);
+                }
+                next[p] += 1;
+            }
+        }
+        offsets
+            .into_iter()
+            .zip(neighbors)
+            .zip(weights)
+            .map(|((offsets, neighbors), weights)| Csr {
+                offsets,
+                neighbors,
+                weights,
+            })
+            .collect()
     }
 }
 
@@ -521,6 +580,31 @@ mod tests {
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.edges().count(), 0);
+    }
+
+    #[test]
+    fn split_edges_equals_bucketing_then_from_edges() {
+        // Weights 0 on every edge into an even vertex: the part holding
+        // only those stores no weights, as `from_edges` would build it.
+        let edges: Vec<Edge> = crate::generators::power_law(200, 3_000, 0.8, 5)
+            .into_iter()
+            .map(|e| Edge::weighted(e.src, e.dst, (e.dst % 2) * (1 + e.src % 5)))
+            .collect();
+        let g = Csr::from_edges(200, &edges);
+        let part_of = |s: VertexId, d: VertexId| ((d % 2) + 2 * (s % 3)) as usize;
+        let parts = g.split_edges(6, part_of);
+        let mut buckets = vec![Vec::new(); 6];
+        for e in g.edges() {
+            buckets[part_of(e.src, e.dst)].push(e);
+        }
+        for (p, bucket) in buckets.iter().enumerate() {
+            assert_eq!(parts[p], Csr::from_edges(200, bucket), "part {p}");
+            assert_eq!(parts[p].is_weighted(), p % 2 == 1, "part {p}");
+        }
+        assert!(Csr::from_edges(0, &[])
+            .split_edges(2, |_, _| 0)
+            .iter()
+            .all(|c| c.num_vertices() == 0));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! with residual conflicts handled at runtime by a one-slot skew buffer.
 //!
 //! The algorithm is O(|E|), "the same as that for the format transformation
-//! from the edge list to the CSR format".
+//! from the edge list to the CSR format". Here the K FIFOs of a vertex are
+//! one counting sort of its edges by lane, and a bitmask of the non-empty
+//! lanes finds each steal, so a vertex costs O(degree + K / 64).
 
 use crate::{Csr, VertexId};
-use std::collections::VecDeque;
 
 /// Statistics about one re-layout run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,6 +33,85 @@ impl RelayoutStats {
         } else {
             self.lane_aligned as f64 / self.edges as f64
         }
+    }
+}
+
+/// The `K` lane FIFOs of one vertex: the offsets of its edges within its
+/// adjacency list, counting-sorted by lane into `order`, lane `l` holding
+/// `order[head[l]..tail[l]]`, and `mask` marking the lanes that still hold
+/// edges. Between vertices every FIFO is empty: `head == tail` and no mask
+/// bit is set.
+struct LaneFifos {
+    count: Vec<usize>,
+    head: Vec<usize>,
+    tail: Vec<usize>,
+    order: Vec<usize>,
+    /// The lane of each edge of the vertex being sorted.
+    lane: Vec<usize>,
+    mask: Vec<u64>,
+}
+
+impl LaneFifos {
+    fn new(lanes: usize) -> Self {
+        LaneFifos {
+            count: vec![0; lanes],
+            head: vec![0; lanes],
+            tail: vec![0; lanes],
+            order: Vec::new(),
+            lane: Vec::new(),
+            mask: vec![0; lanes.div_ceil(64)],
+        }
+    }
+
+    /// Queues the vertex's edges, whose lanes are in `lane`, in their
+    /// lanes' FIFOs in order. The FIFOs must be empty.
+    fn fill(&mut self) {
+        for &lane in &self.lane {
+            self.mask[lane >> 6] |= 1 << (lane & 63);
+            self.count[lane] += 1;
+        }
+        let mut at = 0;
+        for (w, &word) in self.mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let lane = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.head[lane] = at;
+                self.tail[lane] = at;
+                at += self.count[lane];
+                self.count[lane] = 0;
+            }
+        }
+        self.order.resize(at, 0);
+        for (i, &lane) in self.lane.iter().enumerate() {
+            self.order[self.tail[lane]] = i;
+            self.tail[lane] += 1;
+        }
+    }
+
+    /// Takes the oldest edge of `lane`'s FIFO, which must hold one.
+    #[inline]
+    fn take(&mut self, lane: usize) -> usize {
+        let at = self.head[lane];
+        debug_assert!(at < self.tail[lane], "take from an empty FIFO");
+        self.head[lane] = at + 1;
+        let drained = u64::from(at + 1 == self.tail[lane]);
+        self.mask[lane >> 6] &= !(drained << (lane & 63));
+        self.order[at]
+    }
+
+    /// The first non-empty lane at or after `from`, wrapping around.
+    #[inline]
+    fn next_lane(&self, from: usize) -> Option<usize> {
+        let w = from >> 6;
+        let above = self.mask[w] & (!0u64 << (from & 63));
+        if above != 0 {
+            return Some((w << 6) | above.trailing_zeros() as usize);
+        }
+        (w + 1..self.mask.len())
+            .chain(0..=w)
+            .find(|&i| self.mask[i] != 0)
+            .map(|i| (i << 6) | self.mask[i].trailing_zeros() as usize)
     }
 }
 
@@ -55,52 +135,49 @@ where
     F: Fn(VertexId) -> usize,
 {
     assert!(lanes > 0, "lane count must be positive");
-    let mut perm: Vec<usize> = Vec::with_capacity(graph.num_edges());
-    let mut fifos: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-    let mut stats = RelayoutStats::default();
+    let neighbors = graph.neighbor_array();
+    let weights = graph.weight_array();
+    let mut new_neighbors = Vec::with_capacity(neighbors.len());
+    let mut new_weights = weights.map(|w| Vec::with_capacity(w.len()));
+    let mut fifos = LaneFifos::new(lanes);
+    let mut stats = RelayoutStats {
+        edges: neighbors.len(),
+        lane_aligned: 0,
+    };
 
     for v in graph.vertices() {
         let range = graph.edge_range(v);
-        for idx in range.clone() {
-            let lane = lane_of(graph.neighbor_at(idx));
+        let adj = &neighbors[range.clone()];
+        fifos.lane.clear();
+        fifos.lane.extend(adj.iter().map(|&dst| {
+            let lane = lane_of(dst);
             assert!(lane < lanes, "lane_of returned {lane} >= {lanes}");
-            fifos[lane].push_back(idx);
-        }
-        // Drain round-robin, lane by lane, starting each output line at lane
-        // 0. When a FIFO is empty its slot is filled by stealing from the
-        // next non-empty FIFO (the hardware's skew buffer equivalent), so
-        // lines stay dense.
-        let deg = range.len();
-        let mut emitted = 0usize;
-        while emitted < deg {
-            for lane in 0..lanes {
-                if emitted >= deg {
-                    break;
-                }
-                let idx = match fifos[lane].pop_front() {
-                    Some(idx) => {
-                        stats.lane_aligned += 1;
-                        idx
-                    }
-                    None => {
-                        // Steal from the nearest non-empty FIFO.
-                        let stolen = (0..lanes)
-                            .map(|d| (lane + d) % lanes)
-                            .find_map(|l| fifos[l].pop_front());
-                        let Some(idx) = stolen else {
-                            unreachable!("edges remain but all FIFOs empty")
-                        };
-                        idx
-                    }
-                };
-                perm.push(idx);
-                emitted += 1;
+            lane
+        }));
+        fifos.fill();
+        // Drain round-robin, lane by lane, starting each output line at
+        // lane 0. When a FIFO is empty its slot is filled by stealing from
+        // the next non-empty FIFO (the hardware's skew buffer equivalent),
+        // so lines stay dense.
+        let mut lane = 0;
+        for _ in 0..adj.len() {
+            let Some(from) = fifos.next_lane(lane) else {
+                unreachable!("edges remain but all FIFOs empty")
+            };
+            stats.lane_aligned += usize::from(from == lane);
+            let i = fifos.take(from);
+            new_neighbors.push(adj[i]);
+            if let (Some(out), Some(w)) = (&mut new_weights, weights) {
+                out.push(w[range.start + i]);
+            }
+            lane += 1;
+            if lane == lanes {
+                lane = 0;
             }
         }
-        debug_assert!(fifos.iter().all(VecDeque::is_empty));
+        debug_assert!(fifos.mask.iter().all(|&w| w == 0));
     }
-    stats.edges = perm.len();
-    graph.apply_edge_permutation(&perm);
+    graph.replace_edge_order(new_neighbors, new_weights);
     stats
 }
 

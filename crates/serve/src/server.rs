@@ -2,7 +2,8 @@
 //! [`Executor`].
 //!
 //! The port speaks HTTP/1.1 only ([`http`]): every connection gets a
-//! thread and carries one request. Runs are bounded by the admission queue
+//! thread and carries one request; one the OS refuses a thread is closed
+//! unanswered, and the listener keeps accepting. Runs are bounded by the admission queue
 //! behind them; a connection still sending its request holds its thread
 //! until the request arrives, the peer closes or the daemon stops, but for
 //! no more than 10 s from accept (`REQUEST_DEADLINE`): past that, the
@@ -23,7 +24,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
 
 use scalagraph_conformance::json::parse;
@@ -350,8 +351,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// The bind error, verbatim.
+    /// The bind error, verbatim, or the OS refusing the accept thread.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
+        Self::start_with(config, |_| Builder::new())
+    }
+
+    /// [`Server::start`], building the `n`-th connection's handler thread
+    /// with `handler_thread(n)`.
+    fn start_with(
+        config: ServeConfig,
+        handler_thread: fn(u64) -> Builder,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
 
@@ -384,7 +394,8 @@ impl Server {
         let accept = {
             let shared = Arc::clone(&shared);
             let connections = Arc::clone(&connections);
-            std::thread::spawn(move || loop {
+            let mut accepted_count = 0u64;
+            Builder::new().spawn(move || loop {
                 let accepted = listener.accept();
                 // A stop's wake-up connection, or a client that raced the
                 // stop, is dropped here uncounted. Dropping `exited` tells
@@ -396,10 +407,18 @@ impl Server {
                 match accepted {
                     Ok((stream, _)) => {
                         let deadline = Instant::now() + REQUEST_DEADLINE;
-                        shared.metrics.conn_opened();
-                        let shared = Arc::clone(&shared);
-                        let handle =
-                            std::thread::spawn(move || serve_connection(&shared, stream, deadline));
+                        let handler = Arc::clone(&shared);
+                        let spawned = handler_thread(accepted_count).spawn(move || {
+                            handler.metrics.conn_opened();
+                            serve_connection(&handler, stream, deadline);
+                        });
+                        accepted_count += 1;
+                        // The OS refused a thread: the closure is dropped
+                        // with its stream, which closes this connection
+                        // uncounted, and the loop keeps accepting.
+                        let Ok(handle) = spawned else {
+                            continue;
+                        };
                         if let Ok(mut conns) = connections.lock() {
                             conns.push(handle);
                             // Opportunistically reap finished handlers so a
@@ -420,6 +439,13 @@ impl Server {
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             })
+        };
+        let accept = match accept {
+            Ok(accept) => accept,
+            Err(e) => {
+                shared.executor.shutdown();
+                return Err(e);
+            }
         };
 
         // Periodic stderr summary, built from short sleeps so shutdown
@@ -749,5 +775,50 @@ mod tests {
         assert_eq!(wake("[::]:7451"), "[::1]:7451");
         assert_eq!(wake("127.0.0.1:7451"), "127.0.0.1:7451");
         assert_eq!(wake("10.1.2.3:7451"), "10.1.2.3:7451");
+    }
+
+    /// One `GET /metrics` on a fresh connection: the raw response, empty
+    /// when the daemon closed the connection unanswered.
+    fn get_metrics(addr: SocketAddr) -> String {
+        use std::io::Write;
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        // A refused connection may already be closed: the write or the
+        // read fails, and the reply stays empty.
+        let _ = stream.write_all(b"GET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        let mut reply = Vec::new();
+        let _ = stream.read_to_end(&mut reply);
+        String::from_utf8_lossy(&reply).into_owned()
+    }
+
+    #[test]
+    fn a_refused_handler_thread_drops_one_connection_and_accepting_goes_on() {
+        // The first handler asks for a stack no `mmap` can hold, so the OS
+        // refuses the thread without starting one.
+        let server = Server::start_with(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            |n| match n {
+                0 => Builder::new().stack_size(1 << 60),
+                _ => Builder::new(),
+            },
+        )
+        .expect("bind an ephemeral port");
+        let addr = server.local_addr();
+        assert_eq!(get_metrics(addr), "", "the refused connection is closed");
+        let served = get_metrics(addr);
+        assert!(served.starts_with("HTTP/1.1 200 "), "{served}");
+        assert!(
+            served.contains("scalagraph_serve_connections 1\n"),
+            "{served}"
+        );
+        server.stop();
+        let counters = server.join();
+        assert_eq!(counters.connections, 1, "{counters}");
+        assert!(counters.balanced(), "{counters}");
     }
 }

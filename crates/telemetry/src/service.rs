@@ -76,7 +76,8 @@ impl ServiceMetrics {
         /// A worker caught a panic and converted it into a structured
         /// outcome.
         panic_contained => panics_contained,
-        /// A client connection was accepted by the serve listener.
+        /// A client connection accepted by the serve listener got its
+        /// handler thread.
         conn_opened => connections,
         /// A request was answered with a protocol-level success.
         request_ok => requests_ok,
@@ -174,7 +175,8 @@ pub struct ServiceCounters {
     pub queue_peak: u64,
     /// Jobs a worker is running right now.
     pub workers_busy: u64,
-    /// Client connections accepted by the serve listener.
+    /// Client connections accepted by the serve listener and given a
+    /// handler thread.
     pub connections: u64,
     /// Requests answered with a protocol-level success.
     pub requests_ok: u64,

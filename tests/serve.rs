@@ -41,6 +41,9 @@
 //! 17. A first line that is not an HTTP request line, from a client that
 //!     keeps its connection open, is answered `400 bad_request` at once,
 //!     and the daemon keeps serving.
+//! 18. A scenario whose PE queues exceed the engine's bound (2^40
+//!     aggregation registers) is a typed 400 naming the key, and the
+//!     daemon then serves a healthy run.
 
 mod common;
 
@@ -894,6 +897,33 @@ fn an_empty_fault_window_is_an_invalid_scenario() {
     assert!(body.contains("\"kind\":\"invalid_scenario\""), "{body}");
     assert!(body.contains("[10, 5) is empty"), "{body}");
     assert_eq!(metric(&addr, "jobs_submitted"), 0);
+    server.stop();
+    assert!(join_within_10s(server).balanced());
+}
+
+#[test]
+fn pe_queues_past_the_engine_bound_are_a_typed_400_and_the_daemon_keeps_serving() {
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    // 2^40 registers per port would ask the engine for terabytes.
+    let mut huge = healthy("huge-registers");
+    huge.config.aggregation_registers = 1 << 40;
+    let (status, body) = post_run(&addr, &huge.to_json_string());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"kind\":\"invalid_scenario\""), "{body}");
+    assert!(
+        body.contains("`aggregation_registers` 1099511627776"),
+        "{body}"
+    );
+    assert_eq!(metric(&addr, "jobs_submitted"), 0);
+    let (status, body) = post_run(&addr, &healthy("after-huge").to_json_string());
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"completed\""), "{body}");
     server.stop();
     assert!(join_within_10s(server).balanced());
 }
