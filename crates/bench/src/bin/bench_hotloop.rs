@@ -9,8 +9,13 @@
 //! bit-identical metrics, then writes `BENCH_hotloop.json` reporting
 //! simulated-cycles/sec and wall-clock of each leg, the speedup, and — per
 //! configuration — the busy-cycle fraction (the share of unit-visits the
-//! event core actually executed) plus single-threaded dense vs event-core
-//! cycles/sec.
+//! event core actually executed), single-threaded dense vs event-core
+//! cycles/sec, and a `stages` table: the event core's host time per
+//! engine stage, from an untimed leg with a
+//! [`StageClock`](scalagraph::telemetry::StageClock) attached, as ns per
+//! stepped cycle, share, and ns per unit of work (flit hop, dispatched
+//! edge, GU update, HBM request). Each table is also printed, headed
+//! `== stages: <label> ==`.
 //!
 //! ```text
 //! bench_hotloop [--out <path>] [--check <path>] [--threads <n>]
@@ -22,14 +27,14 @@
 //!   --threads <n>    worker threads for both legs   [all cores]
 //! ```
 
-use scalagraph::telemetry::Recorder;
-use scalagraph::{MemoryPreset, ScalaGraphConfig, Simulator};
+use scalagraph::telemetry::{Recorder, Stage, StageClock};
+use scalagraph::{MemoryPreset, ScalaGraphConfig, SimStats, Simulator};
 use scalagraph_algo::algorithms::Bfs;
 use scalagraph_bench::runners::{try_run_scalagraph, Metrics};
 use scalagraph_bench::sweep::{default_threads, parallel_map_with};
 use scalagraph_bench::workloads::{prepare, PreparedGraph, Workload};
-use scalagraph_bench::{entry, Checker, Gate, Rule};
-use scalagraph_graph::{generators, Csr, Dataset};
+use scalagraph_bench::{entry, print_table, Checker, Gate, Rule};
+use scalagraph_graph::{generators, Csr, Dataset, LINE_BYTES};
 use scalagraph_mem::HbmConfig;
 use std::time::Instant;
 
@@ -152,6 +157,134 @@ fn config_busy_fraction(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> f64 {
         .expect("event-core run records busy windows")
 }
 
+/// One configuration's stage profile: `PER_CONFIG_REPS` event-core runs
+/// under one [`StageClock`], after one unclocked warm-up run.
+struct StageProfile {
+    clock: StageClock,
+    /// The counters of all the clocked runs together.
+    work: SimStats,
+    /// Fastest `Simulator::try_new` (and so `DeviceGraph::prepare`), which
+    /// runs before the engine and so outside every stage.
+    prepare_ms: f64,
+}
+
+fn config_stages(prep: &PreparedGraph, cfg: &ScalaGraphConfig) -> StageProfile {
+    let algo = Bfs::from_root(prep.root);
+    let mut clock = StageClock::new();
+    let mut work = SimStats::default();
+    let mut prepare_ms = f64::INFINITY;
+    Simulator::try_new(&algo, &prep.graph, cfg.clone())
+        .and_then(|mut s| s.try_run())
+        .expect("bench config must converge");
+    for _ in 0..PER_CONFIG_REPS {
+        let start = Instant::now();
+        let mut sim =
+            Simulator::try_new(&algo, &prep.graph, cfg.clone()).expect("bench config is valid");
+        prepare_ms = prepare_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        let s = sim
+            .try_run_with(&mut clock)
+            .expect("bench config must converge")
+            .stats;
+        work.traversed_edges += s.traversed_edges;
+        work.updates_produced += s.updates_produced;
+        work.noc_hops += s.noc_hops;
+        work.offchip_reads += s.offchip_reads;
+        work.offchip_bytes_written += s.offchip_bytes_written;
+    }
+    StageProfile {
+        clock,
+        work,
+        prepare_ms,
+    }
+}
+
+impl StageProfile {
+    fn ns(&self, stages: &[Stage]) -> f64 {
+        stages.iter().map(|&s| self.clock.ns(s) as f64).sum()
+    }
+
+    /// Host ns of `stages` per unit of work.
+    fn per_unit(&self, stages: &[Stage], units: u64) -> f64 {
+        self.ns(stages) / units.max(1) as f64
+    }
+
+    /// The units of work and the stages that do them: (name, ns per unit).
+    fn unit_costs(&self) -> [(&'static str, f64); 4] {
+        let w = &self.work;
+        let hbm_requests = w.offchip_reads + w.offchip_bytes_written / LINE_BYTES as u64;
+        [
+            (
+                "ns_per_flit_hop",
+                self.per_unit(&[Stage::RouteDecide, Stage::RouteLand], w.noc_hops),
+            ),
+            (
+                "ns_per_dispatched_edge",
+                self.per_unit(&[Stage::Dispatch], w.traversed_edges),
+            ),
+            (
+                "ns_per_gu_update",
+                self.per_unit(&[Stage::Gu], w.updates_produced),
+            ),
+            (
+                "ns_per_hbm_request",
+                self.per_unit(&[Stage::Memory], hbm_requests),
+            ),
+        ]
+    }
+
+    /// Prints the table and returns its JSON object.
+    fn report(&self, label: &str) -> String {
+        let cycles = self.clock.stepped_cycles().max(1) as f64;
+        let total = self.clock.total_ns().max(1) as f64;
+        let mut rows = Vec::new();
+        let mut json_rows = Vec::new();
+        for stage in Stage::ALL {
+            let ns = self.clock.ns(stage) as f64;
+            let (per_cycle, share) = (ns / cycles, ns / total);
+            rows.push(vec![
+                stage.name().to_string(),
+                format!("{per_cycle:.0}"),
+                format!("{:.1}%", share * 100.0),
+            ]);
+            json_rows.push(format!(
+                "{{ \"stage\": \"{}\", \"ns_per_cycle\": {per_cycle:.1}, \"share\": {share:.4} }}",
+                stage.name()
+            ));
+        }
+        rows.push(vec![
+            "total".to_string(),
+            format!("{:.0}", total / cycles),
+            "100.0%".to_string(),
+        ]);
+        let units = self.unit_costs();
+        for (name, ns) in units {
+            rows.push(vec![name.to_string(), format!("{ns:.1}"), String::new()]);
+        }
+        rows.push(vec![
+            "prepare_ms".to_string(),
+            format!("{:.2}", self.prepare_ms),
+            String::new(),
+        ]);
+        print_table(
+            &format!("stages: {label}"),
+            &["stage", "ns/cycle", "share"],
+            &rows,
+        );
+        let units: Vec<String> = units
+            .iter()
+            .map(|(name, ns)| format!("\"{name}\": {ns:.1}"))
+            .collect();
+        format!(
+            "{{ \"stepped_cycles\": {}, \"ns_per_cycle\": {:.1}, {}, \"prepare_ms\": {:.3}, \"rows\": [{}] }}",
+            self.clock.stepped_cycles(),
+            total / cycles,
+            units.join(", "),
+            self.prepare_ms,
+            json_rows.join(", ")
+        )
+    }
+}
+
 fn main() {
     let mut threads = default_threads();
     let checker = Checker::from_args("BENCH_hotloop.json", |flag, value| {
@@ -188,6 +321,7 @@ fn main() {
     // Per-config single-threaded comparison: where does skipping idle
     // units pay?
     let mut config_lines = Vec::new();
+    let mut profiles = Vec::new();
     for ((dense_case, event_case), (label, m)) in
         cases(false).iter().zip(cases(true)).zip(&event.records)
     {
@@ -200,13 +334,26 @@ fn main() {
             busy * 100.0,
             event_cps / dense_cps.max(1e-9),
         );
-        config_lines.push(format!(
-            "    {{ \"label\": \"{label}\", \"cycles\": {}, \"traversed_edges\": {}, \
-             \"busy_fraction\": {busy:.4}, \"dense_cycles_per_sec\": {dense_cps:.0}, \
-             \"event_cycles_per_sec\": {event_cps:.0} }}",
-            m.cycles, m.traversed_edges
+        // The untimed leg: the stage clock's own reads cost host time, so
+        // its runs stay out of the cycles/sec figures above.
+        profiles.push((label, config_stages(prep, &event_case.cfg)));
+        config_lines.push((
+            label,
+            format!(
+                "    {{ \"label\": \"{label}\", \"cycles\": {}, \"traversed_edges\": {}, \
+                 \"busy_fraction\": {busy:.4}, \"dense_cycles_per_sec\": {dense_cps:.0}, \
+                 \"event_cycles_per_sec\": {event_cps:.0}",
+                m.cycles, m.traversed_edges
+            ),
         ));
     }
+    let config_lines: Vec<String> = config_lines
+        .into_iter()
+        .zip(&profiles)
+        .map(|((label, line), (_, profile))| {
+            format!("{line},\n      \"stages\": {} }}", profile.report(label))
+        })
+        .collect();
 
     let speedup = dense.wall_seconds / event.wall_seconds.max(1e-9);
     println!(

@@ -2,12 +2,12 @@
 //!
 //! Each PE has five router output ports (the update-aggregation registers
 //! of Section IV-B plus the link queue behind them) and one GU input
-//! queue. Each queue class is one structure-of-arrays slab, sized once when
-//! the engine starts: queue `q` owns slots `q * cap .. (q + 1) * cap` of
-//! the slab's data arrays, and a lengths array says how many are live. So
-//! the steady state allocates nothing, and the per-cycle reads (the
-//! merge's destination scan, the dispatcher's capacity check, the idle
-//! tests) touch compact arrays.
+//! queue. Each queue class is one slab, sized once when the engine starts:
+//! queue `q` owns slots `q * cap .. (q + 1) * cap` of the slab's data
+//! array, and a separate array says how many are live. So the steady
+//! state allocates nothing, and the per-cycle length reads (the
+//! dispatcher's capacity check, the idle tests, the routers' free space)
+//! touch one compact array.
 //!
 //! A slab also counts the entries it holds in all, so "is every queue
 //! empty?" is one compare.
@@ -28,7 +28,8 @@ pub(crate) const MESH_DIRS: [usize; 4] = [NORTH, SOUTH, WEST, EAST];
 /// A partially-reduced vertex update in flight: value, earliest injection
 /// cycle (for latency accounting) and the routing header — the home PE of
 /// the update's destination, so no router re-derives it. 12 bytes for the
-/// 4-byte properties of every provided algorithm.
+/// 4-byte properties of every provided algorithm, 16 with the destination
+/// in a port [`Slot`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Flit<P> {
     pub(crate) value: P,
@@ -51,6 +52,26 @@ impl<P: Copy> Flit<P> {
     }
 }
 
+/// One resident update of a port: the destination beside its flit, so a
+/// hop reads and writes one 16-byte slot and a port's oldest updates share
+/// a cache line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slot<P> {
+    dst: VertexId,
+    flit: Flit<P>,
+}
+
+// Four slots of a 4-byte property fill one 64-byte line.
+const _: () = assert!(std::mem::size_of::<Slot<u32>>() == 16);
+
+/// How full one port is: its residents, and the slots a routing pass has
+/// reserved for flits that land when every router has decided.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fill {
+    len: u32,
+    reserved: u32,
+}
+
 /// The router output ports of every PE, `NUM_DIRS` per PE: port
 /// `node * NUM_DIRS + dir`.
 ///
@@ -61,16 +82,14 @@ impl<P: Copy> Flit<P> {
 /// scans every resident update for its destination and folds into the
 /// match (never with zero registers); otherwise it appends, or is refused
 /// at capacity. A drain takes the oldest and shifts the rest down, so the
-/// head stays at slot 0 and the merge scan is one contiguous slice; ports
-/// are short, and a ring buffer measured no faster (DESIGN.md,
-/// "Performance engineering").
+/// head stays at slot 0; ports hold under two updates on average, and a
+/// ring buffer measured no faster (DESIGN.md, "Performance engineering").
 #[derive(Debug, Clone)]
 pub(crate) struct PortSlab<P> {
     registers: usize,
     cap: usize,
-    len: Vec<u32>,
-    dst: Vec<VertexId>,
-    flits: Vec<Flit<P>>,
+    fill: Vec<Fill>,
+    slots: Vec<Slot<P>>,
     /// Merges per PE (all five ports).
     merges: Vec<u64>,
     /// Updates held across all ports.
@@ -82,44 +101,35 @@ impl<P: Copy> PortSlab<P> {
     /// room for `queue` more updates; `fill` initialises the unused slots.
     pub(crate) fn new(pes: usize, registers: usize, queue: usize, fill: P) -> Self {
         let cap = registers + queue;
-        let slots = pes * NUM_DIRS * cap;
-        let blank = Flit {
-            value: fill,
-            inject: 0,
-            home: 0,
+        let blank = Slot {
+            dst: 0,
+            flit: Flit {
+                value: fill,
+                inject: 0,
+                home: 0,
+            },
         };
         PortSlab {
             registers,
             cap,
-            len: vec![0; pes * NUM_DIRS],
-            dst: vec![0; slots],
-            flits: vec![blank; slots],
+            fill: vec![Fill::default(); pes * NUM_DIRS],
+            slots: vec![blank; pes * NUM_DIRS * cap],
             merges: vec![0; pes],
             held: 0,
         }
     }
 
-    /// Slots per port: registers plus queue.
-    pub(crate) fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Updates held in `port`.
     #[inline]
     pub(crate) fn len(&self, port: usize) -> usize {
-        self.len[port] as usize
+        self.fill[port].len as usize
     }
 
-    /// The five port lengths of `node`, indexed by direction.
-    #[inline]
-    pub(crate) fn lens(&self, node: usize) -> &[u32] {
-        &self.len[node * NUM_DIRS..(node + 1) * NUM_DIRS]
-    }
-
-    /// Whether any of `node`'s four mesh ports holds an update.
-    #[inline]
-    pub(crate) fn mesh_busy(&self, node: usize) -> bool {
-        self.lens(node)[NORTH..].iter().any(|&l| l != 0)
+    /// Updates held in `node`'s five ports.
+    pub(crate) fn held_by(&self, node: usize) -> usize {
+        (node * NUM_DIRS..(node + 1) * NUM_DIRS)
+            .map(|port| self.len(port))
+            .sum()
     }
 
     /// Whether every port of every PE is empty.
@@ -132,28 +142,27 @@ impl<P: Copy> PortSlab<P> {
     /// would return.
     #[inline]
     pub(crate) fn peek_at(&self, port: usize, i: usize) -> Option<(VertexId, Flit<P>)> {
-        if i >= self.len[port] as usize {
+        if i >= self.len(port) {
             return None;
         }
-        let at = port * self.cap + i;
-        Some((self.dst[at], self.flits[at]))
+        let slot = self.slots[port * self.cap + i];
+        Some((slot.dst, slot.flit))
     }
 
     /// Drops the `k` oldest updates of `port`, which holds at least `k`:
     /// `k` drains in one shift.
     #[inline]
     pub(crate) fn drain_front(&mut self, port: usize, k: usize) {
-        let len = self.len[port] as usize;
+        let len = self.len(port);
         debug_assert!(k <= len, "drain past the port's length");
         if k == 0 {
             return;
         }
         let head = port * self.cap;
         if len > k {
-            self.dst.copy_within(head + k..head + len, head);
-            self.flits.copy_within(head + k..head + len, head);
+            self.slots.copy_within(head + k..head + len, head);
         }
-        self.len[port] -= k as u32;
+        self.fill[port].len -= k as u32;
         self.held -= k;
     }
 
@@ -176,14 +185,14 @@ impl<P: Copy> PortSlab<P> {
         flit: Flit<P>,
         reduce: impl Fn(P, P) -> P,
     ) -> Option<PushOutcome> {
-        let len = self.len[port] as usize;
+        let len = self.len(port);
         let head = port * self.cap;
         if self.registers > 0 {
             // With a register every resident destination is unique (a
             // repeat merges instead), so the first match is the only one.
-            if let Some(i) = self.dst[head..head + len].iter().position(|&d| d == dst) {
-                let hit = &mut self.flits[head + i];
-                *hit = Flit::merge(*hit, flit, reduce);
+            let resident = &mut self.slots[head..head + len];
+            if let Some(hit) = resident.iter_mut().find(|s| s.dst == dst) {
+                hit.flit = Flit::merge(hit.flit, flit, reduce);
                 self.merges[port / NUM_DIRS] += 1;
                 return Some(PushOutcome::Merged);
             }
@@ -191,15 +200,42 @@ impl<P: Copy> PortSlab<P> {
         if len >= self.cap {
             return None;
         }
-        self.dst[head + len] = dst;
-        self.flits[head + len] = flit;
-        self.len[port] += 1;
+        self.slots[head + len] = Slot { dst, flit };
+        self.fill[port].len += 1;
         self.held += 1;
         Some(if len < self.registers {
             PushOutcome::Buffered
         } else {
             PushOutcome::Evicted
         })
+    }
+
+    /// Reserves a slot of `port` for a flit that lands after the routing
+    /// pass, unless its residents and reservations fill it.
+    #[inline]
+    pub(crate) fn try_reserve(&mut self, port: usize) -> bool {
+        let fill = &mut self.fill[port];
+        if (fill.len + fill.reserved) as usize >= self.cap {
+            return false;
+        }
+        fill.reserved += 1;
+        true
+    }
+
+    /// Lands a flit in a slot [`try_reserve`](Self::try_reserve) reserved:
+    /// [`try_push`](Self::try_push), which cannot refuse it. The port's
+    /// reservations end with its first landing, as the pass has decided.
+    #[inline]
+    pub(crate) fn land(
+        &mut self,
+        port: usize,
+        dst: VertexId,
+        flit: Flit<P>,
+        reduce: impl Fn(P, P) -> P,
+    ) {
+        self.fill[port].reserved = 0;
+        let landed = self.try_push(port, dst, flit, reduce);
+        debug_assert!(landed.is_some(), "a reserved slot accepts");
     }
 
     /// Merges performed in `node`'s five ports.

@@ -49,7 +49,7 @@ use scalagraph_algo::{Algorithm, EdgeCtx};
 use scalagraph_graph::{Csr, VertexId, EDGES_PER_LINE, LINE_BYTES};
 use scalagraph_mem::{Hbm, MemRequest};
 use scalagraph_telemetry::{
-    Collector, HbmChannelSample, InstantKind, NullCollector, SpanName, TileSample, Topology,
+    Collector, HbmChannelSample, InstantKind, NullCollector, SpanName, Stage, TileSample, Topology,
 };
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -423,19 +423,20 @@ pub fn try_run_on<A: Algorithm>(
 }
 
 /// Per-cycle scratch buffers the engine reuses across cycles instead of
-/// reallocating: dispatch lane ownership and source budgets, and routing
-/// free space. Taken out of the engine with `mem::take` for the duration
-/// of a step stage and put back after, so the buffers never fight the
-/// borrow checker and never hit the allocator in steady state.
+/// reallocating: dispatch lane ownership and source budgets, and the
+/// routing pass's drains. Taken out of the engine with
+/// `mem::take` for the duration of a step stage and put back after, so
+/// the buffers never fight the borrow checker and never hit the allocator
+/// in steady state.
 #[derive(Default)]
 struct Scratch {
     /// Which segment owns each PE lane this dispatch cycle.
     lane_owner: Vec<u16>,
     /// Distinct source vertices scheduled this dispatch cycle.
     srcs_used: Vec<VertexId>,
-    /// Routing: free buffer slots per node, as they stood before the
-    /// routing pass.
-    route_free: RouteFree,
+    /// Routing: `(port, k)` for each port whose `k` oldest flits left it
+    /// this pass, applied when the moves land.
+    drains: Vec<(usize, usize)>,
 }
 
 /// A flit a routing pass drained, and the port it lands in once every
@@ -445,41 +446,6 @@ struct Move<P> {
     to_port: usize,
     dst: VertexId,
     flit: Flit<P>,
-}
-
-/// Free slots of one node's five router ports this routing pass, valid
-/// when `epoch` matches the pass.
-#[derive(Clone, Copy, Default)]
-struct FreeSlots {
-    epoch: u64,
-    free: [u32; NUM_DIRS],
-}
-
-/// The free space every router decision reserves from: each node's port
-/// space as it stood before the routing pass drained or filled anything.
-/// A node's entry is read off the slab's lengths on first use, which is
-/// always early enough: a router fills its own entry before it drains,
-/// and moves land only after every router has decided.
-#[derive(Default)]
-struct RouteFree {
-    nodes: Vec<FreeSlots>,
-    epoch: u64,
-}
-
-impl RouteFree {
-    /// The pass-start free slots of `node`'s ports.
-    #[inline]
-    fn of<P: Copy>(&mut self, node: usize, ports: &PortSlab<P>) -> &mut [u32; NUM_DIRS] {
-        let slots = &mut self.nodes[node];
-        if slots.epoch != self.epoch {
-            slots.epoch = self.epoch;
-            let cap = ports.capacity() as u32;
-            for (f, &len) in slots.free.iter_mut().zip(ports.lens(node)) {
-                *f = cap.saturating_sub(len);
-            }
-        }
-        &mut slots.free
-    }
 }
 
 /// An activity bitmap over one unit class; a set bit means the unit may
@@ -747,9 +713,11 @@ struct Engine<'a, A: Algorithm, C: Collector> {
     /// Reused per-cycle scratch buffers for dispatch and routing, so the
     /// steady-state hot loop allocates nothing.
     scratch: Scratch,
-    /// Per-node GU busy counters (telemetry tile samples).
+    /// Per-node GU busy counters (telemetry tile samples; counted only
+    /// when `C::ENABLED`).
     gu_busy_per_node: Vec<u64>,
-    /// Per-(tile,row) dispatched-edge counters (telemetry tile samples).
+    /// Per-(tile,row) dispatched-edge counters (telemetry tile samples;
+    /// counted only when `C::ENABLED`).
     dispatched_per_row: Vec<u64>,
     /// Fault injector built from the configuration's plan; `None` leaves
     /// every fault hook cold.
@@ -836,13 +804,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             apply_inflight: 0,
             fetch_stall: 0,
             moves: Vec::new(),
-            scratch: Scratch {
-                route_free: RouteFree {
-                    nodes: vec![FreeSlots::default(); pes],
-                    epoch: 0,
-                },
-                ..Scratch::default()
-            },
+            scratch: Scratch::default(),
             gu_busy_per_node: vec![0; pes],
             dispatched_per_row: vec![0; placement.tiles * placement.rows_per_tile],
             injector: cfg.fault_plan.clone().and_then(FaultInjector::new),
@@ -894,7 +856,9 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 if self.try_fast_forward(&mut stalled_for) {
                     self.ev.skipped += (self.now - before) * self.ev.units_total;
                     if C::ENABLED {
+                        self.enter(Stage::Telemetry);
                         self.tel_spans_at(before + 1);
+                        self.enter(Stage::Control);
                     }
                     continue;
                 }
@@ -904,7 +868,9 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 return Err(e);
             }
             if C::ENABLED {
+                self.enter(Stage::Telemetry);
                 self.tel_cycle();
+                self.enter(Stage::Control);
             }
             // Deterministic cycle budget: observed on exactly `limit`, with
             // identical counters and telemetry, in dense and fast-forward
@@ -967,6 +933,15 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     }
 
     // ----- telemetry -----------------------------------------------------
+
+    /// The one stage-boundary hook: the engine now runs `stage`
+    /// ([`Collector::stage`]). Free with a disabled collector.
+    #[inline(always)]
+    fn enter(&mut self, stage: Stage) {
+        if C::ENABLED {
+            self.col.stage(stage);
+        }
+    }
 
     /// Per-cycle telemetry: span transitions, then window rollover. Only
     /// called when `C::ENABLED`.
@@ -1059,12 +1034,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             for node in t * ppt..(t + 1) * ppt {
                 gu += self.gu_busy_per_node[node];
                 depth += self.gu_queues.len(node) as u64;
-                depth += self
-                    .ports
-                    .lens(node)
-                    .iter()
-                    .map(|&l| u64::from(l))
-                    .sum::<u64>();
+                depth += self.ports.held_by(node) as u64;
                 merges += self.ports.merges(node);
             }
             let dispatched: u64 = (t * p.rows_per_tile..(t + 1) * p.rows_per_tile)
@@ -1109,6 +1079,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         if !C::ENABLED {
             return;
         }
+        self.enter(Stage::Telemetry);
         self.tel_sample_window();
         self.tel_flush_event_sample();
         self.col.roll_window(self.now);
@@ -1494,6 +1465,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// unvisited unit's queues are empty by the bit invariant, so visiting
     /// it would be a no-op.
     fn step(&mut self) -> Result<(), SimError> {
+        self.enter(Stage::Memory);
         self.now += 1;
         if self.scatter_input_open || !self.scatter_machine_empty() {
             self.stats.scatter_cycles += 1;
@@ -1511,14 +1483,19 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
             self.step_prefetch()?;
         }
 
+        self.enter(Stage::Dispatch);
         let mut visited = self.step_dispatch();
+        self.enter(Stage::RouteDecide);
         if !self.delayed.is_empty() {
             self.step_delayed();
         }
         visited += self.step_routing();
+        self.enter(Stage::Gu);
         visited += self.step_gu();
+        self.enter(Stage::Spd);
         visited += self.step_spd()?;
         if self.phase == Phase::Apply {
+            self.enter(Stage::Apply);
             visited += self.step_apply();
         }
         if self.broadcast_backlog > 0 {
@@ -1750,8 +1727,21 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// The EDU drives each of its row's PE lanes independently: per
     /// cycle a lane accepts one edge, so a congested lane (for example
     /// a hub vertex's column) must not stall the other lanes. Segments
-    /// are scanned in order; a segment stopped by a busy or full lane
-    /// rotates to the back so later segments can fill the free lanes.
+    /// are scanned in order, up to a window of `2 × max(cols, 16)` pops;
+    /// a segment stopped by a busy or full lane, or refused by the source
+    /// budget, rotates to the back so later segments can fill the free
+    /// lanes.
+    ///
+    /// Within one visit the lane owners, the scheduled sources and the GU
+    /// queues only ever fill, so a segment that rotated to the back can
+    /// dispatch nothing more this visit: its head edge stays stopped by
+    /// the same full GU queue, by a lane another pop owns (each pop has
+    /// its own id, so the segment's own earlier lanes stop it too), or by
+    /// the full source budget. Once each segment queued at the start has
+    /// been popped, the rest of the window would only rotate the queue,
+    /// so the scan applies that rotation at once and stops (`idle_laps` in
+    /// the tests pins this against the full scan). Pop ids are distinct
+    /// while the window stays under 2^16 pops.
     fn dispatch_row(
         &mut self,
         t: usize,
@@ -1776,8 +1766,19 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         srcs_used.clear();
         let mut scanned = 0usize;
         let mut dispatched = 0u64;
+        let lap = self.tiles[t].row_queues[row].len();
         while edges_left > 0 && scanned < scan_window {
-            let Some(mut seg) = self.tiles[t].row_queues[row].pop_front() else {
+            let queue = &mut self.tiles[t].row_queues[row];
+            if scanned == lap {
+                // Every segment left has rotated once: the rest of the
+                // window would rotate them again, unchanged.
+                if !queue.is_empty() {
+                    let len = queue.len();
+                    queue.rotate_left((scan_window - scanned) % len);
+                }
+                break;
+            }
+            let Some(mut seg) = queue.pop_front() else {
                 break;
             };
             scanned += 1;
@@ -1785,7 +1786,7 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 if srcs_used.len() >= self.cfg.max_scheduled_vertices {
                     // Vertex budget exhausted: this segment must
                     // wait for the next cycle.
-                    self.tiles[t].row_queues[row].push_back(seg);
+                    queue.push_back(seg);
                     continue;
                 }
                 srcs_used.push(seg.src);
@@ -1826,7 +1827,9 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 self.tiles[t].row_queues[row].push_back(seg);
             }
         }
-        self.dispatched_per_row[t * placement.rows_per_tile + row] += dispatched;
+        if C::ENABLED {
+            self.dispatched_per_row[t * placement.rows_per_tile + row] += dispatched;
+        }
         self.stats.traversed_edges += dispatched;
         !self.tiles[t].row_queues[row].is_empty()
     }
@@ -1891,7 +1894,9 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
         if accepted {
             self.gu_queues.pop_front(node);
             self.stats.gu_busy_cycles += 1;
-            self.gu_busy_per_node[node] += 1;
+            if C::ENABLED {
+                self.gu_busy_per_node[node] += 1;
+            }
             self.stats.updates_produced += 1;
             if dir != EJECT {
                 self.stats.updates_injected += 1;
@@ -1971,24 +1976,25 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
 
     /// Decides this cycle's moves out of one router: up to `link_width`
     /// updates per link — links are 64-byte buses carrying several 8-byte
-    /// updates. Reservations come out of `free` (the pass-start free space
-    /// shared by all routers this cycle); drained flits stage in `moves`.
+    /// updates. No port drains or fills while routers decide, so a port's
+    /// length is its pass-start length, and a move fits while that length
+    /// plus the slots already reserved in the port is below capacity.
+    /// Decided flits stage in `moves` and their ports' drains in `drains`.
     /// Returns whether any of the router's four mesh buffers still holds
-    /// flits.
+    /// flits once its drains apply.
     fn route_decide_node(
         &mut self,
         node: usize,
-        free: &mut RouteFree,
         moves: &mut Vec<Move<A::Prop>>,
+        drains: &mut Vec<(usize, usize)>,
     ) -> bool {
         let width = self.cfg.link_width;
         let faults_armed = self.injector.is_some();
-        // Record this router's free space before it drains, for routers
-        // later in the pass that reserve into it.
-        free.of(node, &self.ports);
+        let mut busy = false;
         for dir in MESH_DIRS {
             let port = node * NUM_DIRS + dir;
-            if self.ports.len(port) == 0 {
+            let len = self.ports.len(port);
+            if len == 0 {
                 continue;
             }
             if faults_armed
@@ -2002,14 +2008,14 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                 if C::ENABLED {
                     self.col.link_backpressure(node, dir);
                 }
+                busy = true;
                 continue;
             }
             // The port holds a flit, so its link has a far end.
             let to = neighbor(self.cfg, node, dir);
-            let to_free = free.of(to, &self.ports);
+            let at = self.geo[to];
             // The link takes the port's oldest updates in order; they
-            // leave the port together once the link is decided. Nothing
-            // lands in any port before every router has decided.
+            // leave the port together once every router has decided.
             let mut taken = 0;
             while taken < width {
                 let Some((mut dst, mut flit)) = self.ports.peek_at(port, taken) else {
@@ -2071,41 +2077,39 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
                         continue;
                     }
                 }
-                let to_dir = route_dir(&self.geo, to, flit.home as usize);
-                let slots = &mut to_free[to_dir];
-                if *slots == 0 {
+                let to_port = to * NUM_DIRS + xy_dir(at, self.geo[flit.home as usize]);
+                if !self.ports.try_reserve(to_port) {
                     self.stats.noc_conflicts += 1;
                     if C::ENABLED {
                         self.col.link_backpressure(node, dir);
                     }
                     break;
                 }
-                *slots -= 1;
                 taken += 1;
                 self.stats.noc_hops += 1;
                 if C::ENABLED {
                     self.col.link_traversal(node, dir, 1);
                 }
-                moves.push(Move {
-                    to_port: to * NUM_DIRS + to_dir,
-                    dst,
-                    flit,
-                });
+                moves.push(Move { to_port, dst, flit });
             }
-            self.ports.drain_front(port, taken);
+            if taken > 0 {
+                drains.push((port, taken));
+            }
+            busy |= len > taken;
         }
-        self.ports.mesh_busy(node)
+        busy
     }
 
-    /// Lands the decided moves in their reserved destination slots and
-    /// schedules the receiving units.
-    fn route_apply_moves(&mut self, moves: &[Move<A::Prop>]) {
+    /// Drains the decided ports, then lands the decided moves in their
+    /// reserved destination slots and schedules the receiving units.
+    fn route_apply_moves(&mut self, moves: &[Move<A::Prop>], drains: &[(usize, usize)]) {
         let algo = self.algo;
+        for &(port, k) in drains {
+            self.ports.drain_front(port, k);
+        }
         for m in moves {
-            let res = self
-                .ports
-                .try_push(m.to_port, m.dst, m.flit, |x, y| algo.reduce(x, y));
-            debug_assert!(res.is_some(), "reserved slot must accept");
+            self.ports
+                .land(m.to_port, m.dst, m.flit, |x, y| algo.reduce(x, y));
             let to = m.to_port / NUM_DIRS;
             if m.to_port % NUM_DIRS == EJECT {
                 self.ev.spd.set(to);
@@ -2122,15 +2126,16 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// of the routers and scratchpads they reach. Returns the number of
     /// routers visited.
     fn step_routing(&mut self) -> usize {
-        let mut free = std::mem::take(&mut self.scratch.route_free);
-        free.epoch += 1;
+        let mut drains = std::mem::take(&mut self.scratch.drains);
         let mut moves = std::mem::take(&mut self.moves);
         moves.clear();
+        drains.clear();
         let mut mask = std::mem::take(&mut self.ev.route);
-        let visited = mask.retain(|node| self.route_decide_node(node, &mut free, &mut moves));
+        let visited = mask.retain(|node| self.route_decide_node(node, &mut moves, &mut drains));
         self.ev.route = mask;
-        self.route_apply_moves(&moves);
-        self.scratch.route_free = free;
+        self.enter(Stage::RouteLand);
+        self.route_apply_moves(&moves, &drains);
+        self.scratch.drains = drains;
         self.moves = moves;
         visited
     }
@@ -2396,7 +2401,12 @@ const XY_ROUTE: [usize; 9] = [EJECT, NORTH, SOUTH, WEST, WEST, WEST, EAST, EAST,
 /// row), read off the geometry table without a branch.
 #[inline]
 fn route_dir(geo: &[NodeGeo], node: usize, home: usize) -> usize {
-    let (at, to) = (geo[node], geo[home]);
+    xy_dir(geo[node], geo[home])
+}
+
+/// [`route_dir`] from the router at `at` towards the PE at `to`.
+#[inline]
+fn xy_dir(at: NodeGeo, to: NodeGeo) -> usize {
     let c = usize::from(to.col < at.col) + 2 * usize::from(to.col > at.col);
     let r = usize::from(to.row < at.row) + 2 * usize::from(to.row > at.row);
     XY_ROUTE[3 * c + r]
@@ -2928,6 +2938,188 @@ mod tests {
                 assert_eq!(f.rem(a), a % d, "{a} % {d}");
             }
         }
+    }
+
+    /// `dispatch_row` without the idle-lap cut: every pop of the scan
+    /// window runs, idle or not. The reference `idle_laps` pins the cut
+    /// against.
+    fn full_scan<C: Collector>(
+        e: &mut Engine<'_, Bfs, C>,
+        t: usize,
+        row: usize,
+        lane_owner: &mut Vec<u16>,
+        srcs_used: &mut Vec<VertexId>,
+    ) -> bool {
+        let placement = e.cfg.placement;
+        let cols = placement.cols;
+        let scan_window = 2 * cols.max(16);
+        lane_owner.clear();
+        lane_owner.resize(cols, u16::MAX);
+        let mut edges_left = cols;
+        srcs_used.clear();
+        let mut scanned = 0usize;
+        let mut dispatched = 0u64;
+        while edges_left > 0 && scanned < scan_window {
+            let Some(mut seg) = e.tiles[t].row_queues[row].pop_front() else {
+                break;
+            };
+            scanned += 1;
+            if !srcs_used.contains(&seg.src) {
+                if srcs_used.len() >= e.cfg.max_scheduled_vertices {
+                    e.tiles[t].row_queues[row].push_back(seg);
+                    continue;
+                }
+                srcs_used.push(seg.src);
+            }
+            let csr = e.dev.tile_csr(e.slice, t);
+            let seg_id = scanned as u16;
+            let src_home = e.home.rem(seg.src) as usize;
+            while edges_left > 0 && !seg.edges.is_empty() {
+                let idx = seg.edges.start;
+                let dst = csr.neighbor_at(idx);
+                let home = e.home.rem(dst) as usize;
+                let (target, lane) = e.target_lane(src_home, home);
+                if (lane_owner[lane] != u16::MAX && lane_owner[lane] != seg_id)
+                    || e.gu_queues.is_full(target)
+                {
+                    break;
+                }
+                e.gu_queues.push_back(
+                    target,
+                    EdgeWork {
+                        src: seg.src,
+                        dst,
+                        home: home as u32,
+                        weight: csr.weight_at(idx),
+                        src_degree: seg.src_degree,
+                        src_prop: seg.prop,
+                    },
+                );
+                e.ev.gu.set(target);
+                lane_owner[lane] = seg_id;
+                edges_left -= 1;
+                seg.edges.start += 1;
+                dispatched += 1;
+            }
+            if !seg.edges.is_empty() {
+                e.tiles[t].row_queues[row].push_back(seg);
+            }
+        }
+        e.stats.traversed_edges += dispatched;
+        !e.tiles[t].row_queues[row].is_empty()
+    }
+
+    /// A row queue as `(src, edges)` pairs, front first.
+    fn queue_of<C: Collector>(
+        e: &Engine<'_, Bfs, C>,
+        t: usize,
+        row: usize,
+    ) -> Vec<(u32, Range<usize>)> {
+        e.tiles[t].row_queues[row]
+            .iter()
+            .map(|s| (s.src, s.edges.clone()))
+            .collect()
+    }
+
+    /// Every GU queue's entries as `(src, dst)`, oldest first.
+    fn gu_contents<C: Collector>(e: &Engine<'_, Bfs, C>) -> Vec<Vec<(u32, u32)>> {
+        let mut probe = e.gu_queues.clone();
+        (0..e.cfg.placement.num_pes())
+            .map(|pe| {
+                std::iter::from_fn(|| probe.pop_front(pe))
+                    .map(|w| (w.src, w.dst))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The idle-lap cut against the full scan: seeded row queues of up to
+    /// three times the scan window, one to six sources (segments share
+    /// them, and a budget of one to four sources refuses some), one to
+    /// sixteen lanes per row (collisions), and GU queues of one to three
+    /// entries pre-filled at random (full queues), under all three
+    /// mappings. Per visit the dispatched edges in every GU queue, the lane
+    /// owners, the scheduled sources, the counters and the final queue
+    /// order must be equal.
+    #[test]
+    fn idle_laps() {
+        use scalagraph_graph::SplitMix64;
+        let graph = Csr::from_edges(512, &generators::power_law(512, 6000, 0.8, 5));
+        let mut cuts = 0u64;
+        for case in 0..400u64 {
+            let mut rng = SplitMix64::stream(0x1a95, case, 0);
+            let mut cfg = ScalaGraphConfig::with_pes(*rng.pick(&[32, 64, 128, 512]));
+            cfg.mapping = *rng.pick(&Mapping::ALL);
+            cfg.max_scheduled_vertices = rng.range(1, 4) as usize;
+            cfg.gu_queue_capacity = rng.range(1, 3) as usize;
+            let dev = DeviceGraph::prepare(&graph, &cfg);
+            let algo = Bfs::from_root(0);
+            let (mut col_a, mut col_b) = (NullCollector, NullCollector);
+            let mut cut = Engine::new(&algo, &graph, &cfg, &dev, &mut col_a, None);
+            let mut full = Engine::new(&algo, &graph, &cfg, &dev, &mut col_b, None);
+            let (t, row) = (rng.below(2) as usize, rng.below(16) as usize);
+            let csr = dev.tile_csr(0, t);
+            let sources: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+                .filter(|&v| csr.edge_range(v).len() > 1)
+                .collect();
+            let pool: Vec<VertexId> = (0..rng.range(1, 6)).map(|_| *rng.pick(&sources)).collect();
+            for _ in 0..rng.range(1, 96) {
+                let src = *rng.pick(&pool);
+                let range = csr.edge_range(src);
+                let lo = range.start + rng.below(range.len() as u64 - 1) as usize;
+                let hi = rng.range(lo as u64 + 1, range.end as u64) as usize;
+                for e in [&mut cut, &mut full] {
+                    e.tiles[t].row_queues[row].push_back(Segment {
+                        src,
+                        prop: 0,
+                        src_degree: range.len() as u32,
+                        edges: lo..hi,
+                    });
+                }
+            }
+            for pe in 0..cfg.placement.num_pes() {
+                for _ in 0..rng.below(cfg.gu_queue_capacity as u64 + 1) {
+                    let fill = EdgeWork {
+                        src: u32::MAX,
+                        dst: u32::MAX,
+                        home: 0,
+                        weight: 0,
+                        src_degree: 0,
+                        src_prop: 0,
+                    };
+                    cut.gu_queues.push_back(pe, fill);
+                    full.gu_queues.push_back(pe, fill);
+                }
+            }
+            let (mut lanes_a, mut srcs_a, mut lanes_b, mut srcs_b) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for visit in 0..rng.range(1, 6) {
+                let ctx = format!("case {case} visit {visit}");
+                let window = 2 * cfg.placement.cols.max(16);
+                let before = cut.tiles[t].row_queues[row].len();
+                let more_a = cut.dispatch_row(t, row, &mut lanes_a, &mut srcs_a);
+                let more_b = full_scan(&mut full, t, row, &mut lanes_b, &mut srcs_b);
+                assert_eq!(more_a, more_b, "{ctx}");
+                assert_eq!(gu_contents(&cut), gu_contents(&full), "{ctx}: GU queues");
+                assert_eq!(lanes_a, lanes_b, "{ctx}: lane owners");
+                assert_eq!(srcs_a, srcs_b, "{ctx}: scheduled sources");
+                assert_eq!(
+                    queue_of(&cut, t, row),
+                    queue_of(&full, t, row),
+                    "{ctx}: queue"
+                );
+                assert_eq!(cut.stats, full.stats, "{ctx}");
+                cuts += u64::from(before > window / 2);
+                // The GUs drain between visits, the same PEs on both sides.
+                for pe in 0..cfg.placement.num_pes() {
+                    if rng.chance(50) {
+                        cut.gu_queues.pop_front(pe);
+                        full.gu_queues.pop_front(pe);
+                    }
+                }
+            }
+        }
+        assert!(cuts > 100, "too few long queues: {cuts}");
     }
 
     #[test]

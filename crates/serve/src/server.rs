@@ -347,20 +347,25 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns the accept loop and the executor.
+    /// Binds the listener and spawns the accept loop, the executor and,
+    /// with [`summary_every`](ServeConfig::summary_every), the summary
+    /// thread.
     ///
     /// # Errors
     ///
-    /// The bind error, verbatim, or the OS refusing the accept thread.
+    /// The bind error, verbatim, or the OS refusing the accept or the
+    /// summary thread. A refused thread leaves nothing running.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        Self::start_with(config, |_| Builder::new())
+        Self::start_with(config, |_| Builder::new(), Builder::new)
     }
 
     /// [`Server::start`], building the `n`-th connection's handler thread
-    /// with `handler_thread(n)`.
+    /// with `handler_thread(n)` and the summary thread with
+    /// `summary_thread()`.
     fn start_with(
         config: ServeConfig,
         handler_thread: fn(u64) -> Builder,
+        summary_thread: fn() -> Builder,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -448,11 +453,19 @@ impl Server {
             }
         };
 
+        let mut server = Server {
+            shared,
+            local_addr,
+            accept,
+            accept_exited,
+            summary: None,
+            connections,
+        };
         // Periodic stderr summary, built from short sleeps so shutdown
         // stays prompt.
-        let summary = config.summary_every.map(|every| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
+        if let Some(every) = config.summary_every {
+            let shared = Arc::clone(&server.shared);
+            let spawned = summary_thread().spawn(move || {
                 let step = Duration::from_millis(100);
                 let mut elapsed = Duration::ZERO;
                 while !shared.stop.load(Ordering::Acquire) {
@@ -463,17 +476,18 @@ impl Server {
                         eprintln!("[scalagraph-serve] {}", shared.summary());
                     }
                 }
-            })
-        });
-
-        Ok(Server {
-            shared,
-            local_addr,
-            accept,
-            accept_exited,
-            summary,
-            connections,
-        })
+            });
+            match spawned {
+                Ok(summary) => server.summary = Some(summary),
+                Err(e) => {
+                    // Stop the accept loop and the executor started above.
+                    server.stop();
+                    server.join();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The bound address (resolves port 0).
@@ -806,6 +820,7 @@ mod tests {
                 0 => Builder::new().stack_size(1 << 60),
                 _ => Builder::new(),
             },
+            Builder::new,
         )
         .expect("bind an ephemeral port");
         let addr = server.local_addr();
@@ -820,5 +835,32 @@ mod tests {
         let counters = server.join();
         assert_eq!(counters.connections, 1, "{counters}");
         assert!(counters.balanced(), "{counters}");
+    }
+
+    #[test]
+    fn a_refused_summary_thread_fails_the_start_and_leaves_nothing_running() {
+        // An address the OS has just handed out, free again.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|probe| probe.local_addr())
+            .expect("bind an ephemeral port");
+        // The summary thread asks for a stack no `mmap` can hold, so the OS
+        // refuses it without starting one.
+        let started = Server::start_with(
+            ServeConfig {
+                addr: addr.to_string(),
+                workers: 1,
+                summary_every: Some(Duration::from_secs(1)),
+                ..ServeConfig::default()
+            },
+            |_| Builder::new(),
+            || Builder::new().stack_size(1 << 60),
+        );
+        assert!(
+            started.is_err(),
+            "the refused summary thread fails the start"
+        );
+        // The accept thread owned the listener: the address binds again
+        // only once that thread has exited.
+        TcpListener::bind(addr).expect("the failed start closed its listener");
     }
 }

@@ -19,6 +19,8 @@
 //!   JSON (loadable in `ui.perfetto.dev` or `chrome://tracing`), a
 //!   per-window CSV, and a mesh-link heatmap JSON keyed by
 //!   `(x, y, direction, window)`.
+//! * [`StageClock`] — a collector that times the engine's stages
+//!   ([`Stage`]) on the host, for per-stage cost tables.
 //!
 //! # Example
 //!
@@ -46,12 +48,14 @@
 pub mod export;
 pub mod recorder;
 pub mod service;
+pub mod stages;
 
 pub use recorder::{
     EventWindowRow, HbmWindowRow, LinkWindowRow, PeakLink, Recorder, TelemetrySummary,
     TileWindowRow,
 };
 pub use service::{ServiceCounters, ServiceMetrics};
+pub use stages::{Stage, StageClock};
 
 /// Router output-port direction indices, matching the engine's encoding:
 /// 0 = eject (local scratchpad), 1..=4 the four mesh directions.
@@ -345,6 +349,14 @@ pub trait Collector {
     fn event_core_sample(&mut self, dispatched: u64, skipped: u64) {
         let _ = (dispatched, skipped);
     }
+
+    /// The engine enters `stage`, ending the stage it was in. Called at
+    /// every stage boundary of the cycle loop, so the stages between
+    /// [`on_run_start`](Self::on_run_start) and
+    /// [`on_run_end`](Self::on_run_end) partition the run.
+    fn stage(&mut self, stage: Stage) {
+        let _ = stage;
+    }
 }
 
 /// The default collector: records nothing, costs nothing. With this
@@ -370,6 +382,7 @@ mod tests {
         c.link_traversal(0, DIR_EAST, 1);
         c.span_begin(0, SpanName::Run);
         c.span_end(1, SpanName::Run);
+        c.stage(Stage::Dispatch);
         c.on_run_end(1);
         assert!(!c.window_due(u64::MAX));
     }

@@ -1,8 +1,9 @@
 //! Telemetry subsystem guarantees, pinned across the crate boundary:
 //!
-//! 1. Attaching a [`Recorder`] never perturbs the simulation — results and
-//!    every performance counter are bit-identical to the null-collector
-//!    path, with and without fault injection.
+//! 1. Attaching a [`Recorder`] or a [`StageClock`] never perturbs the
+//!    simulation — results and every performance counter are bit-identical
+//!    to the null-collector path, with and without fault injection, and a
+//!    clocked run still fast-forwards.
 //! 2. The Chrome trace export is well-formed JSON with balanced begin/end
 //!    span pairs on every track, so ui.perfetto.dev loads it.
 //! 3. The CSV and heatmap exports are structurally sound, and the summary
@@ -15,7 +16,7 @@ use scalagraph_suite::graph::{generators, Csr};
 use scalagraph_suite::scalagraph::{
     Fault, FaultKind, FaultPlan, LinkDir, ScalaGraphConfig, SimResult, Simulator,
 };
-use scalagraph_suite::telemetry::{InstantKind, Recorder};
+use scalagraph_suite::telemetry::{InstantKind, Recorder, Stage, StageClock};
 use std::collections::HashMap;
 
 fn test_graph(seed: u64) -> Csr {
@@ -54,6 +55,99 @@ fn recorder_is_bit_identical_to_null_collector() {
     check!(Sssp::from_root(0));
     check!(ConnectedComponents::new());
     check!(PageRank::new(3));
+}
+
+/// Runs `algo` with the stage clock attached and checks it against the
+/// null-collector run: same results, same counters, the same simulated
+/// cycles (so fast-forward jumped as far), and every stepped cycle timed.
+fn assert_clock_is_invisible<A: Algorithm>(algo: &A, graph: &Csr, cfg: ScalaGraphConfig) {
+    let plain = Simulator::try_new(algo, graph, cfg.clone())
+        .and_then(|mut s| s.try_run())
+        .expect("plain run must succeed");
+    let mut clock = StageClock::new();
+    let clocked = Simulator::try_new(algo, graph, cfg.clone())
+        .and_then(|mut s| s.try_run_with(&mut clock))
+        .expect("clocked run must succeed");
+    assert_eq!(plain.properties, clocked.properties);
+    assert_eq!(plain.frontier_sizes, clocked.frontier_sizes);
+    assert_eq!(plain.stats, clocked.stats);
+    assert_eq!(plain.stats.cycles, clocked.stats.cycles);
+    let stepped = clock.stepped_cycles();
+    assert!(stepped > 0 && stepped <= clocked.stats.cycles);
+    if cfg.fast_forward {
+        assert!(
+            stepped < clocked.stats.cycles,
+            "fast-forward skipped nothing: {stepped} of {} cycles stepped",
+            clocked.stats.cycles
+        );
+    } else {
+        assert_eq!(
+            stepped, clocked.stats.cycles,
+            "the dense reference steps every cycle"
+        );
+    }
+    for stage in [
+        Stage::Dispatch,
+        Stage::RouteDecide,
+        Stage::RouteLand,
+        Stage::Gu,
+        Stage::Spd,
+    ] {
+        assert_eq!(
+            clock.entries(stage),
+            stepped,
+            "{stage:?} is entered once per stepped cycle"
+        );
+    }
+    assert!(clock.ns(Stage::RouteDecide) > 0);
+    assert!(clock.total_ns() > 0);
+}
+
+#[test]
+fn stage_clock_is_bit_identical_to_null_collector() {
+    let g = test_graph(1);
+    // Serial phases leave idle stretches for fast-forward to skip.
+    let mut cfg = ScalaGraphConfig::with_pes(32);
+    cfg.inter_phase_pipelining = false;
+    assert_clock_is_invisible(&Bfs::from_root(0), &g, cfg.clone());
+    assert_clock_is_invisible(&Sssp::from_root(0), &g, cfg.clone());
+    assert_clock_is_invisible(&ConnectedComponents::new(), &g, cfg.clone());
+    assert_clock_is_invisible(&PageRank::new(3), &g, cfg.clone());
+    // The dense reference, which steps every cycle.
+    cfg.fast_forward = false;
+    assert_clock_is_invisible(&Bfs::from_root(0), &g, cfg.clone());
+    assert_clock_is_invisible(&PageRank::new(3), &g, cfg);
+    // Fault injection: a stalled HBM channel, dropped and delayed flits.
+    let mut cfg = ScalaGraphConfig::with_pes(32);
+    cfg.inter_phase_pipelining = false;
+    cfg.fault_plan = Some(
+        FaultPlan::seeded(31)
+            .with(
+                Fault::new(FaultKind::HbmStall {
+                    tile: 0,
+                    channel: 1,
+                    cycles: 40,
+                })
+                .window(10, 11),
+            )
+            .with(
+                Fault::new(FaultKind::LinkDrop {
+                    node: 3,
+                    dir: LinkDir::South,
+                    one_in: 5,
+                })
+                .window(0, 300),
+            )
+            .with(
+                Fault::new(FaultKind::LinkDelay {
+                    node: 5,
+                    dir: LinkDir::South,
+                    cycles: 7,
+                })
+                .window(0, 400),
+            ),
+    );
+    assert_clock_is_invisible(&Bfs::from_root(0), &test_graph(2), cfg);
 }
 
 #[test]
