@@ -23,6 +23,12 @@ pub const DEFAULT_WATCHDOG_STALL_CYCLES: u64 = 25_000;
 /// 50 MB of queue state.
 pub const MAX_QUEUE_SLOTS: usize = 1 << 21;
 
+/// Most mesh columns a configuration may have. One visit of a dispatch
+/// row numbers its pops, up to `2 × max(cols, 16)` of them, in 16 bits
+/// with `u16::MAX` marking a free lane, so twice the column count must
+/// stay below `u16::MAX`.
+pub const MAX_COLS: usize = (u16::MAX as usize - 1) / 2;
+
 /// Off-chip memory preset for a configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemoryPreset {
@@ -229,6 +235,13 @@ impl ScalaGraphConfig {
         }
         if self.queue_slots().is_none_or(|s| s > MAX_QUEUE_SLOTS) {
             return Err(SimError::config(self.queue_bound_message()));
+        }
+        if p.cols > MAX_COLS {
+            return Err(SimError::config(format!(
+                "`cols` {} exceeds {MAX_COLS}: a dispatch row numbers the up to \
+                 2 x cols pops of one visit in 16 bits",
+                p.cols
+            )));
         }
         if self.link_width == 0 {
             return Err(SimError::config("link width must be positive"));
@@ -464,6 +477,26 @@ mod tests {
         wrap = ScalaGraphConfig::with_pes(32);
         wrap.gu_queue_capacity = usize::MAX;
         assert!(field(&wrap).starts_with("`gu_queue_capacity`"));
+    }
+
+    #[test]
+    fn validate_bounds_the_mesh_columns() {
+        assert_eq!(MAX_COLS, 32_767);
+        // One-slot queues keep the widest meshes under MAX_QUEUE_SLOTS, so
+        // only the column bound can refuse them.
+        let mut c = ScalaGraphConfig::with_pes(32);
+        c.aggregation_registers = 0;
+        c.router_queue_capacity = 1;
+        c.gu_queue_capacity = 1;
+        c.placement = Placement::new(1, 1, MAX_COLS);
+        assert!(c.validate().is_ok());
+        c.placement = Placement::new(1, 1, MAX_COLS + 1);
+        match c.validate() {
+            Err(SimError::ConfigInvalid { detail }) => {
+                assert!(detail.starts_with("`cols` 32768"), "{detail}")
+            }
+            other => panic!("expected ConfigInvalid, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1740,8 +1740,11 @@ impl<'a, A: Algorithm, C: Collector> Engine<'a, A, C> {
     /// the full source budget. Once each segment queued at the start has
     /// been popped, the rest of the window would only rotate the queue,
     /// so the scan applies that rotation at once and stops (`idle_laps` in
-    /// the tests pins this against the full scan). Pop ids are distinct
-    /// while the window stays under 2^16 pops.
+    /// the tests pins this against the full scan). Pop ids run from 1 to
+    /// the window, `2 × max(cols, 16)`, and `u16::MAX` marks a free lane,
+    /// so they stay distinct and never read as free because `validate`
+    /// refuses more than [`MAX_COLS`](crate::config::MAX_COLS) = 32,767
+    /// columns.
     fn dispatch_row(
         &mut self,
         t: usize,

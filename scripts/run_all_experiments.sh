@@ -6,7 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out=out/experiments
 mkdir -p "$out"
-bins=(tables_1_3 fig4 fig6 fig8 table2 fig14 fig15 fig16 fig17 fig18 \
+# scripts/regen_experiments_md.py reads this list: every experiment binary
+# (all of crates/bench/src/bin but the bench_* harnesses) must be on it.
+bins=(tables_1_3 fig4 fig6 fig8 table2 fig14 fig16 fig17 fig18 \
       fig19a fig19b fig20 fig21 table4 ext_noc ext_reorder)
 for b in "${bins[@]}"; do
     echo "== $b"
