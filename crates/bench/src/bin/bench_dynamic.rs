@@ -295,7 +295,7 @@ fn main() {
         let pagerank = pagerank_course(preset, reps);
         let (bfs_gm, pr_gm) = (gm_speedup(&bfs), gm_speedup(&pagerank));
         println!(
-            "  {:>13} (churn {:.2}%{}): bfs-repair {:.1}x, delta-pagerank {:.1}x (geo mean)",
+            "  {:>13} (churn {:.2}%{}): bfs-repair {:.2}x, delta-pagerank {:.2}x (geo mean)",
             preset.name,
             churn * 100.0,
             if gated { ", gated" } else { "" },

@@ -197,8 +197,10 @@ impl Dataset {
         let e = (spec.paper_edges / scale).max(256) as usize;
         let edges = match spec.family {
             GraphFamily::PowerLaw { alpha_milli } => {
-                // Cap per-vertex edge share at 0.2% — the hub concentration
-                // regime of the paper-scale originals (same model as
+                // Cap each vertex's Zipf weight at 0.2% of the uncapped
+                // sum, near the hub concentration of the paper-scale
+                // originals; renormalising leaves the top hubs above it
+                // (0.24-0.48% at 1/2048; same model as
                 // generators::power_law_capped, chunk-parallel).
                 pargen::power_law_capped_chunked(
                     v,

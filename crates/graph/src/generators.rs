@@ -79,15 +79,24 @@ pub fn power_law(num_vertices: usize, num_edges: usize, alpha: f64, seed: u64) -
     power_law_capped(num_vertices, num_edges, alpha, 1.0, seed)
 }
 
-/// [`power_law`] with the per-vertex edge share (both out-degree and
-/// in-degree weight) clamped to `max_share` of the edge count.
+/// [`power_law`] with each vertex's Zipf weight, which sets both its
+/// out-degree and its pull as a destination, capped at `max_share` of the
+/// uncapped weights' sum.
+///
+/// The cap is not the final share. It applies before the weights are
+/// renormalised, so a capped vertex ends with `max_share` times the
+/// uncapped sum over the capped sum, and the edges that rounding degrees
+/// down leaves over then land on random vertices. The largest hubs
+/// therefore exceed `max_share`: at 1/2048 scale the dataset stand-ins'
+/// top vertex holds 0.24–0.48% of the out-edges under the presets' 0.2%
+/// cap.
 ///
 /// Down-scaling a Zipf distribution inflates the *relative* share of the
 /// top vertex: a 41M-vertex Twitter's biggest hub owns ~0.1% of the edges,
 /// but a plain Zipf over an 80k-vertex stand-in hands its top vertex
 /// several percent. The dataset presets use this cap to keep per-vertex
 /// load shares — what the accelerators' load-balancing actually sees —
-/// faithful to paper scale.
+/// near paper scale.
 ///
 /// # Panics
 ///

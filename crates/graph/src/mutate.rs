@@ -5,12 +5,13 @@
 //! baseline we diff against, is named for it). This module provides the
 //! host-side substrate for that churn: a [`MutationBatch`] of edge/vertex
 //! inserts and deletes applied against CSR storage *incrementally*. A batch
-//! copies each adjacency list it touches once, on first touch, and finds it
+//! copies each adjacency list it touches once, on first touch, by slice
+//! (neighbors, and weights only when the batch can see one), and finds it
 //! again through a dense per-vertex index, so an edge op costs O(1) beyond
 //! its own list (an isolation still scans the graph for in-edges). The
 //! splice then writes the touched lists in vertex order and copies every
-//! untouched run wholesale, so its edge traffic follows the churn, not the
-//! graph size.
+//! untouched run and its offsets wholesale, so its edge traffic follows the
+//! churn, not the graph size.
 //!
 //! [`DynamicCsr`] materializes one CSR, the **canonical** one: per-vertex
 //! adjacency in insertion order (surviving original edges first, in their
@@ -305,7 +306,15 @@ impl DynamicCsr {
         }
 
         let canonical = &self.canonical;
-        let mut overlay = Overlay::new(probe);
+        // Lists carry weights only when the batch can see one: the graph
+        // stores them, or an insert brings one. Otherwise every weight is
+        // zero, and removals record that.
+        let carries_weights = canonical.is_weighted()
+            || batch
+                .ops()
+                .iter()
+                .any(|op| matches!(op, Mutation::InsertEdge(e) if e.weight != 0));
+        let mut overlay = Overlay::new(probe, carries_weights);
 
         for op in batch.ops() {
             match *op {
@@ -314,7 +323,11 @@ impl DynamicCsr {
                     delta.stats.vertices_added += 1;
                 }
                 Mutation::InsertEdge(e) => {
-                    overlay.list(canonical, e.src).push((e.dst, e.weight));
+                    let list = overlay.list(canonical, e.src);
+                    list.dsts.push(e.dst);
+                    if carries_weights {
+                        list.weights.push(e.weight);
+                    }
                     if e.weight != 0 {
                         nz_delta += 1;
                     }
@@ -323,23 +336,23 @@ impl DynamicCsr {
                 }
                 Mutation::RemoveEdge { src, dst } => {
                     let list = overlay.list(canonical, src);
-                    remove_edges(list, src, |d| d == dst, &mut delta, &mut nz_delta);
+                    list.remove(src, |d| d == dst, &mut delta, &mut nz_delta);
                 }
                 Mutation::IsolateVertex(v) => {
                     // Out-edges of v.
                     let list = overlay.list(canonical, v);
-                    remove_edges(list, v, |_| true, &mut delta, &mut nz_delta);
+                    list.remove(v, |_| true, &mut delta, &mut nz_delta);
                     // In-edges u -> v; scans the whole (overlaid) graph,
                     // which is why isolation costs O(V + E) while pure edge
                     // batches cost only their touched vertices.
                     for u in 0..n as u32 {
                         let has_edge = match overlay.get(u) {
-                            Some(list) => list.iter().any(|&(d, _)| d == v),
+                            Some(list) => list.dsts.contains(&v),
                             None => (u as usize) < old_n && canonical.neighbors(u).contains(&v),
                         };
                         if has_edge {
                             let list = overlay.list(canonical, u);
-                            remove_edges(list, u, |d| d == v, &mut delta, &mut nz_delta);
+                            list.remove(u, |d| d == v, &mut delta, &mut nz_delta);
                         }
                     }
                     delta.stats.vertices_isolated += 1;
@@ -347,85 +360,37 @@ impl DynamicCsr {
             }
         }
 
-        let touched = overlay.into_sorted();
-        delta.stats.touched_vertices = touched.partition_point(|&(v, _)| (v as usize) < old_n);
+        let mut touched = std::mem::take(&mut overlay.touched);
+        touched.sort_unstable();
+        delta.stats.touched_vertices = touched.partition_point(|&v| (v as usize) < old_n);
         self.nonzero_weights = self
             .nonzero_weights
             .checked_add_signed(nz_delta)
             .unwrap_or(0);
         let weighted = self.nonzero_weights > 0;
 
-        // Splice: runs of untouched vertices copy their old flat slices
-        // wholesale (one memcpy per run, so the cost is driven by the
-        // touched set, not by per-edge pushes); touched vertices take their
-        // overlay list.
-        let old_edges = self.canonical.num_edges();
-        let grown = old_edges + delta.stats.edges_inserted;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut c_nbr: Vec<VertexId> = Vec::with_capacity(grown);
-        let mut c_w: Vec<Weight> = Vec::with_capacity(if weighted { grown } else { 0 });
-        {
-            let old_off = self.canonical.offsets();
-            let c_old = self.canonical.neighbor_array();
-            let c_old_w = self.canonical.weight_array();
-            let mut touched = touched.iter().peekable();
-            let mut v: u32 = 0;
-            while (v as usize) < n {
-                match touched.peek() {
-                    Some(&&(tv, ref list)) if tv == v => {
-                        delta.stats.relayout_edges += list.len();
-                        for &(d, w) in list {
-                            c_nbr.push(d);
-                            if weighted {
-                                c_w.push(w);
-                            }
-                        }
-                        offsets.push(c_nbr.len() as u64);
-                        touched.next();
-                        v += 1;
-                    }
-                    peeked => {
-                        // Untouched run [v, run_end): old vertices copy
-                        // wholesale, appended ones are empty.
-                        let run_end = peeked.map_or(n as u32, |&&(tv, _)| tv);
-                        let old_end = run_end.min(old_n as u32);
-                        if v < old_end {
-                            let (lo, hi) = (
-                                old_off[v as usize] as usize,
-                                old_off[old_end as usize] as usize,
-                            );
-                            // Deletes can shift later slices backwards.
-                            let shift = c_nbr.len() as i64 - lo as i64;
-                            c_nbr.extend_from_slice(&c_old[lo..hi]);
-                            if weighted {
-                                // A previously unweighted graph stores
-                                // implicit zeros.
-                                match c_old_w {
-                                    Some(w) => c_w.extend_from_slice(&w[lo..hi]),
-                                    None => c_w.resize(c_w.len() + (hi - lo), 0),
-                                }
-                            }
-                            for u in v..old_end {
-                                offsets.push((old_off[u as usize + 1] as i64 + shift) as u64);
-                            }
-                        }
-                        for _ in old_end.max(v)..run_end {
-                            offsets.push(c_nbr.len() as u64);
-                        }
-                        v = run_end;
-                    }
-                }
-            }
+        // Splice: runs of untouched vertices copy their old slices and
+        // offsets wholesale, so the cost is driven by the touched set, not
+        // by per-edge pushes; touched vertices copy their overlay slices.
+        let grown = self.canonical.num_edges() + delta.stats.edges_inserted;
+        let mut out = Splice::new(n, grown, weighted);
+        let mut v = 0;
+        for &tv in &touched {
+            out.copy_run(&self.canonical, v, tv as usize);
+            let list = overlay.touched_list(tv);
+            delta.stats.relayout_edges += list.dsts.len();
+            out.push_list(list);
+            v = tv as usize + 1;
         }
+        out.copy_run(&self.canonical, v, n);
 
-        self.canonical = Csr::from_raw_parts(offsets, c_nbr, weighted.then_some(c_w))?;
+        self.canonical = Csr::from_raw_parts(out.offsets, out.dsts, out.weights)?;
         self.laidout = OnceLock::new();
 
         // Degree classes: recompute touched + appended, count class flips.
         self.classes.resize(n, 0);
-        for &(v, ref list) in &touched {
-            let class = degree_class(list.len());
+        for &v in &touched {
+            let class = degree_class(overlay.touched_list(v).dsts.len());
             if (v as usize) < old_n && self.classes[v as usize] != class {
                 delta.stats.rebucketed_vertices += 1;
             }
@@ -465,7 +430,15 @@ fn lay_out(canonical: &Csr, lanes: usize) -> Csr {
 struct Overlay {
     slot: Vec<u32>,
     touched: Vec<VertexId>,
-    lists: Vec<Vec<(VertexId, Weight)>>,
+    lists: Vec<List>,
+    carries_weights: bool,
+}
+
+/// One touched adjacency list: its destinations and, when the overlay
+/// carries weights, their weights in parallel (empty otherwise).
+struct List {
+    dsts: Vec<VertexId>,
+    weights: Vec<Weight>,
 }
 
 impl Overlay {
@@ -474,70 +447,146 @@ impl Overlay {
     const UNTOUCHED: u32 = u32::MAX;
 
     /// An overlay over a batch whose final vertex count is `num_vertices`.
-    fn new(num_vertices: usize) -> Self {
+    fn new(num_vertices: usize, carries_weights: bool) -> Self {
         Overlay {
             slot: vec![Self::UNTOUCHED; num_vertices],
             touched: Vec::new(),
             lists: Vec::new(),
+            carries_weights,
         }
     }
 
     /// `v`'s list, if the batch touched `v`.
-    fn get(&self, v: VertexId) -> Option<&Vec<(VertexId, Weight)>> {
+    fn get(&self, v: VertexId) -> Option<&List> {
         match self.slot[v as usize] {
             Self::UNTOUCHED => None,
             i => Some(&self.lists[i as usize]),
         }
     }
 
-    /// The touched vertices with their lists, in id order.
-    fn into_sorted(self) -> Vec<(VertexId, Vec<(VertexId, Weight)>)> {
-        let mut touched: Vec<_> = self.touched.into_iter().zip(self.lists).collect();
-        touched.sort_unstable_by_key(|&(v, _)| v);
-        touched
+    /// The list of `v`, which the batch touched.
+    fn touched_list(&self, v: VertexId) -> &List {
+        &self.lists[self.slot[v as usize] as usize]
     }
 
-    /// `v`'s list, copied from `canonical` on the first touch.
-    fn list(&mut self, canonical: &Csr, v: VertexId) -> &mut Vec<(VertexId, Weight)> {
+    /// `v`'s list, copied from `canonical` by slice on the first touch.
+    fn list(&mut self, canonical: &Csr, v: VertexId) -> &mut List {
         let mut i = self.slot[v as usize];
         if i == Self::UNTOUCHED {
             i = self.lists.len() as u32;
             self.slot[v as usize] = i;
             self.touched.push(v);
-            self.lists.push(if (v as usize) < canonical.num_vertices() {
-                canonical
-                    .edge_range(v)
-                    .map(|e| (canonical.neighbor_at(e), canonical.weight_at(e)))
-                    .collect()
+            let range = if (v as usize) < canonical.num_vertices() {
+                canonical.edge_range(v)
             } else {
-                Vec::new()
-            });
+                0..0
+            };
+            let weights = match (self.carries_weights, canonical.weight_array()) {
+                (false, _) => Vec::new(),
+                (true, Some(w)) => w[range.clone()].to_vec(),
+                (true, None) => vec![0; range.len()],
+            };
+            let dsts = canonical.neighbor_array()[range].to_vec();
+            self.lists.push(List { dsts, weights });
         }
         &mut self.lists[i as usize]
     }
 }
 
-/// Removes the edges of `src`'s adjacency `list` whose destination `hit`
-/// selects, recording each copy in `delta` in list order and each nonzero
-/// weight in `nz_delta`.
-fn remove_edges(
-    list: &mut Vec<(VertexId, Weight)>,
-    src: VertexId,
-    hit: impl Fn(VertexId) -> bool,
-    delta: &mut MutationDelta,
-    nz_delta: &mut isize,
-) {
-    list.retain(|&(d, w)| {
-        if !hit(d) {
-            return true;
+impl List {
+    /// Removes the edges whose destination `hit` selects from `src`'s
+    /// list, recording each copy in `delta` in list order and each nonzero
+    /// weight in `nz_delta`.
+    fn remove(
+        &mut self,
+        src: VertexId,
+        hit: impl Fn(VertexId) -> bool,
+        delta: &mut MutationDelta,
+        nz_delta: &mut isize,
+    ) {
+        let Some(first) = self.dsts.iter().position(|&d| hit(d)) else {
+            return;
+        };
+        // A nonempty list carries weights iff its weights are nonempty.
+        let weighted = !self.weights.is_empty();
+        let mut kept = first;
+        for i in first..self.dsts.len() {
+            let d = self.dsts[i];
+            let w = if weighted { self.weights[i] } else { 0 };
+            if hit(d) {
+                if w != 0 {
+                    *nz_delta -= 1;
+                }
+                delta.removed.push(Edge::weighted(src, d, w));
+                delta.stats.edges_removed += 1;
+            } else {
+                self.dsts[kept] = d;
+                if weighted {
+                    self.weights[kept] = w;
+                }
+                kept += 1;
+            }
         }
-        if w != 0 {
-            *nz_delta -= 1;
+        self.dsts.truncate(kept);
+        self.weights.truncate(kept);
+    }
+}
+
+/// The arrays of the CSR a batch's splice writes.
+struct Splice {
+    offsets: Vec<u64>,
+    dsts: Vec<VertexId>,
+    /// `None` when the result is unweighted.
+    weights: Option<Vec<Weight>>,
+}
+
+impl Splice {
+    /// Empty arrays with room for `vertices` and `edges`.
+    fn new(vertices: usize, edges: usize, weighted: bool) -> Self {
+        let mut offsets = Vec::with_capacity(vertices + 1);
+        offsets.push(0);
+        Splice {
+            offsets,
+            dsts: Vec::with_capacity(edges),
+            weights: weighted.then(|| Vec::with_capacity(edges)),
         }
-        delta.removed.push(Edge::weighted(src, d, w));
-        delta.stats.edges_removed += 1;
-        false
-    });
+    }
+
+    /// Appends the untouched vertices `[v, end)`: those `old` holds copy
+    /// their slices and offsets wholesale, appended ones get no edges.
+    fn copy_run(&mut self, old: &Csr, v: usize, end: usize) {
+        let old_end = end.min(old.num_vertices());
+        if v < old_end {
+            let old_off = old.offsets();
+            let (lo, hi) = (old_off[v] as usize, old_off[old_end] as usize);
+            // Deletes can shift later slices backwards.
+            let shift = (self.dsts.len() as u64).wrapping_sub(lo as u64);
+            self.dsts.extend_from_slice(&old.neighbor_array()[lo..hi]);
+            if let Some(weights) = &mut self.weights {
+                // A previously unweighted graph stores implicit zeros.
+                match old.weight_array() {
+                    Some(w) => weights.extend_from_slice(&w[lo..hi]),
+                    None => weights.resize(weights.len() + (hi - lo), 0),
+                }
+            }
+            let run = &old_off[v + 1..=old_end];
+            self.offsets
+                .extend(run.iter().map(|&o| o.wrapping_add(shift)));
+        }
+        let appended = end - old_end.max(v);
+        let at = self.dsts.len() as u64;
+        self.offsets.resize(self.offsets.len() + appended, at);
+    }
+
+    /// Appends one touched vertex's list. A weighted result implies the
+    /// overlay carried weights.
+    fn push_list(&mut self, list: &List) {
+        self.dsts.extend_from_slice(&list.dsts);
+        if let Some(weights) = &mut self.weights {
+            weights.extend_from_slice(&list.weights);
+        }
+        self.offsets.push(self.dsts.len() as u64);
+    }
 }
 
 #[cfg(test)]

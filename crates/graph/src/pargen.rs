@@ -233,8 +233,10 @@ fn sample_destinations_batched(
 /// Chunk-parallel capped power-law configuration model, behind
 /// [`crate::generators::power_law_capped`]: Zipf out-degrees over a
 /// shuffled rank permutation, preferential destinations through the Zipf
-/// inverse CDF, per-vertex share capped at `max_share`, driven by
-/// per-chunk streams, with each vertex's adjacency emitted sorted.
+/// inverse CDF, each rank's weight capped at `max_share` of the uncapped
+/// sum before the weights are renormalised (so a capped vertex's final
+/// share exceeds `max_share`), driven by per-chunk streams, with each
+/// vertex's adjacency emitted sorted.
 ///
 /// `parallel == false` is the sequential reference (plain binary search,
 /// chunks run in order on the caller's thread); `parallel == true` fans

@@ -326,6 +326,45 @@ fn mutation_stats_over_a_seeded_schedule_are_pinned() {
     assert_eq!(got, PINNED);
 }
 
+/// FNV-1a over each edge's `(src, dst, weight)` as little-endian bytes, in
+/// list order.
+fn edge_hash(edges: &[Edge]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for e in edges {
+        for word in [e.src, e.dst, e.weight] {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// Each batch's `MutationDelta` lists as `(inserted count, inserted hash,
+/// removed count, removed hash)`: both the copies a batch records and
+/// their op order and weights, which the repair kernels read.
+#[test]
+fn mutation_delta_lists_over_a_seeded_schedule_are_pinned() {
+    const PINNED: [(usize, u64, usize, u64); 6] = [
+        (24, 16449282857829308419, 73, 7657785204283629490),
+        (24, 16889757435728007207, 91, 12076401018421515995),
+        (24, 11524042875634272408, 37, 1269955124344476717),
+        (24, 3639826224055330265, 39, 4574239976395265205),
+        (24, 2736000349203369921, 34, 1450141641092506892),
+        (24, 5049942316146710902, 49, 18279808113536960500),
+    ];
+    let mut g = schedule_base();
+    let got: Vec<(usize, u64, usize, u64)> = (1..=SCHEDULE.batches)
+        .map(|k| {
+            let batch = materialize_batch(&SCHEDULE, 9, g.canonical(), k);
+            let delta = g.apply(&batch).expect("in-range ops apply");
+            let (ins, rem) = (&delta.inserted, &delta.removed);
+            (ins.len(), edge_hash(ins), rem.len(), edge_hash(rem))
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+}
+
 /// A view read before a clone travels with the clone, and a batch on the
 /// clone must not leave either graph serving a stale one: each view is
 /// its own canonical CSR laid out.
